@@ -20,8 +20,6 @@
 //!    0) and the offending variant lands in quarantine. No byte
 //!    comparison: a mutant that really fails legitimately changes the
 //!    trajectory.
-//! 5. `nodelta@2` — forced delta-fallback must be result-invisible
-//!    (byte-identical, §3.7 contract).
 //!
 //! ```text
 //! chaos_check [--seed S] [--workload NAME] [--repro <file>.quarantine.json]
@@ -273,27 +271,6 @@ fn eval_panic_is_quarantined(dir: &Path, workload: &str, seed: u64) -> Verdict {
     }
 }
 
-/// Scenario 5: forced delta-fallback is result-invisible.
-fn nodelta_is_result_invisible(workload: &str, seed: u64, baseline: &str) -> Verdict {
-    let name = "nodelta-invisible";
-    let mut cmd = search_job(workload, seed);
-    cmd.env("GEVO_CHAOS", "nodelta@2");
-    let out = run(&mut cmd);
-    if !out.status.success() {
-        return check(name, false, "run failed");
-    }
-    let line = stdout_line(&out);
-    check(
-        name,
-        line == baseline,
-        if line == baseline {
-            "forced fallback byte-identical".to_string()
-        } else {
-            "forced fallback changed the result".to_string()
-        },
-    )
-}
-
 /// `--repro`: replay a quarantined variant in isolation.
 fn repro(path: &Path) -> i32 {
     let rec = match QuarantineRecord::load(path) {
@@ -377,7 +354,6 @@ fn main() {
         ),
         serve_retries_byte_identical(&dir, &workload, seed),
         eval_panic_is_quarantined(&dir, &workload, seed),
-        nodelta_is_result_invisible(&workload, seed, &baseline),
     ];
 
     let failures: Vec<&Verdict> = verdicts.iter().filter(|v| !v.ok).collect();

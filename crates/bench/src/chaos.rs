@@ -13,7 +13,6 @@
 //! | `truncate@K` | truncate the checkpoint file to half after write `K` |
 //! | `panic@N` | panic the driving worker at the first step boundary with ≥ `N` evals |
 //! | `evalpanic@N` | panic *inside* the `N`-th evaluation (1-based) |
-//! | `nodelta@N` | report delta-patching unsupported from the `N`-th evaluation on |
 //! | `seed=S` | seed for corruption-offset derivation (default 1) |
 //!
 //! The faults split by where they land, which decides what recovery
@@ -32,9 +31,6 @@
 //!   really did fail), so the asserted contract is "survives,
 //!   quarantines, completes" — not byte-identity with a run where the
 //!   mutant passed.
-//! * `nodelta` forces the delta-compilation chain to fall back to full
-//!   recompiles — which is result-invisible by the §3.7 contract, so
-//!   byte-identity *is* asserted for it.
 //!
 //! Each fault fires at most once per process (the in-process `fired`
 //! latch); a restarted process decides via its own `GEVO_CHAOS` whether
@@ -71,12 +67,6 @@ pub enum Fault {
     /// Panic inside evaluation number `eval` (1-based call ordinal).
     EvalPanic {
         /// 1-based evaluation ordinal.
-        eval: usize,
-    },
-    /// Force [`Workload::supports_delta_patch`] to `false` from
-    /// evaluation `eval` on.
-    DeltaOff {
-        /// 1-based evaluation ordinal the fallback starts at.
         eval: usize,
     },
 }
@@ -124,7 +114,6 @@ impl FaultPlan {
                 "truncate" => Fault::CkptTruncate { write: n },
                 "panic" => Fault::WorkerPanic { evals: n },
                 "evalpanic" => Fault::EvalPanic { eval: n },
-                "nodelta" => Fault::DeltaOff { eval: n },
                 other => return Err(format!("chaos plan: unknown fault kind {other:?}")),
             });
         }
@@ -246,44 +235,37 @@ pub fn maybe_worker_panic(evals: usize) {
     }
 }
 
-/// Wraps a workload with the plan's evaluation-level faults
-/// ([`Fault::EvalPanic`], [`Fault::DeltaOff`]); a plan without any is a
-/// free pass-through. The wrapper keeps the inner workload's name, so
-/// checkpoints and job files stay interchangeable with unwrapped runs.
+/// Wraps a workload with the plan's evaluation-level fault
+/// ([`Fault::EvalPanic`]); a plan without one is a free pass-through.
+/// The wrapper keeps the inner workload's name, so checkpoints and job
+/// files stay interchangeable with unwrapped runs.
 #[must_use]
 pub fn wrap(inner: Box<dyn Workload + Send>) -> Box<dyn Workload + Send> {
     let Some(plan) = plan() else {
         return inner;
     };
-    let eval_panic = plan.faults.iter().find_map(|f| match f {
+    let Some(eval_panic) = plan.faults.iter().find_map(|f| match f {
         Fault::EvalPanic { eval } => Some(*eval),
         _ => None,
-    });
-    let delta_off = plan.faults.iter().find_map(|f| match f {
-        Fault::DeltaOff { eval } => Some(*eval),
-        _ => None,
-    });
-    if eval_panic.is_none() && delta_off.is_none() {
+    }) else {
         return inner;
-    }
+    };
     Box::new(ChaosWorkload {
         inner,
         calls: AtomicUsize::new(0),
         panic_fired: AtomicBool::new(false),
         eval_panic,
-        delta_off,
     })
 }
 
-/// A workload wrapper injecting evaluation-level faults (the shape of
-/// [`gevo_engine::NoDelta`], plus call counting).
+/// A workload wrapper injecting an evaluation panic: every method is
+/// forwarded, with evaluation calls counted.
 struct ChaosWorkload {
     inner: Box<dyn Workload + Send>,
     /// Evaluation calls seen so far (`evaluate` + `evaluate_compiled`).
     calls: AtomicUsize,
     panic_fired: AtomicBool,
-    eval_panic: Option<usize>,
-    delta_off: Option<usize>,
+    eval_panic: usize,
 }
 
 impl ChaosWorkload {
@@ -294,7 +276,7 @@ impl ChaosWorkload {
         let call = self.calls.fetch_add(1, Ordering::SeqCst) + 1;
         // Not an assertion: the panic IS the injected fault.
         #[allow(clippy::manual_assert)]
-        if self.eval_panic == Some(call) && !self.panic_fired.swap(true, Ordering::SeqCst) {
+        if self.eval_panic == call && !self.panic_fired.swap(true, Ordering::SeqCst) {
             panic!("chaos: injected evaluation panic at eval {call}");
         }
     }
@@ -318,14 +300,6 @@ impl Workload for ChaosWorkload {
         self.bump();
         self.inner.evaluate_compiled(compiled, eval_seed)
     }
-    fn supports_delta_patch(&self) -> bool {
-        if let Some(at) = self.delta_off {
-            if self.calls.load(Ordering::SeqCst) + 1 >= at {
-                return false;
-            }
-        }
-        self.inner.supports_delta_patch()
-    }
     fn hotspot_profile(&self) -> Option<Vec<Vec<u64>>> {
         // Forwarded without `bump()`: the profile evaluation bypasses
         // the [`gevo_engine::Evaluator`] by design, so it must not
@@ -341,8 +315,8 @@ mod tests {
 
     #[test]
     fn plan_parses_every_kind() {
-        let plan = FaultPlan::parse("seed=7,flip@1,truncate@0,panic@9,evalpanic@3,nodelta@2")
-            .expect("valid plan");
+        let plan =
+            FaultPlan::parse("seed=7,flip@1,truncate@0,panic@9,evalpanic@3").expect("valid plan");
         assert_eq!(plan.seed, 7);
         assert_eq!(
             plan.faults,
@@ -351,7 +325,6 @@ mod tests {
                 Fault::CkptTruncate { write: 0 },
                 Fault::WorkerPanic { evals: 9 },
                 Fault::EvalPanic { eval: 3 },
-                Fault::DeltaOff { eval: 2 },
             ]
         );
         assert_eq!(FaultPlan::parse("").expect("empty ok").faults, vec![]);

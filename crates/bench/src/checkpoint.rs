@@ -298,8 +298,8 @@ pub fn load_state_with_rollback(path: &Path) -> Result<(SearchState, Option<Stri
 /// Returns the result plus the evaluator's own counters and the
 /// adaptive scheduler's merged report, both of which are deliberately
 /// absent from the result (and the report from checkpoints' identity
-/// contract): cache hit rates, delta-patch counts, lowering-pass
-/// counters and operator-credit tallies only describe how this process
+/// contract): cache hit rates, lowering-pass counters and
+/// operator-credit tallies only describe how this process
 /// computed the trajectory, not the trajectory itself.
 ///
 /// # Panics

@@ -279,9 +279,9 @@ pub fn run_search(w: &dyn Workload, spec: &SearchSpec) -> SearchResult {
 }
 
 /// [`run_search`] plus the evaluator's own counters (cache hit rates,
-/// delta patches, lowering-pass counters) — observability the result
+/// lowering-pass counters, fault tallies) — observability the result
 /// deliberately omits, for the harnesses whose reports include them
-/// (`islands --json`, `delta_bench`, `opt_bench`).
+/// (`islands --json`, `opt_bench`).
 #[must_use]
 pub fn run_search_stats(w: &dyn Workload, spec: &SearchSpec) -> (SearchResult, EvalStats) {
     let (result, stats, _) = run_search_report(w, spec);
@@ -483,16 +483,16 @@ mod tests {
         std::env::set_var("GEVO_MUT_WEIGHTS", "7, 6,5,4 ,3,2,1");
         let w = mut_weights_knob().expect("parses");
         assert_eq!(
-            [
-                w.delete,
-                w.operand_replace,
-                w.cond_replace,
-                w.copy,
-                w.mov,
-                w.swap,
-                w.replace
-            ],
-            [7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0]
+            w,
+            gevo_engine::MutationWeights {
+                delete: 7.0,
+                operand_replace: 6.0,
+                cond_replace: 5.0,
+                copy: 4.0,
+                mov: 3.0,
+                swap: 2.0,
+                replace: 1.0,
+            }
         );
         std::env::remove_var("GEVO_MUT_WEIGHTS");
     }

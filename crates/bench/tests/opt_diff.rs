@@ -5,19 +5,12 @@
 //! [`LaunchStats`] (cold and warm L2), identical final device memory and
 //! identical faults, on every spec of the paper's Table I. Random
 //! single-edit chains drawn from the engine's own mutation operators pin
-//! the same property across the whole reachable variant space, and the
-//! O2 patch path is pinned from both sides of its refusal boundary:
-//! every delta `patch` accepts at O2 must reproduce the O2 recompile
-//! bit-for-bit, and every delta that would invalidate a baked
-//! optimization fact must be refused with
-//! [`PatchRefusal::OptimizationFact`], never silently mis-applied.
+//! the same property across the whole reachable variant space.
 
 use gevo_bench::kernel_gen::random_kernel;
 use gevo_bench::scaled_table1_specs;
-use gevo_engine::{Edit, MutationSpace, MutationWeights};
-use gevo_gpu::{
-    CompiledKernel, Gpu, GpuSpec, KernelArg, LaunchConfig, LaunchStats, OptLevel, PatchRefusal,
-};
+use gevo_engine::{MutationSpace, MutationWeights};
+use gevo_gpu::{CompiledKernel, Gpu, GpuSpec, KernelArg, LaunchConfig, LaunchStats, OptLevel};
 use gevo_ir::Kernel;
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -60,88 +53,6 @@ fn check_arms(spec: &GpuSpec, kernel: &Kernel) -> Result<(), String> {
     Ok(())
 }
 
-/// The O2 side of the delta chain: kernel + its O2 image, advanced one
-/// engine edit at a time. Mirrors the evaluator's compile pipeline
-/// (verify → DCE → lower) at an explicit opt level.
-fn compile_o2(spec: &GpuSpec, kernel: &Kernel) -> Option<CompiledKernel> {
-    gevo_ir::verify::verify(kernel).ok()?;
-    let mut k = kernel.clone();
-    let _ = gevo_ir::transform::dce(&mut k);
-    Some(CompiledKernel::compile_with(&k, spec, OptLevel::O2).expect("verified kernel lowers"))
-}
-
-struct Chain {
-    spec: GpuSpec,
-    kernel: Kernel,
-    image: CompiledKernel,
-}
-
-impl Chain {
-    fn start(spec: &GpuSpec, pristine: &Kernel) -> Chain {
-        let image = compile_o2(spec, pristine).expect("pristine kernel compiles");
-        Chain {
-            spec: spec.clone(),
-            kernel: pristine.clone(),
-            image,
-        }
-    }
-
-    /// Advances by one edit; returns `Ok(true)` when the step exercised
-    /// the O2 patch path (either an accepted patch or a fact refusal).
-    fn step(&mut self, edit: &Edit) -> Result<bool, String> {
-        let mut next = self.kernel.clone();
-        let (applied, delta) = edit.apply_delta(&mut next);
-        let Some(fresh) = compile_o2(&self.spec, &next) else {
-            // The edit broke verification: scored invalid, never
-            // compiled or patched.
-            return Ok(false);
-        };
-
-        let mut exercised = false;
-        match delta {
-            Some(d) if applied && d.is_patchable() => {
-                match self.image.patch(&d) {
-                    // An accepted O2 patch must reproduce the O2
-                    // recompile bit-for-bit, then behave identically.
-                    Ok(patched) => {
-                        prop_assert!(
-                            patched == fresh,
-                            "O2 patch diverges from O2 recompile on {} ({edit:?})",
-                            self.spec.name
-                        );
-                        let (ps, pm) = launch_image(&self.spec, &patched);
-                        let (fs, fm) = launch_image(&self.spec, &fresh);
-                        prop_assert!(ps == fs, "LaunchStats diverge on {}", self.spec.name);
-                        prop_assert!(pm == fm, "outputs diverge on {}", self.spec.name);
-                        self.image = patched;
-                    }
-                    // The only legitimate refusal of an eligible delta
-                    // at O2 is a baked fact going stale — the evaluator
-                    // falls back to the recompile, exactly as we do.
-                    Err(PatchRefusal::OptimizationFact) => {
-                        self.image = fresh;
-                    }
-                    Err(other) => {
-                        prop_assert!(
-                            false,
-                            "eligible delta refused with {other} on {}",
-                            self.spec.name
-                        );
-                    }
-                }
-                exercised = true;
-            }
-            _ => {
-                // Ineligible delta or structural edit: recompile, as the
-                // evaluator does.
-                self.image = fresh;
-            }
-        }
-        self.kernel = next;
-        Ok(exercised)
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24).with_rng_seed(0x0B71_F01D))]
 
@@ -175,7 +86,7 @@ proptest! {
         for _ in 0..chain_len {
             let Some(edit) = space.sample(&mut rng) else { break };
             let mut next = kernel.clone();
-            let (_, _) = edit.apply_delta(&mut next);
+            edit.apply(&mut next);
             if gevo_ir::verify::verify(&next).is_err() {
                 continue;
             }
@@ -184,30 +95,9 @@ proptest! {
         }
     }
 
-    /// O2 delta chains: accepted patches equal the O2 recompile
-    /// bit-for-bit; fact refusals fall back to the recompile; nothing is
-    /// silently mis-applied.
-    #[test]
-    fn o2_patch_equals_recompile_along_edit_chains(
-        seed in 0u64..u64::MAX,
-        n_ops in 4u64..24,
-        chain_len in 1usize..8,
-    ) {
-        let pristine = vec![random_kernel(seed, n_ops)];
-        let space = MutationSpace::new(&pristine, MutationWeights::default());
-        for spec in scaled_table1_specs() {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x0003_FAC7);
-            let mut chain = Chain::start(&spec, &pristine[0]);
-            for _ in 0..chain_len {
-                let Some(edit) = space.sample(&mut rng) else { break };
-                chain.step(&edit)?;
-            }
-        }
-    }
-
-    /// Local-operator chains weighted so long runs of eligible deltas
-    /// occur: composed O2 patches never drift from a from-scratch O2
-    /// compile.
+    /// Long local-operator chains (deletes, operand and condition
+    /// replacements — the edits that fold constants and flip uniformity
+    /// facts most often) keep O0 and O2 in lockstep at every step.
     #[test]
     fn o2_local_chains_stay_in_sync(
         seed in 0u64..u64::MAX,
@@ -226,10 +116,16 @@ proptest! {
         let space = MutationSpace::new(&pristine, local);
         let spec = &scaled_table1_specs()[0];
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x0004_10CA);
-        let mut chain = Chain::start(spec, &pristine[0]);
+        let mut kernel = pristine[0].clone();
         for _ in 0..chain_len {
             let Some(edit) = space.sample(&mut rng) else { break };
-            chain.step(&edit)?;
+            let mut next = kernel.clone();
+            edit.apply(&mut next);
+            if gevo_ir::verify::verify(&next).is_err() {
+                continue;
+            }
+            check_arms(spec, &next)?;
+            kernel = next;
         }
     }
 }

@@ -16,7 +16,7 @@ use gevo_gpu::{opt_level, set_opt_level, OptLevel};
 use gevo_workloads::adept::Version;
 
 /// The shared fixed-seed budget: small enough for CI, long enough to
-/// exercise mutation chains, delta patches and cache reuse.
+/// exercise mutation chains and cache reuse.
 fn pinned_spec() -> SearchSpec {
     SearchSpec {
         ga: GaConfig {

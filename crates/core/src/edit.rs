@@ -36,7 +36,7 @@
 //! assert_eq!(patch.without(&del).len(), 1);
 //! ```
 
-use gevo_ir::{InstId, Kernel, KernelDelta, Operand, TermKind};
+use gevo_ir::{InstId, Kernel, Operand, TermKind};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -133,66 +133,37 @@ impl Edit {
     /// Applies this edit to a kernel in place. Returns `true` if the edit
     /// took effect, `false` if it was skipped as inapplicable.
     pub fn apply(&self, k: &mut Kernel) -> bool {
-        self.apply_delta(k).0
-    }
-
-    /// Applies this edit and additionally reports its [`KernelDelta`] —
-    /// the replayable description the delta-compilation layer feeds to
-    /// [`CompiledKernel::patch`](gevo_gpu::CompiledKernel::patch).
-    ///
-    /// The boolean mirrors [`apply`](Self::apply) exactly (`apply` is
-    /// implemented on top of this, so the two cannot drift). The delta is
-    /// `Some` only for the three *local* edit kinds — delete, operand
-    /// replace, condition replace — and only when the edit actually took
-    /// effect; structural edits (copy/move/swap/replace) reshape the
-    /// instruction stream and always require a full recompile, so they
-    /// report `None`. Note `Some` does not mean *patchable*: the delta
-    /// carries the old/new operands so [`KernelDelta::is_patchable`] can
-    /// make that call downstream.
-    pub fn apply_delta(&self, k: &mut Kernel) -> (bool, Option<KernelDelta>) {
         match *self {
-            Edit::Delete { target, .. } => match k.remove_inst(target) {
-                Some(inst) => {
-                    let read_regs = inst.args.iter().any(Operand::is_reg);
-                    (
-                        true,
-                        Some(KernelDelta::RemoveInst {
-                            inst: target,
-                            read_regs,
-                        }),
-                    )
-                }
-                None => (false, None),
-            },
+            Edit::Delete { target, .. } => k.remove_inst(target).is_some(),
             Edit::Copy { source, before, .. } => {
                 let Some(pos) = k.locate(source) else {
-                    return (false, None);
+                    return false;
                 };
                 let inst = k.inst_at(pos).expect("located").clone();
                 let fresh = k.fresh_inst_id();
                 let clone = inst.clone_with_id(fresh);
-                (insert_before_or_at_term(k, before, clone), None)
+                insert_before_or_at_term(k, before, clone)
             }
             Edit::Move { source, before, .. } => {
                 if source == before {
-                    return (false, None);
+                    return false;
                 }
                 // Both endpoints must exist up front so a failed insert
                 // cannot lose the instruction.
                 if k.locate(source).is_none() || !anchor_exists(k, before) {
-                    return (false, None);
+                    return false;
                 }
                 let inst = k.remove_inst(source).expect("checked above");
                 // The anchor may have been the moved instruction's own
                 // neighbor; it still exists because source != before.
-                (insert_before_or_at_term(k, before, inst), None)
+                insert_before_or_at_term(k, before, inst)
             }
             Edit::Swap { a, b, .. } => {
                 if a == b {
-                    return (false, None);
+                    return false;
                 }
                 let (Some(pa), Some(pb)) = (k.locate(a), k.locate(b)) else {
-                    return (false, None);
+                    return false;
                 };
                 if pa.block == pb.block {
                     k.blocks[pa.block].instrs.swap(pa.index, pb.index);
@@ -202,14 +173,14 @@ impl Edit {
                     k.blocks[pa.block].instrs[pa.index] = ib;
                     k.blocks[pb.block].instrs[pb.index] = ia;
                 }
-                (true, None)
+                true
             }
             Edit::Replace { target, source, .. } => {
                 if target == source {
-                    return (false, None);
+                    return false;
                 }
                 let (Some(pt), Some(ps)) = (k.locate(target), k.locate(source)) else {
-                    return (false, None);
+                    return false;
                 };
                 let src = k.blocks[ps.block].instrs[ps.index].clone();
                 let t = &mut k.blocks[pt.block].instrs[pt.index];
@@ -217,47 +188,38 @@ impl Edit {
                 let keep_loc = t.loc;
                 *t = src.clone_with_id(keep_id);
                 t.loc = keep_loc;
-                (true, None)
+                true
             }
             Edit::OperandReplace {
                 target, arg, new, ..
             } => {
                 let Some(pos) = k.locate(target) else {
-                    return (false, None);
+                    return false;
                 };
                 let Some(old) = k.inst_at(pos).expect("located").args.get(arg).copied() else {
-                    return (false, None);
+                    return false;
                 };
                 // Type compatibility is enforced at application time so
                 // that arbitrary subsets stay verifiable.
                 if k.operand_ty(&old) != k.operand_ty(&new) {
-                    return (false, None);
+                    return false;
                 }
                 k.blocks[pos.block].instrs[pos.index].args[arg] = new;
-                (
-                    true,
-                    Some(KernelDelta::SetArg {
-                        inst: target,
-                        arg,
-                        old,
-                        new,
-                    }),
-                )
+                true
             }
             Edit::CondReplace { term, new, .. } => {
                 if k.operand_ty(&new) != gevo_ir::Ty::Bool {
-                    return (false, None);
+                    return false;
                 }
                 let Some(t) = k.terminator_mut(term) else {
-                    return (false, None);
+                    return false;
                 };
                 match &mut t.kind {
                     TermKind::CondBr { cond, .. } => {
-                        let old = *cond;
                         *cond = new;
-                        (true, Some(KernelDelta::SetCond { term, old, new }))
+                        true
                     }
-                    _ => (false, None),
+                    _ => false,
                 }
             }
         }
@@ -417,19 +379,11 @@ impl Patch {
     /// Stable content hash, for fitness memoization.
     #[must_use]
     pub fn content_hash(&self) -> u64 {
-        edits_hash(&self.edits)
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        self.edits.hash(&mut h);
+        h.finish()
     }
-}
-
-/// The [`Patch::content_hash`] of any edit-list slice. `Vec` and slice
-/// hash identically, so `edits_hash(&patch.edits()[..k])` is the hash of
-/// the k-edit prefix patch without materializing it — how the
-/// evaluator's delta chain looks up a cached parent for each prefix.
-pub(crate) fn edits_hash(edits: &[Edit]) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    edits.hash(&mut h);
-    h.finish()
 }
 
 impl FromIterator<Edit> for Patch {
@@ -685,128 +639,6 @@ mod tests {
         let p3 = Patch::from_edits(vec![e2, e1]);
         assert_eq!(p1.content_hash(), p2.content_hash());
         assert_ne!(p1.content_hash(), p3.content_hash());
-    }
-
-    #[test]
-    fn prefix_hash_matches_materialized_prefix_patch() {
-        let ks = kernels();
-        let all = ids(&ks[0]);
-        let edits = vec![
-            Edit::Delete {
-                kernel: 0,
-                target: all[2],
-            },
-            Edit::OperandReplace {
-                kernel: 0,
-                target: all[1],
-                arg: 1,
-                new: Operand::ImmI32(5),
-            },
-            Edit::Delete {
-                kernel: 0,
-                target: all[0],
-            },
-        ];
-        let p = Patch::from_edits(edits.clone());
-        for k in 0..=edits.len() {
-            let prefix = Patch::from_edits(edits[..k].to_vec());
-            assert_eq!(
-                edits_hash(&p.edits()[..k]),
-                prefix.content_hash(),
-                "prefix of {k} edits"
-            );
-        }
-    }
-
-    #[test]
-    fn apply_delta_mirrors_apply_and_captures_old_operands() {
-        let ks = kernels();
-        let all = ids(&ks[0]);
-
-        // OperandReplace records the displaced operand.
-        let opnd = Edit::OperandReplace {
-            kernel: 0,
-            target: all[1],
-            arg: 1,
-            new: Operand::ImmI32(7),
-        };
-        let mut k = ks[0].clone();
-        let (applied, delta) = opnd.apply_delta(&mut k);
-        assert!(applied);
-        assert_eq!(
-            delta,
-            Some(KernelDelta::SetArg {
-                inst: all[1],
-                arg: 1,
-                old: Operand::ImmI32(3),
-                new: Operand::ImmI32(7),
-            })
-        );
-        assert!(delta.unwrap().is_patchable(), "imm → imm swap");
-
-        // Delete records whether the victim read registers.
-        let mut k = ks[0].clone();
-        let del = Edit::Delete {
-            kernel: 0,
-            target: all[1], // `mul tid, 3` reads a register
-        };
-        let (applied, delta) = del.apply_delta(&mut k);
-        assert!(applied);
-        assert_eq!(
-            delta,
-            Some(KernelDelta::RemoveInst {
-                inst: all[1],
-                read_regs: true,
-            })
-        );
-        assert!(!delta.unwrap().is_patchable(), "register reader");
-
-        // A skipped edit reports no delta.
-        let (applied, delta) = del.apply_delta(&mut k);
-        assert!(!applied);
-        assert_eq!(delta, None);
-
-        // Structural edits never report a delta even when they apply.
-        let mut k = ks[0].clone();
-        let copy = Edit::Copy {
-            kernel: 0,
-            source: all[1],
-            before: all[2],
-        };
-        let (applied, delta) = copy.apply_delta(&mut k);
-        assert!(applied);
-        assert_eq!(delta, None);
-    }
-
-    #[test]
-    fn cond_replace_delta_captures_old_condition() {
-        let mut b = KernelBuilder::new("cd");
-        let t = b.new_block("t");
-        let e = b.new_block("e");
-        b.cond_br(Operand::ImmBool(false), t, e);
-        b.switch_to(t);
-        b.ret();
-        b.switch_to(e);
-        b.ret();
-        let k0 = b.finish();
-        let term = k0.blocks[0].term.id;
-        let edit = Edit::CondReplace {
-            kernel: 0,
-            term,
-            new: Operand::ImmBool(true),
-        };
-        let mut k = k0.clone();
-        let (applied, delta) = edit.apply_delta(&mut k);
-        assert!(applied);
-        assert_eq!(
-            delta,
-            Some(KernelDelta::SetCond {
-                term,
-                old: Operand::ImmBool(false),
-                new: Operand::ImmBool(true),
-            })
-        );
-        assert!(delta.unwrap().is_patchable());
     }
 
     #[test]

@@ -13,12 +13,9 @@
 //! concurrently; sharding keeps those lookups from serializing on one
 //! mutex.
 //!
-//! A second sharded cache holds each patch's **compiled kernels**
-//! (`gevo_gpu::CompiledKernel`, produced by [`Workload::compile`]):
-//! verification, CFG analysis and operand lowering run once per distinct
-//! patch, however many islands share the champion or how often the seed
-//! is rotated — compilation is seed-independent, so this cache survives
-//! [`Evaluator::set_eval_seed`] while the outcome cache is cleared.
+//! On a cache miss an evaluation is apply → compile → run: the patch is
+//! applied to the pristine kernels, [`Workload::compile`] lowers them and
+//! [`Workload::evaluate_compiled`] runs the test set.
 //!
 //! ```
 //! use gevo_engine::{Evaluator, EvalOutcome, Patch, Workload};
@@ -52,12 +49,12 @@
 //! assert_eq!(ev.cache_hits(), 1);
 //! ```
 
-use crate::edit::{edits_hash, Patch};
+use crate::edit::Patch;
 use gevo_gpu::{CompiledKernel, LaunchStats};
-use gevo_ir::{Kernel, KernelDelta};
-use std::collections::{HashMap, VecDeque};
+use gevo_ir::Kernel;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Mutex, RwLock};
 
 /// The outcome of evaluating one program variant on the full test set.
 #[derive(Debug, Clone, PartialEq)]
@@ -189,10 +186,7 @@ impl EvalOutcome {
 /// resumed run's `SearchResult` **bit-identical** to the uninterrupted
 /// one: elites re-scored after a restart must hit the cache exactly as
 /// they would have in-process, or the `evals`/`cache_hits`/
-/// `instructions` counters (all part of the result) drift. The
-/// compiled-kernel cache is deliberately *not* captured — it memoizes
-/// seed-independent work whose reuse is invisible in any result field,
-/// and it rebuilds on demand.
+/// `instructions` counters (all part of the result) drift.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvaluatorSnapshot {
     /// Scheduler seed in force ([`Evaluator::set_eval_seed`]).
@@ -305,19 +299,7 @@ pub trait Workload: Sync {
         EvalOutcome::fail("workload has no compiled-launch path")
     }
 
-    /// True when the [`Evaluator`] may build this workload's compiled
-    /// form by **delta-patching** a cached ancestor's compiled kernels
-    /// ([`CompiledKernel::patch`]) instead of calling
-    /// [`Workload::compile`].
-    ///
-    /// Opt in (return `true`) only when `compile` is *exactly* the
-    /// shared verify → DCE → lower pipeline over the variant kernels
-    /// (`gevo_workloads::pipeline::compile_variant`) — the patch API
-    /// reproduces precisely that pipeline's output for eligible local
-    /// edits (DESIGN.md §3.7). A workload whose `compile` does anything
-    /// else (rewrites kernels, injects state, compiles against a
-    /// per-call spec) must keep the default `false`, otherwise patched
-    /// and freshly compiled images can diverge silently.
+    /// Inert: nothing in this workspace calls or overrides it; `perfbench/` forwards it.
     fn supports_delta_patch(&self) -> bool {
         false
     }
@@ -361,92 +343,11 @@ pub trait Workload: Sync {
     }
 }
 
-/// A workload wrapper with the delta-patch path disabled:
-/// [`Workload::supports_delta_patch`] forced to `false`, everything
-/// else forwarded verbatim.
-///
-/// This is the control arm of the delta machinery's own acceptance
-/// tests: the fixed-seed trajectory pins (`tests/search_equiv.rs`,
-/// `tests/checkpoint_resume.rs`) and the interleaved A/B bench run the
-/// same search over `w` and `NoDelta(&w)` — byte-identical results
-/// prove the delta path is result-invisible, and the wall-clock gap
-/// measures what it saves.
-pub struct NoDelta<'w>(pub &'w dyn Workload);
-
-impl Workload for NoDelta<'_> {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-    fn kernels(&self) -> &[Kernel] {
-        self.0.kernels()
-    }
-    fn evaluate(&self, kernels: &[Kernel], eval_seed: u64) -> EvalOutcome {
-        self.0.evaluate(kernels, eval_seed)
-    }
-    fn compile(&self, kernels: &[Kernel]) -> Option<Result<Vec<CompiledKernel>, String>> {
-        self.0.compile(kernels)
-    }
-    fn evaluate_compiled(&self, compiled: &[CompiledKernel], eval_seed: u64) -> EvalOutcome {
-        self.0.evaluate_compiled(compiled, eval_seed)
-    }
-    fn supports_delta_patch(&self) -> bool {
-        false
-    }
-    fn hotspot_profile(&self) -> Option<Vec<Vec<u64>>> {
-        self.0.hotspot_profile()
-    }
-}
-
 /// Number of cache shards. A fixed power of two so shard selection is a
 /// mask of the patch hash's low bits; 16 comfortably out-scales the
 /// worker pools the engine spawns (islands × batch threads) on the
 /// machines this runs on.
 pub const CACHE_SHARDS: usize = 16;
-
-/// Per-shard capacity bound of the compiled-kernel cache
-/// (`CACHE_SHARDS × this` entries total). Unlike the outcome cache
-/// (small entries, cleared on every reseed), compiled entries are
-/// multi-kilobyte and intentionally survive [`Evaluator::set_eval_seed`],
-/// so an unbounded version would grow resident memory for the lifetime
-/// of a long search. A full shard evicts its **oldest** entry (FIFO —
-/// the deterministic choice; see [`Evaluator`]'s eviction notes), so
-/// recent parents stay available for delta patching. 256 × 16 = 4096
-/// variants comfortably covers the population × elitism working set
-/// that actually recurs across reseeds.
-pub const COMPILED_CACHE_PER_SHARD: usize = 256;
-
-/// One shard of the compiled-kernel cache: the entries plus their FIFO
-/// insertion order, so eviction at capacity is deterministic (never a
-/// function of `HashMap` iteration order, which varies per process).
-#[derive(Default)]
-struct CompiledShard {
-    map: HashMap<u64, Arc<Vec<CompiledKernel>>>,
-    order: VecDeque<u64>,
-}
-
-impl CompiledShard {
-    fn get(&self, key: u64) -> Option<Arc<Vec<CompiledKernel>>> {
-        self.map.get(&key).map(Arc::clone)
-    }
-
-    /// Inserts an entry, evicting the oldest one when the shard is at
-    /// [`COMPILED_CACHE_PER_SHARD`]. Eviction only drops a *cache
-    /// entry*: compiled images are immutable [`Arc`] snapshots, and a
-    /// delta-patched child holds (or rebuilds) its own full image, so
-    /// evicting a parent can never corrupt a child — later chains just
-    /// fall back to a full recompile with identical outcomes.
-    fn insert(&mut self, key: u64, val: Arc<Vec<CompiledKernel>>) {
-        if self.map.insert(key, val).is_some() {
-            return; // Same patch, same image: order is unchanged.
-        }
-        self.order.push_back(key);
-        if self.map.len() > COMPILED_CACHE_PER_SHARD {
-            if let Some(oldest) = self.order.pop_front() {
-                self.map.remove(&oldest);
-            }
-        }
-    }
-}
 
 /// Extracts the human-readable message from a caught panic payload
 /// (`panic!("...")` carries `&str` or `String`; anything else is
@@ -491,23 +392,37 @@ impl FaultClass {
     /// each layer uses: `ExecError::StepLimit` displays "step limit",
     /// the shared compile pipeline prefixes verification failures with
     /// "verify:", launch-time exec errors all mention "fault",
-    /// "misaligned", "barrier" or "launch", output comparators phrase
-    /// mismatches as "... expected ...", and the isolation boundary
-    /// prefixes caught panics with "panic:".
+    /// "misaligned", "barrier", "launch", "deadlock" or "type mismatch",
+    /// and the isolation boundary prefixes caught panics with "panic:".
+    /// Oracle rejections are mismatches: ADEPT phrases them as
+    /// "... expected ...", `SIMCoV`'s tolerance check as "... exceeds
+    /// ...", "... cells differ ...", "stats[...]: a vs oracle b" or
+    /// "field size mismatch".
     #[must_use]
     pub fn classify(reason: &str) -> FaultClass {
+        let has = |kws: &[&str]| kws.iter().any(|kw| reason.contains(kw));
         if reason.starts_with("panic:") {
             FaultClass::Panic
         } else if reason.contains("step limit") {
             FaultClass::StepLimit
         } else if reason.starts_with("verify:") || reason.contains("verification failed") {
             FaultClass::Verify
-        } else if ["fault", "misaligned", "barrier", "launch", "deadlock"]
-            .iter()
-            .any(|kw| reason.contains(kw))
-        {
+        } else if has(&[
+            "fault",
+            "misaligned",
+            "barrier",
+            "launch",
+            "deadlock",
+            "type mismatch",
+        ]) {
             FaultClass::Exec
-        } else if reason.contains("expected") {
+        } else if has(&[
+            "expected",
+            "exceeds",
+            "cells differ",
+            "vs oracle",
+            "size mismatch",
+        ]) {
             FaultClass::Mismatch
         } else {
             FaultClass::Other
@@ -529,7 +444,7 @@ impl FaultClass {
 }
 
 /// Per-class counts of failing evaluations actually performed.
-/// Observability only: like the delta/lowering counters these are
+/// Observability only: like the lowering counters these are
 /// process-local (they reset on resume) and are deliberately absent
 /// from [`EvaluatorSnapshot`] and [`crate::SearchResult`], so
 /// checkpointed runs stay byte-identical to uninterrupted ones.
@@ -573,7 +488,7 @@ impl FaultTallies {
 /// Point-in-time view of the [`Evaluator`]'s throughput counters, for
 /// benches and tests. Only `evals`, `cache_hits` and `instructions` are
 /// result-visible (checkpointed in [`EvaluatorSnapshot`]); the rest
-/// describe work *avoided* and never influence a trajectory.
+/// are observability only and never influence a trajectory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvalStats {
     /// Evaluations actually performed (outcome-cache misses).
@@ -582,20 +497,17 @@ pub struct EvalStats {
     pub cache_hits: usize,
     /// Full compilations performed ([`Workload::compile`] calls).
     pub compiles: usize,
-    /// Compiled-kernel cache hits (a lowered variant was reused).
+    /// Inert, always 0; kept only because `perfbench/` reads it.
     pub compiled_hits: usize,
-    /// Evaluations whose compiled form was produced entirely by
-    /// delta-patching a cached ancestor — no verify/CFG/lowering.
+    /// Inert, always 0; kept only because `perfbench/` reads it.
     pub delta_patched: usize,
-    /// Evaluations where delta patching was attempted but the chain
-    /// refused (structural or register-involving edit, or no cached
-    /// ancestor) and a full recompile ran instead.
+    /// Inert, always 0; kept only because `perfbench/` reads it.
     pub delta_fallbacks: usize,
     /// Warp-instructions simulated across performed evaluations.
     pub instructions: u64,
     /// Statically lowered instructions across every compiled image this
-    /// evaluator produced (full compiles and delta-patched variants) —
-    /// the denominator for the scalarization fraction.
+    /// evaluator produced — the denominator for the scalarization
+    /// fraction.
     pub lowered_insts: u64,
     /// Of those, instructions the O2 uniformity pass scalarized
     /// (executed once per warp with a broadcast write). Zero at O0.
@@ -645,27 +557,15 @@ impl EvalStats {
 pub struct Evaluator<'w> {
     workload: &'w dyn Workload,
     shards: Vec<Mutex<HashMap<u64, EvalOutcome>>>,
-    /// Compiled kernels per patch, sharded like the outcome cache.
-    /// Compilation is seed-independent, so — unlike outcomes — these
-    /// survive [`Evaluator::set_eval_seed`]: a reseeded re-evaluation of
-    /// a known patch skips verify/CFG/lowering entirely. Entries double
-    /// as **delta-patch parents**: an uncached patch first looks for a
-    /// cached prefix of itself and replays the remaining local edits
-    /// with [`CompiledKernel::patch`] (see [`Evaluator::evaluate`]).
-    compiled_shards: Vec<Mutex<CompiledShard>>,
     evals: AtomicUsize,
     cache_hits: AtomicUsize,
     compiles: AtomicUsize,
-    compiled_hits: AtomicUsize,
-    delta_patched: AtomicUsize,
-    delta_fallbacks: AtomicUsize,
     /// Total simulated warp-instructions across performed evaluations
     /// (cache hits simulate nothing and add nothing).
     instructions: AtomicU64,
     /// Lowering-pass counters, accumulated over every compiled image
-    /// this evaluator produces (full compiles and delta-patched
-    /// variants). Observability only — never checkpointed, so O0 and
-    /// O2 runs keep byte-identical snapshots.
+    /// this evaluator produces. Observability only — never
+    /// checkpointed, so O0 and O2 runs keep byte-identical snapshots.
     lowered_insts: AtomicU64,
     uniform_insts: AtomicU64,
     folded_insts: AtomicU64,
@@ -684,15 +584,9 @@ impl<'w> Evaluator<'w> {
             shards: (0..CACHE_SHARDS)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
-            compiled_shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(CompiledShard::default()))
-                .collect(),
             evals: AtomicUsize::new(0),
             cache_hits: AtomicUsize::new(0),
             compiles: AtomicUsize::new(0),
-            compiled_hits: AtomicUsize::new(0),
-            delta_patched: AtomicUsize::new(0),
-            delta_fallbacks: AtomicUsize::new(0),
             instructions: AtomicU64::new(0),
             lowered_insts: AtomicU64::new(0),
             uniform_insts: AtomicU64::new(0),
@@ -714,38 +608,6 @@ impl<'w> Evaluator<'w> {
         &self.shards[(key as usize) & (CACHE_SHARDS - 1)]
     }
 
-    /// The compiled-kernel shard holding a given patch hash.
-    #[allow(clippy::cast_possible_truncation)]
-    fn compiled_shard(&self, key: u64) -> &Mutex<CompiledShard> {
-        &self.compiled_shards[(key as usize) & (CACHE_SHARDS - 1)]
-    }
-
-    /// Cached compiled kernels for a patch hash, if present (counted as
-    /// a compiled-cache hit).
-    fn compiled_hit(&self, key: u64) -> Option<Arc<Vec<CompiledKernel>>> {
-        let hit = self.compiled_peek(key)?;
-        self.compiled_hits.fetch_add(1, Ordering::Relaxed);
-        Some(hit)
-    }
-
-    /// Cached compiled kernels for a patch hash without touching the
-    /// hit counter — the delta chain's prefix probes are speculative
-    /// and must not skew the reuse statistics.
-    fn compiled_peek(&self, key: u64) -> Option<Arc<Vec<CompiledKernel>>> {
-        self.compiled_shard(key)
-            .lock()
-            .expect("compiled shard")
-            .get(key)
-    }
-
-    /// Records a **freshly compiled** variant (counts a compilation and
-    /// retains the image; a full shard evicts its oldest entry).
-    fn compiled_insert(&self, key: u64, compiled: &Arc<Vec<CompiledKernel>>) {
-        self.compiles.fetch_add(1, Ordering::Relaxed);
-        self.count_pass_facts(compiled);
-        self.compiled_retain(key, compiled);
-    }
-
     /// Accumulates the lowering-pass counters over a newly produced
     /// compiled image set (all zeros at O0; see [`EvalStats`]).
     fn count_pass_facts(&self, compiled: &[CompiledKernel]) {
@@ -761,64 +623,8 @@ impl<'w> Evaluator<'w> {
         self.folded_insts.fetch_add(folded, Ordering::Relaxed);
     }
 
-    /// Retains a compiled image without counting a compilation — the
-    /// delta path derives its images from a cached parent, so nothing
-    /// was verified or lowered.
-    fn compiled_retain(&self, key: u64, compiled: &Arc<Vec<CompiledKernel>>) {
-        self.compiled_shard(key)
-            .lock()
-            .expect("compiled shard")
-            .insert(key, Arc::clone(compiled));
-    }
-
-    /// Attempts to build the variant's compiled form by patching a
-    /// cached ancestor instead of recompiling from scratch.
-    ///
-    /// Walks the patch's prefixes from longest to shortest for a cached
-    /// compiled image (mutation appends edits, so an offspring's direct
-    /// parent sits at `len − 1`; the pristine program's empty prefix is
-    /// the universal anchor). The remaining edits are replayed on IR
-    /// clones — exactly what [`Patch::apply`] would do — to learn each
-    /// edit's [`KernelDelta`], and every eligible delta is forwarded to
-    /// [`CompiledKernel::patch`]. Returns `None` the moment any applied
-    /// edit is structural, register-involving, or refused by `patch`
-    /// (or when no prefix is cached): the caller must fully recompile.
-    fn try_delta_chain(&self, patch: &Patch) -> Option<Arc<Vec<CompiledKernel>>> {
-        let edits = patch.edits();
-        let (start, mut compiled) = (0..edits.len()).rev().find_map(|k| {
-            let parent = self.compiled_peek(edits_hash(&edits[..k]))?;
-            Some((k, parent))
-        })?;
-        // Rebuild the IR state at the cached prefix: `apply_delta` needs
-        // the kernel context to mirror plain application bit-for-bit
-        // (applicability checks, displaced-operand capture).
-        let (mut kernels, _) =
-            Patch::from_edits(edits[..start].to_vec()).apply(self.workload.kernels());
-        for e in &edits[start..] {
-            let ki = e.kernel();
-            if ki >= kernels.len() {
-                continue; // `Patch::apply` skips out-of-range edits too.
-            }
-            let (applied, delta) = e.apply_delta(&mut kernels[ki]);
-            if !applied {
-                continue; // A skipped edit changes nothing to patch.
-            }
-            let delta = delta.filter(KernelDelta::is_patchable)?;
-            let patched = compiled.get(ki).and_then(|ck| ck.patch(&delta).ok())?;
-            let mut next = (*compiled).clone();
-            next[ki] = patched;
-            compiled = Arc::new(next);
-        }
-        Some(compiled)
-    }
-
     /// Sets the scheduler seed used for subsequent evaluations and clears
-    /// the **outcome** cache (outcomes may differ under the new seed).
-    ///
-    /// The compiled-kernel cache is deliberately *not* cleared:
-    /// compilation is a pure function of the patch, independent of the
-    /// evaluation seed, so re-scoring known patches under the new seed
-    /// reuses their lowered form and pays only the execution cost.
+    /// the outcome cache (outcomes may differ under the new seed).
     ///
     /// The reseed and the clear happen under the seed's write lock, which
     /// excludes every concurrent [`Evaluator::evaluate`] (they hold the
@@ -843,13 +649,8 @@ impl<'w> Evaluator<'w> {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             return hit.clone();
         }
-        // Compile once per patch (cached across reseeds), then score the
-        // compiled form; workloads without a compiled path fall back to
-        // interpreting the applied kernels directly. On a compiled-cache
-        // miss, workloads on the shared pipeline first try to *patch* a
-        // cached ancestor's image (the delta path) before paying for a
-        // full recompile. The patch is applied at most once per call,
-        // and not at all on a compiled-cache hit.
+        // Apply → compile → run; workloads without a compiled path
+        // interpret the applied kernels directly.
         //
         // The whole computation runs behind `catch_unwind`: a mutant
         // that finds a simulator or compiler panic is a worst-fitness
@@ -859,30 +660,15 @@ impl<'w> Evaluator<'w> {
         // across resume — byte-identity holds.
         let seed = *seed_guard;
         let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if let Some(compiled) = self.compiled_hit(key) {
-                self.workload.evaluate_compiled(&compiled, seed)
-            } else {
-                let try_delta = self.workload.supports_delta_patch() && !patch.is_empty();
-                if let Some(compiled) = try_delta.then(|| self.try_delta_chain(patch)).flatten() {
-                    self.delta_patched.fetch_add(1, Ordering::Relaxed);
+            let (kernels, _) = patch.apply(self.workload.kernels());
+            match self.workload.compile(&kernels) {
+                Some(Ok(compiled)) => {
+                    self.compiles.fetch_add(1, Ordering::Relaxed);
                     self.count_pass_facts(&compiled);
-                    self.compiled_retain(key, &compiled);
                     self.workload.evaluate_compiled(&compiled, seed)
-                } else {
-                    if try_delta {
-                        self.delta_fallbacks.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let (kernels, _) = patch.apply(self.workload.kernels());
-                    match self.workload.compile(&kernels) {
-                        Some(Ok(compiled)) => {
-                            let compiled = Arc::new(compiled);
-                            self.compiled_insert(key, &compiled);
-                            self.workload.evaluate_compiled(&compiled, seed)
-                        }
-                        Some(Err(reason)) => EvalOutcome::fail(reason),
-                        None => self.workload.evaluate(&kernels, seed),
-                    }
                 }
+                Some(Err(reason)) => EvalOutcome::fail(reason),
+                None => self.workload.evaluate(&kernels, seed),
             }
         }));
         let outcome = computed.unwrap_or_else(|payload| {
@@ -956,32 +742,11 @@ impl<'w> Evaluator<'w> {
         self.instructions.load(Ordering::Relaxed)
     }
 
-    /// Kernel compilations actually performed (compiled-cache misses on
-    /// workloads with a compiled path).
+    /// Successful kernel compilations performed (one per performed
+    /// evaluation on workloads with a compiled path).
     #[must_use]
     pub fn compiles_performed(&self) -> usize {
         self.compiles.load(Ordering::Relaxed)
-    }
-
-    /// Compiled-kernel cache hits served (an evaluation reused a
-    /// previously lowered variant — e.g. after a reseed).
-    #[must_use]
-    pub fn compiled_cache_hits(&self) -> usize {
-        self.compiled_hits.load(Ordering::Relaxed)
-    }
-
-    /// Evaluations whose compiled form was produced entirely by
-    /// delta-patching a cached ancestor (no verify/CFG/lowering ran).
-    #[must_use]
-    pub fn delta_patches_applied(&self) -> usize {
-        self.delta_patched.load(Ordering::Relaxed)
-    }
-
-    /// Evaluations where the delta chain was attempted but refused and
-    /// a full recompile ran instead.
-    #[must_use]
-    pub fn delta_fallbacks(&self) -> usize {
-        self.delta_fallbacks.load(Ordering::Relaxed)
     }
 
     /// Instructions statically lowered across every compiled image this
@@ -1026,24 +791,15 @@ impl<'w> Evaluator<'w> {
             evals: self.evals_performed(),
             cache_hits: self.cache_hits(),
             compiles: self.compiles_performed(),
-            compiled_hits: self.compiled_cache_hits(),
-            delta_patched: self.delta_patches_applied(),
-            delta_fallbacks: self.delta_fallbacks(),
+            compiled_hits: 0,
+            delta_patched: 0,
+            delta_fallbacks: 0,
             instructions: self.instructions_simulated(),
             lowered_insts: self.insts_lowered(),
             uniform_insts: self.insts_scalarized(),
             folded_insts: self.insts_folded(),
             faults: self.fault_tallies(),
         }
-    }
-
-    /// Compiled variants currently cached, summed over every shard.
-    #[must_use]
-    pub fn compiled_cache_len(&self) -> usize {
-        self.compiled_shards
-            .iter()
-            .map(|s| s.lock().expect("compiled shard").map.len())
-            .sum()
     }
 
     /// Cache hit rate over all lookups so far (0 when nothing looked up).
@@ -1142,17 +898,7 @@ impl<'w> Evaluator<'w> {
     /// hash *before* dispatch: each unique patch is evaluated exactly
     /// once, so two workers can never race the same uncached key and
     /// [`Evaluator::evals_performed`] stays deterministic across thread
-    /// schedules.
-    ///
-    /// Unique patches are **dispatched generation-grouped**: shorter
-    /// patches first, then by parent prefix, so an offspring's parent
-    /// is compiled and cached before the offspring tries to delta-patch
-    /// off it, and siblings of one parent run back-to-back while that
-    /// parent's image, the `ExecScratch` pool and the memory model are
-    /// hot. This is purely a scheduling choice — dedup guarantees one
-    /// evaluation per unique patch, outcomes are functions of
-    /// `(patch, seed)`, and no result-visible counter depends on order,
-    /// so trajectories are bit-identical to unsorted dispatch.
+    /// schedules. Unique patches are dispatched in first-seen order.
     pub fn evaluate_batch(&self, patches: &[Patch], threads: usize) -> Vec<EvalOutcome> {
         let mut first_seen: HashMap<u64, usize> = HashMap::new();
         let mut reps: Vec<&Patch> = Vec::new();
@@ -1168,41 +914,19 @@ impl<'w> Evaluator<'w> {
             }
         }
 
-        // Dispatch order: parents (shorter patches) before children,
-        // siblings (same parent prefix) adjacent, batch position as the
-        // deterministic tiebreak.
-        let mut order: Vec<usize> = (0..reps.len()).collect();
-        order.sort_by_key(|&i| {
-            let edits = reps[i].edits();
-            let parent = edits
-                .len()
-                .checked_sub(1)
-                .map_or(0, |k| edits_hash(&edits[..k]));
-            (edits.len(), parent, i)
-        });
-
         let rep_outcomes: Vec<EvalOutcome> = if threads <= 1 || reps.len() <= 1 {
-            let mut slots: Vec<Option<EvalOutcome>> = vec![None; reps.len()];
-            for &i in &order {
-                slots[i] = Some(self.evaluate(reps[i]));
-            }
-            slots
-                .into_iter()
-                .map(|o| o.expect("every rep evaluated"))
-                .collect()
+            reps.iter().map(|p| self.evaluate(p)).collect()
         } else {
             let next = AtomicUsize::new(0);
             let results: Vec<Mutex<Option<EvalOutcome>>> =
                 reps.iter().map(|_| Mutex::new(None)).collect();
-            let order = &order;
             std::thread::scope(|s| {
                 for _ in 0..threads.min(reps.len()) {
                     s.spawn(|| loop {
-                        let pos = next.fetch_add(1, Ordering::Relaxed);
-                        if pos >= order.len() {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= reps.len() {
                             break;
                         }
-                        let i = order[pos];
                         let out = self.evaluate(reps[i]);
                         *results[i].lock().expect("result slot") = Some(out);
                     });
@@ -1323,65 +1047,6 @@ mod tests {
                 1000.0 * (1.0 + seed as f64) + insts as f64,
                 LaunchStats::default(),
             )
-        }
-    }
-
-    /// A workload on the shared verify → DCE → lower pipeline (the
-    /// `compile_variant` contract), opted into delta patching. Its
-    /// fitness hashes the *entire compiled form*, so any divergence
-    /// between a patched image and a from-scratch compile flips the
-    /// fitness: outcome equality below is instruction-stream equality.
-    struct PipelineStub {
-        kernels: Vec<Kernel>,
-        spec: gevo_gpu::GpuSpec,
-    }
-
-    impl PipelineStub {
-        fn new() -> PipelineStub {
-            PipelineStub {
-                kernels: Stub::new().kernels,
-                spec: gevo_gpu::GpuSpec::p100().scaled(8),
-            }
-        }
-    }
-
-    impl Workload for PipelineStub {
-        fn name(&self) -> &'static str {
-            "pipeline-stub"
-        }
-        fn kernels(&self) -> &[Kernel] {
-            &self.kernels
-        }
-        fn evaluate(&self, kernels: &[Kernel], seed: u64) -> EvalOutcome {
-            match self.compile(kernels).expect("has a compiled path") {
-                Ok(compiled) => self.evaluate_compiled(&compiled, seed),
-                Err(reason) => EvalOutcome::fail(reason),
-            }
-        }
-        fn compile(&self, kernels: &[Kernel]) -> Option<Result<Vec<CompiledKernel>, String>> {
-            Some(
-                kernels
-                    .iter()
-                    .map(|k| {
-                        gevo_ir::verify::verify(k).map_err(|e| format!("verify: {e}"))?;
-                        let mut slim = k.clone();
-                        gevo_ir::transform::dce(&mut slim);
-                        CompiledKernel::compile(&slim, &self.spec)
-                            .map_err(|e| format!("verify: {e}"))
-                    })
-                    .collect(),
-            )
-        }
-        fn evaluate_compiled(&self, compiled: &[CompiledKernel], seed: u64) -> EvalOutcome {
-            use std::hash::{Hash, Hasher};
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            format!("{compiled:?}").hash(&mut h);
-            seed.hash(&mut h);
-            #[allow(clippy::cast_precision_loss)]
-            EvalOutcome::pass((h.finish() >> 11) as f64, LaunchStats::default())
-        }
-        fn supports_delta_patch(&self) -> bool {
-            true
         }
     }
 
@@ -1529,7 +1194,7 @@ mod tests {
     }
 
     #[test]
-    fn compiled_cache_survives_reseed() {
+    fn every_performed_evaluation_compiles_once() {
         let w = CompilingStub::new();
         let ev = Evaluator::new(&w);
         let ids = w.kernels[0].inst_ids();
@@ -1542,39 +1207,23 @@ mod tests {
         ];
         let first: Vec<EvalOutcome> = patches.iter().map(|p| ev.evaluate(p)).collect();
         assert_eq!(ev.compiles_performed(), 2);
-        assert_eq!(ev.compiled_cache_len(), 2);
-        assert_eq!(ev.compiled_cache_hits(), 0);
         assert_eq!(w.compiles.load(Ordering::Relaxed), 2);
 
-        // Same patches under a new seed: outcomes are recomputed (the
-        // outcome cache was cleared and the fitness encodes the seed),
-        // but no kernel is verified or lowered a second time.
+        // Same patches under a new seed: the outcome cache was cleared
+        // and the fitness encodes the seed, so both are applied,
+        // compiled and run again.
         ev.set_eval_seed(5);
         let second: Vec<EvalOutcome> = patches.iter().map(|p| ev.evaluate(p)).collect();
         assert_eq!(ev.evals_performed(), 4, "re-evaluated under new seed");
-        assert_eq!(
-            w.compiles.load(Ordering::Relaxed),
-            2,
-            "compiled once per patch"
-        );
-        assert_eq!(ev.compiled_cache_hits(), 2);
+        assert_eq!(ev.compiles_performed(), 4);
+        assert_eq!(w.compiles.load(Ordering::Relaxed), 4);
         for (a, b) in first.iter().zip(&second) {
             assert_ne!(a.fitness, b.fitness, "fitness tracks the new seed");
         }
     }
 
-    /// Regression companion to `BENCH_delta.json`'s
-    /// `compiled_hit_rate: 0.0000`: that number is structural, not a
-    /// bug. [`Evaluator::evaluate`] consults the **outcome** cache
-    /// before the compiled cache, so a re-seen patch returns its cached
-    /// outcome without ever probing for its compiled image — and
-    /// [`crate::Search`] never calls [`Evaluator::set_eval_seed`]
-    /// mid-run, so the outcome cache is never cleared. Under a single
-    /// fixed seed, compiled hits are therefore *impossible* through the
-    /// public path; they appear exactly when a reseed clears outcomes
-    /// while compiled images survive. This test pins both halves.
     #[test]
-    fn outcome_cache_shields_compiled_cache_until_reseed() {
+    fn outcome_cache_hits_skip_compilation() {
         let w = CompilingStub::new();
         let ev = Evaluator::new(&w);
         let ids = w.kernels[0].inst_ids();
@@ -1582,212 +1231,56 @@ mod tests {
             kernel: 0,
             target: ids[1],
         }]);
-
-        // Same patch, same seed, any number of times: the outcome cache
-        // answers and the compiled cache is never even consulted.
         for _ in 0..3 {
             let _ = ev.evaluate(&patch);
         }
-        assert_eq!(ev.compiles_performed(), 1);
         assert_eq!(ev.cache_hits(), 2, "outcome cache served the repeats");
-        assert_eq!(
-            ev.compiled_cache_hits(),
-            0,
-            "under a fixed seed the outcome cache shields the compiled \
-             cache — the delta_bench hit rate of 0 is by construction"
-        );
-
-        // Forcing a hit through the public path: reseed (clears
-        // outcomes, keeps compiled images), then re-evaluate.
-        ev.set_eval_seed(99);
-        let _ = ev.evaluate(&patch);
-        assert_eq!(ev.compiled_cache_hits(), 1, "now the image is reused");
-        assert_eq!(ev.compiles_performed(), 1, "without recompiling");
+        assert_eq!(ev.compiles_performed(), 1);
+        assert_eq!(w.compiles.load(Ordering::Relaxed), 1);
     }
 
     #[test]
-    fn delta_chain_patches_from_cached_parent() {
-        let w = PipelineStub::new();
-        let ev = Evaluator::new(&w);
-        let ids = w.kernels[0].inst_ids();
-        let child = Patch::from_edits(vec![Edit::OperandReplace {
-            kernel: 0,
-            target: ids[1], // add tid, 1 — ids[0] is the arity-0 special
-            arg: 1,
-            new: Operand::ImmI32(7),
-        }]);
-        let _ = ev.evaluate(&Patch::empty()); // cache the pristine image
-        assert_eq!(ev.compiles_performed(), 1);
-
-        let patched = ev.evaluate(&child);
-        assert_eq!(ev.delta_patches_applied(), 1, "child was patched");
-        assert_eq!(ev.compiles_performed(), 1, "no second compile");
-
-        // The patched image scores identically to a from-scratch compile
-        // (the stub's fitness hashes the full compiled form).
-        let fresh = Evaluator::new(&w);
-        assert_eq!(fresh.evaluate(&child), patched);
-        assert_eq!(fresh.delta_patches_applied(), 0);
-
-        // The delta-built image is cached under the child's *own* key
-        // and survives a reseed: re-scoring hits the compiled cache, the
-        // chain does not run a second time.
-        ev.set_eval_seed(9);
-        let hits = ev.compiled_cache_hits();
-        let _ = ev.evaluate(&child);
-        assert_eq!(ev.compiled_cache_hits(), hits + 1);
-        assert_eq!(ev.delta_patches_applied(), 1, "no second chain");
-        assert_eq!(ev.compiles_performed(), 1);
-    }
-
-    #[test]
-    fn ineligible_edits_fall_back_to_recompile() {
-        let w = PipelineStub::new();
-        let ids = w.kernels[0].inst_ids();
-        let ev = Evaluator::new(&w);
-        let _ = ev.evaluate(&Patch::empty());
-        let bad_edits = [
-            // Structural: no delta at all.
-            Edit::Swap {
-                kernel: 0,
-                a: ids[0],
-                b: ids[1],
-            },
-            // Deletes an instruction that reads a register.
-            Edit::Delete {
-                kernel: 0,
-                target: ids[2],
-            },
-            // Displaces a register operand.
-            Edit::OperandReplace {
-                kernel: 0,
-                target: ids[1],
-                arg: 0,
-                new: Operand::ImmI32(5),
-            },
-        ];
-        for (i, bad) in bad_edits.into_iter().enumerate() {
-            let p = Patch::from_edits(vec![bad]);
-            let out = ev.evaluate(&p);
-            assert_eq!(ev.delta_fallbacks(), i + 1, "chain refused");
-            assert_eq!(ev.delta_patches_applied(), 0);
-            let fresh = Evaluator::new(&w);
-            assert_eq!(fresh.evaluate(&p), out, "fallback ≡ from scratch");
+    fn batch_dispatches_in_first_seen_order() {
+        /// Records the patch length of every kernel set it evaluates.
+        struct Recording {
+            kernels: Vec<Kernel>,
+            seen: Mutex<Vec<usize>>,
         }
-    }
-
-    #[test]
-    #[allow(clippy::cast_possible_truncation)]
-    #[allow(clippy::cast_possible_wrap)]
-    fn parent_eviction_forces_fallback_not_corruption() {
-        let w = PipelineStub::new();
-        let ids = w.kernels[0].inst_ids();
-        // The parent's only edit is structural, so a chain can never
-        // rebuild the child from the empty prefix — once the parent is
-        // evicted, the child *must* fall back to a full recompile.
-        let parent = Patch::from_edits(vec![Edit::Swap {
-            kernel: 0,
-            a: ids[0],
-            b: ids[1],
-        }]);
-        let child = {
-            let mut p = parent.clone();
-            p.push(Edit::OperandReplace {
-                kernel: 0,
-                target: ids[1],
-                arg: 1,
-                new: Operand::ImmI32(7),
-            });
-            p
-        };
-
-        // Pre-eviction: the child delta-patches off the cached parent.
-        let ev = Evaluator::new(&w);
-        let _ = ev.evaluate(&parent);
-        let before = ev.evaluate(&child);
-        assert_eq!(ev.delta_patches_applied(), 1);
-
-        // Fresh evaluator: cache the parent, then flood its shard with
-        // distinct compiled entries until FIFO eviction pushes it out.
-        let ev2 = Evaluator::new(&w);
-        let _ = ev2.evaluate(&parent);
-        let shard_of = |p: &Patch| (p.content_hash() as usize) & (CACHE_SHARDS - 1);
-        let mut landed = 0usize;
-        let mut i = 0i32;
-        while landed < COMPILED_CACHE_PER_SHARD {
-            let filler = Patch::from_edits(vec![Edit::OperandReplace {
-                kernel: 0,
-                target: ids[1],
-                arg: 1,
-                new: Operand::ImmI32(i),
-            }]);
-            i += 1;
-            if shard_of(&filler) != shard_of(&parent) {
-                continue;
+        impl Workload for Recording {
+            fn name(&self) -> &'static str {
+                "recording"
             }
-            let _ = ev2.evaluate(&filler);
-            landed += 1;
+            fn kernels(&self) -> &[Kernel] {
+                &self.kernels
+            }
+            #[allow(clippy::cast_precision_loss)]
+            fn evaluate(&self, kernels: &[Kernel], _seed: u64) -> EvalOutcome {
+                let n = kernels[0].inst_count();
+                self.seen.lock().unwrap().push(n);
+                EvalOutcome::pass(n as f64, LaunchStats::default())
+            }
         }
-        // The evicted parent can't be patched from; the child recompiles
-        // with a bit-identical outcome. Immutable Arc images mean
-        // eviction can only ever cost time, never correctness.
-        let fallbacks = ev2.delta_fallbacks();
-        let after = ev2.evaluate(&child);
-        assert_eq!(ev2.delta_fallbacks(), fallbacks + 1, "fell back");
-        assert_eq!(after, before);
-    }
-
-    #[test]
-    fn compiled_shard_evicts_fifo() {
-        let mut shard = CompiledShard::default();
-        let img: Arc<Vec<CompiledKernel>> = Arc::new(Vec::new());
-        for key in 0..=(COMPILED_CACHE_PER_SHARD as u64 + 1) {
-            shard.insert(key, Arc::clone(&img));
-        }
-        assert_eq!(shard.map.len(), COMPILED_CACHE_PER_SHARD);
-        assert!(shard.get(0).is_none(), "oldest evicted first");
-        assert!(shard.get(1).is_none());
-        assert!(shard.get(2).is_some());
-        // Re-inserting an existing key refreshes in place: no eviction,
-        // no change to the FIFO order.
-        shard.insert(5, Arc::clone(&img));
-        assert_eq!(shard.map.len(), COMPILED_CACHE_PER_SHARD);
-        assert!(shard.get(2).is_some());
-    }
-
-    #[test]
-    fn batch_orders_parents_before_children() {
-        let w = PipelineStub::new();
+        let w = Recording {
+            kernels: Stub::new().kernels,
+            seen: Mutex::new(Vec::new()),
+        };
         let ids = w.kernels[0].inst_ids();
-        let e1 = Edit::OperandReplace {
+        let del = |i: usize| Edit::Delete {
             kernel: 0,
-            target: ids[1],
-            arg: 1,
-            new: Operand::ImmI32(3),
+            target: ids[i],
         };
-        let e2 = Edit::OperandReplace {
-            kernel: 0,
-            target: ids[2],
-            arg: 1,
-            new: Operand::ImmI32(4),
-        };
-        let parent = Patch::from_edits(vec![e1]);
-        let child = Patch::from_edits(vec![e1, e2]);
+        let full = w.kernels[0].inst_count();
+        let child = Patch::from_edits(vec![del(1), del(2)]);
+        let parent = Patch::from_edits(vec![del(1)]);
 
-        // Child listed *first*: grouped dispatch still evaluates the
-        // parent before it, so the child delta-patches off the parent's
-        // just-cached image instead of recompiling.
+        // Child listed first (and again at the end): it runs first, the
+        // duplicate is served from the batch's own dedup.
         let ev = Evaluator::new(&w);
-        let grouped = ev.evaluate_batch(&[child.clone(), parent.clone()], 1);
-        assert_eq!(ev.delta_patches_applied(), 1, "child chained");
-        assert_eq!(ev.compiles_performed(), 1, "only the parent compiled");
-
-        // Results stay in input order and match naive evaluation.
-        let fresh = Evaluator::new(&w);
-        assert_eq!(
-            grouped,
-            vec![fresh.evaluate(&child), fresh.evaluate(&parent)]
-        );
+        let out = ev.evaluate_batch(&[child.clone(), parent.clone(), child], 1);
+        assert_eq!(*w.seen.lock().unwrap(), vec![full - 2, full - 1]);
+        assert_eq!(ev.evals_performed(), 2);
+        assert_eq!(out[0], out[2]);
+        assert!(out[0].fitness < out[1].fitness, "outcomes in input order");
     }
 
     #[test]
@@ -1816,11 +1309,7 @@ mod tests {
         let out = ev.evaluate(&Patch::empty());
         assert!(!out.is_valid());
         assert!(out.failure.unwrap().starts_with("verify:"));
-        assert_eq!(
-            ev.compiled_cache_len(),
-            0,
-            "failures are not cached as compiled"
-        );
+        assert_eq!(ev.compiles_performed(), 0, "only successes count");
     }
 
     #[test]
@@ -1913,6 +1402,97 @@ mod tests {
         let _ = ev.evaluate_batch(&patches, 4);
         for p in &patches {
             assert_eq!(ev.evaluate(p).fitness, Some(78.0), "stale-seed entry");
+        }
+    }
+
+    /// One real failure string per class from each layer that produces
+    /// them: the ADEPT and `SIMCoV` oracles, the interpreter, the
+    /// compile pipeline and the isolation boundary.
+    #[test]
+    fn classify_maps_every_workload_failure_to_its_class() {
+        use gevo_gpu::ExecError;
+        let mut broken = Stub::new().kernels.remove(0);
+        broken.blocks[0].instrs[0].args.clear();
+        let verify_err = gevo_ir::verify::verify(&broken).expect_err("arity error");
+        let table: Vec<(String, FaultClass)> = vec![
+            // ADEPT oracle.
+            (
+                "pair 3: forward got (score 11, end 7,9), expected (score 14, end 8,9)".into(),
+                FaultClass::Mismatch,
+            ),
+            (
+                "pair 0: reverse got (score 2, end 0,1), expected (score 5, end 3,3)".into(),
+                FaultClass::Mismatch,
+            ),
+            // SIMCoV oracle: every `validate::compare` branch.
+            ("field size mismatch".into(), FaultClass::Mismatch),
+            (
+                "virions: per-value mean deviation 0.8125 exceeds 0.0512".into(),
+                FaultClass::Mismatch,
+            ),
+            (
+                "chemokine: per-value variance 3.0417 exceeds 0.2600".into(),
+                FaultClass::Mismatch,
+            ),
+            (
+                "epithelial states: 41 cells differ (0.160 > 0.020)".into(),
+                FaultClass::Mismatch,
+            ),
+            (
+                "T cells: 9 cells differ (budget 4, 37 live)".into(),
+                FaultClass::Mismatch,
+            ),
+            (
+                "stats[infected]: 212 vs oracle 97".into(),
+                FaultClass::Mismatch,
+            ),
+            // Interpreter, as each workload wraps it.
+            (
+                format!("forward kernel: {}", ExecError::StepLimit),
+                FaultClass::StepLimit,
+            ),
+            (
+                format!("simcov_virion_diffuse: {}", ExecError::StepLimit),
+                FaultClass::StepLimit,
+            ),
+            (
+                format!(
+                    "reverse kernel: {}",
+                    ExecError::GlobalFault { addr: -4, bytes: 4 }
+                ),
+                FaultClass::Exec,
+            ),
+            (
+                format!(
+                    "simcov_virion_diffuse: {}",
+                    ExecError::Misaligned { addr: 6, align: 4 }
+                ),
+                FaultClass::Exec,
+            ),
+            (
+                format!("simcov_tcell_move: {}", ExecError::BarrierDivergence),
+                FaultClass::Exec,
+            ),
+            (
+                format!(
+                    "forward kernel: {}",
+                    ExecError::TypeMismatch {
+                        expected: gevo_ir::Ty::I32,
+                        found: gevo_ir::Ty::F32
+                    }
+                ),
+                FaultClass::Exec,
+            ),
+            // Compile pipeline and isolation boundary.
+            (format!("verify: {verify_err}"), FaultClass::Verify),
+            (
+                "panic: chaos: injected evaluation panic at eval 3".into(),
+                FaultClass::Panic,
+            ),
+            ("output never written".into(), FaultClass::Other),
+        ];
+        for (reason, class) in &table {
+            assert_eq!(FaultClass::classify(reason), *class, "{reason}");
         }
     }
 

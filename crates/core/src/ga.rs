@@ -10,7 +10,7 @@
 //! GA *vocabulary* — [`GaConfig`], [`Individual`], [`History`],
 //! [`GaResult`] — while the loop itself runs behind [`crate::Search`]:
 //! `Search::new(&w).config(cfg)` is bit-for-bit the original
-//! single-population loop ([`run_ga`] is now a deprecated shim over it).
+//! single-population loop.
 //!
 //! ```
 //! use gevo_engine::{Search, GaConfig, Workload, EvalOutcome};
@@ -43,10 +43,7 @@
 //! ```
 
 use crate::edit::{Edit, Patch};
-use crate::fitness::Workload;
 use crate::island::MigrationEvent;
-use crate::mutation::MutationWeights;
-use crate::search::Search;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -198,47 +195,11 @@ pub struct GaResult {
     pub evals: usize,
 }
 
-/// Runs the GA on a workload.
-///
-/// # Panics
-/// Panics if the pristine program fails its own test set (workload bug).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Search::new(w).config(cfg).run()` — same loop, same trajectories"
-)]
-#[must_use]
-pub fn run_ga(workload: &dyn Workload, cfg: &GaConfig) -> GaResult {
-    Search::new(workload)
-        .config(cfg.clone())
-        .run()
-        .into_ga_result()
-}
-
-/// [`run_ga`] with explicit mutation-operator weights.
-///
-/// # Panics
-/// Panics if the pristine program fails its own test set (workload bug).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Search::new(w).config(cfg).weights(weights).run()`"
-)]
-#[must_use]
-pub fn run_ga_with_weights(
-    workload: &dyn Workload,
-    cfg: &GaConfig,
-    weights: MutationWeights,
-) -> GaResult {
-    Search::new(workload)
-        .config(cfg.clone())
-        .weights(weights)
-        .run()
-        .into_ga_result()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fitness::EvalOutcome;
+    use crate::fitness::{EvalOutcome, Workload};
+    use crate::search::Search;
 
     /// The single-population search, in the legacy result shape.
     fn ga(w: &dyn Workload, cfg: &GaConfig) -> GaResult {

@@ -2,10 +2,10 @@
 //! front of the whole evolutionary machinery.
 //!
 //! Historically the engine surface was four parallel free functions
-//! (`run_ga`, `run_ga_with_weights`, `run_islands`,
-//! `run_islands_with_weights`) hard-wired to one scalar fitness; every
-//! new knob had to fan out across all of them. [`Search`] replaces that
-//! with a builder over a single [`SearchSpec`]:
+//! (single-population and islands, each with and without explicit
+//! mutation weights) hard-wired to one scalar fitness; every new knob
+//! had to fan out across all of them. [`Search`] replaces that with a
+//! builder over a single [`SearchSpec`]:
 //!
 //! ```
 //! use gevo_engine::{Search, GaConfig, Workload, EvalOutcome};
@@ -538,12 +538,12 @@ impl<'a> Search<'a> {
     }
 
     /// The evaluator's throughput counters so far — evals, cache hits,
-    /// compiles, delta patches and fallbacks, plus the per-class fault
+    /// compiles and lowering-pass counts, plus the per-class fault
     /// tallies ([`crate::EvalStats`], [`crate::FaultTallies`]: how many
     /// mutants the step budget killed, failed verification, faulted,
     /// mis-computed, or panicked into quarantine). The bench harnesses
-    /// read these to report how much verify/lower work the delta path
-    /// avoided and how hostile the mutant population was; none of these
+    /// read these to report how much lowering work ran and how hostile
+    /// the mutant population was; none of these
     /// counters are result-visible (see [`crate::EvaluatorSnapshot`]).
     /// Materializes the engine, like [`Search::step`].
     pub fn eval_stats(&mut self) -> crate::EvalStats {
@@ -1164,8 +1164,8 @@ fn split_elitism(total: usize, n: usize) -> usize {
 /// [`Search::step`] advances one generation at a time and
 /// [`Search::checkpoint`]/[`Engine::restore`] move across process
 /// boundaries. With one objective and tournament selection the step
-/// sequence is line-for-line the legacy `run_islands_with_weights` loop
-/// (same RNG streams, same history).
+/// sequence is line-for-line the legacy island loop (same RNG streams,
+/// same history).
 struct Engine<'a> {
     evaluator: Evaluator<'a>,
     space: MutationSpace,

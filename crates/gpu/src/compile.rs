@@ -33,8 +33,7 @@ use crate::spec::GpuSpec;
 use crate::value::Value;
 use gevo_ir::analysis::uniformity;
 use gevo_ir::verify::{verify, VerifyError};
-use gevo_ir::{Cfg, Kernel, KernelDelta, Op, Operand, Param, Reg};
-use std::fmt;
+use gevo_ir::{Cfg, Kernel, Op, Operand, Param, Reg};
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Optimization level of the lowering pipeline (DESIGN.md §3.8).
@@ -68,6 +67,7 @@ pub enum OptLevel {
 static OPT_LEVEL: AtomicU8 = AtomicU8::new(0);
 
 /// Sets the process-wide default optimization level (see [`OptLevel`]).
+/// Stays a process global while the benchmark (`perfbench/`) sets O2 through it.
 pub fn set_opt_level(level: OptLevel) {
     OPT_LEVEL.store(
         match level {
@@ -279,9 +279,7 @@ pub(crate) enum CTerm {
 /// precomputed.
 ///
 /// Equality compares every lowered table — instruction stream, bounds,
-/// terminators, reconvergence, register file — so the delta-compilation
-/// differential suite can assert that a [`patch`](Self::patch)ed kernel
-/// is byte-for-byte what a full recompile produces.
+/// terminators, reconvergence, register file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledKernel {
     /// Kernel name (diagnostics only).
@@ -314,58 +312,13 @@ pub struct CompiledKernel {
     pub(crate) uniform_cond: Vec<bool>,
     /// Per-block flag (O2): the source terminator was a conditional
     /// branch on a boolean immediate and was folded to [`CTerm::Br`].
-    /// The un-taken target is gone from `terms`, so condition patches
-    /// against the block must fall back to recompile. All-`false` at O0.
+    /// All-`false` at O0.
     pub(crate) term_folded: Vec<bool>,
-    /// Optimization level this image was lowered at. Governs which
-    /// deltas [`Self::patch`] may replay: O2 bakes analysis facts into
-    /// the tables, and a patch that could invalidate one refuses.
+    /// Optimization level this image was lowered at.
     pub(crate) opt: OptLevel,
     /// Prebuilt per-warp register-file image: `regs × lanes` typed
     /// sentinels, reg-major.
     pub(crate) reg_file: Vec<Value>,
-    /// Source [`gevo_ir::InstId`] of each entry in `code` — the handle
-    /// [`Self::patch`] uses to find a delta's target in the flattened
-    /// stream (DCE may have dropped it; absence is meaningful).
-    pub(crate) src_ids: Vec<u32>,
-    /// Source [`gevo_ir::InstId`] of each block's terminator, for
-    /// condition-replacement patches.
-    pub(crate) term_ids: Vec<u32>,
-}
-
-/// Why [`CompiledKernel::patch`] declined to patch and the caller must
-/// fall back to a full recompile. Refusal is the *designed* outcome for
-/// edits outside the eligibility contract (DESIGN.md §3.7) — it is not
-/// an error in the failure sense, just the slow path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PatchRefusal {
-    /// The delta involves a register operand, so it can change the DCE
-    /// use-set; only a full recompile sees that globally.
-    RegisterInvolved,
-    /// The delta's operand index is outside the instruction's arity.
-    BadArgIndex,
-    /// The targeted terminator does not exist in this compiled kernel.
-    NoSuchTerminator,
-    /// The targeted terminator is not a conditional branch.
-    NotACondBr,
-    /// The delta would invalidate a fact the O2 passes baked into this
-    /// image (a folded instruction's original operands, a folded
-    /// terminator's dropped target, or the uniformity profile other
-    /// tags were derived from). Only a recompile re-derives the facts.
-    OptimizationFact,
-}
-
-impl fmt::Display for PatchRefusal {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            PatchRefusal::RegisterInvolved => "delta involves a register operand",
-            PatchRefusal::BadArgIndex => "operand index out of range",
-            PatchRefusal::NoSuchTerminator => "no terminator with that id",
-            PatchRefusal::NotACondBr => "terminator is not a conditional branch",
-            PatchRefusal::OptimizationFact => "delta invalidates a baked optimization fact",
-        };
-        f.write_str(s)
-    }
 }
 
 impl CompiledKernel {
@@ -407,10 +360,8 @@ impl CompiledKernel {
         };
 
         let mut code = Vec::with_capacity(kernel.inst_count());
-        let mut src_ids = Vec::with_capacity(kernel.inst_count());
         let mut block_bounds = Vec::with_capacity(kernel.blocks.len() + 1);
         let mut terms = Vec::with_capacity(kernel.blocks.len());
-        let mut term_ids = Vec::with_capacity(kernel.blocks.len());
         block_bounds.push(0u32);
         for block in &kernel.blocks {
             for inst in &block.instrs {
@@ -429,9 +380,7 @@ impl CompiledKernel {
                     optimize_inst(&mut ci, &slot_uniform);
                 }
                 code.push(ci);
-                src_ids.push(inst.id.0);
             }
-            term_ids.push(block.term.id.0);
             block_bounds.push(u32::try_from(code.len()).expect("code stream fits u32"));
             terms.push(match block.term.kind {
                 gevo_ir::TermKind::Br(t) => CTerm::Br(t.0),
@@ -502,124 +451,7 @@ impl CompiledKernel {
             term_folded,
             opt,
             reg_file,
-            src_ids,
-            term_ids,
         })
-    }
-
-    /// Replays a patch-eligible [`KernelDelta`] on this compiled image,
-    /// producing the kernel a full recompile of the edited IR would —
-    /// without re-running verify, CFG analysis, or lowering.
-    ///
-    /// Targets are located by stable [`gevo_ir::InstId`]. A target that
-    /// is absent from the stream was eliminated by DCE in the parent; a
-    /// use-set-preserving delta cannot resurrect it, so the patch is a
-    /// no-op clone — exactly what recompiling the edited kernel yields.
-    ///
-    /// # Errors
-    /// Refuses (see [`PatchRefusal`]) whenever equivalence with a full
-    /// recompile is not guaranteed; the caller must recompile. Refusal
-    /// is deliberately conservative — it is always sound to take the
-    /// slow path.
-    pub fn patch(&self, delta: &KernelDelta) -> Result<CompiledKernel, PatchRefusal> {
-        if !delta.is_patchable() {
-            return Err(PatchRefusal::RegisterInvolved);
-        }
-        match *delta {
-            KernelDelta::SetArg {
-                inst,
-                arg,
-                old,
-                new,
-            } => {
-                let Some(idx) = self.src_ids.iter().position(|&id| id == inst.0) else {
-                    return Ok(self.clone()); // DCE'd in the parent; still dead.
-                };
-                if arg >= self.code[idx].op.arity() {
-                    return Err(PatchRefusal::BadArgIndex);
-                }
-                if self.opt == OptLevel::O2 {
-                    // A folded instruction's original operands were
-                    // rewritten away — there is nothing to patch.
-                    if self.code[idx].tag == OpClass::Folded {
-                        return Err(PatchRefusal::OptimizationFact);
-                    }
-                    // Both sides are non-register (is_patchable), so
-                    // slot-level uniformity IS analysis-level operand
-                    // uniformity. If it changes, the defined register's
-                    // uniformity — and every tag derived downstream of
-                    // it — could change with it: recompile.
-                    if lower_operand(&old, self.lanes).is_warp_uniform()
-                        != lower_operand(&new, self.lanes).is_warp_uniform()
-                    {
-                        return Err(PatchRefusal::OptimizationFact);
-                    }
-                }
-                let mut out = self.clone();
-                out.code[idx].args[arg] = lower_operand(&new, self.lanes);
-                if out.opt == OptLevel::O2 {
-                    // The uniformity profile is preserved (checked
-                    // above), so the tag carries over — but the edit may
-                    // have made the operands all-immediate, and a
-                    // recompile would fold. Re-run the same fold.
-                    let ci = &mut out.code[idx];
-                    if matches!(ci.tag, OpClass::Scalar | OpClass::UniformScalar)
-                        && ci.dst != NO_DST
-                    {
-                        if let Some(folded) = fold_value(ci) {
-                            ci.tag = OpClass::Folded;
-                            ci.args = [folded, Slot::ImmI32(0), Slot::ImmI32(0)];
-                        }
-                    }
-                }
-                Ok(out)
-            }
-            KernelDelta::SetCond { term, new, .. } => {
-                let Some(b) = self.term_ids.iter().position(|&id| id == term.0) else {
-                    return Err(PatchRefusal::NoSuchTerminator);
-                };
-                if self.opt == OptLevel::O2 {
-                    // The only non-register `b1` operand is `ImmBool`,
-                    // so a patchable condition replacement always moves
-                    // to (and, in a verified chain, from) an immediate
-                    // — and O2 folds immediate-cond branches to `Br`,
-                    // dropping the un-taken target from the image.
-                    // Either direction crosses a folded fact: recompile.
-                    return Err(PatchRefusal::OptimizationFact);
-                }
-                let mut out = self.clone();
-                let CTerm::CondBr { cond, .. } = &mut out.terms[b] else {
-                    return Err(PatchRefusal::NotACondBr);
-                };
-                *cond = lower_operand(&new, self.lanes);
-                out.uniform_cond[b] = cond.is_warp_uniform();
-                Ok(out)
-            }
-            KernelDelta::RemoveInst { inst, .. } => {
-                let Some(idx) = self.src_ids.iter().position(|&id| id == inst.0) else {
-                    return Ok(self.clone()); // Already DCE'd away.
-                };
-                if self.opt == OptLevel::O2 && self.code[idx].dst != NO_DST {
-                    // Removing a definition shrinks registers' reaching
-                    // def-sets, which can only *raise* uniformity — a
-                    // recompile might tag more instructions than this
-                    // image does, so the streams would disagree.
-                    // (Removing a store or sync defines nothing and
-                    // leaves every fact intact; those still splice.)
-                    return Err(PatchRefusal::OptimizationFact);
-                }
-                let mut out = self.clone();
-                out.code.remove(idx);
-                out.src_ids.remove(idx);
-                let cut = u32::try_from(idx).expect("code stream fits u32");
-                for bound in &mut out.block_bounds {
-                    if *bound > cut {
-                        *bound -= 1;
-                    }
-                }
-                Ok(out)
-            }
-        }
     }
 
     /// The kernel's name.
@@ -935,203 +767,6 @@ mod tests {
         assert!(CompiledKernel::compile(&k, &spec).is_err());
     }
 
-    /// Finds the id of the first instruction satisfying a predicate.
-    fn find_inst(k: &Kernel, pred: impl Fn(&gevo_ir::Instr) -> bool) -> gevo_ir::InstId {
-        k.blocks
-            .iter()
-            .flat_map(|b| &b.instrs)
-            .find(|i| pred(i))
-            .expect("instruction present")
-            .id
-    }
-
-    #[test]
-    fn patch_set_arg_matches_full_recompile() {
-        let spec = GpuSpec::p100().scaled(8);
-        let k = diamond_kernel();
-        let parent = CompiledKernel::compile(&k, &spec).expect("verifies");
-
-        // Retarget the icmp's immediate: `tid < 4` → `tid < 2`.
-        let id = find_inst(&k, |i| matches!(i.op, Op::Icmp(_)));
-        let delta = KernelDelta::SetArg {
-            inst: id,
-            arg: 1,
-            old: Operand::ImmI32(4),
-            new: Operand::ImmI32(2),
-        };
-        let patched = parent.patch(&delta).expect("eligible");
-
-        let mut edited = k.clone();
-        for b in &mut edited.blocks {
-            for i in &mut b.instrs {
-                if i.id == id {
-                    i.args[1] = Operand::ImmI32(2);
-                }
-            }
-        }
-        let recompiled = CompiledKernel::compile(&edited, &spec).expect("verifies");
-        assert_eq!(patched, recompiled);
-        assert_ne!(patched, parent, "the patch actually changed the stream");
-    }
-
-    #[test]
-    fn patch_remove_inst_matches_full_recompile() {
-        let spec = GpuSpec::p100().scaled(8);
-        // A kernel with a register-free instruction in its first block.
-        let mut b = KernelBuilder::new("rm");
-        let out = b.param_ptr("out", AddrSpace::Global);
-        let _unused = b.add(Operand::ImmI32(1), Operand::ImmI32(2));
-        let tid = b.special_i32(Special::ThreadId);
-        let addr = b.index_addr(Operand::Param(out), tid.into(), 4);
-        b.store_global_i32(addr.into(), tid.into());
-        b.ret();
-        let k = b.finish();
-        let parent = CompiledKernel::compile(&k, &spec).expect("verifies");
-
-        let id = find_inst(&k, |i| {
-            matches!(i.op, Op::IBin(gevo_ir::IntBinOp::Add)) && !i.args.iter().any(Operand::is_reg)
-        });
-        let delta = KernelDelta::RemoveInst {
-            inst: id,
-            read_regs: false,
-        };
-        let patched = parent.patch(&delta).expect("eligible");
-
-        let mut edited = k.clone();
-        for blk in &mut edited.blocks {
-            blk.instrs.retain(|i| i.id != id);
-        }
-        let recompiled = CompiledKernel::compile(&edited, &spec).expect("verifies");
-        assert_eq!(patched, recompiled);
-        assert_eq!(patched.inst_count(), parent.inst_count() - 1);
-    }
-
-    #[test]
-    fn patch_set_cond_matches_recompile_and_updates_uniform_flag() {
-        let spec = GpuSpec::p100().scaled(8);
-        let mut b = KernelBuilder::new("sc");
-        let out = b.param_ptr("out", AddrSpace::Global);
-        let t = b.new_block("t");
-        let j = b.new_block("j");
-        b.cond_br(Operand::ImmBool(false), t, j);
-        b.switch_to(t);
-        b.br(j);
-        b.switch_to(j);
-        let tid = b.special_i32(Special::ThreadId);
-        let addr = b.index_addr(Operand::Param(out), tid.into(), 4);
-        b.store_global_i32(addr.into(), tid.into());
-        b.ret();
-        let k = b.finish();
-        let parent = CompiledKernel::compile(&k, &spec).expect("verifies");
-
-        let term = k.blocks[0].term.id;
-        let delta = KernelDelta::SetCond {
-            term,
-            old: Operand::ImmBool(false),
-            new: Operand::ImmBool(true),
-        };
-        let patched = parent.patch(&delta).expect("eligible");
-
-        let mut edited = k.clone();
-        if let gevo_ir::TermKind::CondBr { cond, .. } = &mut edited.blocks[0].term.kind {
-            *cond = Operand::ImmBool(true);
-        }
-        let recompiled = CompiledKernel::compile(&edited, &spec).expect("verifies");
-        assert_eq!(patched, recompiled);
-        assert!(patched.uniform_cond[0], "flag recomputed for the new cond");
-    }
-
-    #[test]
-    fn patch_of_dce_eliminated_target_is_a_noop() {
-        let spec = GpuSpec::p100().scaled(8);
-        let mut b = KernelBuilder::new("dce");
-        let out = b.param_ptr("out", AddrSpace::Global);
-        let dead = b.add(Operand::ImmI32(1), Operand::ImmI32(2));
-        let tid = b.special_i32(Special::ThreadId);
-        let addr = b.index_addr(Operand::Param(out), tid.into(), 4);
-        b.store_global_i32(addr.into(), tid.into());
-        b.ret();
-        let k = b.finish();
-        let id = find_inst(&k, |i| i.dst == Some(dead));
-
-        // The pipeline compiles the DCE'd kernel; `dead` is gone there.
-        let mut slim = k.clone();
-        gevo_ir::transform::dce(&mut slim);
-        let parent = CompiledKernel::compile(&slim, &spec).expect("verifies");
-        let delta = KernelDelta::SetArg {
-            inst: id,
-            arg: 0,
-            old: Operand::ImmI32(1),
-            new: Operand::ImmI32(7),
-        };
-        let patched = parent.patch(&delta).expect("eligible");
-        assert_eq!(patched, parent, "editing a dead instruction is a no-op");
-    }
-
-    #[test]
-    fn patch_refuses_outside_the_eligibility_contract() {
-        let spec = GpuSpec::p100().scaled(8);
-        let k = diamond_kernel();
-        let parent = CompiledKernel::compile(&k, &spec).expect("verifies");
-        let id = find_inst(&k, |i| matches!(i.op, Op::Icmp(_)));
-
-        // Register on either side of a replacement.
-        let reg_in = KernelDelta::SetArg {
-            inst: id,
-            arg: 0,
-            old: Operand::ImmI32(4),
-            new: Operand::Reg(Reg(0)),
-        };
-        assert_eq!(parent.patch(&reg_in), Err(PatchRefusal::RegisterInvolved));
-
-        // Operand index beyond the op's arity.
-        let bad_idx = KernelDelta::SetArg {
-            inst: id,
-            arg: 2,
-            old: Operand::ImmI32(4),
-            new: Operand::ImmI32(5),
-        };
-        assert_eq!(parent.patch(&bad_idx), Err(PatchRefusal::BadArgIndex));
-
-        // A register-reading deletion can change other instructions' DCE
-        // fate; must recompile.
-        let reads = KernelDelta::RemoveInst {
-            inst: id,
-            read_regs: true,
-        };
-        assert_eq!(parent.patch(&reads), Err(PatchRefusal::RegisterInvolved));
-
-        // Condition replacement on a non-CondBr terminator (the join
-        // block ends in Ret) and on a terminator id that does not exist.
-        let ret_term = k.blocks[3].term.id;
-        let not_cond = KernelDelta::SetCond {
-            term: ret_term,
-            old: Operand::ImmBool(true),
-            new: Operand::ImmBool(false),
-        };
-        assert_eq!(parent.patch(&not_cond), Err(PatchRefusal::NotACondBr));
-        let missing = KernelDelta::SetCond {
-            term: gevo_ir::InstId(9999),
-            old: Operand::ImmBool(true),
-            new: Operand::ImmBool(false),
-        };
-        assert_eq!(parent.patch(&missing), Err(PatchRefusal::NoSuchTerminator));
-    }
-
-    /// Applies a `SetArg` edit to the IR the way the evaluator does, so
-    /// patch results can be checked against a recompile of the edit.
-    fn apply_set_arg(k: &Kernel, id: gevo_ir::InstId, arg: usize, new: Operand) -> Kernel {
-        let mut edited = k.clone();
-        for b in &mut edited.blocks {
-            for i in &mut b.instrs {
-                if i.id == id {
-                    i.args[arg] = new;
-                }
-            }
-        }
-        edited
-    }
-
     #[test]
     fn o2_folds_immediate_only_ops() {
         let spec = GpuSpec::p100().scaled(8);
@@ -1248,148 +883,6 @@ mod tests {
         );
         assert!(o2.uniform_cond[0], "but the dataflow analysis proves it");
         assert!(!o2.term_folded[0], "not resolvable at compile time");
-    }
-
-    #[test]
-    fn o2_patch_matches_recompile_when_facts_survive() {
-        let spec = GpuSpec::p100().scaled(8);
-        let mut b = KernelBuilder::new("o2p");
-        let out = b.param_ptr("out", AddrSpace::Global);
-        // Uniform but unfoldable: WarpId is not a compile-time constant.
-        let u = b.add(Operand::ImmI32(1), Operand::Special(Special::WarpId));
-        let tid = b.special_i32(Special::ThreadId);
-        let sum = b.add(u.into(), tid.into());
-        let addr = b.index_addr(Operand::Param(out), tid.into(), 4);
-        b.store_global_i32(addr.into(), sum.into());
-        b.ret();
-        let k = b.finish();
-        let parent = CompiledKernel::compile_with(&k, &spec, OptLevel::O2).expect("verifies");
-        let id = find_inst(&k, |i| i.args.contains(&Operand::Special(Special::WarpId)));
-
-        // Uniform special → uniform special: profile preserved, patches.
-        let d1 = KernelDelta::SetArg {
-            inst: id,
-            arg: 1,
-            old: Operand::Special(Special::WarpId),
-            new: Operand::Special(Special::BlockId),
-        };
-        let p1 = parent.patch(&d1).expect("eligible");
-        let e1 = apply_set_arg(&k, id, 1, Operand::Special(Special::BlockId));
-        assert_eq!(
-            p1,
-            CompiledKernel::compile_with(&e1, &spec, OptLevel::O2).expect("verifies")
-        );
-
-        // Uniform special → immediate: the patched op becomes all-imm,
-        // and the patch must fold it exactly as a recompile would.
-        let d2 = KernelDelta::SetArg {
-            inst: id,
-            arg: 1,
-            old: Operand::Special(Special::WarpId),
-            new: Operand::ImmI32(41),
-        };
-        let p2 = parent.patch(&d2).expect("eligible");
-        let e2 = apply_set_arg(&k, id, 1, Operand::ImmI32(41));
-        let r2 = CompiledKernel::compile_with(&e2, &spec, OptLevel::O2).expect("verifies");
-        assert_eq!(p2, r2);
-        assert_eq!(p2.code[0].tag, OpClass::Folded);
-        assert_eq!(p2.code[0].args[0], Slot::ImmI32(42));
-    }
-
-    #[test]
-    fn o2_patch_refuses_when_a_baked_fact_would_go_stale() {
-        let spec = GpuSpec::p100().scaled(8);
-        let mut b = KernelBuilder::new("o2r");
-        let out = b.param_ptr("out", AddrSpace::Global);
-        let c = b.add(Operand::ImmI32(20), Operand::ImmI32(22));
-        let then_b = b.new_block("t");
-        let join = b.new_block("j");
-        b.cond_br(Operand::ImmBool(false), then_b, join);
-        b.switch_to(then_b);
-        b.br(join);
-        b.switch_to(join);
-        let tid = b.special_i32(Special::ThreadId);
-        let sum = b.add(c.into(), tid.into());
-        let addr = b.index_addr(Operand::Param(out), tid.into(), 4);
-        b.store_global_i32(addr.into(), sum.into());
-        b.ret();
-        let k = b.finish();
-        let parent = CompiledKernel::compile_with(&k, &spec, OptLevel::O2).expect("verifies");
-
-        // Editing a folded instruction: its original operands are gone.
-        let folded_id = find_inst(&k, |i| i.args.contains(&Operand::ImmI32(20)));
-        let on_folded = KernelDelta::SetArg {
-            inst: folded_id,
-            arg: 0,
-            old: Operand::ImmI32(20),
-            new: Operand::ImmI32(7),
-        };
-        assert_eq!(
-            parent.patch(&on_folded),
-            Err(PatchRefusal::OptimizationFact)
-        );
-
-        // Uniformity flip: immediate → lane-dependent special.
-        let flip = KernelDelta::SetArg {
-            inst: folded_id,
-            arg: 0,
-            old: Operand::ImmI32(20),
-            new: Operand::Special(Special::LaneId),
-        };
-        assert_eq!(parent.patch(&flip), Err(PatchRefusal::OptimizationFact));
-
-        // Condition replacement against a folded terminator.
-        let term = k.blocks[0].term.id;
-        let cond = KernelDelta::SetCond {
-            term,
-            old: Operand::ImmBool(false),
-            new: Operand::ImmBool(true),
-        };
-        assert_eq!(parent.patch(&cond), Err(PatchRefusal::OptimizationFact));
-
-        // Removing a definition can raise other registers' uniformity.
-        let rm = KernelDelta::RemoveInst {
-            inst: folded_id,
-            read_regs: false,
-        };
-        assert_eq!(parent.patch(&rm), Err(PatchRefusal::OptimizationFact));
-
-        // All four remain patchable on the O0 control image.
-        let o0 = CompiledKernel::compile_with(&k, &spec, OptLevel::O0).expect("verifies");
-        assert!(o0.patch(&on_folded).is_ok());
-        assert!(o0.patch(&flip).is_ok());
-        assert!(o0.patch(&cond).is_ok());
-        assert!(o0.patch(&rm).is_ok());
-    }
-
-    #[test]
-    fn o2_patch_still_splices_fact_free_removals() {
-        let spec = GpuSpec::p100().scaled(8);
-        // A store with a constant address defines nothing; removing it
-        // invalidates no analysis fact and must splice at O2.
-        let mut b = KernelBuilder::new("rm2");
-        let out = b.param_ptr("out", AddrSpace::Global);
-        b.store_global_i32(Operand::ImmI64(0), Operand::ImmI32(9));
-        let tid = b.special_i32(Special::ThreadId);
-        let addr = b.index_addr(Operand::Param(out), tid.into(), 4);
-        b.store_global_i32(addr.into(), tid.into());
-        b.ret();
-        let k = b.finish();
-        let parent = CompiledKernel::compile_with(&k, &spec, OptLevel::O2).expect("verifies");
-        let id = find_inst(&k, |i| i.args.contains(&Operand::ImmI32(9)));
-
-        let delta = KernelDelta::RemoveInst {
-            inst: id,
-            read_regs: false,
-        };
-        let patched = parent.patch(&delta).expect("eligible at O2");
-        let mut edited = k.clone();
-        for blk in &mut edited.blocks {
-            blk.instrs.retain(|i| i.id != id);
-        }
-        let recompiled =
-            CompiledKernel::compile_with(&edited, &spec, OptLevel::O2).expect("verifies");
-        assert_eq!(patched, recompiled);
     }
 
     #[test]

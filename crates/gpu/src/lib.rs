@@ -84,7 +84,7 @@ pub mod profile;
 pub mod spec;
 pub mod value;
 
-pub use compile::{opt_level, set_opt_level, CompiledKernel, OptLevel, PatchRefusal};
+pub use compile::{opt_level, set_opt_level, CompiledKernel, OptLevel};
 pub use error::ExecError;
 pub use exec::{ExecScratch, Gpu, MAX_WARP};
 pub use launch::{KernelArg, LaunchConfig, LaunchStats};

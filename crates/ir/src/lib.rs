@@ -61,7 +61,6 @@
 pub mod analysis;
 pub mod builder;
 pub mod cfg;
-pub mod delta;
 pub mod inst;
 pub mod kernel;
 mod print;
@@ -72,7 +71,6 @@ pub mod verify;
 
 pub use builder::KernelBuilder;
 pub use cfg::Cfg;
-pub use delta::KernelDelta;
 pub use inst::{
     BlockId, F32Bits, FloatBinOp, InstId, Instr, IntBinOp, LocId, Op, Operand, Reg, Special,
     TermKind, Terminator, LOC_NONE,

@@ -589,13 +589,6 @@ impl Workload for AdeptWorkload {
             Err(reason) => EvalOutcome::fail(reason),
         }
     }
-
-    // `compile` is exactly the shared verify → DCE → lower pipeline
-    // against a fixed spec, so patched images are bit-identical to
-    // recompiled ones (DESIGN.md §3.7).
-    fn supports_delta_patch(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

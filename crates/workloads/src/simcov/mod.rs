@@ -700,13 +700,6 @@ impl Workload for SimcovWorkload {
             Err(e) => EvalOutcome::fail(e),
         }
     }
-
-    // `compile` is exactly the shared verify → DCE → lower pipeline
-    // against a fixed spec, so patched images are bit-identical to
-    // recompiled ones (DESIGN.md §3.7).
-    fn supports_delta_patch(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

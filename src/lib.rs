@@ -24,12 +24,10 @@ pub mod prelude {
     pub use gevo_engine::{
         dependency_graph, minimize_weak_edits, split_independent, subset_analysis, AdaptPolicy,
         AdaptReport, Edit, EvalOutcome, EvalStats, Evaluator, EvaluatorSnapshot, GaConfig,
-        GaResult, IslandConfig, IslandResult, IslandSnapshot, MigrationEvent, NoDelta, Objective,
+        GaResult, IslandConfig, IslandResult, IslandSnapshot, MigrationEvent, Objective,
         ParetoPoint, Patch, Search, SearchObserver, SearchResult, SearchSpec, SearchState,
         Selection, StepStatus, Topology, Workload,
     };
-    #[allow(deprecated)]
-    pub use gevo_engine::{run_ga, run_islands};
     pub use gevo_gpu::{CompiledKernel, Gpu, GpuSpec, LaunchConfig};
     pub use gevo_workloads::adept::{AdeptConfig, AdeptWorkload, Version};
     pub use gevo_workloads::simcov::{SimcovConfig, SimcovWorkload};

@@ -8,36 +8,14 @@
 //! accidental RNG consumption or population reordering introduced by
 //! the scheduler plumbing flips a fingerprint.
 
+mod common;
+
+use common::{crc32, tiny};
 use gevo_repro::prelude::*;
-
-/// CRC-32 (IEEE) — same polynomial as the checkpoint footer, local so
-/// this test does not depend on gevo-bench.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
-fn tiny(seed: u64, pop: usize, gens: usize) -> GaConfig {
-    GaConfig {
-        population: pop,
-        generations: gens,
-        seed,
-        threads: 1,
-        ..GaConfig::scaled()
-    }
-}
 
 fn fingerprint(w: &dyn Workload, spec: &SearchSpec) -> (u32, usize) {
     let res = Search::from_spec(w, spec.clone()).run();
-    let json = res.to_json().to_string();
-    (crc32(json.as_bytes()), res.evals)
+    (crc32(res.to_json().to_string().as_bytes()), res.evals)
 }
 
 #[test]

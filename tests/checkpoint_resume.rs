@@ -9,6 +9,9 @@
 //! for k ∈ {1, mid, last−1}, single-population and 4-island, ADEPT-V0
 //! and `SIMCoV`, scalar and NSGA-II multi-objective.
 
+mod common;
+
+use common::{crc32, tiny};
 use gevo_repro::engine::StepStatus;
 use gevo_repro::prelude::*;
 
@@ -26,16 +29,6 @@ impl SearchObserver for RecordingObserver {
 
     fn on_migration(&mut self, event: &MigrationEvent) {
         self.events.push(format!("mig {}", event.to_json()));
-    }
-}
-
-fn tiny(seed: u64, pop: usize, gens: usize) -> GaConfig {
-    GaConfig {
-        population: pop,
-        generations: gens,
-        seed,
-        threads: 1,
-        ..GaConfig::scaled()
     }
 }
 
@@ -74,8 +67,9 @@ fn interrupted(w: &dyn Workload, spec: &SearchSpec, k: usize) -> (String, Vec<St
     (result.to_json().to_string(), obs.events)
 }
 
-/// Asserts bit-identity for every required interruption point.
-fn assert_resume_is_bit_identical(w: &dyn Workload, spec: &SearchSpec) {
+/// Asserts bit-identity for every required interruption point; returns
+/// the uninterrupted run's result bytes.
+fn assert_resume_is_bit_identical(w: &dyn Workload, spec: &SearchSpec) -> String {
     let gens = spec.ga.generations;
     let (want_bytes, want_events) = straight(w, spec);
     for k in [1, gens / 2, gens - 1] {
@@ -101,6 +95,7 @@ fn assert_resume_is_bit_identical(w: &dyn Workload, spec: &SearchSpec) {
             "resume must not replay pre-checkpoint events (k = {k})"
         );
     }
+    want_bytes
 }
 
 #[test]
@@ -250,16 +245,10 @@ fn resume_refuses_a_mismatching_workload() {
     let _ = Search::resume(&simcov, &state);
 }
 
-/// The delta-compilation path (PR 7) stays invisible **across the
-/// resume boundary**: the compiled-kernel cache — and every delta chain
-/// hanging off it — dies with the process (it is deliberately not
-/// checkpointed), so a run interrupted mid-search rebuilds some images
-/// by full recompile that the straight run produced by patching. The
-/// results must still match byte-for-byte — here pinned against a
-/// straight run with delta patching disabled entirely ([`NoDelta`]),
-/// the strictest of the three-way equivalences.
+/// Two islands with migration every other generation, pinned to the
+/// straight run's fingerprint as well as to itself across resume.
 #[test]
-fn delta_evaluation_is_invisible_across_resume() {
+fn adept_v0_two_islands_resumes_bit_identically() {
     let w = AdeptWorkload::new(AdeptConfig::scaled(Version::V0));
     let spec = SearchSpec {
         ga: tiny(3, 12, 8),
@@ -267,18 +256,6 @@ fn delta_evaluation_is_invisible_across_resume() {
         migration_interval: 2,
         ..SearchSpec::default()
     };
-    let plain_w = NoDelta(&w);
-    let (want_bytes, want_events) = straight(&plain_w, &spec);
-    for k in [1, 4, 7] {
-        let (got_bytes, got_events) = interrupted(&w, &spec, k);
-        assert_eq!(
-            got_bytes, want_bytes,
-            "delta + resume diverged from recompile-only (k = {k})"
-        );
-        assert_eq!(
-            got_events.as_slice(),
-            &want_events[want_events.len() - got_events.len()..],
-            "observer stream diverged (k = {k})"
-        );
-    }
+    let bytes = assert_resume_is_bit_identical(&w, &spec);
+    assert_eq!(crc32(bytes.as_bytes()), 0xAC66_FBF6);
 }

@@ -1,93 +1,86 @@
-//! API-equivalence tests for the `Search` redesign.
+//! Fixed-seed trajectory pins for the `Search` API on the real Table-1
+//! workloads.
 //!
-//! The deprecated free functions (`run_ga`, `run_islands`) are shims
-//! over `Search`; these fixed-seed differential tests pin the contract
-//! that they — and therefore every historical seed — produce
-//! bit-identical `History` and best patches on the real Table-1
-//! workloads, single-population and islands alike. This file is the ONE
-//! place the deprecated entrypoints may still be called (the clippy
-//! gate runs with `-D deprecated` everywhere else).
+//! Each pin records the CRC-32 of a whole `SearchResult` JSON body and
+//! its evaluation count, single-population and islands alike, through
+//! both the builder (`Search::new(..).config(..)`) and the spec
+//! (`Search::from_spec`) entry points. Any change to the RNG draws, the
+//! population order, the history or the evaluator's counters flips a
+//! fingerprint.
 
-// Scoped escape hatch: this file exists to test the deprecated shims.
-#![allow(deprecated)]
+mod common;
 
+use common::{crc32, tiny};
 use gevo_repro::prelude::*;
 
-fn tiny(seed: u64, pop: usize, gens: usize) -> GaConfig {
-    GaConfig {
-        population: pop,
-        generations: gens,
-        seed,
-        threads: 1,
-        ..GaConfig::scaled()
-    }
+/// CRC-32 of the whole `SearchResult` JSON body, plus the eval count.
+fn fingerprint(res: &SearchResult) -> (u32, usize) {
+    (crc32(res.to_json().to_string().as_bytes()), res.evals)
 }
 
-/// `run_ga` ≡ single-objective `Search` on ADEPT-V0: same best patch,
-/// same fitness, same full history, same eval count.
 #[test]
-fn run_ga_shim_matches_search_on_adept_v0() {
+fn search_pins_single_population_trajectory_on_adept_v0() {
     let w = AdeptWorkload::new(AdeptConfig::scaled(Version::V0));
-    let cfg = tiny(3, 12, 6);
-    let legacy = run_ga(&w, &cfg);
-    let unified = Search::new(&w).config(cfg).run();
-    assert_eq!(legacy.best.patch, unified.best.patch);
-    assert_eq!(legacy.best.fitness, unified.best.fitness);
-    assert_eq!(legacy.speedup, unified.speedup);
-    assert_eq!(legacy.history, unified.history);
-    assert_eq!(legacy.evals, unified.evals);
-    assert!(unified.pareto.is_empty(), "scalar mode has no Pareto front");
+    let res = Search::new(&w).config(tiny(3, 12, 6)).run();
+    assert!(res.pareto.is_empty(), "scalar mode has no Pareto front");
+    assert_eq!(fingerprint(&res), (0x2E18_31A6, 48));
 }
 
-/// `run_ga` ≡ single-objective `Search` on `SIMCoV`.
+/// The same configuration driven generation by generation through
+/// `step()` / `into_result()` lands on the same fingerprint as `run()`,
+/// and every performed evaluation compiled exactly once.
 #[test]
-fn run_ga_shim_matches_search_on_simcov() {
+fn step_loop_pins_single_population_trajectory_on_adept_v0() {
+    let w = AdeptWorkload::new(AdeptConfig::scaled(Version::V0));
+    let mut search = Search::new(&w).config(tiny(3, 12, 6));
+    while matches!(search.step(), StepStatus::Advanced { .. }) {}
+    let stats = search.eval_stats();
+    assert_eq!(stats.compiles, stats.evals, "{stats:?}");
+    let res = search.into_result();
+    assert_eq!(stats.evals, res.evals);
+    assert_eq!(fingerprint(&res), (0x2E18_31A6, 48));
+}
+
+#[test]
+fn search_pins_single_population_trajectory_on_simcov() {
     let w = SimcovWorkload::new(SimcovConfig::scaled());
-    let cfg = tiny(7, 10, 4);
-    let legacy = run_ga(&w, &cfg);
-    let unified = Search::new(&w).config(cfg).run();
-    assert_eq!(legacy.best.patch, unified.best.patch);
-    assert_eq!(legacy.history, unified.history);
-    assert_eq!(legacy.evals, unified.evals);
+    let res = Search::new(&w).config(tiny(7, 10, 4)).run();
+    assert_eq!(fingerprint(&res), (0x05D5_60B9, 24));
 }
 
-/// `run_islands` ≡ `Search::islands` on ADEPT-V0, including per-island
-/// trajectories and the migration log.
 #[test]
-fn run_islands_shim_matches_search_on_adept_v0() {
+fn search_pins_island_trajectory_on_adept_v0() {
     let w = AdeptWorkload::new(AdeptConfig::scaled(Version::V0));
-    let mut cfg = IslandConfig::new(tiny(2, 16, 6), 4);
-    cfg.migration_interval = 2;
-    let legacy = run_islands(&w, &cfg);
-    let unified = Search::new(&w)
-        .config(cfg.ga.clone())
+    let res = Search::new(&w)
+        .config(tiny(2, 16, 6))
         .islands(4)
         .migration_interval(2)
         .run();
-    assert_eq!(legacy.best.patch, unified.best.patch);
-    assert_eq!(legacy.history, unified.history);
-    assert_eq!(legacy.islands, unified.islands);
-    assert_eq!(legacy.evals, unified.evals);
-    assert_eq!(legacy.cache_hits, unified.cache_hits);
     assert!(
-        !unified.history.migrations.is_empty(),
+        !res.history.migrations.is_empty(),
         "migration actually exercised"
     );
+    assert_eq!(fingerprint(&res), (0xB768_98CB, 67));
 }
 
-/// `run_islands` ≡ `Search::from_spec` on `SIMCoV` (the spec-conversion
-/// path the harnesses use).
+/// The spec-conversion path the harnesses use (`IslandConfig` →
+/// `SearchSpec`).
 #[test]
-fn run_islands_shim_matches_search_on_simcov() {
+fn from_spec_pins_island_trajectory_on_simcov() {
     let w = SimcovWorkload::new(SimcovConfig::scaled());
     let mut cfg = IslandConfig::new(tiny(5, 9, 4), 3);
     cfg.migration_interval = 2;
-    let legacy = run_islands(&w, &cfg);
-    let unified = Search::from_spec(&w, cfg.into()).run();
-    assert_eq!(legacy.best.patch, unified.best.patch);
-    assert_eq!(legacy.history, unified.history);
-    assert_eq!(legacy.islands, unified.islands);
-    assert_eq!(legacy.evals, unified.evals);
+    let res = Search::from_spec(&w, cfg.into()).run();
+    assert_eq!(fingerprint(&res), (0x0AE2_DB67, 20));
+}
+
+/// Three islands at the default migration interval: the configuration
+/// whose batches interleave several parents per generation.
+#[test]
+fn search_pins_three_island_trajectory_on_simcov() {
+    let w = SimcovWorkload::new(SimcovConfig::scaled());
+    let res = Search::new(&w).config(tiny(5, 9, 4)).islands(3).run();
+    assert_eq!(fingerprint(&res), (0x19F8_7630, 21));
 }
 
 /// The acceptance bar for multi-objective mode: a two-objective NSGA-II
@@ -129,57 +122,5 @@ fn two_objective_nsga2_yields_a_real_pareto_front_on_adept_v0() {
         .map(|p| p.fitness)
         .fold(f64::INFINITY, f64::min);
     assert_eq!(fastest, res.best.fitness.unwrap());
-}
-
-/// The delta-compilation path (PR 7) is **result-invisible**: a
-/// fixed-seed search over the real workload (delta patching on) and
-/// over [`NoDelta`] (same workload, delta patching off) produce
-/// byte-identical `SearchResult`s — while the delta path demonstrably
-/// fired. This is the trajectory pin the delta cache must never break.
-#[test]
-fn delta_evaluation_is_result_invisible_on_adept_v0() {
-    let w = AdeptWorkload::new(AdeptConfig::scaled(Version::V0));
-    let cfg = tiny(3, 12, 6);
-
-    let mut real = Search::new(&w).config(cfg.clone());
-    while matches!(real.step(), StepStatus::Advanced { .. }) {}
-    let stats = real.eval_stats();
-    assert!(
-        stats.delta_patched > 0,
-        "delta path never fired at this budget: {stats:?}"
-    );
-    let real = real.into_result();
-
-    let plain_w = NoDelta(&w);
-    let plain = Search::new(&plain_w).config(cfg).run();
-    assert_eq!(
-        real.to_json().to_string(),
-        plain.to_json().to_string(),
-        "delta-patched search diverged from the recompile-only search"
-    );
-}
-
-/// The same pin on `SIMCoV` with islands — the configuration whose
-/// batches actually interleave several parents per generation.
-#[test]
-fn delta_evaluation_is_result_invisible_on_simcov_islands() {
-    let w = SimcovWorkload::new(SimcovConfig::scaled());
-    let cfg = tiny(5, 9, 4);
-
-    let mut real = Search::new(&w).config(cfg.clone()).islands(3);
-    while matches!(real.step(), StepStatus::Advanced { .. }) {}
-    let stats = real.eval_stats();
-    assert!(
-        stats.delta_patched + stats.delta_fallbacks > 0,
-        "delta path never attempted: {stats:?}"
-    );
-    let real = real.into_result();
-
-    let plain_w = NoDelta(&w);
-    let plain = Search::new(&plain_w).config(cfg).islands(3).run();
-    assert_eq!(
-        real.to_json().to_string(),
-        plain.to_json().to_string(),
-        "delta-patched search diverged from the recompile-only search"
-    );
+    assert_eq!(fingerprint(&res), (0xBD85_3EE9, 116));
 }
