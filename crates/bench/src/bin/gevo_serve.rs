@@ -326,10 +326,6 @@ fn run_job_once(mgr: &Arc<Manager>, job: &Job, sink: &Sink, attempt: usize) -> A
         }
     }
     let stats = search.eval_stats();
-    // Captured before finalization: the report lives on the session,
-    // never in the result (observability stays outside the byte-identity
-    // contract `done` files are compared under).
-    let adapt = search.adapt_report();
     let result = search.into_result();
     let done = job_path(&mgr.dir, &job.id, "done");
     write_atomic(&done, &result.to_json().to_string());
@@ -340,9 +336,6 @@ fn run_job_once(mgr: &Arc<Manager>, job: &Job, sink: &Sink, attempt: usize) -> A
     obj.insert("evals", stats.evals as u64);
     obj.insert("step_limit_kills", stats.faults.step_limit as u64);
     obj.insert("faults", stats.faults.to_json());
-    if let Some(report) = adapt {
-        obj.insert("adapt", report.to_json());
-    }
     sink.emit(&Value::Object(obj).to_string());
     Attempt::Done
 }

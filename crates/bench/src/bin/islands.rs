@@ -21,25 +21,21 @@
 //!  "winstr_per_sec":...,"migrations":...,
 //!  "lowered_insts":...,"uniform_insts":...,"folded_insts":...,
 //!  "scalarized_fraction":...,
-//!  "step_limit_kills":...,"faults":{"step_limit":...,...},
-//!  "adapt":{"policy":"ucb1","operators":[...]} | null}
+//!  "step_limit_kills":...,"faults":{"step_limit":...,...}}
 //! ```
 
 use gevo_bench::{
-    adept_on, env_usize, harness_spec, islands_knob, row, run_search_report, scaled_table1_specs,
+    adept_on, env_usize, harness_spec, islands_knob, row, run_search_stats, scaled_table1_specs,
     simcov_on,
 };
-use gevo_engine::{AdaptReport, EvalStats, SearchResult, SearchSpec, Workload};
+use gevo_engine::{EvalStats, SearchResult, SearchSpec, Workload};
 use gevo_workloads::adept::Version;
 use std::time::Instant;
 
 #[allow(clippy::cast_precision_loss)]
-fn measure(
-    w: &dyn Workload,
-    spec: &SearchSpec,
-) -> (SearchResult, EvalStats, Option<AdaptReport>, f64, f64) {
+fn measure(w: &dyn Workload, spec: &SearchSpec) -> (SearchResult, EvalStats, f64, f64) {
     let start = Instant::now();
-    let (res, stats, adapt) = run_search_report(w, spec);
+    let (res, stats) = run_search_stats(w, spec);
     let secs = start.elapsed().as_secs_f64().max(1e-9);
     let lookups = res.evals + res.cache_hits;
     let hit_rate = if lookups == 0 {
@@ -47,7 +43,7 @@ fn measure(
     } else {
         res.cache_hits as f64 / lookups as f64
     };
-    (res, stats, adapt, hit_rate, secs)
+    (res, stats, hit_rate, secs)
 }
 
 #[allow(clippy::cast_precision_loss)]
@@ -77,14 +73,8 @@ fn report(name: &str, w: &dyn Workload, islands: usize, pop: usize, gens: usize,
     for n in [1, islands] {
         let mut spec = harness_spec(pop, gens);
         spec.islands = n;
-        let (res, stats, adapt, hit_rate, secs) = measure(w, &spec);
+        let (res, stats, hit_rate, secs) = measure(w, &spec);
         if json {
-            // Adaptive-scheduler observability: policy + per-operator
-            // credit tallies and weights, absent under uniform (the
-            // result itself never carries these — see `AdaptReport`).
-            let adapt_json = adapt
-                .as_ref()
-                .map_or_else(|| "null".to_string(), |a| a.to_json().to_string());
             // Hand-rolled JSON: the offline serde shim has no serializer,
             // and every field here is a number or an escaped-free name.
             println!(
@@ -95,7 +85,7 @@ fn report(name: &str, w: &dyn Workload, islands: usize, pop: usize, gens: usize,
                  \"migrations\":{},\"wall_secs\":{secs:.3},\
                  \"lowered_insts\":{},\"uniform_insts\":{},\"folded_insts\":{},\
                  \"scalarized_fraction\":{:.4},\
-                 \"step_limit_kills\":{},\"faults\":{},\"adapt\":{}}}",
+                 \"step_limit_kills\":{},\"faults\":{}}}",
                 res.speedup,
                 res.best.fitness.expect("best is valid"),
                 res.evals,
@@ -111,7 +101,6 @@ fn report(name: &str, w: &dyn Workload, islands: usize, pop: usize, gens: usize,
                 stats.scalarized_fraction(),
                 stats.faults.step_limit,
                 stats.faults.to_json(),
-                adapt_json,
             );
         } else {
             row(&[

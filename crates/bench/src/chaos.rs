@@ -300,13 +300,6 @@ impl Workload for ChaosWorkload {
         self.bump();
         self.inner.evaluate_compiled(compiled, eval_seed)
     }
-    fn hotspot_profile(&self) -> Option<Vec<Vec<u64>>> {
-        // Forwarded without `bump()`: the profile evaluation bypasses
-        // the [`gevo_engine::Evaluator`] by design, so it must not
-        // consume chaos eval ordinals either — a plan's `evalpanic@k`
-        // has to mean the same k-th *search* evaluation on both arms.
-        self.inner.hotspot_profile()
-    }
 }
 
 #[cfg(test)]

@@ -41,8 +41,7 @@
 //! silently.
 
 use gevo_engine::{
-    AdaptReport, EvalStats, Search, SearchObserver, SearchResult, SearchSpec, SearchState,
-    StepStatus, Workload,
+    EvalStats, Search, SearchObserver, SearchResult, SearchSpec, SearchState, StepStatus, Workload,
 };
 use std::path::{Path, PathBuf};
 
@@ -295,12 +294,10 @@ pub fn load_state_with_rollback(path: &Path) -> Result<(SearchState, Option<Stri
 /// [`STOPPED_EXIT_CODE`] — the deterministic stand-in for a kill that
 /// the recovery tests use.
 ///
-/// Returns the result plus the evaluator's own counters and the
-/// adaptive scheduler's merged report, both of which are deliberately
-/// absent from the result (and the report from checkpoints' identity
-/// contract): cache hit rates, lowering-pass counters and
-/// operator-credit tallies only describe how this process
-/// computed the trajectory, not the trajectory itself.
+/// Returns the result plus the evaluator's own counters, which are
+/// deliberately absent from the result: cache hit rates and
+/// lowering-pass counters only describe how this process computed the
+/// trajectory, not the trajectory itself.
 ///
 /// # Panics
 /// Panics if a due checkpoint cannot be written.
@@ -310,7 +307,7 @@ pub fn drive_search(
     ckpt: Option<&Path>,
     every: usize,
     stop_after: Option<usize>,
-) -> (SearchResult, EvalStats, Option<AdaptReport>) {
+) -> (SearchResult, EvalStats) {
     let every = every.max(1);
     while let StepStatus::Advanced { gen } = search.step() {
         let completed = gen + 1;
@@ -331,8 +328,7 @@ pub fn drive_search(
         crate::chaos::maybe_worker_panic(search.eval_stats().evals);
     }
     let stats = search.eval_stats();
-    let adapt = search.adapt_report();
-    (search.into_result(), stats, adapt)
+    (search.into_result(), stats)
 }
 
 /// The checkpoint-aware search runner behind [`crate::run_search`]:
@@ -350,7 +346,7 @@ pub fn run_search_with(
     spec: &SearchSpec,
     knobs: &CheckpointKnobs,
     observer: Option<&mut dyn SearchObserver>,
-) -> (SearchResult, EvalStats, Option<AdaptReport>) {
+) -> (SearchResult, EvalStats) {
     let ckpt = knobs
         .path
         .as_ref()

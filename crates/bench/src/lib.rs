@@ -15,7 +15,6 @@
 //! | `GEVO_MIGRATION` | generations between migrations | 5 |
 //! | `GEVO_THREADS` | evaluation workers (clamped to host cores) | 1 |
 //! | `GEVO_OBJECTIVES` | comma-separated [`Objective`]s (two+ = NSGA-II) | `cycles` |
-//! | `GEVO_ADAPT` | mutation scheduling: `uniform`, `weighted`, `ucb1` (see [`adapt_knob`]) | `uniform` |
 //! | `GEVO_MUT_WEIGHTS` | 7 comma-separated operator weights (see [`mut_weights_knob`]) | built-in |
 //! | `GEVO_CHECKPOINT` | checkpoint path (also `--checkpoint`); see [`checkpoint`] | off |
 //! | `GEVO_CHECKPOINT_EVERY` | generations between checkpoints | 5 |
@@ -48,8 +47,8 @@ pub mod kernel_gen;
 pub mod supervise;
 
 use gevo_engine::{
-    AdaptPolicy, AdaptReport, EvalStats, Evaluator, GaConfig, MutationWeights, Objective, Patch,
-    SearchResult, SearchSpec, Workload,
+    EvalStats, Evaluator, GaConfig, MutationWeights, Objective, Patch, SearchResult, SearchSpec,
+    Workload,
 };
 use gevo_gpu::GpuSpec;
 use gevo_workloads::adept::{AdeptConfig, AdeptWorkload, Version};
@@ -123,21 +122,6 @@ pub fn objectives_knob() -> Vec<Objective> {
         vec![Objective::Cycles]
     } else {
         objs
-    }
-}
-
-/// The adaptive mutation-scheduling policy in force: `GEVO_ADAPT` as
-/// `uniform` (the legacy static draw, default), `weighted` or `ucb1`
-/// (`gevo_engine::adapt`, DESIGN.md §3.10).
-///
-/// # Panics
-/// Panics on an unknown policy name — silently falling back to uniform
-/// would invalidate an A/B run.
-#[must_use]
-pub fn adapt_knob() -> AdaptPolicy {
-    match std::env::var("GEVO_ADAPT") {
-        Err(_) => AdaptPolicy::Uniform,
-        Ok(raw) => AdaptPolicy::parse(raw.trim()).unwrap_or_else(|e| panic!("GEVO_ADAPT: {e}")),
     }
 }
 
@@ -263,7 +247,6 @@ pub fn harness_spec(pop: usize, gens: usize) -> SearchSpec {
         spec.selection = gevo_engine::Selection::Nsga2;
     }
     spec.objectives = objectives;
-    spec.adapt = adapt_knob();
     spec
 }
 
@@ -284,20 +267,6 @@ pub fn run_search(w: &dyn Workload, spec: &SearchSpec) -> SearchResult {
 /// (`islands --json`, `opt_bench`).
 #[must_use]
 pub fn run_search_stats(w: &dyn Workload, spec: &SearchSpec) -> (SearchResult, EvalStats) {
-    let (result, stats, _) = run_search_report(w, spec);
-    (result, stats)
-}
-
-/// [`run_search_stats`] plus the adaptive scheduler's merged
-/// [`AdaptReport`] (`None` under the uniform policy) — per-operator
-/// credit tallies and weights for the observability surfaces
-/// (`islands --json`, the `gevo-serve` `done` event). Like the eval
-/// counters, the report is deliberately absent from [`SearchResult`].
-#[must_use]
-pub fn run_search_report(
-    w: &dyn Workload,
-    spec: &SearchSpec,
-) -> (SearchResult, EvalStats, Option<AdaptReport>) {
     checkpoint::run_search_with(w, spec, &checkpoint::checkpoint_knobs(), None)
 }
 
@@ -512,20 +481,6 @@ mod tests {
         assert!(short.is_err(), "six weights must be rejected");
         assert!(zeroed.is_err(), "all-zero weights must be rejected");
         assert!(garbled.is_err(), "unparseable weight must be rejected");
-    }
-
-    #[test]
-    fn adapt_knob_parses_policies() {
-        std::env::remove_var("GEVO_ADAPT");
-        assert_eq!(adapt_knob(), AdaptPolicy::Uniform);
-        std::env::set_var("GEVO_ADAPT", " ucb1 ");
-        assert_eq!(adapt_knob(), AdaptPolicy::Ucb1);
-        std::env::set_var("GEVO_ADAPT", "weighted");
-        assert_eq!(adapt_knob(), AdaptPolicy::Weighted);
-        std::env::set_var("GEVO_ADAPT", "bogus");
-        let bad = std::panic::catch_unwind(adapt_knob);
-        std::env::remove_var("GEVO_ADAPT");
-        assert!(bad.is_err(), "unknown policy must not silently fall back");
     }
 
     #[test]

@@ -150,7 +150,9 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 /// A malformed submit is rejected with one `error` event per bad
-/// field — never silently coerced to defaults, never accepted.
+/// field — never silently coerced to defaults, never accepted. A spec
+/// carrying the removed `"adapt"` key is rejected too, not run as a
+/// uniform search.
 #[test]
 fn malformed_submit_gets_one_error_per_field() {
     let dir = scratch("bad-submit");
@@ -169,13 +171,26 @@ fn malformed_submit_gets_one_error_per_field() {
          \"pop\":\"eight\",\"gens\":true,\"seed\":3}}"
     )
     .expect("write submit");
+    let mut spec = SearchSpec::default().to_json();
+    if let serde_json::Value::Object(obj) = &mut spec {
+        obj.insert("adapt", "ucb1");
+    }
+    writeln!(
+        stdin,
+        "{{\"op\":\"submit\",\"id\":\"adaptive\",\"workload\":\"adept-v0\",\"spec\":{spec}}}"
+    )
+    .expect("write submit");
     drop(stdin);
     let out = server.wait_with_output().expect("server exits");
     assert!(out.status.success());
     let events = String::from_utf8(out.stdout).expect("utf8 events");
     // Field names arrive inside the message string, so their quotes
     // are JSON-escaped on the wire.
-    for field in [r#"field \"pop\""#, r#"field \"gens\""#] {
+    for field in [
+        r#"field \"pop\""#,
+        r#"field \"gens\""#,
+        r#"field \"adapt\""#,
+    ] {
         assert!(
             events
                 .lines()
@@ -187,10 +202,12 @@ fn malformed_submit_gets_one_error_per_field() {
         !events.contains("\"event\":\"accepted\""),
         "a malformed submit must not be accepted: {events}"
     );
-    assert!(
-        !dir.join("bad.job.json").exists(),
-        "a rejected submit must not persist a job record"
-    );
+    for id in ["bad", "adaptive"] {
+        assert!(
+            !dir.join(format!("{id}.job.json")).exists(),
+            "a rejected submit must not persist a job record"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

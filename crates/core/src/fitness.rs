@@ -304,42 +304,9 @@ pub trait Workload: Sync {
         false
     }
 
-    /// Per-kernel, per-block cycle attribution of the **pristine**
-    /// program: `profile[k][b]` = simulated cycles charged to block `b`
-    /// of kernel `k` across the whole test set, from
-    /// [`gevo_gpu::collect_profiles`]. The adaptive engine
-    /// (DESIGN.md §3.10) feeds this into
-    /// [`crate::MutationSpace::site_bias`] to bias edit sites toward
-    /// hot blocks.
-    ///
-    /// The default runs one profiled evaluation of the pristine
-    /// compiled form — a pure function of the workload (never of search
-    /// state), so fresh and resumed sessions derive the identical bias.
-    /// It deliberately bypasses the [`Evaluator`] : no cache entries, no
-    /// counters, no eval-seed perturbation. Workloads without a compiled
-    /// path (or whose pristine form fails) return `None` and the engine
-    /// falls back to uniform site selection.
+    /// Inert: nothing in this workspace calls or overrides it; `perfbench/` forwards it.
     fn hotspot_profile(&self) -> Option<Vec<Vec<u64>>> {
-        let Ok(compiled) = self.compile(self.kernels())? else {
-            return None;
-        };
-        let (outcome, profiles) =
-            gevo_gpu::collect_profiles(|| self.evaluate_compiled(&compiled, 0));
-        outcome.fitness?;
-        let mut per_kernel: Vec<Vec<u64>> = vec![Vec::new(); compiled.len()];
-        for p in &profiles {
-            let Some(k) = compiled.iter().position(|c| c.name() == p.kernel) else {
-                continue;
-            };
-            let dst = &mut per_kernel[k];
-            if dst.len() < p.block_cycles.len() {
-                dst.resize(p.block_cycles.len(), 0);
-            }
-            for (d, &c) in dst.iter_mut().zip(&p.block_cycles) {
-                *d += c;
-            }
-        }
-        Some(per_kernel)
+        None
     }
 }
 

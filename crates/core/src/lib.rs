@@ -78,7 +78,6 @@
 #![allow(clippy::float_cmp)]
 #![allow(clippy::too_many_lines)]
 
-pub mod adapt;
 pub mod analysis;
 pub mod edit;
 pub mod fitness;
@@ -89,10 +88,6 @@ pub mod quarantine;
 pub mod search;
 pub mod state;
 
-pub use adapt::{
-    AdaptPolicy, AdaptReport, AdaptSnapshot, OperatorReport, OperatorStats, PendingCredit,
-    OPERATORS, OPERATOR_NAMES,
-};
 pub use analysis::{
     dependency_graph, minimize_weak_edits, split_independent, subset_analysis, EpistasisGraph,
     MinimizeReport, SplitReport, SubsetOutcome, SubsetTable, MAX_SUBSET_EDITS,
@@ -104,9 +99,7 @@ pub use fitness::{
 };
 pub use ga::{GaConfig, GaResult, GenerationRecord, History, Individual};
 pub use island::{IslandConfig, IslandResult, MigrationEvent, Topology};
-pub use mutation::{
-    crossover_one_point, crossover_uniform, MutationSpace, MutationWeights, SiteBias,
-};
+pub use mutation::{crossover_one_point, crossover_uniform, MutationSpace, MutationWeights};
 pub use quarantine::QuarantineRecord;
 pub use search::{
     crowding_distances, dominates, non_dominated_sort, nsga2_order, Objective, ParetoPoint, Search,

@@ -265,228 +265,6 @@ impl MutationSpace {
             patch.push(e);
         }
     }
-
-    // -- adaptive (scheduler-directed) sampling -----------------------
-    //
-    // The legacy `sample`/`sample_kind` pair above stays byte-for-byte
-    // untouched: `AdaptPolicy::Uniform` trajectories are pinned
-    // bit-identical to the pre-adapt engine (tests/adapt_pin.rs), so
-    // the adaptive path is strictly additive.
-
-    /// Samples one edit of the **given** operator kind (chosen by an
-    /// [`crate::adapt::AdaptPolicy`] scheduler instead of the static
-    /// weight table), optionally biasing primary-site selection toward
-    /// hot basic blocks. Kernel choice and the degenerate-kind fallback
-    /// chain mirror [`MutationSpace::sample`].
-    pub fn sample_directed<R: Rng>(
-        &self,
-        rng: &mut R,
-        kind: usize,
-        bias: Option<&SiteBias>,
-    ) -> Option<Edit> {
-        let total: usize = self.per_kernel.iter().map(|k| k.inst_ids.len()).sum();
-        if total == 0 {
-            return None;
-        }
-        let mut pick = rng.gen_range(0..total);
-        let mut kernel = 0;
-        for (i, k) in self.per_kernel.iter().enumerate() {
-            if pick < k.inst_ids.len() {
-                kernel = i;
-                break;
-            }
-            pick -= k.inst_ids.len();
-        }
-        let kb = bias.and_then(|b| b.per_kernel.get(kernel));
-        for fallback in [kind, 0, 1, 3] {
-            if let Some(e) = self.sample_kind_biased(rng, kernel, fallback, kb) {
-                return Some(e);
-            }
-        }
-        None
-    }
-
-    /// [`MutationSpace::sample_kind`] with the *primary* site drawn
-    /// from the bias distribution (delete target, operand slot,
-    /// condition terminator, copy/move anchor, swap/replace target);
-    /// secondary draws — replacement pools, immediate perturbation,
-    /// copy/swap sources — stay uniform, exactly as in the legacy path.
-    fn sample_kind_biased<R: Rng>(
-        &self,
-        rng: &mut R,
-        kernel: usize,
-        kind: usize,
-        bias: Option<&KernelBias>,
-    ) -> Option<Edit> {
-        let Some(bias) = bias else {
-            return self.sample_kind(rng, kernel, kind);
-        };
-        let ks = &self.per_kernel[kernel];
-        match kind {
-            0 => {
-                let target = ks.inst_ids[pick_weighted(&bias.insts, rng)?];
-                Some(Edit::Delete { kernel, target })
-            }
-            1 => {
-                let (target, arg, ty) = ks.operand_slots[pick_weighted(&bias.slots, rng)?];
-                let pool = &ks.pools[ty_index(ty)];
-                let mut new = *pool.choose(rng)?;
-                if ty == Ty::I32 && rng.gen_bool(0.2) {
-                    let delta = [-1, 1, 2, -2][rng.gen_range(0..4usize)];
-                    if let Operand::ImmI32(v) = new {
-                        new = Operand::ImmI32(v.wrapping_add(delta));
-                    }
-                }
-                Some(Edit::OperandReplace {
-                    kernel,
-                    target,
-                    arg,
-                    new,
-                })
-            }
-            2 => {
-                let term = ks.cond_terms[pick_weighted(&bias.conds, rng)?];
-                let pool = &ks.pools[ty_index(Ty::Bool)];
-                let new = if pool.is_empty() || rng.gen_bool(0.1) {
-                    Operand::ImmBool(rng.gen_bool(0.5))
-                } else {
-                    *pool.choose(rng)?
-                };
-                Some(Edit::CondReplace { kernel, term, new })
-            }
-            3 => {
-                let source = *ks.inst_ids.choose(rng)?;
-                let before = ks.anchors[pick_weighted(&bias.anchors, rng)?];
-                Some(Edit::Copy {
-                    kernel,
-                    source,
-                    before,
-                })
-            }
-            4 => {
-                let source = *ks.inst_ids.choose(rng)?;
-                let before = ks.anchors[pick_weighted(&bias.anchors, rng)?];
-                (source != before).then_some(Edit::Move {
-                    kernel,
-                    source,
-                    before,
-                })
-            }
-            5 => {
-                let a = ks.inst_ids[pick_weighted(&bias.insts, rng)?];
-                let b = *ks.inst_ids.choose(rng)?;
-                (a != b).then_some(Edit::Swap { kernel, a, b })
-            }
-            6 => {
-                let target = ks.inst_ids[pick_weighted(&bias.insts, rng)?];
-                let source = *ks.inst_ids.choose(rng)?;
-                (target != source).then_some(Edit::Replace {
-                    kernel,
-                    target,
-                    source,
-                })
-            }
-            _ => None,
-        }
-    }
-
-    /// Appends a scheduler-directed edit; returns whether one landed
-    /// (the engine only banks a pending credit for edits that did).
-    pub fn mutate_directed<R: Rng>(
-        &self,
-        patch: &mut Patch,
-        rng: &mut R,
-        kind: usize,
-        bias: Option<&SiteBias>,
-    ) -> bool {
-        match self.sample_directed(rng, kind, bias) {
-            Some(e) => {
-                patch.push(e);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Builds the hotspot site-bias tables from a per-kernel, per-block
-    /// cycle profile (`profile[k][b]` = cycles attributed to block `b`
-    /// of kernel `k`, from [`gevo_gpu::collect_profiles`]). A site in
-    /// block `b` weighs `1 + n_blocks · cycles_b / total` — uniform
-    /// baseline plus up to `n_blocks`× boost for a block that owns the
-    /// whole critical path; kernels without profile data (or with zero
-    /// attributed cycles) fall back to uniform.
-    #[must_use]
-    pub fn site_bias(&self, kernels: &[Kernel], profile: &[Vec<u64>]) -> SiteBias {
-        let per_kernel = kernels
-            .iter()
-            .zip(&self.per_kernel)
-            .enumerate()
-            .map(|(ki, (k, ks))| {
-                #[allow(clippy::cast_precision_loss)]
-                let site_weight = |id: InstId| -> f64 {
-                    let Some(blocks) = profile.get(ki) else {
-                        return 1.0;
-                    };
-                    let total: u64 = blocks.iter().sum();
-                    if total == 0 {
-                        return 1.0;
-                    }
-                    match k.block_of(id).and_then(|b| blocks.get(b)) {
-                        Some(&c) => 1.0 + (blocks.len() as f64) * (c as f64) / (total as f64),
-                        None => 1.0,
-                    }
-                };
-                KernelBias {
-                    insts: cumulative(ks.inst_ids.iter().map(|&id| site_weight(id))),
-                    anchors: cumulative(ks.anchors.iter().map(|&id| site_weight(id))),
-                    conds: cumulative(ks.cond_terms.iter().map(|&id| site_weight(id))),
-                    slots: cumulative(ks.operand_slots.iter().map(|&(id, _, _)| site_weight(id))),
-                }
-            })
-            .collect();
-        SiteBias { per_kernel }
-    }
-}
-
-/// Running cumulative sums of a weight sequence (the sampling table a
-/// biased pick binary-searches).
-fn cumulative(weights: impl Iterator<Item = f64>) -> Vec<f64> {
-    let mut acc = 0.0;
-    weights
-        .map(|w| {
-            acc += w;
-            acc
-        })
-        .collect()
-}
-
-/// Hotspot-weighted site-selection tables: per kernel, cumulative
-/// weights over every primary-site list of the mutation space, biased
-/// toward basic blocks that dominate the pristine program's simulated
-/// critical path (DESIGN.md §3.10). Built once per run by
-/// [`MutationSpace::site_bias`]; purely a sampling-distribution change,
-/// so it composes with any [`crate::adapt::AdaptPolicy`].
-#[derive(Debug)]
-pub struct SiteBias {
-    per_kernel: Vec<KernelBias>,
-}
-
-/// Cumulative site weights for one kernel, parallel to the
-/// corresponding [`KernelSpace`] lists.
-#[derive(Debug)]
-struct KernelBias {
-    insts: Vec<f64>,
-    anchors: Vec<f64>,
-    conds: Vec<f64>,
-    slots: Vec<f64>,
-}
-
-/// One weighted index draw from a cumulative table (`None` for an
-/// empty list, mirroring `choose` on an empty slice).
-fn pick_weighted<R: Rng>(table: &[f64], rng: &mut R) -> Option<usize> {
-    let total = *table.last()?;
-    let x = rng.gen_range(0.0..total);
-    Some(table.partition_point(|&c| c <= x).min(table.len() - 1))
 }
 
 /// One-point crossover over edit lists (GEVO's patch crossover): child

@@ -69,12 +69,11 @@
 //! the remaining trajectory — the final [`SearchResult`] and the
 //! observer event stream — is bit-identical to the uninterrupted run.*
 
-use crate::adapt::{AdaptPolicy, AdaptReport, IslandAdapt, OperatorStats, PendingCredit, DECAY};
 use crate::edit::Patch;
 use crate::fitness::{EvalOutcome, Evaluator, Workload};
 use crate::ga::{GaConfig, GenerationRecord, History, Individual};
 use crate::island::{IslandConfig, MigrationEvent, Topology};
-use crate::mutation::{crossover_one_point, MutationSpace, MutationWeights, SiteBias};
+use crate::mutation::{crossover_one_point, MutationSpace, MutationWeights};
 use crate::state::{IslandSnapshot, SearchState};
 use gevo_ir::StreamState;
 use rand::seq::SliceRandom;
@@ -172,10 +171,6 @@ pub struct SearchSpec {
     /// flips this to [`Selection::Nsga2`] automatically when given two
     /// or more.
     pub selection: Selection,
-    /// Adaptive mutation scheduling policy ([`crate::adapt`]).
-    /// [`AdaptPolicy::Uniform`] (the default) runs the legacy static
-    /// weight-table draw, byte-identical to the pre-adapt engine.
-    pub adapt: AdaptPolicy,
 }
 
 impl Default for SearchSpec {
@@ -188,7 +183,6 @@ impl Default for SearchSpec {
             topology: Topology::Ring,
             objectives: vec![Objective::Cycles],
             selection: Selection::Tournament,
-            adapt: AdaptPolicy::Uniform,
         }
     }
 }
@@ -474,16 +468,6 @@ impl<'a> Search<'a> {
         self
     }
 
-    /// Sets the adaptive mutation-scheduling policy ([`crate::adapt`]).
-    /// The default, [`AdaptPolicy::Uniform`], is the legacy static
-    /// weight-table draw.
-    #[must_use]
-    pub fn adapt(mut self, policy: AdaptPolicy) -> Search<'a> {
-        self.assert_unstarted();
-        self.spec.adapt = policy;
-        self
-    }
-
     /// Sets the minimized objectives, and the selection scheme to
     /// match: two or more objectives select [`Selection::Nsga2`], one
     /// (or an empty slice, which resets to the scalar default
@@ -553,20 +537,6 @@ impl<'a> Search<'a> {
             .expect("just ensured")
             .evaluator
             .stats()
-    }
-
-    /// The merged cross-island scheduler tallies and weights
-    /// ([`AdaptReport`]), or `None` under [`AdaptPolicy::Uniform`] (no
-    /// scheduler runs). Purely observational — the report is
-    /// **deliberately absent** from [`SearchResult`] and the evaluator
-    /// snapshot so the checkpoint byte-identity contract never covers
-    /// it. Materializes the engine, like [`Search::step`].
-    pub fn adapt_report(&mut self) -> Option<AdaptReport> {
-        self.ensure_engine();
-        self.engine
-            .as_ref()
-            .expect("just ensured")
-            .adapt_report(&self.spec)
     }
 
     /// Materializes the run state (baseline evaluation, initial
@@ -785,9 +755,8 @@ pub fn nsga2_order(scores: &[Vec<f64>]) -> Vec<usize> {
 
 /// `SplitMix64` — used to derive independent island seeds from the
 /// master seed (island 0 keeps the master seed itself so N=1 reproduces
-/// the original single-population stream), and by [`crate::adapt`] to
-/// salt the per-island scheduler streams.
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
+/// the original single-population stream).
+fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -802,23 +771,6 @@ fn island_seed(master: u64, island: usize) -> u64 {
     }
 }
 
-/// Hotspot site-bias tables for adaptive runs: the workload's pristine
-/// per-block cycle profile folded through
-/// [`MutationSpace::site_bias`]. `None` for the uniform policy (the
-/// profile is never even collected — the legacy engine must not gain a
-/// pristine evaluation) and for workloads without a compiled profile.
-fn hotspot_bias(
-    workload: &dyn Workload,
-    spec: &SearchSpec,
-    space: &MutationSpace,
-) -> Option<SiteBias> {
-    if spec.adapt == AdaptPolicy::Uniform {
-        return None;
-    }
-    let profile = workload.hotspot_profile()?;
-    Some(space.site_bias(workload.kernels(), &profile))
-}
-
 /// One subpopulation plus its private RNG stream and trajectory.
 struct Island {
     rng: ChaCha8Rng,
@@ -830,10 +782,6 @@ struct Island {
     ranked: Vec<usize>,
     history: History,
     best: Individual,
-    /// The island's adaptive mutation scheduler — `Some` only when the
-    /// spec's policy is not [`AdaptPolicy::Uniform`], so the uniform
-    /// engine stays structurally identical to the pre-adapt one.
-    adapt: Option<IslandAdapt>,
 }
 
 impl Island {
@@ -867,10 +815,6 @@ impl Island {
                 patch: Patch::empty(),
                 fitness: Some(baseline),
             },
-            // The initial population is bred by the legacy sampler in
-            // both arms (no diagnostics exist before generation 0);
-            // Engine construction attaches the scheduler afterwards.
-            adapt: None,
         }
     }
 
@@ -951,11 +895,6 @@ impl Island {
     /// `elitism` arrives pre-split across islands: at least one elite
     /// per island when elitism is enabled (so every island's trajectory
     /// stays monotone), exactly zero when the caller disabled elitism.
-    /// The adaptive arm draws the operator kind from the scheduler's
-    /// dedicated stream and banks a [`PendingCredit`] per mutated child;
-    /// under [`AdaptPolicy::Uniform`] (`self.adapt` is `None`) every
-    /// draw below is byte-identical to the legacy loop.
-    #[allow(clippy::too_many_arguments)]
     fn breed(
         &mut self,
         cfg: &GaConfig,
@@ -964,12 +903,7 @@ impl Island {
         baseline: f64,
         space: &MutationSpace,
         selection: Selection,
-        policy: AdaptPolicy,
-        bias: Option<&SiteBias>,
     ) {
-        // Take the scheduler out for the duration so `select_parent`
-        // (which borrows all of `self`) stays callable.
-        let mut adapt = self.adapt.take();
         let mut next: Vec<Individual> = self
             .ranked
             .iter()
@@ -982,30 +916,16 @@ impl Island {
                 fitness: Some(baseline),
             });
         }
-        // Per-slot credits, parallel to `next` (None for the elite /
-        // fallback prefix and for unmutated offspring).
-        let mut pending: Vec<Option<PendingCredit>> = vec![None; next.len()];
         while next.len() < pop {
-            let (parent_a, parent_fitness) = self.select_parent(cfg, selection);
+            let parent_a = self.select_parent(cfg, selection);
             let mut child = if self.rng.gen_bool(cfg.crossover_p) && self.ranked.len() >= 2 {
-                let (parent_b, _) = self.select_parent(cfg, selection);
+                let parent_b = self.select_parent(cfg, selection);
                 crossover_one_point(&parent_a, &parent_b, &mut self.rng)
             } else {
                 parent_a
             };
-            let mut credit = None;
             if self.rng.gen_bool(cfg.mutation_p) {
-                if let Some(ad) = adapt.as_mut() {
-                    let kind = policy.choose(&ad.stats, &mut ad.rng);
-                    if space.mutate_directed(&mut child, &mut self.rng, kind, bias) {
-                        credit = Some(PendingCredit {
-                            op: kind,
-                            parent_fitness,
-                        });
-                    }
-                } else {
-                    space.mutate(&mut child, &mut self.rng);
-                }
+                space.mutate(&mut child, &mut self.rng);
             }
             if child.len() > cfg.max_patch_len {
                 let edits = child.edits()[child.len() - cfg.max_patch_len..].to_vec();
@@ -1015,38 +935,31 @@ impl Island {
                 patch: child,
                 fitness: None,
             });
-            pending.push(credit);
-        }
-        if let Some(ad) = adapt.as_mut() {
-            ad.pending = pending;
         }
         self.population = next;
-        self.adapt = adapt;
     }
 
-    /// One tournament draw, returning the winning parent's genome and
-    /// its fitness (the adaptive arm's improvement reference; the
-    /// fitness read adds no RNG draws, so the uniform arm is unchanged).
-    fn select_parent(&mut self, cfg: &GaConfig, selection: Selection) -> (Patch, Option<f64>) {
+    /// One tournament draw, returning the winning parent's genome.
+    fn select_parent(&mut self, cfg: &GaConfig, selection: Selection) -> Patch {
         match selection {
-            Selection::Tournament => {
-                let winner = tournament(
-                    &self.population,
-                    &self.ranked,
-                    cfg.tournament,
-                    &mut self.rng,
-                );
-                (winner.patch.clone(), winner.fitness)
-            }
+            Selection::Tournament => tournament(
+                &self.population,
+                &self.ranked,
+                cfg.tournament,
+                &mut self.rng,
+            )
+            .patch
+            .clone(),
             Selection::Nsga2 => {
                 // Crowded-comparison tournament: `ranked` already embeds
                 // (front, crowding), so the smaller ranked position wins.
                 if self.ranked.is_empty() {
-                    let pick = self
+                    return self
                         .population
                         .choose(&mut self.rng)
-                        .expect("population non-empty");
-                    return (pick.patch.clone(), pick.fitness);
+                        .expect("population non-empty")
+                        .patch
+                        .clone();
                 }
                 let mut best_pos = self.rng.gen_range(0..self.ranked.len());
                 for _ in 1..cfg.tournament.max(1) {
@@ -1055,8 +968,7 @@ impl Island {
                         best_pos = pos;
                     }
                 }
-                let winner = &self.population[self.ranked[best_pos]];
-                (winner.patch.clone(), winner.fitness)
+                self.population[self.ranked[best_pos]].patch.clone()
             }
         }
     }
@@ -1183,12 +1095,6 @@ struct Engine<'a> {
     archive: ParetoArchive,
     /// The next generation to execute.
     gen: usize,
-    /// Hotspot site-bias tables, derived once from the pristine
-    /// program's per-block cycle profile. `None` under
-    /// [`AdaptPolicy::Uniform`] or when the workload has no profile
-    /// (the directed sampler then falls back to uniform sites). A pure
-    /// function of the workload, so fresh and resumed engines agree.
-    bias: Option<SiteBias>,
 }
 
 impl<'a> Engine<'a> {
@@ -1202,20 +1108,11 @@ impl<'a> Engine<'a> {
         let ga = &spec.ga;
         let pops = spec.island_populations();
         let elitism = split_elitism(ga.elitism, pops.len());
-        let adaptive = spec.adapt != AdaptPolicy::Uniform;
         let islands: Vec<Island> = pops
             .iter()
             .enumerate()
-            .map(|(i, &pop)| {
-                let seed = island_seed(ga.seed, i);
-                let mut isl = Island::new(seed, pop, baseline, &space);
-                if adaptive {
-                    isl.adapt = Some(IslandAdapt::new(seed));
-                }
-                isl
-            })
+            .map(|(i, &pop)| Island::new(island_seed(ga.seed, i), pop, baseline, &space))
             .collect();
-        let bias = hotspot_bias(workload, spec, &space);
         let mig_rng = ChaCha8Rng::seed_from_u64(splitmix64(ga.seed ^ 0x4D69_6772_6174_6521));
         Engine {
             evaluator,
@@ -1237,7 +1134,6 @@ impl<'a> Engine<'a> {
             },
             archive: ParetoArchive::new(),
             gen: 0,
-            bias,
         }
     }
 
@@ -1261,10 +1157,8 @@ impl<'a> Engine<'a> {
                 ranked: snap.ranked.clone(),
                 history: snap.history.clone(),
                 best: snap.best.clone(),
-                adapt: snap.adapt.as_ref().map(IslandAdapt::restore),
             })
             .collect();
-        let bias = hotspot_bias(workload, &state.spec, &space);
         Engine {
             evaluator,
             space,
@@ -1280,7 +1174,6 @@ impl<'a> Engine<'a> {
                 seen: state.pareto_seen.iter().copied().collect(),
             },
             gen: state.gen,
-            bias,
         }
     }
 
@@ -1310,7 +1203,6 @@ impl<'a> Engine<'a> {
                     ranked: isl.ranked.clone(),
                     history: isl.history.clone(),
                     best: isl.best.clone(),
-                    adapt: isl.adapt.as_ref().map(IslandAdapt::snapshot),
                 })
                 .collect(),
             mig_rng: StreamState::capture(&self.mig_rng),
@@ -1377,19 +1269,6 @@ impl<'a> Engine<'a> {
                 cursor += 1;
             }
             isl.rank(selection);
-            // Resolve the credits bred into this population now that it
-            // is measured: decay first so the new evidence lands at full
-            // weight in the sliding window.
-            if let Some(ad) = isl.adapt.as_mut() {
-                ad.stats.decay(DECAY);
-                for (slot, credit) in std::mem::take(&mut ad.pending).into_iter().enumerate() {
-                    let Some(c) = credit else { continue };
-                    let child = isl.population[slot].fitness;
-                    let improved =
-                        matches!((child, c.parent_fitness), (Some(cf), Some(pf)) if cf < pf);
-                    ad.stats.record(c.op, child.is_some(), improved);
-                }
-            }
         }
         for (id, isl) in self.islands.iter_mut().enumerate() {
             isl.record(gen, id, self.baseline);
@@ -1498,32 +1377,9 @@ impl<'a> Engine<'a> {
         let elitism = self.elitism;
         let baseline = self.baseline;
         for (isl, &pop) in self.islands.iter_mut().zip(&self.pops) {
-            isl.breed(
-                ga,
-                pop,
-                elitism,
-                baseline,
-                &self.space,
-                selection,
-                spec.adapt,
-                self.bias.as_ref(),
-            );
+            isl.breed(ga, pop, elitism, baseline, &self.space, selection);
         }
         StepStatus::Advanced { gen }
-    }
-
-    /// Merged cross-island scheduler report (`None` when no island runs
-    /// a scheduler — i.e. under [`AdaptPolicy::Uniform`]).
-    fn adapt_report(&self, spec: &SearchSpec) -> Option<AdaptReport> {
-        let mut merged = OperatorStats::default();
-        let mut any = false;
-        for isl in &self.islands {
-            if let Some(ad) = &isl.adapt {
-                merged.merge(&ad.stats);
-                any = true;
-            }
-        }
-        any.then(|| AdaptReport::new(spec.adapt, &merged))
     }
 
     /// Finalization: fan the migration log out to per-island histories,

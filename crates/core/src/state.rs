@@ -40,7 +40,6 @@
 //! `<file>.1`, and rolls back to it when verification fails (DESIGN.md
 //! §3.9). Decode errors from here are what trigger that rollback.
 
-use crate::adapt::{AdaptPolicy, AdaptSnapshot};
 use crate::edit::{Edit, Patch};
 use crate::fitness::EvaluatorSnapshot;
 use crate::ga::{GaConfig, GenerationRecord, History, Individual};
@@ -71,10 +70,6 @@ pub struct IslandSnapshot {
     pub history: History,
     /// Best individual this island has seen.
     pub best: Individual,
-    /// The island's adaptive-scheduler state ([`crate::adapt`]):
-    /// `None` for uniform runs (whose snapshots stay byte-identical to
-    /// the pre-adapt format), `Some` whenever a scheduler runs.
-    pub adapt: Option<AdaptSnapshot>,
 }
 
 /// The complete state of a search session between two generations —
@@ -117,6 +112,18 @@ pub struct SearchState {
 fn want<'v>(v: &'v Value, name: &str, ctx: &str) -> Result<&'v Value, String> {
     v.get(name)
         .ok_or_else(|| format!("{ctx}: missing field {name:?}"))
+}
+
+/// Refuses the `"adapt"` key that adaptive-scheduling runs wrote
+/// (DESIGN.md §3.10). The scheduler is gone; resuming such a state as
+/// a uniform run would silently misread it.
+fn reject_adapt(v: &Value, ctx: &str) -> Result<(), String> {
+    if v.get("adapt").is_some() {
+        return Err(format!(
+            "{ctx}: field \"adapt\" is no longer supported (adaptive mutation scheduling was removed)"
+        ));
+    }
+    Ok(())
 }
 
 fn want_u64(v: &Value, name: &str, ctx: &str) -> Result<u64, String> {
@@ -651,12 +658,6 @@ impl SearchSpec {
             Value::Array(self.objectives.iter().map(Objective::to_json).collect()),
         );
         obj.insert("selection", self.selection.to_json());
-        // Emitted only when a scheduler actually runs: uniform specs
-        // keep the exact pre-adapt byte stream (and old checkpoints,
-        // which lack the key, deserialize as uniform below).
-        if self.adapt != AdaptPolicy::Uniform {
-            obj.insert("adapt", self.adapt.to_json());
-        }
         Value::Object(obj)
     }
 
@@ -666,6 +667,7 @@ impl SearchSpec {
     /// Returns a message naming the missing or malformed field.
     pub fn from_json(v: &Value) -> Result<Self, String> {
         const CTX: &str = "SearchSpec";
+        reject_adapt(v, CTX)?;
         Ok(SearchSpec {
             ga: GaConfig::from_json(want(v, "ga", CTX)?)?,
             islands: want_usize(v, "islands", CTX)?,
@@ -677,10 +679,6 @@ impl SearchSpec {
                 .map(Objective::from_json)
                 .collect::<Result<_, _>>()?,
             selection: Selection::from_json(want(v, "selection", CTX)?)?,
-            adapt: match v.get("adapt") {
-                None => AdaptPolicy::Uniform,
-                Some(a) => AdaptPolicy::from_json(a)?,
-            },
         })
     }
 }
@@ -809,11 +807,6 @@ impl IslandSnapshot {
         );
         obj.insert("history", self.history.to_json());
         obj.insert("best", self.best.to_json());
-        // Present only for adaptive runs: uniform snapshots keep the
-        // exact pre-adapt byte stream.
-        if let Some(adapt) = &self.adapt {
-            obj.insert("adapt", adapt.to_json());
-        }
         Value::Object(obj)
     }
 
@@ -823,6 +816,7 @@ impl IslandSnapshot {
     /// Returns a message naming the missing or malformed field.
     pub fn from_json(v: &Value) -> Result<Self, String> {
         const CTX: &str = "IslandSnapshot";
+        reject_adapt(v, CTX)?;
         let scores = want_array(v, "scores", CTX)?
             .iter()
             .map(|s| {
@@ -854,10 +848,6 @@ impl IslandSnapshot {
             ranked,
             history: History::from_json(want(v, "history", CTX)?)?,
             best: Individual::from_json(want(v, "best", CTX)?)?,
-            adapt: match v.get("adapt") {
-                None => None,
-                Some(a) => Some(AdaptSnapshot::from_json(a)?),
-            },
         })
     }
 }
@@ -1076,16 +1066,53 @@ mod tests {
                 Objective::MemoryTraffic,
             ],
             selection: Selection::Nsga2,
-            adapt: AdaptPolicy::Ucb1,
         };
         let v = reparse(&spec.to_json());
         assert_eq!(SearchSpec::from_json(&v).unwrap(), spec);
-        // The uniform policy is elided from the byte stream entirely
-        // (old checkpoints lack the key and deserialize as uniform).
-        let uniform = SearchSpec::default();
-        assert!(!uniform.to_json().to_string().contains("adapt"));
-        let v = reparse(&uniform.to_json());
-        assert_eq!(SearchSpec::from_json(&v).unwrap(), uniform);
+    }
+
+    #[test]
+    fn removed_adapt_key_is_rejected() {
+        let with_adapt = |mut v: Value, adapt: Value| {
+            if let Value::Object(obj) = &mut v {
+                obj.insert("adapt", adapt);
+            }
+            v
+        };
+        let spec = with_adapt(SearchSpec::default().to_json(), Value::from("ucb1"));
+        let err = SearchSpec::from_json(&spec).unwrap_err();
+        assert!(
+            err.contains("SearchSpec") && err.contains("\"adapt\""),
+            "{err}"
+        );
+
+        let island = IslandSnapshot {
+            rng: StreamState {
+                seed: [3; 32],
+                word_pos: 8,
+            },
+            population: Vec::new(),
+            scores: Vec::new(),
+            ranked: Vec::new(),
+            history: History {
+                baseline: 10.0,
+                records: Vec::new(),
+                first_seen_in_best: std::collections::HashMap::new(),
+                migrations: Vec::new(),
+            },
+            best: Individual {
+                patch: Patch::empty(),
+                fitness: Some(10.0),
+            },
+        };
+        let plain = reparse(&island.to_json());
+        assert_eq!(IslandSnapshot::from_json(&plain).unwrap(), island);
+        let tagged = with_adapt(plain, Value::Object(serde_json::Map::new()));
+        let err = IslandSnapshot::from_json(&tagged).unwrap_err();
+        assert!(
+            err.contains("IslandSnapshot") && err.contains("\"adapt\""),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1118,7 +1145,6 @@ mod tests {
                     patch: Patch::empty(),
                     fitness: Some(1234.5),
                 },
-                adapt: None,
             }],
             mig_rng: StreamState {
                 seed: [9; 32],

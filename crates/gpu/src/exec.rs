@@ -39,7 +39,6 @@ use crate::compile::{CInst, CTerm, CompiledKernel, OpClass, Slot, EXIT, NO_DST};
 use crate::error::ExecError;
 use crate::launch::{KernelArg, LaunchConfig, LaunchStats};
 use crate::mem::DeviceMemory;
-use crate::profile::LaunchProfile;
 use crate::spec::GpuSpec;
 use crate::value::Value;
 use gevo_ir::{
@@ -219,18 +218,8 @@ impl Gpu {
             warps_per_block: cfg.block.div_ceil(lanes),
             ..LaunchStats::default()
         };
-        // Per-block cycle attribution (crate::profile): armed only when
-        // this thread runs inside `collect_profiles`, so the default
-        // path pays one branch per launch and nothing per instruction.
-        let n_blocks = kernel.terms.len();
-        let mut prof = crate::profile::profiling_active()
-            .then(|| LaunchAttribution::new(self.spec.sm_count as usize, n_blocks));
         for block_idx in 0..cfg.grid {
             scratch.reset_block(kernel, cfg.block, lanes);
-            if let Some(p) = prof.as_mut() {
-                p.warp_block.clear();
-                p.warp_block.resize(scratch.warps.len() * n_blocks, 0);
-            }
             // Warp issue order: seed 0 (the deterministic fitness
             // baseline) runs in natural ascending order with no
             // permutation buffer at all; other seeds fill the reused
@@ -266,89 +255,15 @@ impl Gpu {
                     steps: 0,
                     issue: 0,
                     lanes,
-                    prof: prof.as_mut().map(|p| &mut p.warp_block[..]),
                 };
                 exec.run()?
             };
             let sm = (block_idx % self.spec.sm_count) as usize;
             scratch.sm_cycles[sm] += block_cycles;
-            if let Some(p) = prof.as_mut() {
-                p.fold_cta(sm, &scratch.warps, block_cycles);
-            }
         }
         stats.cycles =
             self.spec.costs.launch_overhead + scratch.sm_cycles.iter().copied().max().unwrap_or(0);
-        if let Some(p) = prof {
-            crate::profile::record(p.finish(
-                &kernel.name,
-                &scratch.sm_cycles,
-                self.spec.costs.launch_overhead,
-            ));
-        }
         Ok(stats)
-    }
-}
-
-/// Per-launch working state for block-level cycle attribution (see
-/// [`crate::profile`]): each CTA's critical-warp per-block row
-/// accumulates into its SM's tally, residuals and overhead stay
-/// unattributed, and [`LaunchAttribution::finish`] keeps the critical
-/// SM's view — whose total equals [`LaunchStats::cycles`] exactly.
-struct LaunchAttribution {
-    n_blocks: usize,
-    /// Flattened per-warp per-block cycle tallies for the CTA in
-    /// flight (`warp_block[wi * n_blocks + b]`), reset per CTA.
-    warp_block: Vec<u64>,
-    /// Flattened per-SM per-block accumulation (`sm * n_blocks + b`).
-    sm_block: Vec<u64>,
-    /// Per-SM cycles the critical path does not localize (each CTA's
-    /// throughput-bound residual).
-    sm_other: Vec<u64>,
-}
-
-impl LaunchAttribution {
-    fn new(sm_count: usize, n_blocks: usize) -> LaunchAttribution {
-        LaunchAttribution {
-            n_blocks,
-            warp_block: Vec::new(),
-            sm_block: vec![0; sm_count * n_blocks],
-            sm_other: vec![0; sm_count],
-        }
-    }
-
-    /// Folds one finished CTA: the first warp whose cycle total equals
-    /// the CTA latency is the critical warp (deterministic tie-break);
-    /// its per-block row sums to the latency exactly, and the CTA's
-    /// throughput-bound residual is unattributed.
-    fn fold_cta(&mut self, sm: usize, warps: &[Warp], block_cycles: u64) {
-        if warps.is_empty() {
-            self.sm_other[sm] += block_cycles;
-            return;
-        }
-        let latency = warps.iter().map(|w| w.cycles).max().unwrap_or(0);
-        let crit = warps
-            .iter()
-            .position(|w| w.cycles == latency)
-            .expect("latency is some warp's cycle count");
-        let row = &self.warp_block[crit * self.n_blocks..(crit + 1) * self.n_blocks];
-        let acc = &mut self.sm_block[sm * self.n_blocks..(sm + 1) * self.n_blocks];
-        for (a, c) in acc.iter_mut().zip(row) {
-            *a += *c;
-        }
-        self.sm_other[sm] += block_cycles - latency;
-    }
-
-    /// Keeps the critical SM's per-block view (first SM at the launch
-    /// maximum — the same max [`LaunchStats::cycles`] is built from).
-    fn finish(self, kernel: &str, sm_cycles: &[u64], launch_overhead: u64) -> LaunchProfile {
-        let max = sm_cycles.iter().copied().max().unwrap_or(0);
-        let crit = sm_cycles.iter().position(|&c| c == max).unwrap_or(0);
-        let block_cycles = self.sm_block[crit * self.n_blocks..(crit + 1) * self.n_blocks].to_vec();
-        LaunchProfile {
-            kernel: kernel.to_string(),
-            block_cycles,
-            other_cycles: launch_overhead + self.sm_other.get(crit).copied().unwrap_or(0),
-        }
     }
 }
 
@@ -773,10 +688,6 @@ struct BlockExec<'a> {
     /// Total issue slots consumed (throughput bound).
     issue: u64,
     lanes: u32,
-    /// Per-warp per-block cycle tallies (`prof[wi * n_blocks + block]`)
-    /// when attribution is armed (see [`crate::profile`]); `None` on
-    /// the default path so the hot loop pays one branch per charge.
-    prof: Option<&'a mut [u64]>,
 }
 
 impl<'a> BlockExec<'a> {
@@ -810,15 +721,8 @@ impl<'a> BlockExec<'a> {
                 // Barrier release: synchronize clocks.
                 let cost =
                     self.spec.costs.barrier + self.spec.costs.barrier_per_warp * n_live as u64;
-                let n_blocks = self.kernel.terms.len();
-                for (wi, w) in self.warps.iter_mut().enumerate() {
+                for w in self.warps.iter_mut() {
                     if w.state == WarpState::AtBarrier {
-                        if let Some(p) = self.prof.as_deref_mut() {
-                            // The synchronization jump to the release
-                            // clock bills to the block holding the
-                            // barrier the warp is parked at.
-                            p[wi * n_blocks + w.block as usize] += (arrive + cost) - w.cycles;
-                        }
                         w.cycles = arrive + cost;
                         w.state = WarpState::Running;
                     }
@@ -849,9 +753,7 @@ impl<'a> BlockExec<'a> {
             let flat = self.kernel.block_bounds[block] as usize + ip;
             if flat < self.kernel.block_bounds[block + 1] as usize {
                 let inst = &self.kernel.code[flat];
-                let before = self.warps[wi].cycles;
                 let hit_barrier = self.exec_inst(wi, inst)?;
-                self.charge_block(wi, block, before);
                 self.warps[wi].ip += 1;
                 if hit_barrier {
                     return Ok(());
@@ -859,25 +761,11 @@ impl<'a> BlockExec<'a> {
             } else {
                 // Terminator.
                 let term = self.kernel.terms[block];
-                let before = self.warps[wi].cycles;
                 self.exec_terminator(wi, term)?;
-                self.charge_block(wi, block, before);
                 if self.warps[wi].state != WarpState::Running {
                     return Ok(());
                 }
             }
-        }
-    }
-
-    /// Charges the cycles warp `wi` just accrued to the block it was
-    /// fetched from (no-op unless attribution is armed). Every cycle a
-    /// warp's clock ever advances passes through here or the barrier
-    /// release, which is what makes the critical warp's per-block row
-    /// sum to its total exactly.
-    fn charge_block(&mut self, wi: usize, block: usize, before: u64) {
-        if let Some(p) = self.prof.as_deref_mut() {
-            let n_blocks = self.kernel.terms.len();
-            p[wi * n_blocks + block] += self.warps[wi].cycles - before;
         }
     }
 
@@ -1859,118 +1747,6 @@ mod layout_tests {
         assert!(s.order.is_empty());
         assert!(s.params.is_empty());
         assert!(s.sm_cycles.is_empty());
-    }
-}
-
-#[cfg(test)]
-mod profile_attribution {
-    //! Unit checks for per-block cycle attribution (ISSUE 10): the
-    //! exact-sum invariant, hot-block ordering, O0 ≡ O2 agreement and
-    //! result-invisibility on a kernel with divergence, a cross-warp
-    //! barrier and an asymmetric diamond. The wide differential sweep
-    //! lives in `crates/bench/tests/profile_diff.rs`.
-
-    use super::*;
-    use crate::compile::OptLevel;
-    use crate::profile::collect_profiles;
-    use crate::spec::GpuSpec;
-    use gevo_ir::{IntBinOp, KernelBuilder, Operand, Special};
-
-    /// entry → {hot | cold} → join(+barrier) → ret, with a long
-    /// multiply chain on the hot path so one block clearly dominates.
-    fn spiky_kernel() -> Kernel {
-        let mut b = KernelBuilder::new("spiky");
-        let out = b.param_ptr("out", gevo_ir::AddrSpace::Global);
-        let tid = b.special_i32(Special::ThreadId);
-        let acc = b.mov(tid.into());
-        let pred = b.icmp_lt(tid.into(), Operand::ImmI32(3));
-        let hot = b.new_block("hot");
-        let cold = b.new_block("cold");
-        let join = b.new_block("join");
-        b.cond_br(pred.into(), hot, cold);
-        b.switch_to(hot);
-        for _ in 0..16 {
-            b.ibin_to(acc, IntBinOp::Mul, acc.into(), Operand::ImmI32(3));
-        }
-        b.br(join);
-        b.switch_to(cold);
-        b.br(join);
-        b.switch_to(join);
-        b.sync_threads();
-        let addr = b.index_addr(Operand::Param(out), tid.into(), 4);
-        b.store_global_i32(addr.into(), acc.into());
-        b.ret();
-        b.finish()
-    }
-
-    fn launch_profiled(opt: OptLevel) -> (LaunchStats, LaunchProfile) {
-        let spec = GpuSpec::p100().scaled(8);
-        let k = spiky_kernel();
-        let ck = CompiledKernel::compile_with(&k, &spec, opt).expect("kernel verifies");
-        let mut gpu = Gpu::new(spec);
-        let buf = gpu.mem_mut().alloc(64 * 4).expect("arena fits");
-        let (stats, mut profiles) = collect_profiles(|| {
-            gpu.launch(&k, LaunchConfig::new(3, 16), &[buf.into()])
-                .expect("launch");
-            // The compiled path must attribute identically.
-            gpu.launch_compiled(&ck, LaunchConfig::new(3, 16), &[buf.into()])
-                .expect("launch compiled")
-        });
-        assert_eq!(profiles.len(), 2, "one profile per launch");
-        let compiled = profiles.pop().expect("two profiles");
-        assert_eq!(
-            profiles[0], compiled,
-            "interpreter entry points disagree on attribution"
-        );
-        (stats, compiled)
-    }
-
-    #[test]
-    fn block_attribution_sums_to_launch_cycles_and_finds_the_hot_block() {
-        let (stats, profile) = launch_profiled(OptLevel::O0);
-        assert_eq!(profile.kernel, "spiky");
-        assert_eq!(profile.block_cycles.len(), 4, "entry/hot/cold/join");
-        assert_eq!(
-            profile.total(),
-            stats.cycles,
-            "attributed + unattributed must equal LaunchStats::cycles exactly"
-        );
-        let (hot, cold) = (profile.block_cycles[1], profile.block_cycles[2]);
-        assert!(
-            hot > cold,
-            "the 16-multiply hot path must dominate the empty cold path ({hot} vs {cold})"
-        );
-    }
-
-    #[test]
-    fn attribution_agrees_between_o0_and_o2() {
-        let (s0, p0) = launch_profiled(OptLevel::O0);
-        let (s2, p2) = launch_profiled(OptLevel::O2);
-        assert_eq!(s0.cycles, s2.cycles, "O2 is result-invisible");
-        assert_eq!(p0, p2, "per-block attribution must agree O0 vs O2");
-    }
-
-    #[test]
-    fn profiling_is_result_invisible() {
-        // Two fresh devices (L2/DRAM state persists across launches on
-        // one device, which would mask a collector-dependent drift).
-        let k = spiky_kernel();
-        let cfg = LaunchConfig::new(3, 16);
-        let run = |profiled: bool| {
-            let mut gpu = Gpu::new(GpuSpec::p100().scaled(8));
-            let buf = gpu.mem_mut().alloc(64 * 4).expect("arena fits");
-            let stats = if profiled {
-                let (s, _) = collect_profiles(|| gpu.launch(&k, cfg, &[buf.into()]));
-                s.expect("launch")
-            } else {
-                gpu.launch(&k, cfg, &[buf.into()]).expect("launch")
-            };
-            (stats, gpu.mem().read_i32s(buf, 0, 48))
-        };
-        let (plain, plain_words) = run(false);
-        let (profiled, profiled_words) = run(true);
-        assert_eq!(plain, profiled, "stats must not depend on the collector");
-        assert_eq!(plain_words, profiled_words);
     }
 }
 

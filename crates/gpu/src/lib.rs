@@ -80,7 +80,6 @@ pub mod error;
 pub mod exec;
 pub mod launch;
 pub mod mem;
-pub mod profile;
 pub mod spec;
 pub mod value;
 
@@ -89,6 +88,5 @@ pub use error::ExecError;
 pub use exec::{ExecScratch, Gpu, MAX_WARP};
 pub use launch::{KernelArg, LaunchConfig, LaunchStats};
 pub use mem::{Buffer, DeviceMemory, NULL_GUARD};
-pub use profile::{collect_profiles, LaunchProfile};
 pub use spec::{CostModel, GpuSpec};
 pub use value::Value;

@@ -190,18 +190,6 @@ impl Kernel {
         self.blocks.iter().map(|b| &b.term).find(|t| t.id == id)
     }
 
-    /// Resolves any instruction ID — body instruction *or* terminator —
-    /// to the index of the block containing it. This is the provenance
-    /// hook hotspot-weighted site selection uses to map edit sites onto
-    /// per-block cycle profiles (DESIGN.md §3.10).
-    #[must_use]
-    pub fn block_of(&self, id: InstId) -> Option<usize> {
-        if let Some(pos) = self.locate(id) {
-            return Some(pos.block);
-        }
-        self.blocks.iter().position(|b| b.term.id == id)
-    }
-
     /// Mutable access to the terminator with the given ID.
     pub fn terminator_mut(&mut self, id: InstId) -> Option<&mut Terminator> {
         self.blocks
@@ -423,17 +411,5 @@ mod tests {
         for (pos, inst) in k.iter_insts() {
             assert_eq!(idx[&inst.id], pos);
         }
-    }
-
-    #[test]
-    fn block_of_covers_bodies_and_terminators() {
-        let k = small_kernel();
-        for (pos, inst) in k.iter_insts() {
-            assert_eq!(k.block_of(inst.id), Some(pos.block));
-        }
-        for (bi, b) in k.blocks.iter().enumerate() {
-            assert_eq!(k.block_of(b.term.id), Some(bi));
-        }
-        assert_eq!(k.block_of(InstId(9999)), None);
     }
 }

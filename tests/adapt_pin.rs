@@ -1,12 +1,11 @@
-//! Fixed-seed trajectory pins for the adaptive-scheduling control arm.
+//! Fixed-seed trajectory pins for the plain uniform search through
+//! `Search::from_spec`.
 //!
-//! `AdaptPolicy::Uniform` (the default) must be **byte-identical** to
-//! the engine as it stood before the adapt subsystem existed: the same
-//! RNG draws in the same order, the same populations, the same
-//! histories. These pins record CRC-32 fingerprints of whole
-//! `SearchResult` JSON bodies captured on the pre-adapt engine; any
-//! accidental RNG consumption or population reordering introduced by
-//! the scheduler plumbing flips a fingerprint.
+//! The uniform operator draw and uniform site choice are the engine's
+//! only sampling path. These pins record CRC-32 fingerprints of whole
+//! `SearchResult` JSON bodies captured on the engine from before the
+//! adaptive scheduler existed, and were kept when it was deleted; any
+//! extra RNG draw or population reordering flips a fingerprint.
 
 mod common;
 

@@ -186,49 +186,6 @@ fn nsga2_pareto_front_is_identical_and_provenance_ordered_across_resume() {
     );
 }
 
-/// The adaptive scheduler (ISSUE 10) is part of the checkpoint: the
-/// UCB1 bandit's per-island credit tallies, pending one-generation
-/// credits, and dedicated RNG streams all cross the resume boundary, so
-/// a resumed adaptive run must stay byte-identical to the
-/// uninterrupted one.
-#[test]
-fn ucb1_single_population_resumes_bit_identically() {
-    let w = AdeptWorkload::new(AdeptConfig::scaled(Version::V0));
-    let spec = SearchSpec {
-        ga: tiny(3, 12, 8),
-        adapt: AdaptPolicy::Ucb1,
-        ..SearchSpec::default()
-    };
-    assert_resume_is_bit_identical(&w, &spec);
-}
-
-#[test]
-fn ucb1_four_islands_resumes_bit_identically() {
-    let w = AdeptWorkload::new(AdeptConfig::scaled(Version::V0));
-    let spec = SearchSpec {
-        ga: tiny(2, 16, 8),
-        islands: 4,
-        migration_interval: 2,
-        adapt: AdaptPolicy::Ucb1,
-        ..SearchSpec::default()
-    };
-    assert_resume_is_bit_identical(&w, &spec);
-}
-
-/// The weighted (non-bandit) policy shares the scheduler plumbing but
-/// not the exploration bonus — pin it too so both adaptive arms hold
-/// the contract.
-#[test]
-fn weighted_policy_resumes_bit_identically() {
-    let w = SimcovWorkload::new(SimcovConfig::scaled());
-    let spec = SearchSpec {
-        ga: tiny(7, 8, 6),
-        adapt: AdaptPolicy::Weighted,
-        ..SearchSpec::default()
-    };
-    assert_resume_is_bit_identical(&w, &spec);
-}
-
 /// Resuming against the wrong workload is refused loudly.
 #[test]
 #[should_panic(expected = "different workload")]

@@ -165,7 +165,6 @@ proptest! {
         emigrants in 0usize..4,
         topo in 0usize..2,
         obj_mask in 1usize..16,
-        adapt_arm in 0usize..3,
     ) {
         let all = [
             Objective::Cycles,
@@ -197,7 +196,6 @@ proptest! {
             topology: if topo == 0 { Topology::Ring } else { Topology::Random },
             selection: if objectives.len() > 1 { Selection::Nsga2 } else { Selection::Tournament },
             objectives,
-            adapt: [AdaptPolicy::Uniform, AdaptPolicy::Weighted, AdaptPolicy::Ucb1][adapt_arm],
         };
         let text = spec.to_json().to_string();
         let parsed = serde_json::from_str(&text).expect("self-produced JSON parses");
@@ -215,16 +213,13 @@ proptest! {
 
     /// `SearchState` JSON round-trips exactly for checkpoints captured
     /// from live runs, and serialization is canonical (decode → encode
-    /// reproduces the same bytes). Adaptive arms exercise the scheduler
-    /// state — operator tallies, the dedicated RNG stream position and
-    /// unresolved pending credits — through the same codec.
+    /// reproduces the same bytes).
     #[test]
     fn search_state_json_round_trips(
         seed in 0u64..1_000,
         islands in 1usize..4,
         k in 1usize..4,
         multi in 0usize..2,
-        adapt_arm in 0usize..3,
     ) {
         let w = AdeptWorkload::new(AdeptConfig::scaled(Version::V0));
         let ga = GaConfig {
@@ -234,12 +229,10 @@ proptest! {
             seed,
             ..GaConfig::scaled()
         };
-        let policy = [AdaptPolicy::Uniform, AdaptPolicy::Weighted, AdaptPolicy::Ucb1][adapt_arm];
         let mut search = Search::new(&w)
             .config(ga)
             .islands(islands)
-            .migration_interval(2)
-            .adapt(policy);
+            .migration_interval(2);
         if multi == 1 {
             search = search.objectives(&[Objective::Cycles, Objective::Instructions]);
         }
@@ -248,9 +241,6 @@ proptest! {
         }
         let state = search.checkpoint();
         prop_assert_eq!(state.gen, k);
-        for isl in &state.islands {
-            prop_assert_eq!(isl.adapt.is_some(), policy != AdaptPolicy::Uniform);
-        }
         let text = state.to_json().to_string();
         let parsed = serde_json::from_str(&text).expect("self-produced JSON parses");
         let back = SearchState::from_json(&parsed).expect("self-produced JSON decodes");
