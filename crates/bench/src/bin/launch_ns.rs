@@ -11,12 +11,10 @@
 //!
 //! Usage: `launch_ns <adept_v0|simcov_cdiff|simcov_eval> [iters]`
 //!
-//! Honors `GEVO_OPT` (`0` = O0 control arm, else the O2 lowering
-//! passes); the JSON line records the level in force plus the compiled
-//! case's static pass counts, so an A/B of two invocations is
-//! self-describing.
+//! The JSON line also records the compiled case's static pass counts,
+//! so an A/B of two invocations is self-describing.
 
-use gevo_bench::{cases, opt_knob};
+use gevo_bench::cases;
 use gevo_engine::Workload;
 use gevo_gpu::CompiledKernel;
 use std::hint::black_box;
@@ -35,7 +33,6 @@ fn time_ns(iters: usize, mut f: impl FnMut()) -> f64 {
 }
 
 fn main() {
-    let opt = opt_knob();
     let mut args = std::env::args().skip(1);
     let case = args.next().unwrap_or_else(|| "adept_v0".into());
     let mut iters: usize = args.next().and_then(|v| v.parse().ok()).unwrap_or(2000);
@@ -88,7 +85,7 @@ fn main() {
     };
     let (insts, uniform, folded) = mix;
     println!(
-        "{{\"case\":\"{case}\",\"opt\":\"{opt:?}\",\"iters\":{iters},\
+        "{{\"case\":\"{case}\",\"iters\":{iters},\
          \"ns_per_iter\":{ns_per_iter:.1},\"ns_per_launch\":{:.1},\
          \"insts\":{insts},\"uniform_insts\":{uniform},\"folded_insts\":{folded}}}",
         ns_per_iter / launches_per_iter
@@ -96,7 +93,7 @@ fn main() {
 }
 
 /// Static pass counts of the compiled case: total instructions lowered,
-/// uniform-tagged and folded (both zero at O0).
+/// uniform-tagged and folded.
 fn static_mix(compiled: &[CompiledKernel]) -> (usize, usize, usize) {
     (
         compiled.iter().map(CompiledKernel::inst_count).sum(),

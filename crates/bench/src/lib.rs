@@ -19,7 +19,6 @@
 //! | `GEVO_CHECKPOINT` | checkpoint path (also `--checkpoint`); see [`checkpoint`] | off |
 //! | `GEVO_CHECKPOINT_EVERY` | generations between checkpoints | 5 |
 //! | `GEVO_STOP_AFTER` | checkpoint + exit(3) after k generations | off |
-//! | `GEVO_OPT` | lowering passes: `0` = O0 control arm, else O2 | O2 |
 //! | `GEVO_QUARANTINE` | directory for panic-provoking variants (see [`quarantine_knob`]) | off |
 //! | `GEVO_CHAOS` | fault-injection plan (see [`chaos`]) | off |
 //! | `GEVO_JOB_DEADLINE` / `GEVO_JOB_RETRIES` / `GEVO_JOB_BACKOFF_MS` | `gevo-serve` supervision (see [`supervise`]) | — |
@@ -101,8 +100,12 @@ pub fn harness_ga(pop: usize, gens: usize) -> GaConfig {
 }
 
 /// The objectives in force: `GEVO_OBJECTIVES` as a comma-separated
-/// list of `cycles`, `error`, `instructions`, `mem_traffic` (unknown
-/// names are ignored; empty/unset means the scalar default).
+/// list of `cycles`, `error`, `instructions`, `mem_traffic` (empty
+/// entries are skipped; empty/unset means the scalar default).
+///
+/// # Panics
+/// Panics on an unknown name — a typo'd objective list must not
+/// silently run a different search.
 #[must_use]
 pub fn objectives_knob() -> Vec<Objective> {
     let Ok(raw) = std::env::var("GEVO_OBJECTIVES") else {
@@ -111,11 +114,12 @@ pub fn objectives_knob() -> Vec<Objective> {
     let objs: Vec<Objective> = raw
         .split(',')
         .filter_map(|name| match name.trim() {
+            "" => None,
             "cycles" => Some(Objective::Cycles),
             "error" => Some(Objective::Error),
             "instructions" => Some(Objective::Instructions),
             "mem_traffic" => Some(Objective::MemoryTraffic),
-            _ => None,
+            bad => panic!("GEVO_OBJECTIVES: unknown objective {bad:?} in {raw:?}"),
         })
         .collect();
     if objs.is_empty() {
@@ -153,7 +157,8 @@ pub fn mut_weights_knob() -> Option<MutationWeights> {
         .collect();
     assert!(
         parts.len() == 7,
-        "GEVO_MUT_WEIGHTS: expected 7 comma-separated weights          (delete,operand_replace,cond_replace,copy,mov,swap,replace), got {} in {raw:?}",
+        "GEVO_MUT_WEIGHTS: expected 7 comma-separated weights \
+         (delete,operand_replace,cond_replace,copy,mov,swap,replace), got {} in {raw:?}",
         parts.len()
     );
     assert!(
@@ -190,26 +195,6 @@ pub fn islands_knob() -> usize {
     env_usize("GEVO_ISLANDS", 1).max(1)
 }
 
-/// Applies the `GEVO_OPT` knob to the process-wide lowering pipeline
-/// and returns the level in force: `GEVO_OPT=0` keeps the O0 control
-/// arm, anything else (including unset) enables the O2 passes
-/// (warp-uniformity scalarization + constant folding, DESIGN.md §3.8).
-///
-/// Harnesses default to **O2** while the library default stays O0: the
-/// passes are result-invisible by contract (pinned by the `opt_diff`
-/// differential suite and the `opt_bench` byte-identical gate), so the
-/// knob changes only wall-clock, never a trajectory — and every harness
-/// binary can A/B the pipeline with `GEVO_OPT=0` without code changes.
-#[must_use = "the returned level says which arm this process is running"]
-pub fn opt_knob() -> gevo_gpu::OptLevel {
-    let level = match std::env::var("GEVO_OPT") {
-        Ok(v) if v.trim() == "0" => gevo_gpu::OptLevel::O0,
-        _ => gevo_gpu::OptLevel::O2,
-    };
-    gevo_gpu::set_opt_level(level);
-    level
-}
-
 /// Applies the `GEVO_QUARANTINE` knob: when set, panic-provoking
 /// variants caught by the engine's evaluation isolation are serialized
 /// into this directory as `*.quarantine.json`
@@ -225,16 +210,13 @@ pub fn quarantine_knob() -> Option<std::path::PathBuf> {
 
 /// The ONE place every harness binary's engine configuration is built:
 /// the GA budget (`GEVO_POP`/`GEVO_GENS`/`GEVO_SEED`/`GEVO_THREADS`)
-/// plus `--islands`/`GEVO_ISLANDS`, `GEVO_MIGRATION`, `GEVO_OBJECTIVES`
-/// and `GEVO_OPT`, folded into a `gevo_engine::SearchSpec` ready for
+/// plus `--islands`/`GEVO_ISLANDS`, `GEVO_MIGRATION` and
+/// `GEVO_OBJECTIVES`, folded into a `gevo_engine::SearchSpec` ready for
 /// [`run_search`].
 #[must_use]
 pub fn harness_spec(pop: usize, gens: usize) -> SearchSpec {
-    // Engine config and device config travel together: every GA harness
-    // that builds its spec here also picks up the lowering level (and
-    // the quarantine directory), so workloads constructed *after* this
-    // call compile accordingly.
-    let _ = opt_knob();
+    // Every GA harness that builds its spec here also picks up the
+    // quarantine directory.
     let _ = quarantine_knob();
     let mut spec = SearchSpec {
         ga: harness_ga(pop, gens),
@@ -264,7 +246,7 @@ pub fn run_search(w: &dyn Workload, spec: &SearchSpec) -> SearchResult {
 /// [`run_search`] plus the evaluator's own counters (cache hit rates,
 /// lowering-pass counters, fault tallies) — observability the result
 /// deliberately omits, for the harnesses whose reports include them
-/// (`islands --json`, `opt_bench`).
+/// (`islands --json`).
 #[must_use]
 pub fn run_search_stats(w: &dyn Workload, spec: &SearchSpec) -> (SearchResult, EvalStats) {
     checkpoint::run_search_with(w, spec, &checkpoint::checkpoint_knobs(), None)
@@ -489,9 +471,30 @@ mod tests {
         assert_eq!(objectives_knob(), vec![Objective::Cycles]);
         std::env::set_var("GEVO_OBJECTIVES", "cycles, error");
         assert_eq!(objectives_knob(), vec![Objective::Cycles, Objective::Error]);
-        std::env::set_var("GEVO_OBJECTIVES", "bogus");
-        assert_eq!(objectives_knob(), vec![Objective::Cycles]);
+        std::env::set_var("GEVO_OBJECTIVES", "cycles,eror");
+        let typo = std::panic::catch_unwind(objectives_knob);
         std::env::remove_var("GEVO_OBJECTIVES");
+        let msg = typo.expect_err("unknown objective must panic");
+        let msg = msg
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        assert!(msg.contains("\"eror\""), "names the bad entry: {msg}");
+    }
+
+    #[test]
+    fn registry_workloads_evaluate_with_the_o2_passes() {
+        // `gevo-serve` builds its jobs from this registry and sets no
+        // lowering level, so the library's one pipeline must be the
+        // optimizing one.
+        for name in ["adept-v0", "adept-v1", "simcov"] {
+            let w = workload_by_name(name).expect("registry name");
+            let ev = Evaluator::new(w.as_ref());
+            assert!(ev.baseline() > 0.0, "{name}: baseline runs");
+            assert!(
+                ev.stats().uniform_insts > 0,
+                "{name}: baseline compiled without the uniformity pass"
+            );
+        }
     }
 
     #[test]

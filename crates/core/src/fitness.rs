@@ -477,11 +477,10 @@ pub struct EvalStats {
     /// fraction.
     pub lowered_insts: u64,
     /// Of those, instructions the O2 uniformity pass scalarized
-    /// (executed once per warp with a broadcast write). Zero at O0.
+    /// (executed once per warp with a broadcast write).
     pub uniform_insts: u64,
     /// Compile-time-folded facts across those images (constant-folded
-    /// instructions plus branch terminators resolved to jumps). Zero
-    /// at O0.
+    /// instructions plus branch terminators resolved to jumps).
     pub folded_insts: u64,
     /// Failing evaluations actually performed, classified by fault
     /// class — the paper's timeout-kill analog made visible
@@ -532,7 +531,7 @@ pub struct Evaluator<'w> {
     instructions: AtomicU64,
     /// Lowering-pass counters, accumulated over every compiled image
     /// this evaluator produces. Observability only — never
-    /// checkpointed, so O0 and O2 runs keep byte-identical snapshots.
+    /// checkpointed, so snapshots carry no pass facts.
     lowered_insts: AtomicU64,
     uniform_insts: AtomicU64,
     folded_insts: AtomicU64,
@@ -576,7 +575,7 @@ impl<'w> Evaluator<'w> {
     }
 
     /// Accumulates the lowering-pass counters over a newly produced
-    /// compiled image set (all zeros at O0; see [`EvalStats`]).
+    /// compiled image set (see [`EvalStats`]).
     fn count_pass_facts(&self, compiled: &[CompiledKernel]) {
         let as_u64 = |n: usize| u64::try_from(n).expect("count fits u64");
         let (mut lowered, mut uniform, mut folded) = (0u64, 0u64, 0u64);
@@ -724,13 +723,13 @@ impl<'w> Evaluator<'w> {
     }
 
     /// Instructions the O2 uniformity pass scalarized across those
-    /// images (zero at O0).
+    /// images.
     #[must_use]
     pub fn insts_scalarized(&self) -> u64 {
         self.uniform_insts.load(Ordering::Relaxed)
     }
 
-    /// Compile-time-folded facts across those images (zero at O0).
+    /// Compile-time-folded facts across those images.
     #[must_use]
     pub fn insts_folded(&self) -> u64 {
         self.folded_insts.load(Ordering::Relaxed)

@@ -10,10 +10,9 @@
 //! replayed deterministically in isolation (`chaos_check --repro`).
 //!
 //! The quarantine directory is process-global configuration, set once
-//! at startup from the `GEVO_QUARANTINE` knob (the same pattern as
-//! `gevo_gpu::set_opt_level`): evaluation happens deep inside the
-//! engine where threading a path through every call site would touch
-//! the entire GA for a debugging-only concern. Writes are best-effort
+//! at startup from the `GEVO_QUARANTINE` knob: evaluation happens deep
+//! inside the engine where threading a path through every call site
+//! would touch the entire GA for a debugging-only concern. Writes are best-effort
 //! — a full disk must not turn a survived panic into a fatal error —
 //! and failures are reported on stderr.
 

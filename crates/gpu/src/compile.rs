@@ -34,58 +34,39 @@ use crate::value::Value;
 use gevo_ir::analysis::uniformity;
 use gevo_ir::verify::{verify, VerifyError};
 use gevo_ir::{Cfg, Kernel, Op, Operand, Param, Reg};
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Optimization level of the lowering pipeline (DESIGN.md §3.8).
 ///
-/// `O0` is the direct lowering this module has always performed — kept
-/// as the differential control arm: every `O2` behaviour is pinned
-/// result-invisible (fitness, [`crate::LaunchStats`], memory, faults)
-/// against it. `O2` additionally runs the warp-uniformity analysis
-/// ([`gevo_ir::analysis::uniformity`]) and constant folding over the
-/// lowered stream, baking per-instruction facts into `OpClass` tags
-/// so the interpreter executes uniform work once per warp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// [`CompiledKernel::compile`] always lowers at `O2`: the
+/// warp-uniformity analysis ([`gevo_ir::analysis::uniformity`]) and
+/// constant folding bake per-instruction facts into `OpClass` tags so
+/// the interpreter executes uniform work once per warp. `O0` is the
+/// direct lowering with no passes, reachable only through
+/// [`CompiledKernel::compile_with`]: it is the reference the
+/// differential tests pin every `O2` behaviour against (fitness,
+/// [`crate::LaunchStats`], memory, faults).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OptLevel {
-    /// Direct lowering, no optimizing passes (the differential control
-    /// arm, and the process default).
-    #[default]
+    /// Direct lowering, no optimizing passes (the differential
+    /// reference).
     O0,
     /// Warp-uniformity scalarization + constant folding.
     O2,
 }
 
-/// Process-wide default optimization level consumed by
-/// [`CompiledKernel::compile`]. `0` ⇒ `O0`, anything else ⇒ `O2`.
+/// Kept only because the repository benchmark (`perfbench/`) calls it
+/// with `O2`; lowering is always `O2` and there is nothing to set.
 ///
-/// A global (rather than a parameter threaded through every workload's
-/// compile path) keeps the knob result-invisible by construction: no
-/// serialized artifact — checkpoints, search results, compiled-image
-/// equality — depends on it, so flipping it cannot perturb a
-/// trajectory, only the wall-clock of reaching it. Harness binaries set
-/// it from the `GEVO_OPT` environment knob before building workloads.
-static OPT_LEVEL: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the process-wide default optimization level (see [`OptLevel`]).
-/// Stays a process global while the benchmark (`perfbench/`) sets O2 through it.
+/// # Panics
+/// Panics for any level but `O2`: compile at `O0` explicitly through
+/// [`CompiledKernel::compile_with`].
+#[doc(hidden)]
 pub fn set_opt_level(level: OptLevel) {
-    OPT_LEVEL.store(
-        match level {
-            OptLevel::O0 => 0,
-            OptLevel::O2 => 1,
-        },
-        Ordering::Relaxed,
+    assert_eq!(
+        level,
+        OptLevel::O2,
+        "lowering is always O2; use CompiledKernel::compile_with for the O0 reference"
     );
-}
-
-/// The process-wide default optimization level.
-#[must_use]
-pub fn opt_level() -> OptLevel {
-    if OPT_LEVEL.load(Ordering::Relaxed) == 0 {
-        OptLevel::O0
-    } else {
-        OptLevel::O2
-    }
 }
 
 /// Sentinel block index meaning "reconverges at thread exit".
@@ -314,27 +295,25 @@ pub struct CompiledKernel {
     /// branch on a boolean immediate and was folded to [`CTerm::Br`].
     /// All-`false` at O0.
     pub(crate) term_folded: Vec<bool>,
-    /// Optimization level this image was lowered at.
-    pub(crate) opt: OptLevel,
     /// Prebuilt per-warp register-file image: `regs × lanes` typed
     /// sentinels, reg-major.
     pub(crate) reg_file: Vec<Value>,
 }
 
 impl CompiledKernel {
-    /// Verifies `kernel` and lowers it for execution on devices matching
-    /// `spec` (same warp width and cost table).
+    /// Verifies `kernel` and lowers it at `O2` for execution on devices
+    /// matching `spec` (same warp width and cost table).
     ///
     /// # Errors
     /// Returns the structural defect if the kernel fails verification —
     /// the same check [`crate::Gpu::launch`] has always applied.
     pub fn compile(kernel: &Kernel, spec: &GpuSpec) -> Result<CompiledKernel, VerifyError> {
-        Self::compile_with(kernel, spec, opt_level())
+        Self::compile_with(kernel, spec, OptLevel::O2)
     }
 
-    /// [`Self::compile`] at an explicit [`OptLevel`], bypassing the
-    /// process-wide default — the differential test layer compiles the
-    /// same kernel at `O0` and `O2` side by side through this.
+    /// [`Self::compile`] at an explicit [`OptLevel`] — the differential
+    /// tests compile the same kernel at `O0` and `O2` side by side
+    /// through this.
     ///
     /// # Errors
     /// Returns the structural defect if the kernel fails verification.
@@ -449,7 +428,6 @@ impl CompiledKernel {
             reconv,
             uniform_cond,
             term_folded,
-            opt,
             reg_file,
         })
     }
@@ -488,12 +466,6 @@ impl CompiledKernel {
     #[must_use]
     pub fn block_count(&self) -> usize {
         self.terms.len()
-    }
-
-    /// Optimization level this image was lowered at.
-    #[must_use]
-    pub fn opt(&self) -> OptLevel {
-        self.opt
     }
 
     /// Number of instructions the uniformity pass scalarized (tagged
@@ -679,7 +651,9 @@ mod tests {
 
         // An immediate-boolean condition — what the GA's `CondReplace`
         // edits inject (e.g. the v0 init-skip replaces a branch cond
-        // with `ImmBool(false)`) — IS statically warp-uniform.
+        // with `ImmBool(false)`) — IS statically warp-uniform. Checked
+        // at O0: O2 folds such a branch to a plain jump instead (see
+        // `o2_folds_immediate_cond_branches_to_plain_jumps`).
         let mut b = KernelBuilder::new("ub");
         let out = b.param_ptr("out", AddrSpace::Global);
         let t = b.new_block("t");
@@ -693,7 +667,7 @@ mod tests {
         b.store_global_i32(addr.into(), tid.into());
         b.ret();
         let uk = b.finish();
-        let uck = CompiledKernel::compile(&uk, &spec).expect("verifies");
+        let uck = CompiledKernel::compile_with(&uk, &spec, OptLevel::O0).expect("verifies");
         assert!(uck.uniform_cond[0], "immediate cond is uniform");
         assert!(!uck.uniform_cond[1], "Br block is not flagged");
     }
@@ -886,14 +860,28 @@ mod tests {
     }
 
     #[test]
-    fn opt_level_defaults_off() {
-        // The global default protects every pre-existing trajectory: a
-        // process that never touches the knob compiles at O0. (The
-        // set/get round trip is exercised in a dedicated integration
-        // test process — flipping the global here would race the other
-        // unit tests in this binary, which compile through the default.)
-        assert_eq!(OptLevel::default(), OptLevel::O0);
-        assert_eq!(opt_level(), OptLevel::O0);
+    fn compile_lowers_at_o2() {
+        let spec = GpuSpec::p100().scaled(8);
+        let mut b = KernelBuilder::new("default");
+        let out = b.param_ptr("out", AddrSpace::Global);
+        let n = b.param_i32("n");
+        let c = b.add(Operand::ImmI32(20), Operand::ImmI32(22));
+        let bid = b.special_i32(Special::BlockId);
+        let base = b.mul(bid.into(), Operand::Param(n));
+        let tid = b.special_i32(Special::ThreadId);
+        let off = b.add(base.into(), tid.into());
+        let sum = b.add(c.into(), off.into());
+        let addr = b.index_addr(Operand::Param(out), off.into(), 4);
+        b.store_global_i32(addr.into(), sum.into());
+        b.ret();
+        let k = b.finish();
+
+        let dflt = CompiledKernel::compile(&k, &spec).expect("verifies");
+        let o2 = CompiledKernel::compile_with(&k, &spec, OptLevel::O2).expect("verifies");
+        assert!(dflt.uniform_inst_count() > 0, "uniform work tagged");
+        assert!(dflt.folded_inst_count() > 0, "immediate-only op folded");
+        assert_eq!(dflt.uniform_inst_count(), o2.uniform_inst_count());
+        assert_eq!(dflt.folded_inst_count(), o2.folded_inst_count());
     }
 
     #[test]
