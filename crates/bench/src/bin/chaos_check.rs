@@ -30,23 +30,10 @@
 //! `--repro` replays a quarantined variant in isolation and reports
 //! its outcome. Exits non-zero on any violated invariant.
 
+use gevo_bench::arg_value;
 use gevo_engine::{Evaluator, QuarantineRecord};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
-
-fn arg_value(flag: &str) -> Option<String> {
-    let prefix = format!("{flag}=");
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-        if let Some(v) = a.strip_prefix(&prefix) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
 
 /// Locates a sibling binary in the same target directory as this one.
 fn sibling(name: &str) -> PathBuf {

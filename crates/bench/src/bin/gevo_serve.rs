@@ -63,7 +63,7 @@
 
 use gevo_bench::checkpoint::{load_state_with_rollback, write_atomic, write_checkpoint};
 use gevo_bench::supervise::{job_deadline, RetryPolicy};
-use gevo_bench::{chaos, env_usize, quarantine_knob, workload_by_name};
+use gevo_bench::{arg_value, chaos, env_usize, quarantine_knob, workload_by_name};
 use gevo_engine::{
     GaConfig, GenerationRecord, MigrationEvent, Search, SearchObserver, SearchSpec, SearchState,
     StepStatus,
@@ -608,20 +608,6 @@ fn recover(mgr: &Arc<Manager>, sink: &Sink) {
             }
         }
     }
-}
-
-fn arg_value(flag: &str) -> Option<String> {
-    let prefix = format!("{flag}=");
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-        if let Some(v) = a.strip_prefix(&prefix) {
-            return Some(v.to_string());
-        }
-    }
-    None
 }
 
 fn main() {

@@ -17,21 +17,7 @@
 //! Budget via `GEVO_POP` / `GEVO_GENS` / `GEVO_SEED` /
 //! `GEVO_MIGRATION`; checkpoint cadence via `GEVO_CHECKPOINT_EVERY`.
 
-use gevo_bench::{chaos, harness_spec, run_search, workload_by_name};
-
-fn arg_value(flag: &str) -> Option<String> {
-    let prefix = format!("{flag}=");
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-        if let Some(v) = a.strip_prefix(&prefix) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
+use gevo_bench::{arg_value, chaos, harness_spec, run_search, workload_by_name};
 
 fn main() {
     let name = arg_value("--workload")

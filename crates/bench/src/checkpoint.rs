@@ -1,13 +1,13 @@
 //! Checkpoint/resume plumbing for every GA-driven harness binary.
 //!
-//! The knobs live here and nowhere else (the same single-point rule as
-//! [`crate::harness_spec`]): any binary that runs its search through
-//! [`crate::run_search`] understands
+//! The knobs are read in one place, [`crate::run_search_stats`] (the
+//! same single-point rule as [`crate::harness_spec`]): any binary that
+//! runs its search through [`crate::run_search`] understands
 //!
 //! | knob | meaning |
 //! |---|---|
 //! | `--checkpoint <path>` / `GEVO_CHECKPOINT` | write checkpoints here |
-//! | `--resume <path>` | resume from this checkpoint file |
+//! | `--resume <path>` | resume from this checkpoint file, trusting the spec it holds over the requested one |
 //! | `GEVO_CHECKPOINT_EVERY` | generations between checkpoints (default 5) |
 //! | `GEVO_STOP_AFTER` | run k generations, checkpoint, exit with code 3 |
 //!
@@ -18,7 +18,10 @@
 //! When no explicit `--resume` is given but the checkpoint file already
 //! exists, the run resumes from it — which is exactly the kill/restart
 //! recovery story: re-running the same command line continues where the
-//! killed process left off.
+//! killed process left off. That auto-resume demands the file hold the
+//! requested [`SearchSpec`]: a checkpoint left by a different search
+//! (another budget, say) stops the run with a message naming the file,
+//! instead of silently finishing the stale search.
 //!
 //! Checkpoint files are written atomically (temp file + rename in the
 //! same directory), so a kill mid-write leaves the previous checkpoint
@@ -40,62 +43,13 @@
 //! a truncation that happens to end on the JSON boundary pass
 //! silently.
 
-use gevo_engine::{
-    EvalStats, Search, SearchObserver, SearchResult, SearchSpec, SearchState, StepStatus, Workload,
-};
+use gevo_engine::{SearchSpec, SearchState};
 use std::path::{Path, PathBuf};
 
 /// Exit code for a run interrupted by `GEVO_STOP_AFTER` — distinct from
 /// success (0) and failure (1) so harness tests can assert the
 /// interruption actually happened.
 pub const STOPPED_EXIT_CODE: i32 = 3;
-
-/// The checkpoint/resume configuration in force (CLI + env).
-#[derive(Debug, Clone, Default)]
-pub struct CheckpointKnobs {
-    /// Where to write checkpoints (`--checkpoint` / `GEVO_CHECKPOINT`).
-    pub path: Option<PathBuf>,
-    /// Explicit checkpoint to resume from (`--resume`).
-    pub resume: Option<PathBuf>,
-    /// Generations between checkpoints (`GEVO_CHECKPOINT_EVERY`).
-    pub every: usize,
-    /// Stop (checkpoint + exit [`STOPPED_EXIT_CODE`]) after this many
-    /// generations (`GEVO_STOP_AFTER`).
-    pub stop_after: Option<usize>,
-}
-
-fn arg_value(flag: &str) -> Option<String> {
-    let prefix = format!("{flag}=");
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-        if let Some(v) = a.strip_prefix(&prefix) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
-/// Reads the checkpoint knobs from the command line and environment.
-#[must_use]
-pub fn checkpoint_knobs() -> CheckpointKnobs {
-    let path = arg_value("--checkpoint")
-        .or_else(|| std::env::var("GEVO_CHECKPOINT").ok())
-        .map(PathBuf::from);
-    let resume = arg_value("--resume").map(PathBuf::from);
-    let every = crate::env_usize("GEVO_CHECKPOINT_EVERY", 5).max(1);
-    let stop_after = std::env::var("GEVO_STOP_AFTER")
-        .ok()
-        .and_then(|v| v.parse().ok());
-    CheckpointKnobs {
-        path,
-        resume,
-        every,
-        stop_after,
-    }
-}
 
 /// Lowercases a workload name into a filesystem-safe slug
 /// (`adept-v0[P100-scaled]` → `adept-v0-p100-scaled`).
@@ -286,99 +240,6 @@ pub fn load_state_with_rollback(path: &Path) -> Result<(SearchState, Option<Stri
         )),
         Err(fallback_err) => Err(format!("{primary_err}; rollback failed: {fallback_err}")),
     }
-}
-
-/// Drives a configured [`Search`] session to completion, writing a
-/// checkpoint to `ckpt` every `every` generations. When `stop_after` is
-/// hit, the state is checkpointed and the process exits with
-/// [`STOPPED_EXIT_CODE`] — the deterministic stand-in for a kill that
-/// the recovery tests use.
-///
-/// Returns the result plus the evaluator's own counters, which are
-/// deliberately absent from the result: cache hit rates and
-/// lowering-pass counters only describe how this process computed the
-/// trajectory, not the trajectory itself.
-///
-/// # Panics
-/// Panics if a due checkpoint cannot be written.
-#[must_use]
-pub fn drive_search(
-    mut search: Search<'_>,
-    ckpt: Option<&Path>,
-    every: usize,
-    stop_after: Option<usize>,
-) -> (SearchResult, EvalStats) {
-    let every = every.max(1);
-    while let StepStatus::Advanced { gen } = search.step() {
-        let completed = gen + 1;
-        let due = ckpt.is_some() && completed % every == 0;
-        let stopping = stop_after == Some(completed);
-        if due || (stopping && ckpt.is_some()) {
-            let state = search.checkpoint();
-            let path = ckpt.expect("checked above");
-            write_checkpoint(path, &state);
-        }
-        if stopping {
-            std::process::exit(STOPPED_EXIT_CODE);
-        }
-        // Chaos worker panics fire here, at the step boundary *after*
-        // any due checkpoint — outside the evaluation isolation, so a
-        // rerun resumes from the checkpoint and replays the identical
-        // trajectory (the recovery invariant chaos_check asserts).
-        crate::chaos::maybe_worker_panic(search.eval_stats().evals);
-    }
-    let stats = search.eval_stats();
-    (search.into_result(), stats)
-}
-
-/// The checkpoint-aware search runner behind [`crate::run_search`]:
-/// resolves this search's checkpoint file, resumes from `--resume` (or
-/// from the checkpoint file itself when it already exists), attaches
-/// the observer, and drives the session with [`drive_search`].
-///
-/// # Panics
-/// Panics if an explicitly requested resume file is unreadable or
-/// undecodable (continuing from scratch would silently discard paid-for
-/// generations), or if a checkpoint write fails.
-#[must_use]
-pub fn run_search_with(
-    w: &dyn Workload,
-    spec: &SearchSpec,
-    knobs: &CheckpointKnobs,
-    observer: Option<&mut dyn SearchObserver>,
-) -> (SearchResult, EvalStats) {
-    let ckpt = knobs
-        .path
-        .as_ref()
-        .map(|base| resolve_checkpoint_path(base, w.name(), spec));
-    let resume_from = knobs
-        .resume
-        .clone()
-        .or_else(|| ckpt.clone().filter(|p| p.exists()));
-    let state = resume_from.map(|p| match load_state_with_rollback(&p) {
-        Ok((state, note)) => {
-            if let Some(note) = note {
-                eprintln!("gevo: {note}");
-            }
-            state
-        }
-        Err(e) => panic!("{e}"),
-    });
-    let mut search = if let Some(state) = &state {
-        Search::resume(w, state)
-    } else {
-        let mut fresh = Search::from_spec(w, spec.clone());
-        // GEVO_MUT_WEIGHTS applies to fresh sessions only: resumed
-        // states already carry the weights their run started with.
-        if let Some(weights) = crate::mut_weights_knob() {
-            fresh = fresh.weights(weights);
-        }
-        fresh
-    };
-    if let Some(obs) = observer {
-        search = search.observer(obs);
-    }
-    drive_search(search, ckpt.as_deref(), knobs.every, knobs.stop_after)
 }
 
 #[cfg(test)]

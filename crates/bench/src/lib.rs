@@ -46,12 +46,30 @@ pub mod kernel_gen;
 pub mod supervise;
 
 use gevo_engine::{
-    EvalStats, Evaluator, GaConfig, MutationWeights, Objective, Patch, SearchResult, SearchSpec,
-    Workload,
+    EvalStats, Evaluator, GaConfig, MutationWeights, Objective, Patch, Search, SearchResult,
+    SearchSpec, StepStatus, Workload,
 };
 use gevo_gpu::GpuSpec;
 use gevo_workloads::adept::{AdeptConfig, AdeptWorkload, Version};
 use gevo_workloads::simcov::{SimcovConfig, SimcovWorkload};
+use std::path::{Path, PathBuf};
+
+/// The value of a command-line flag, given as `--flag value` or
+/// `--flag=value` (first occurrence wins), or `None` when absent.
+#[must_use]
+pub fn arg_value(flag: &str) -> Option<String> {
+    let prefix = format!("{flag}=");
+    let mut args = std::env::args();
+    while let Some(a) = args.next() {
+        if a == flag {
+            return args.next();
+        }
+        if let Some(v) = a.strip_prefix(&prefix) {
+            return Some(v.to_string());
+        }
+    }
+    None
+}
 
 /// Reads an environment override.
 #[must_use]
@@ -134,7 +152,7 @@ pub fn objectives_knob() -> Vec<Objective> {
 /// (`delete,operand_replace,cond_replace,copy,mov,swap,replace`), or
 /// `None` when unset (the built-in defaults apply).
 ///
-/// Applied by [`checkpoint::run_search_with`] to **fresh** sessions
+/// Applied by [`run_search_stats`] to **fresh** sessions
 /// only: a resumed checkpoint already carries the weights its run
 /// started with, and silently re-weighting mid-run would fork the
 /// trajectory from the uninterrupted one.
@@ -177,22 +195,14 @@ pub fn mut_weights_knob() -> Option<MutationWeights> {
 }
 
 /// The island count in force: `--islands N` (or `--islands=N`) on the
-/// command line wins, then `GEVO_ISLANDS`, then 1.
+/// command line wins, then `GEVO_ISLANDS`, then 1. An unparseable
+/// `--islands` value falls through to `GEVO_ISLANDS`.
 #[must_use]
 pub fn islands_knob() -> usize {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--islands" {
-            if let Some(n) = args.next().and_then(|v| v.parse::<usize>().ok()) {
-                return n.max(1);
-            }
-        } else if let Some(v) = a.strip_prefix("--islands=") {
-            if let Ok(n) = v.parse::<usize>() {
-                return n.max(1);
-            }
-        }
-    }
-    env_usize("GEVO_ISLANDS", 1).max(1)
+    arg_value("--islands")
+        .and_then(|v| v.parse::<usize>().ok())
+        .unwrap_or_else(|| env_usize("GEVO_ISLANDS", 1))
+        .max(1)
 }
 
 /// Applies the `GEVO_QUARANTINE` knob: when set, panic-provoking
@@ -247,9 +257,78 @@ pub fn run_search(w: &dyn Workload, spec: &SearchSpec) -> SearchResult {
 /// lowering-pass counters, fault tallies) — observability the result
 /// deliberately omits, for the harnesses whose reports include them
 /// (`islands --json`).
+///
+/// This is the one checkpoint-aware runner (knob table in
+/// [`checkpoint`]). It resolves this search's checkpoint file and
+/// resumes from `--resume`, or from the checkpoint file itself when it
+/// already exists; otherwise it starts a fresh session with
+/// `GEVO_MUT_WEIGHTS` applied. It writes a checkpoint every
+/// `GEVO_CHECKPOINT_EVERY` generations. At `GEVO_STOP_AFTER` it
+/// checkpoints and exits with [`checkpoint::STOPPED_EXIT_CODE`], the
+/// deterministic stand-in for a kill that the recovery tests use.
+///
+/// # Panics
+/// Panics if a resume file is unreadable or undecodable (continuing
+/// from scratch would silently discard paid-for generations), if an
+/// auto-resumed checkpoint holds a spec other than `spec` (finishing
+/// it would silently run a different search), or if a checkpoint write
+/// fails.
 #[must_use]
 pub fn run_search_stats(w: &dyn Workload, spec: &SearchSpec) -> (SearchResult, EvalStats) {
-    checkpoint::run_search_with(w, spec, &checkpoint::checkpoint_knobs(), None)
+    let ckpt = arg_value("--checkpoint")
+        .or_else(|| std::env::var("GEVO_CHECKPOINT").ok())
+        .map(|base| checkpoint::resolve_checkpoint_path(Path::new(&base), w.name(), spec));
+    let every = env_usize("GEVO_CHECKPOINT_EVERY", 5).max(1);
+    let stop_after = std::env::var("GEVO_STOP_AFTER")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok());
+    let explicit = arg_value("--resume").map(PathBuf::from);
+    let auto_resume = explicit.is_none();
+    let resume_from = explicit.or_else(|| ckpt.clone().filter(|p| p.exists()));
+
+    let mut search = if let Some(path) = resume_from {
+        let (state, note) =
+            checkpoint::load_state_with_rollback(&path).unwrap_or_else(|e| panic!("{e}"));
+        if let Some(note) = note {
+            eprintln!("gevo: {note}");
+        }
+        assert!(
+            !auto_resume || state.spec == *spec,
+            "checkpoint {} holds a different search than the one requested; \
+             delete it to start afresh, or pass --resume {} to finish the search it holds",
+            path.display(),
+            path.display()
+        );
+        Search::resume(w, &state)
+    } else {
+        let fresh = Search::from_spec(w, spec.clone());
+        // GEVO_MUT_WEIGHTS applies to fresh sessions only: resumed
+        // states already carry the weights their run started with.
+        match mut_weights_knob() {
+            Some(weights) => fresh.weights(weights),
+            None => fresh,
+        }
+    };
+
+    while let StepStatus::Advanced { gen } = search.step() {
+        let completed = gen + 1;
+        let stopping = stop_after == Some(completed);
+        if let Some(path) = &ckpt {
+            if stopping || completed % every == 0 {
+                checkpoint::write_checkpoint(path, &search.checkpoint());
+            }
+        }
+        if stopping {
+            std::process::exit(checkpoint::STOPPED_EXIT_CODE);
+        }
+        // Chaos worker panics fire here, at the step boundary *after*
+        // any due checkpoint — outside the evaluation isolation, so a
+        // rerun resumes from the checkpoint and replays the identical
+        // trajectory (the recovery invariant chaos_check asserts).
+        chaos::maybe_worker_panic(search.eval_stats().evals);
+    }
+    let stats = search.eval_stats();
+    (search.into_result(), stats)
 }
 
 /// Builds one of the Table-1 workloads in its default scaled

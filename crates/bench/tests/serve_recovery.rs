@@ -108,6 +108,46 @@ fn search_job_stop_resume_is_byte_identical() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A checkpoint left by a different search must not be silently
+/// finished in place of the requested one: re-running at the same path
+/// with a larger generation budget stops with an error naming the file
+/// instead of printing the stale search's result.
+#[test]
+fn search_job_refuses_a_stale_checkpoint() {
+    let dir = scratch("stale-spec");
+    let ckpt = dir.join("run.json");
+    let run = |gens: usize| {
+        let mut cmd = search_job();
+        budget(&mut cmd, 8, gens, 1, 1);
+        cmd.args(["--workload", "adept-v0"])
+            .env("GEVO_CHECKPOINT", &ckpt)
+            .env("GEVO_CHECKPOINT_EVERY", "1")
+            .output()
+            .expect("run search_job")
+    };
+
+    let first = run(3);
+    assert!(first.status.success(), "the 3-generation run must succeed");
+    assert!(ckpt.exists(), "the first run must leave a checkpoint");
+
+    let second = run(5);
+    let stderr = String::from_utf8_lossy(&second.stderr);
+    assert!(
+        !second.status.success(),
+        "a stale checkpoint must not be resumed silently; stdout: {}",
+        String::from_utf8_lossy(&second.stdout)
+    );
+    assert!(
+        second.stdout.is_empty(),
+        "no result line may be printed for the stale search"
+    );
+    assert!(
+        stderr.contains(&ckpt.display().to_string()),
+        "the error must name the checkpoint; stderr: {stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Reads server events until `generation` events for `want` distinct
 /// generations have been seen, guaranteeing at least `want - 1`
 /// checkpoints are on disk (the checkpoint for generation g is written

@@ -45,8 +45,9 @@
 //! assert!(base > 0.0);
 //! let again = ev.evaluate(&Patch::empty());
 //! assert_eq!(again.fitness, Some(base));
-//! assert_eq!(ev.evals_performed(), 1, "second lookup is a cache hit");
-//! assert_eq!(ev.cache_hits(), 1);
+//! let stats = ev.stats();
+//! assert_eq!(stats.evals, 1, "second lookup is a cache hit");
+//! assert_eq!(stats.cache_hits, 1);
 //! ```
 
 use crate::edit::Patch;
@@ -685,100 +686,37 @@ impl<'w> Evaluator<'w> {
         self.fitness(patch).map(|f| base / f)
     }
 
-    /// Evaluations actually performed (cache misses).
+    /// Evaluations actually performed (cache misses); the same count as
+    /// [`EvalStats::evals`].
     #[must_use]
     pub fn evals_performed(&self) -> usize {
         self.evals.load(Ordering::Relaxed)
     }
 
-    /// Cache hits served.
-    #[must_use]
-    pub fn cache_hits(&self) -> usize {
-        self.cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Total simulated warp-instructions across evaluations actually
-    /// performed ([`gevo_gpu::LaunchStats::instructions`], summed over
-    /// every passing evaluation's launches). Dividing by wall time gives
-    /// the interpreter's throughput — the harnesses report it alongside
-    /// evals/sec, which conflates simulation speed with kernel size and
-    /// cache behaviour.
-    #[must_use]
-    pub fn instructions_simulated(&self) -> u64 {
-        self.instructions.load(Ordering::Relaxed)
-    }
-
-    /// Successful kernel compilations performed (one per performed
-    /// evaluation on workloads with a compiled path).
-    #[must_use]
-    pub fn compiles_performed(&self) -> usize {
-        self.compiles.load(Ordering::Relaxed)
-    }
-
-    /// Instructions statically lowered across every compiled image this
-    /// evaluator produced (see [`EvalStats::lowered_insts`]).
-    #[must_use]
-    pub fn insts_lowered(&self) -> u64 {
-        self.lowered_insts.load(Ordering::Relaxed)
-    }
-
-    /// Instructions the O2 uniformity pass scalarized across those
-    /// images.
-    #[must_use]
-    pub fn insts_scalarized(&self) -> u64 {
-        self.uniform_insts.load(Ordering::Relaxed)
-    }
-
-    /// Compile-time-folded facts across those images.
-    #[must_use]
-    pub fn insts_folded(&self) -> u64 {
-        self.folded_insts.load(Ordering::Relaxed)
-    }
-
-    /// Per-class counts of failing evaluations actually performed.
-    #[must_use]
-    pub fn fault_tallies(&self) -> FaultTallies {
-        let load = |class: FaultClass| self.faults[class.index()].load(Ordering::Relaxed);
-        FaultTallies {
-            step_limit: load(FaultClass::StepLimit),
-            verify: load(FaultClass::Verify),
-            exec: load(FaultClass::Exec),
-            mismatch: load(FaultClass::Mismatch),
-            panic: load(FaultClass::Panic),
-            other: load(FaultClass::Other),
-        }
-    }
-
-    /// All throughput counters in one consistent-enough view (each
-    /// counter is read atomically; the set is not a single snapshot).
+    /// The evaluator's counters: the one way to read them. Each counter
+    /// is loaded atomically; the set is not a single snapshot.
     #[must_use]
     pub fn stats(&self) -> EvalStats {
+        let fault = |class: FaultClass| self.faults[class.index()].load(Ordering::Relaxed);
         EvalStats {
-            evals: self.evals_performed(),
-            cache_hits: self.cache_hits(),
-            compiles: self.compiles_performed(),
+            evals: self.evals.load(Ordering::Relaxed),
+            cache_hits: self.cache_hits.load(Ordering::Relaxed),
+            compiles: self.compiles.load(Ordering::Relaxed),
             compiled_hits: 0,
             delta_patched: 0,
             delta_fallbacks: 0,
-            instructions: self.instructions_simulated(),
-            lowered_insts: self.insts_lowered(),
-            uniform_insts: self.insts_scalarized(),
-            folded_insts: self.insts_folded(),
-            faults: self.fault_tallies(),
-        }
-    }
-
-    /// Cache hit rate over all lookups so far (0 when nothing looked up).
-    #[must_use]
-    pub fn cache_hit_rate(&self) -> f64 {
-        let hits = self.cache_hits();
-        let total = hits + self.evals_performed();
-        if total == 0 {
-            return 0.0;
-        }
-        #[allow(clippy::cast_precision_loss)]
-        {
-            hits as f64 / total as f64
+            instructions: self.instructions.load(Ordering::Relaxed),
+            lowered_insts: self.lowered_insts.load(Ordering::Relaxed),
+            uniform_insts: self.uniform_insts.load(Ordering::Relaxed),
+            folded_insts: self.folded_insts.load(Ordering::Relaxed),
+            faults: FaultTallies {
+                step_limit: fault(FaultClass::StepLimit),
+                verify: fault(FaultClass::Verify),
+                exec: fault(FaultClass::Exec),
+                mismatch: fault(FaultClass::Mismatch),
+                panic: fault(FaultClass::Panic),
+                other: fault(FaultClass::Other),
+            },
         }
     }
 
@@ -1119,10 +1057,10 @@ mod tests {
         let ev = Evaluator::new(&w);
         let _ = ev.evaluate(&Patch::empty());
         let _ = ev.evaluate(&Patch::empty()); // cache hit: simulates nothing
-        assert_eq!(ev.instructions_simulated(), 7);
+        assert_eq!(ev.stats().instructions, 7);
         ev.set_eval_seed(3);
         let _ = ev.evaluate(&Patch::empty()); // re-simulated under new seed
-        assert_eq!(ev.instructions_simulated(), 14);
+        assert_eq!(ev.stats().instructions, 14);
     }
 
     #[test]
@@ -1133,10 +1071,10 @@ mod tests {
         let _ = ev.evaluate(&p);
         let _ = ev.evaluate(&p);
         let _ = ev.evaluate(&p);
-        assert_eq!(ev.evals_performed(), 1);
-        assert_eq!(ev.cache_hits(), 2);
+        let stats = ev.stats();
+        assert_eq!(stats.evals, 1);
+        assert_eq!(stats.cache_hits, 2);
         assert_eq!(ev.cache_len(), 1);
-        assert!((ev.cache_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1172,7 +1110,7 @@ mod tests {
             }]),
         ];
         let first: Vec<EvalOutcome> = patches.iter().map(|p| ev.evaluate(p)).collect();
-        assert_eq!(ev.compiles_performed(), 2);
+        assert_eq!(ev.stats().compiles, 2);
         assert_eq!(w.compiles.load(Ordering::Relaxed), 2);
 
         // Same patches under a new seed: the outcome cache was cleared
@@ -1180,8 +1118,9 @@ mod tests {
         // compiled and run again.
         ev.set_eval_seed(5);
         let second: Vec<EvalOutcome> = patches.iter().map(|p| ev.evaluate(p)).collect();
-        assert_eq!(ev.evals_performed(), 4, "re-evaluated under new seed");
-        assert_eq!(ev.compiles_performed(), 4);
+        let stats = ev.stats();
+        assert_eq!(stats.evals, 4, "re-evaluated under new seed");
+        assert_eq!(stats.compiles, 4);
         assert_eq!(w.compiles.load(Ordering::Relaxed), 4);
         for (a, b) in first.iter().zip(&second) {
             assert_ne!(a.fitness, b.fitness, "fitness tracks the new seed");
@@ -1200,8 +1139,9 @@ mod tests {
         for _ in 0..3 {
             let _ = ev.evaluate(&patch);
         }
-        assert_eq!(ev.cache_hits(), 2, "outcome cache served the repeats");
-        assert_eq!(ev.compiles_performed(), 1);
+        let stats = ev.stats();
+        assert_eq!(stats.cache_hits, 2, "outcome cache served the repeats");
+        assert_eq!(stats.compiles, 1);
         assert_eq!(w.compiles.load(Ordering::Relaxed), 1);
     }
 
@@ -1275,7 +1215,7 @@ mod tests {
         let out = ev.evaluate(&Patch::empty());
         assert!(!out.is_valid());
         assert!(out.failure.unwrap().starts_with("verify:"));
-        assert_eq!(ev.compiles_performed(), 0, "only successes count");
+        assert_eq!(ev.stats().compiles, 0, "only successes count");
     }
 
     #[test]
@@ -1297,9 +1237,10 @@ mod tests {
         // had done all the work: same counters, all lookups hit.
         let fresh = Evaluator::new(&w);
         fresh.import_snapshot(&snap2);
-        assert_eq!(fresh.evals_performed(), ev.evals_performed());
-        assert_eq!(fresh.cache_hits(), ev.cache_hits());
-        assert_eq!(fresh.instructions_simulated(), ev.instructions_simulated());
+        let (got, want) = (fresh.stats(), ev.stats());
+        assert_eq!(got.evals, want.evals);
+        assert_eq!(got.cache_hits, want.cache_hits);
+        assert_eq!(got.instructions, want.instructions);
         for (p, expect) in patches.iter().zip(&originals) {
             assert_eq!(&fresh.evaluate(p), expect);
         }

@@ -6,11 +6,10 @@
 //! individuals excluded from selection. The harnesses run scaled-down
 //! budgets (DESIGN.md §4.4); every knob is on [`GaConfig`].
 //!
-//! Since the unified [`crate::Search`] API landed, this module holds the
-//! GA *vocabulary* — [`GaConfig`], [`Individual`], [`History`],
-//! [`GaResult`] — while the loop itself runs behind [`crate::Search`]:
-//! `Search::new(&w).config(cfg)` is bit-for-bit the original
-//! single-population loop.
+//! This module holds the GA *vocabulary* — [`GaConfig`],
+//! [`Individual`], [`GenerationRecord`], [`History`] — while the loop
+//! itself runs behind [`crate::Search`] and reports a
+//! [`crate::SearchResult`].
 //!
 //! ```
 //! use gevo_engine::{Search, GaConfig, Workload, EvalOutcome};
@@ -110,13 +109,6 @@ impl GaConfig {
             max_patch_len: 512,
         }
     }
-
-    /// Same config with a different seed (for Fig. 6's ten repeated runs).
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> GaConfig {
-        self.seed = seed;
-        self
-    }
 }
 
 /// One individual: genome plus cached fitness.
@@ -182,28 +174,15 @@ impl History {
     }
 }
 
-/// The result of one GA run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GaResult {
-    /// The best individual over the whole run.
-    pub best: Individual,
-    /// Speedup of `best` over the pristine program.
-    pub speedup: f64,
-    /// Full trajectory.
-    pub history: History,
-    /// Fitness evaluations actually performed (cache misses).
-    pub evals: usize,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fitness::{EvalOutcome, Workload};
-    use crate::search::Search;
+    use crate::search::{Search, SearchResult};
 
-    /// The single-population search, in the legacy result shape.
-    fn ga(w: &dyn Workload, cfg: &GaConfig) -> GaResult {
-        Search::new(w).config(cfg.clone()).run().into_ga_result()
+    /// The single-population search.
+    fn ga(w: &dyn Workload, cfg: &GaConfig) -> SearchResult {
+        Search::new(w).config(cfg.clone()).run()
     }
     use gevo_gpu::LaunchStats;
     use gevo_ir::{AddrSpace, Kernel, KernelBuilder, Operand, Special};

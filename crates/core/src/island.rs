@@ -8,16 +8,17 @@
 //! cache ([`crate::fitness`]) lets all of them evaluate concurrently
 //! without contending on one lock.
 //!
-//! Since the unified [`crate::Search`] API landed, this module holds the
-//! island *vocabulary* — [`IslandConfig`], [`Topology`],
-//! [`MigrationEvent`], [`IslandResult`] — while the loop itself lives
-//! behind [`crate::Search`]; `Search::new(&w).config(ga).islands(4)`
-//! runs the original island loop bit for bit.
+//! This module holds the island *vocabulary* — [`Topology`] and
+//! [`MigrationEvent`] — while the loop itself lives behind
+//! [`crate::Search`], configured by the island fields of
+//! [`crate::SearchSpec`].
 //!
 //! Budget semantics: [`crate::GaConfig::population`] is the **total**
 //! across islands — `Search::new(&w).islands(4)` over a population of 32
-//! runs four islands of eight. Comparing N=1 to N=4 at the same
-//! [`crate::GaConfig`] therefore compares equal evaluation budgets.
+//! runs four islands of eight (see
+//! [`crate::SearchSpec::island_populations`]). Comparing N=1 to N=4 at
+//! the same [`crate::GaConfig`] therefore compares equal evaluation
+//! budgets.
 //!
 //! ```
 //! use gevo_engine::{Search, GaConfig, Workload, EvalOutcome};
@@ -51,7 +52,6 @@
 //! ```
 
 use crate::edit::Patch;
-use crate::ga::{GaConfig, GaResult, History, Individual};
 use serde::{Deserialize, Serialize};
 
 /// Where each island's emigrants go.
@@ -63,62 +63,6 @@ pub enum Topology {
     /// (never the source), drawn from a dedicated migration RNG so the
     /// islands' own streams stay untouched.
     Random,
-}
-
-/// Island-model hyper-parameters on top of a [`GaConfig`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct IslandConfig {
-    /// The per-run GA knobs. `population` is the **total** number of
-    /// individuals across all islands, split as evenly as possible
-    /// (see [`IslandConfig::island_populations`]).
-    pub ga: GaConfig,
-    /// Number of subpopulations (1 = the classic single-population GA).
-    pub islands: usize,
-    /// Generations between migrations (0 = never migrate).
-    pub migration_interval: usize,
-    /// Elite individuals each island emits per migration.
-    pub emigrants: usize,
-    /// Destination pattern for emigrants.
-    pub topology: Topology,
-}
-
-impl IslandConfig {
-    /// An island configuration with the default migration policy:
-    /// ring topology, two elite emigrants every five generations.
-    #[must_use]
-    pub fn new(ga: GaConfig, islands: usize) -> IslandConfig {
-        IslandConfig {
-            ga,
-            islands: islands.max(1),
-            migration_interval: 5,
-            emigrants: 2,
-            topology: Topology::Ring,
-        }
-    }
-
-    /// The single-population special case.
-    #[must_use]
-    pub fn single(ga: GaConfig) -> IslandConfig {
-        IslandConfig::new(ga, 1)
-    }
-
-    /// Same configuration with a different master seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> IslandConfig {
-        self.ga.seed = seed;
-        self
-    }
-
-    /// Per-island population sizes: the total [`GaConfig::population`]
-    /// budget split as evenly as possible (the first
-    /// `population % islands` islands take one extra individual), so
-    /// 1-island and N-island runs compare at **exactly** equal budgets.
-    /// The island count is clamped to the population so no island
-    /// starts empty.
-    #[must_use]
-    pub fn island_populations(&self) -> Vec<usize> {
-        crate::search::split_budget(self.ga.population, self.islands)
-    }
 }
 
 /// One individual crossing between islands, recorded only when the
@@ -139,51 +83,12 @@ pub struct MigrationEvent {
     pub patch: Patch,
 }
 
-/// Everything recorded by an island run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct IslandResult {
-    /// The best individual across all islands over the whole run.
-    pub best: Individual,
-    /// Speedup of `best` over the pristine program.
-    pub speedup: f64,
-    /// The global trajectory: per generation, the best individual across
-    /// all islands (with the owning island recorded), plus every
-    /// migration event.
-    pub history: History,
-    /// Per-island trajectories, one per island actually run (the
-    /// configured count is clamped to the population — see
-    /// [`IslandConfig::island_populations`]). Each island's history
-    /// carries its own discovery sequence and the migration events it
-    /// took part in.
-    pub islands: Vec<History>,
-    /// Fitness evaluations actually performed (cache misses).
-    pub evals: usize,
-    /// Evaluations served from the sharded cache.
-    pub cache_hits: usize,
-    /// Simulated warp-instructions across the performed evaluations
-    /// (interpreter-throughput numerator; see
-    /// [`crate::Evaluator::instructions_simulated`]).
-    pub instructions: u64,
-}
-
-impl IslandResult {
-    /// Collapses to the single-population result shape (the global view).
-    #[must_use]
-    pub fn into_ga_result(self) -> GaResult {
-        GaResult {
-            best: self.best,
-            speedup: self.speedup,
-            history: self.history,
-            evals: self.evals,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fitness::{EvalOutcome, Workload};
-    use crate::search::Search;
+    use crate::ga::GaConfig;
+    use crate::search::{Search, SearchResult, SearchSpec};
     use gevo_gpu::LaunchStats;
     use gevo_ir::{AddrSpace, Kernel, KernelBuilder, Operand, Special};
     use std::collections::HashMap;
@@ -251,22 +156,27 @@ mod tests {
         }
     }
 
-    fn islands(toy: &Toy, cfg: &IslandConfig) -> IslandResult {
-        Search::from_spec(toy, cfg.clone().into())
-            .run()
-            .into_island_result()
+    /// `n` islands over `ga`'s total budget, default migration policy
+    /// (ring, two elite emigrants every five generations).
+    fn spec(ga: GaConfig, n: usize) -> SearchSpec {
+        SearchSpec {
+            ga,
+            islands: n,
+            ..SearchSpec::default()
+        }
+    }
+
+    fn islands(toy: &Toy, spec: &SearchSpec) -> SearchResult {
+        Search::from_spec(toy, spec.clone()).run()
     }
 
     #[test]
     fn single_island_matches_single_population_search_exactly() {
         let toy = Toy::new();
         let cfg = quick_ga(7);
-        let ga = Search::new(&toy).config(cfg.clone()).run().into_ga_result();
-        let isl = islands(&toy, &IslandConfig::single(cfg));
-        assert_eq!(ga.best.patch, isl.best.patch);
-        assert_eq!(ga.speedup, isl.speedup);
-        assert_eq!(ga.history, isl.history);
-        assert_eq!(ga.evals, isl.evals);
+        let ga = Search::new(&toy).config(cfg.clone()).run();
+        let isl = islands(&toy, &spec(cfg, 1));
+        assert_eq!(ga, isl);
         assert_eq!(isl.islands.len(), 1);
         assert!(
             isl.history.migrations.is_empty(),
@@ -277,7 +187,7 @@ mod tests {
     #[test]
     fn islands_are_deterministic_per_seed() {
         let toy = Toy::new();
-        let cfg = IslandConfig::new(quick_ga(11), 4);
+        let cfg = spec(quick_ga(11), 4);
         let a = islands(&toy, &cfg);
         let b = islands(&toy, &cfg);
         assert_eq!(a.best.patch, b.best.patch);
@@ -289,7 +199,7 @@ mod tests {
     #[test]
     fn migration_follows_the_ring() {
         let toy = Toy::new();
-        let mut cfg = IslandConfig::new(quick_ga(3), 3);
+        let mut cfg = spec(quick_ga(3), 3);
         cfg.migration_interval = 2;
         cfg.emigrants = 1;
         let res = islands(&toy, &cfg);
@@ -308,7 +218,7 @@ mod tests {
     #[test]
     fn random_topology_stays_deterministic_and_never_self_migrates() {
         let toy = Toy::new();
-        let mut cfg = IslandConfig::new(quick_ga(13), 4);
+        let mut cfg = spec(quick_ga(13), 4);
         cfg.topology = Topology::Random;
         cfg.migration_interval = 3;
         let a = islands(&toy, &cfg);
@@ -324,7 +234,7 @@ mod tests {
     #[test]
     fn global_best_is_monotone_across_islands() {
         let toy = Toy::new();
-        let res = islands(&toy, &IslandConfig::new(quick_ga(5), 4));
+        let res = islands(&toy, &spec(quick_ga(5), 4));
         let mut last = f64::INFINITY;
         for r in &res.history.records {
             assert!(
@@ -348,7 +258,7 @@ mod tests {
     #[test]
     fn per_island_histories_cover_every_generation() {
         let toy = Toy::new();
-        let cfg = IslandConfig::new(quick_ga(9), 3);
+        let cfg = spec(quick_ga(9), 3);
         let res = islands(&toy, &cfg);
         assert_eq!(res.islands.len(), 3);
         for (id, h) in res.islands.iter().enumerate() {
@@ -371,8 +281,8 @@ mod tests {
         // Same total budget, split four ways: still reaches the toy's
         // optimum (all six dead adds deleted).
         let toy = Toy::new();
-        let single = islands(&toy, &IslandConfig::single(quick_ga(1)));
-        let multi = islands(&toy, &IslandConfig::new(quick_ga(1), 4));
+        let single = islands(&toy, &spec(quick_ga(1), 1));
+        let multi = islands(&toy, &spec(quick_ga(1), 4));
         assert!(
             multi.best.fitness.unwrap() <= single.best.fitness.unwrap() + 1e-9,
             "islands match the single population on the toy: {} vs {}",
@@ -383,7 +293,7 @@ mod tests {
 
     #[test]
     fn island_budget_splits_exactly() {
-        let uneven = IslandConfig::new(
+        let uneven = spec(
             GaConfig {
                 population: 30,
                 ..quick_ga(0)
@@ -392,7 +302,7 @@ mod tests {
         );
         assert_eq!(uneven.island_populations(), vec![8, 8, 7, 7]);
         // More islands than individuals: clamp, never inflate the budget.
-        let clamped = IslandConfig::new(
+        let clamped = spec(
             GaConfig {
                 population: 3,
                 ..quick_ga(0)
@@ -410,7 +320,7 @@ mod tests {
         let toy = Toy::new();
         let mut ga = quick_ga(6);
         ga.population = 8;
-        let mut cfg = IslandConfig::new(ga, 4);
+        let mut cfg = spec(ga, 4);
         cfg.migration_interval = 1;
         cfg.emigrants = 2;
         let res = islands(&toy, &cfg);
@@ -443,7 +353,7 @@ mod tests {
         let mut ga = quick_ga(4);
         ga.elitism = 0;
         ga.generations = 6;
-        let res = islands(&toy, &IslandConfig::new(ga, 3));
+        let res = islands(&toy, &spec(ga, 3));
         // With no elites anywhere the global best can regress between
         // generations; the run must still complete and report a valid
         // best (the baseline individual is always re-seeded on demand).

@@ -97,8 +97,8 @@ pub use fitness::{
     EvalOutcome, EvalStats, Evaluator, EvaluatorSnapshot, FaultClass, FaultTallies, Workload,
     CACHE_SHARDS,
 };
-pub use ga::{GaConfig, GaResult, GenerationRecord, History, Individual};
-pub use island::{IslandConfig, IslandResult, MigrationEvent, Topology};
+pub use ga::{GaConfig, GenerationRecord, History, Individual};
+pub use island::{MigrationEvent, Topology};
 pub use mutation::{crossover_one_point, crossover_uniform, MutationSpace, MutationWeights};
 pub use quarantine::QuarantineRecord;
 pub use search::{

@@ -1,11 +1,7 @@
-//! The unified `Search` engine API: one composable session object in
-//! front of the whole evolutionary machinery.
-//!
-//! Historically the engine surface was four parallel free functions
-//! (single-population and islands, each with and without explicit
-//! mutation weights) hard-wired to one scalar fitness; every new knob
-//! had to fan out across all of them. [`Search`] replaces that with a
-//! builder over a single [`SearchSpec`]:
+//! The `Search` engine API: one composable session object in front of
+//! the whole evolutionary machinery. A [`SearchSpec`] goes in (built
+//! directly or through the builder methods), a [`SearchResult`] comes
+//! out, and [`crate::EvalStats`] reports how the evaluator got there:
 //!
 //! ```
 //! use gevo_engine::{Search, GaConfig, Workload, EvalOutcome};
@@ -39,9 +35,10 @@
 //! ```
 //!
 //! With a single objective ([`Objective::Cycles`], the default) and
-//! [`Selection::Tournament`], `Search` runs the exact loop the four old
-//! entrypoints ran — bit-for-bit, including the island/migration RNG
-//! streams, so historical seeds reproduce their published trajectories.
+//! [`Selection::Tournament`], `Search` runs the paper's scalar GA; one
+//! island is the single panmictic population, more add the migration
+//! RNG stream. Fixed seeds reproduce their pinned trajectories bit for
+//! bit.
 //! Passing two or more [`Objective`]s switches [`Selection::Nsga2`] on:
 //! per-island ranking becomes NSGA-II non-dominated sorting with
 //! crowding-distance tie-breaking (GEVO's actual selection scheme —
@@ -72,7 +69,7 @@
 use crate::edit::Patch;
 use crate::fitness::{EvalOutcome, Evaluator, Workload};
 use crate::ga::{GaConfig, GenerationRecord, History, Individual};
-use crate::island::{IslandConfig, MigrationEvent, Topology};
+use crate::island::{MigrationEvent, Topology};
 use crate::mutation::{crossover_one_point, MutationSpace, MutationWeights};
 use crate::state::{IslandSnapshot, SearchState};
 use gevo_ir::StreamState;
@@ -187,26 +184,20 @@ impl Default for SearchSpec {
     }
 }
 
-impl From<IslandConfig> for SearchSpec {
-    fn from(cfg: IslandConfig) -> SearchSpec {
-        SearchSpec {
-            ga: cfg.ga,
-            islands: cfg.islands,
-            migration_interval: cfg.migration_interval,
-            emigrants: cfg.emigrants,
-            topology: cfg.topology,
-            ..SearchSpec::default()
-        }
-    }
-}
-
 impl SearchSpec {
     /// Per-island population sizes: the total [`GaConfig::population`]
-    /// budget split as evenly as possible, clamped so no island starts
-    /// empty (identical to [`IslandConfig::island_populations`]).
+    /// budget split as evenly as possible (the first
+    /// `population % islands` islands take one extra individual), so
+    /// 1-island and N-island runs compare at **exactly** equal budgets.
+    /// The island count is clamped to the population so no island
+    /// starts empty.
     #[must_use]
     pub fn island_populations(&self) -> Vec<usize> {
-        split_budget(self.ga.population, self.islands)
+        let total = self.ga.population.max(1);
+        let n = self.islands.clamp(1, total);
+        let base = total / n;
+        let extra = total % n;
+        (0..n).map(|i| base + usize::from(i < extra)).collect()
     }
 
     /// Same spec with a different master seed (repeated-run sweeps).
@@ -215,17 +206,6 @@ impl SearchSpec {
         self.ga.seed = seed;
         self
     }
-}
-
-/// Splits a total budget across `islands` as evenly as possible (the
-/// first `total % n` islands take one extra), clamping the island count
-/// to the population so no island starts empty.
-pub(crate) fn split_budget(total: usize, islands: usize) -> Vec<usize> {
-    let total = total.max(1);
-    let n = islands.clamp(1, total);
-    let base = total / n;
-    let extra = total % n;
-    (0..n).map(|i| base + usize::from(i < extra)).collect()
 }
 
 /// Streaming callbacks fired while a search runs, so consumers see
@@ -288,33 +268,6 @@ pub struct SearchResult {
     pub pareto: Vec<ParetoPoint>,
 }
 
-impl SearchResult {
-    /// Collapses to the legacy single-population result shape.
-    #[must_use]
-    pub fn into_ga_result(self) -> crate::ga::GaResult {
-        crate::ga::GaResult {
-            best: self.best,
-            speedup: self.speedup,
-            history: self.history,
-            evals: self.evals,
-        }
-    }
-
-    /// Collapses to the legacy island result shape.
-    #[must_use]
-    pub fn into_island_result(self) -> crate::island::IslandResult {
-        crate::island::IslandResult {
-            best: self.best,
-            speedup: self.speedup,
-            history: self.history,
-            islands: self.islands,
-            evals: self.evals,
-            cache_hits: self.cache_hits,
-            instructions: self.instructions,
-        }
-    }
-}
-
 /// What one [`Search::step`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepStatus {
@@ -335,7 +288,7 @@ pub enum StepStatus {
 /// methods, then [`Search::run`] — or drive it one generation at a time
 /// with [`Search::step`], capturing [`Search::checkpoint`]s along the
 /// way. See the [module docs](self) for the full example and the
-/// legacy-equivalence and checkpoint/resume guarantees.
+/// fixed-seed and checkpoint/resume guarantees.
 pub struct Search<'a> {
     workload: &'a dyn Workload,
     spec: SearchSpec,
@@ -436,30 +389,6 @@ impl<'a> Search<'a> {
         self
     }
 
-    /// Sets how many elites each island emits per migration wave.
-    #[must_use]
-    pub fn emigrants(mut self, n: usize) -> Search<'a> {
-        self.assert_unstarted();
-        self.spec.emigrants = n;
-        self
-    }
-
-    /// Sets the migration topology.
-    #[must_use]
-    pub fn topology(mut self, t: Topology) -> Search<'a> {
-        self.assert_unstarted();
-        self.spec.topology = t;
-        self
-    }
-
-    /// Sets the master seed (overrides the one in the [`GaConfig`]).
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Search<'a> {
-        self.assert_unstarted();
-        self.spec.ga.seed = seed;
-        self
-    }
-
     /// Sets the mutation-operator weights.
     #[must_use]
     pub fn weights(mut self, weights: MutationWeights) -> Search<'a> {
@@ -471,8 +400,9 @@ impl<'a> Search<'a> {
     /// Sets the minimized objectives, and the selection scheme to
     /// match: two or more objectives select [`Selection::Nsga2`], one
     /// (or an empty slice, which resets to the scalar default
-    /// [`Objective::Cycles`]) selects [`Selection::Tournament`]. Call
-    /// [`Search::selection`] *after* this to override the inference.
+    /// [`Objective::Cycles`]) selects [`Selection::Tournament`]. A
+    /// spec that pairs objectives with a different scheme goes through
+    /// [`Search::from_spec`].
     #[must_use]
     pub fn objectives(mut self, objectives: &[Objective]) -> Search<'a> {
         self.assert_unstarted();
@@ -486,15 +416,6 @@ impl<'a> Search<'a> {
         } else {
             Selection::Tournament
         };
-        self
-    }
-
-    /// Overrides the selection scheme (normally inferred by
-    /// [`Search::objectives`]).
-    #[must_use]
-    pub fn selection(mut self, selection: Selection) -> Search<'a> {
-        self.assert_unstarted();
-        self.spec.selection = selection;
         self
     }
 
@@ -512,13 +433,6 @@ impl<'a> Search<'a> {
     #[must_use]
     pub fn spec(&self) -> &SearchSpec {
         &self.spec
-    }
-
-    /// The next generation index to execute (0 before the first step).
-    /// Materializes the engine, like [`Search::step`].
-    pub fn generation(&mut self) -> usize {
-        self.ensure_engine();
-        self.engine.as_ref().expect("just ensured").gen
     }
 
     /// The evaluator's throughput counters so far — evals, cache hits,
@@ -1402,14 +1316,15 @@ impl<'a> Engine<'a> {
         let mut pareto = self.archive.points;
         pareto.sort_by_key(|p| (p.gen, p.island, p.slot));
         let speedup = self.baseline / self.best.fitness.expect("best individual is always valid");
+        let stats = self.evaluator.stats();
         SearchResult {
             best: self.best,
             speedup,
             history: self.history,
             islands: self.islands.into_iter().map(|isl| isl.history).collect(),
-            evals: self.evaluator.evals_performed(),
-            cache_hits: self.evaluator.cache_hits(),
-            instructions: self.evaluator.instructions_simulated(),
+            evals: stats.evals,
+            cache_hits: stats.cache_hits,
+            instructions: stats.instructions,
             objectives: spec.objectives.clone(),
             pareto,
         }
@@ -1810,16 +1725,5 @@ mod tests {
         let fail = EvalOutcome::fail("nope");
         assert_eq!(Objective::Cycles.score(&fail), None);
         assert_eq!(Objective::Error.score(&fail), None);
-    }
-
-    #[test]
-    fn spec_roundtrips_island_config() {
-        let cfg = IslandConfig::new(quick_ga(0), 4);
-        let spec: SearchSpec = cfg.clone().into();
-        assert_eq!(spec.ga, cfg.ga);
-        assert_eq!(spec.islands, 4);
-        assert_eq!(spec.island_populations(), cfg.island_populations());
-        assert_eq!(spec.objectives, vec![Objective::Cycles]);
-        assert_eq!(spec.selection, Selection::Tournament);
     }
 }

@@ -63,14 +63,18 @@ fn search_pins_island_trajectory_on_adept_v0() {
     assert_eq!(fingerprint(&res), (0xB768_98CB, 67));
 }
 
-/// The spec-conversion path the harnesses use (`IslandConfig` →
-/// `SearchSpec`).
+/// The `SearchSpec` literal path the harnesses use
+/// (`Search::from_spec`).
 #[test]
 fn from_spec_pins_island_trajectory_on_simcov() {
     let w = SimcovWorkload::new(SimcovConfig::scaled());
-    let mut cfg = IslandConfig::new(tiny(5, 9, 4), 3);
-    cfg.migration_interval = 2;
-    let res = Search::from_spec(&w, cfg.into()).run();
+    let spec = SearchSpec {
+        ga: tiny(5, 9, 4),
+        islands: 3,
+        migration_interval: 2,
+        ..SearchSpec::default()
+    };
+    let res = Search::from_spec(&w, spec).run();
     assert_eq!(fingerprint(&res), (0x0AE2_DB67, 20));
 }
 
