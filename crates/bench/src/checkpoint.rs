@@ -21,7 +21,9 @@
 //! killed process left off. That auto-resume demands the file hold the
 //! requested [`SearchSpec`]: a checkpoint left by a different search
 //! (another budget, say) stops the run with a message naming the file,
-//! instead of silently finishing the stale search.
+//! instead of silently finishing the stale search. The worker count
+//! (`ga.threads`) is exempt — it never changes a trajectory — so the
+//! resumed run uses the requested one.
 //!
 //! Checkpoint files are written atomically (temp file + rename in the
 //! same directory), so a kill mid-write leaves the previous checkpoint

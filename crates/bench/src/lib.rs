@@ -271,8 +271,8 @@ pub fn run_search(w: &dyn Workload, spec: &SearchSpec) -> SearchResult {
 /// Panics if a resume file is unreadable or undecodable (continuing
 /// from scratch would silently discard paid-for generations), if an
 /// auto-resumed checkpoint holds a spec other than `spec` (finishing
-/// it would silently run a different search), or if a checkpoint write
-/// fails.
+/// it would silently run a different search; `ga.threads` is exempt
+/// and taken from `spec`), or if a checkpoint write fails.
 #[must_use]
 pub fn run_search_stats(w: &dyn Workload, spec: &SearchSpec) -> (SearchResult, EvalStats) {
     let ckpt = arg_value("--checkpoint")
@@ -287,10 +287,16 @@ pub fn run_search_stats(w: &dyn Workload, spec: &SearchSpec) -> (SearchResult, E
     let resume_from = explicit.or_else(|| ckpt.clone().filter(|p| p.exists()));
 
     let mut search = if let Some(path) = resume_from {
-        let (state, note) =
+        let (mut state, note) =
             checkpoint::load_state_with_rollback(&path).unwrap_or_else(|e| panic!("{e}"));
         if let Some(note) = note {
             eprintln!("gevo: {note}");
+        }
+        if auto_resume {
+            // The worker count never changes a trajectory: a re-run with
+            // another GEVO_THREADS (or on a host with fewer cores) finishes
+            // the same search with the workers it asked for.
+            state.spec.ga.threads = spec.ga.threads;
         }
         assert!(
             !auto_resume || state.spec == *spec,

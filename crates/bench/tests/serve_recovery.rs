@@ -108,6 +108,51 @@ fn search_job_stop_resume_is_byte_identical() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The worker count is not part of what a checkpoint pins: a search
+/// stopped under one `GEVO_THREADS` auto-resumes under another (a
+/// different host, say) and prints the straight run's result.
+#[test]
+fn search_job_resumes_under_a_different_thread_count() {
+    let dir = scratch("threads");
+    let ckpt = dir.join("run.json");
+    let (pop, gens, seed) = (8, 4, 2);
+    let straight = straight_line("adept-v0", pop, gens, seed, 1);
+
+    let run = |threads: &str, stop_after: Option<&str>| {
+        let mut cmd = search_job();
+        budget(&mut cmd, pop, gens, seed, 1);
+        cmd.args(["--workload", "adept-v0"])
+            .env("GEVO_THREADS", threads)
+            .env("GEVO_CHECKPOINT", &ckpt)
+            .env("GEVO_CHECKPOINT_EVERY", "1");
+        if let Some(k) = stop_after {
+            cmd.env("GEVO_STOP_AFTER", k);
+        }
+        cmd.output().expect("run search_job")
+    };
+
+    let first = run("1", Some("2"));
+    assert_eq!(
+        first.status.code(),
+        Some(STOPPED),
+        "stopped at generation 2"
+    );
+    let second = run("2", None);
+    assert!(
+        second.status.success(),
+        "a different thread count must not refuse the resume; stderr: {}",
+        String::from_utf8_lossy(&second.stderr)
+    );
+    assert_eq!(
+        String::from_utf8(second.stdout)
+            .expect("utf8 result")
+            .trim(),
+        straight,
+        "threads 1 then 2 must reproduce the straight run byte-for-byte"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A checkpoint left by a different search must not be silently
 /// finished in place of the requested one: re-running at the same path
 /// with a larger generation budget stops with an error naming the file

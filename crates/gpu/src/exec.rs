@@ -57,6 +57,8 @@ pub struct Gpu {
     mem: DeviceMemory,
     l2: L2State,
     scratch: ExecScratch,
+    /// Largest warp-step count of any block this device has completed.
+    peak_block_steps: u64,
 }
 
 impl Gpu {
@@ -83,6 +85,7 @@ impl Gpu {
             mem,
             l2,
             scratch,
+            peak_block_steps: 0,
         }
     }
 
@@ -107,6 +110,16 @@ impl Gpu {
     #[must_use]
     pub fn spec(&self) -> &GpuSpec {
         &self.spec
+    }
+
+    /// The largest number of warp-steps any single block has executed
+    /// across this device's launches — the quantity
+    /// [`GpuSpec::step_limit`] bounds. Blocks that fault (including a
+    /// step-limit kill) are not counted. Kept out of [`LaunchStats`],
+    /// which is checkpointed.
+    #[must_use]
+    pub fn peak_block_steps(&self) -> u64 {
+        self.peak_block_steps
     }
 
     /// Device memory (for host-side setup).
@@ -233,7 +246,7 @@ impl Gpu {
                     block_idx,
                 );
             }
-            let block_cycles = {
+            let (block_cycles, block_steps) = {
                 // Device-wide L2 cache and DRAM row state persist across
                 // blocks AND launches (real devices do not flush L2
                 // between kernels); the scratch persists too, but is
@@ -256,8 +269,9 @@ impl Gpu {
                     issue: 0,
                     lanes,
                 };
-                exec.run()?
+                (exec.run()?, exec.steps)
             };
+            self.peak_block_steps = self.peak_block_steps.max(block_steps);
             let sm = (block_idx % self.spec.sm_count) as usize;
             scratch.sm_cycles[sm] += block_cycles;
         }

@@ -145,8 +145,12 @@ pub struct GpuSpec {
     pub independent_thread_scheduling: bool,
     /// Instruction cost table.
     pub costs: CostModel,
-    /// Upper bound on executed warp-instructions per block, the timeout
-    /// that catches mutation-induced infinite loops.
+    /// Upper bound on executed warp-steps per block, the timeout that
+    /// catches mutation-induced infinite loops. The workloads' fitness
+    /// runs use a tighter per-block budget measured from the pristine
+    /// program (DESIGN.md §3.1); this is that budget's absolute
+    /// ceiling, and the limit every other run (held-out validation,
+    /// direct launches) keeps.
     pub step_limit: u64,
     /// Maximum simultaneously resident blocks per SM used by the occupancy
     /// model when serializing block waves.

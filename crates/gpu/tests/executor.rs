@@ -286,6 +286,75 @@ fn infinite_loop_hits_step_limit() {
     assert_eq!(err, ExecError::StepLimit);
 }
 
+/// A loop of `(blockIdx + 1) * 16` trips, so each block executes more
+/// warp-steps than the one before it.
+fn block_scaled_loop() -> Kernel {
+    let mut b = KernelBuilder::new("ramp");
+    let _out = b.param_ptr("out", AddrSpace::Global);
+    let bid = b.special_i32(Special::BlockId);
+    let bid1 = b.add(bid.into(), Operand::ImmI32(1));
+    let trips = b.mul(bid1.into(), Operand::ImmI32(16));
+    let i = b.mov(Operand::ImmI32(0));
+    let hdr = b.new_block("hdr");
+    let body = b.new_block("body");
+    let exit = b.new_block("exit");
+    b.br(hdr);
+    b.switch_to(hdr);
+    let more = b.icmp_lt(i.into(), trips.into());
+    b.cond_br(more.into(), body, exit);
+    b.switch_to(body);
+    b.ibin_to(i, IntBinOp::Add, i.into(), Operand::ImmI32(1));
+    b.br(hdr);
+    b.switch_to(exit);
+    b.ret();
+    b.finish()
+}
+
+/// `peak_block_steps` reports the largest block's step count across
+/// every launch on the device, and that count is exactly what
+/// `step_limit` bounds.
+#[test]
+fn peak_block_steps_tracks_the_largest_block() {
+    let k = block_scaled_loop();
+    let peak_of = |spec: GpuSpec, grid: u32| -> Result<u64, ExecError> {
+        let mut gpu = Gpu::new(spec);
+        let buf = gpu.mem_mut().alloc(64).unwrap();
+        gpu.launch(&k, LaunchConfig::new(grid, 32), &[buf.into()])?;
+        Ok(gpu.peak_block_steps())
+    };
+    assert_eq!(Gpu::new(p100()).peak_block_steps(), 0);
+    // With one block per launch the last block is the largest, so the
+    // peak grows by the same per-block increment with every extra block.
+    let peaks: Vec<u64> = (1..=4).map(|g| peak_of(p100(), g).unwrap()).collect();
+    let step = peaks[1] - peaks[0];
+    assert!(step > 0, "{peaks:?}");
+    for w in peaks.windows(2) {
+        assert_eq!(
+            w[1] - w[0],
+            step,
+            "one extra block, one more ramp: {peaks:?}"
+        );
+    }
+
+    // The peak is a maximum across launches, not the last launch's.
+    let mut gpu = Gpu::new(p100());
+    let buf = gpu.mem_mut().alloc(64).unwrap();
+    gpu.launch(&k, LaunchConfig::new(4, 32), &[buf.into()])
+        .unwrap();
+    gpu.launch(&k, LaunchConfig::new(1, 32), &[buf.into()])
+        .unwrap();
+    assert_eq!(gpu.peak_block_steps(), peaks[3]);
+
+    // `step_limit` bounds exactly that count: the largest block fits a
+    // limit equal to its steps and is killed one step short.
+    let mut spec = p100();
+    spec.step_limit = peaks[3];
+    assert_eq!(peak_of(spec.clone(), 4), Ok(peaks[3]));
+    spec.step_limit = peaks[3] - 1;
+    assert_eq!(peak_of(spec.clone(), 4), Err(ExecError::StepLimit));
+    assert_eq!(peak_of(spec, 3), Ok(peaks[2]), "smaller grids still fit");
+}
+
 /// Atomics across warps and blocks serialize correctly.
 #[test]
 fn atomic_add_counts_threads() {

@@ -13,7 +13,7 @@
 pub mod v0;
 pub mod v1;
 
-use crate::pipeline::ScratchPool;
+use crate::pipeline::{step_budget, ScratchPool};
 use crate::seqgen::{SeqGen, SeqPair};
 use crate::sw_cpu::{self, Alignment};
 use gevo_engine::{Edit, EvalOutcome, Patch, Workload};
@@ -159,6 +159,9 @@ pub struct AdeptWorkload {
     v0_sites: Option<V0Sites>,
     v1_sites: Vec<V1Sites>,
     name: String,
+    /// Per-block step limit of fitness evaluations, measured from the
+    /// pristine check run ([`step_budget`]).
+    step_budget: u64,
     /// Execution scratches recycled across fitness evaluations (each
     /// evaluation runs on a fresh device but reuses warm allocations).
     scratch: ScratchPool,
@@ -166,7 +169,8 @@ pub struct AdeptWorkload {
 
 impl AdeptWorkload {
     /// Builds the workload: generates the batch, computes oracle
-    /// expectations and constructs the version's kernels.
+    /// expectations and constructs the version's kernels. The pristine
+    /// kernels' check run also measures the fitness step budget.
     ///
     /// # Panics
     /// Panics if the pristine kernels fail their own test batch — that is
@@ -191,7 +195,8 @@ impl AdeptWorkload {
             Version::V0 => format!("adept-v0[{}]", cfg.spec.name),
             Version::V1 => format!("adept-v1[{}]", cfg.spec.name),
         };
-        let w = AdeptWorkload {
+        let ceiling = cfg.spec.step_limit;
+        let mut w = AdeptWorkload {
             cfg,
             kernels,
             data,
@@ -199,14 +204,19 @@ impl AdeptWorkload {
             v0_sites,
             v1_sites,
             name,
+            step_budget: ceiling,
             scratch: ScratchPool::new(),
         };
-        let check = w.evaluate(&w.kernels, 0);
+        let compiled = w
+            .compile_variant(&w.kernels)
+            .expect("pristine ADEPT kernels compile");
+        let (check, peak) = w.fitness_run(&compiled, 0, ceiling);
         assert!(
             check.is_valid(),
             "pristine ADEPT kernels fail their own batch: {:?}",
             check.failure
         );
+        w.step_budget = step_budget(peak, ceiling);
         w
     }
 
@@ -241,22 +251,29 @@ impl AdeptWorkload {
         crate::pipeline::compile_variant(kernels, &self.cfg.spec)
     }
 
-    /// Runs one batch on a fresh device (with a pooled execution
-    /// scratch); shared by fitness evaluation and held-out validation.
-    fn run_batch(
+    /// Runs the fitness batch on a fresh device whose per-block step
+    /// limit is `step_limit`, returning the outcome and the device's
+    /// [`Gpu::peak_block_steps`].
+    fn fitness_run(
         &self,
-        kernels: &[CompiledKernel],
-        data: &TestData,
+        compiled: &[CompiledKernel],
         seed: u64,
-    ) -> Result<(f64, LaunchStats), String> {
-        let mut gpu = self.scratch.device(self.cfg.spec.clone());
-        let result = self.run_batch_on(&mut gpu, kernels, data, seed);
+        step_limit: u64,
+    ) -> (EvalOutcome, u64) {
+        let mut spec = self.cfg.spec.clone();
+        spec.step_limit = step_limit;
+        let mut gpu = self.scratch.device(spec);
+        let outcome = match self.run_batch(&mut gpu, compiled, &self.data, seed) {
+            Ok((cycles, stats)) => EvalOutcome::pass(cycles, stats),
+            Err(reason) => EvalOutcome::fail(reason),
+        };
         self.scratch.recycle(&mut gpu);
-        result
+        (outcome, gpu.peak_block_steps())
     }
 
-    /// [`AdeptWorkload::run_batch`] on an already-constructed device.
-    fn run_batch_on(
+    /// Runs one batch on `gpu` (a fresh device with a pooled execution
+    /// scratch); shared by fitness evaluation and held-out validation.
+    fn run_batch(
         &self,
         gpu: &mut Gpu,
         kernels: &[CompiledKernel],
@@ -355,7 +372,9 @@ impl AdeptWorkload {
         Ok((stats.cycles as f64, stats))
     }
 
-    /// Held-out validation (§III-C): a bigger, differently seeded batch.
+    /// Held-out validation (§III-C): a bigger, differently seeded batch,
+    /// run at the spec's absolute step limit (the fitness budget was
+    /// measured on a different batch).
     ///
     /// # Errors
     /// Returns the first mismatch or execution failure.
@@ -371,7 +390,10 @@ impl AdeptWorkload {
             return Err("held-out batch exceeds the kernels' block size".into());
         }
         let compiled = self.compile_variant(kernels)?;
-        self.run_batch(&compiled, &data, 1).map(|_| ())
+        let mut gpu = self.scratch.device(self.cfg.spec.clone());
+        let result = self.run_batch(&mut gpu, &compiled, &data, 1);
+        self.scratch.recycle(&mut gpu);
+        result.map(|_| ())
     }
 
     // ---- curated edits (DESIGN.md §4.5) --------------------------------
@@ -584,17 +606,14 @@ impl Workload for AdeptWorkload {
     }
 
     fn evaluate_compiled(&self, compiled: &[CompiledKernel], eval_seed: u64) -> EvalOutcome {
-        match self.run_batch(compiled, &self.data, eval_seed) {
-            Ok((cycles, stats)) => EvalOutcome::pass(cycles, stats),
-            Err(reason) => EvalOutcome::fail(reason),
-        }
+        self.fitness_run(compiled, eval_seed, self.step_budget).0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gevo_engine::Evaluator;
+    use gevo_engine::{Evaluator, FaultClass};
 
     fn v0() -> AdeptWorkload {
         AdeptWorkload::new(AdeptConfig::scaled(Version::V0))
@@ -694,6 +713,54 @@ mod tests {
         w.validate_heldout(w.kernels(), 12, 777).expect("pristine");
         let (patched, _) = w.curated_patch().apply(w.kernels());
         w.validate_heldout(&patched, 12, 777).expect("curated");
+    }
+
+    #[test]
+    fn step_budget_is_four_times_the_pristine_block_peak() {
+        for w in [v0(), v1()] {
+            let ceiling = w.config().spec.step_limit;
+            assert_eq!(ceiling, 8_000_000);
+            let compiled = w.compile_variant(w.kernels()).unwrap();
+            let (_, peak) = w.fitness_run(&compiled, 0, ceiling);
+            assert_eq!(w.step_budget, (4 * peak).clamp(10_000, ceiling));
+            assert!(w.step_budget < ceiling, "{}: {peak}", w.name());
+        }
+    }
+
+    #[test]
+    fn runaway_variant_is_killed_by_the_step_budget() {
+        let w = v0();
+        let ev = Evaluator::new(&w);
+        // An init loop whose exit condition is always true never ends.
+        let runaway = Patch::from_edits(vec![Edit::CondReplace {
+            kernel: 0,
+            term: w.v0_sites().unwrap().init_branch,
+            new: Operand::ImmBool(true),
+        }]);
+        let reason = ev.evaluate(&runaway).failure.expect("runaway fails");
+        assert_eq!(
+            reason,
+            "forward kernel: step limit exhausted (infinite loop?)"
+        );
+        assert_eq!(FaultClass::classify(&reason), FaultClass::StepLimit);
+        assert_eq!(ev.stats().faults.step_limit, 1);
+
+        // A valid variant slower than the budget allows is killed during
+        // fitness evaluation, but the same kernels on the same batch run
+        // to completion at the spec's ceiling.
+        let (slow, _) = v0::build_v0(w.block_threads(), 14);
+        let compiled = w.compile_variant(std::slice::from_ref(&slow)).unwrap();
+        let (_, slow_peak) = w.fitness_run(&compiled, 0, w.config().spec.step_limit);
+        assert!(slow_peak > w.step_budget, "{slow_peak}");
+        let out = w.evaluate(std::slice::from_ref(&slow), 0);
+        assert_eq!(out.failure.as_deref(), Some(reason.as_str()));
+        let cfg = w.config();
+        w.validate_heldout(std::slice::from_ref(&slow), cfg.pairs, cfg.data_seed)
+            .expect("the ceiling lets the slow variant finish");
+
+        // The curated patches still pass held-out validation.
+        let (patched, _) = w.curated_patch().apply(w.kernels());
+        w.validate_heldout(&patched, 12, 777).expect("curated V0");
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Both evolvable workloads (ADEPT and `SIMCoV`) prepare a mutated
 //! variant the same way before it touches the simulator; keeping the
 //! sequence in one place keeps "fails to compile" semantics identical
-//! across workloads.
+//! across workloads, and so does the per-block step budget every
+//! fitness evaluation runs under (`step_budget`).
 
 use gevo_gpu::{CompiledKernel, ExecScratch, Gpu, GpuSpec};
 use gevo_ir::Kernel;
@@ -67,6 +68,28 @@ impl ScratchPool {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
+
+/// Fitness runs kill a block after this multiple of the pristine
+/// program's largest per-block step count (GEVO's timeout scaled to the
+/// original program, paper §III-E).
+pub(crate) const STEP_BUDGET_FACTOR: u64 = 4;
+
+/// Lower bound on the fitness step budget, so a pristine program with
+/// tiny blocks still leaves variants room to run.
+pub(crate) const STEP_BUDGET_FLOOR: u64 = 10_000;
+
+/// The per-block step limit for fitness evaluations:
+/// `clamp(STEP_BUDGET_FACTOR × pristine_peak, STEP_BUDGET_FLOOR, ceiling)`.
+/// `pristine_peak` is [`Gpu::peak_block_steps`] after the pristine
+/// program's own check run; `ceiling` is the spec's absolute
+/// [`GpuSpec::step_limit`], which also wins over the floor.
+#[must_use]
+pub(crate) fn step_budget(pristine_peak: u64, ceiling: u64) -> u64 {
+    STEP_BUDGET_FACTOR
+        .saturating_mul(pristine_peak)
+        .max(STEP_BUDGET_FLOOR)
+        .min(ceiling)
 }
 
 /// Screens and lowers a variant for launching: structural verification
@@ -140,6 +163,15 @@ mod tests {
         assert_eq!(pool.len(), SCRATCH_POOL_CAP, "bounded");
         let _ = pool.device(spec);
         assert_eq!(pool.len(), SCRATCH_POOL_CAP - 1, "device() pops");
+    }
+
+    #[test]
+    fn step_budget_clamps_to_floor_and_ceiling() {
+        assert_eq!(step_budget(100_000, 8_000_000), 400_000);
+        assert_eq!(step_budget(10, 8_000_000), STEP_BUDGET_FLOOR);
+        assert_eq!(step_budget(5_000_000, 8_000_000), 8_000_000);
+        assert_eq!(step_budget(u64::MAX, 8_000_000), 8_000_000);
+        assert_eq!(step_budget(10, 5_000), 5_000, "the ceiling beats the floor");
     }
 
     #[test]

@@ -11,7 +11,7 @@ pub mod cpu;
 pub mod kernels;
 pub mod validate;
 
-use crate::pipeline::ScratchPool;
+use crate::pipeline::{step_budget, ScratchPool};
 use cpu::SimcovState;
 use gevo_engine::{Edit, EvalOutcome, Patch, Workload};
 use gevo_gpu::{Buffer, CompiledKernel, Gpu, GpuSpec, KernelArg, LaunchConfig, LaunchStats};
@@ -165,6 +165,9 @@ pub struct SimcovWorkload {
     sites: SimcovSites,
     reference: SimcovState,
     name: String,
+    /// Per-block step limit of fitness evaluations, measured from the
+    /// pristine check run ([`step_budget`]).
+    step_budget: u64,
     /// Execution scratches recycled across fitness evaluations (each
     /// evaluation runs on a fresh device but reuses warm allocations).
     scratch: ScratchPool,
@@ -213,7 +216,9 @@ pub mod kidx {
 }
 
 impl SimcovWorkload {
-    /// Builds the workload: kernels, CPU oracle, initial state.
+    /// Builds the workload: kernels, CPU oracle, initial state. The
+    /// pristine kernels' check run also measures the fitness step
+    /// budget.
     ///
     /// # Panics
     /// Panics if the pristine kernels fail their own validation.
@@ -231,20 +236,26 @@ impl SimcovWorkload {
                 ""
             }
         );
-        let w = SimcovWorkload {
+        let ceiling = cfg.spec.step_limit;
+        let mut w = SimcovWorkload {
             cfg,
             kernels,
             sites,
             reference,
             name,
+            step_budget: ceiling,
             scratch: ScratchPool::new(),
         };
-        let check = w.evaluate(&w.kernels, 0);
+        let compiled = w
+            .compile_variant(&w.kernels)
+            .expect("pristine SIMCoV kernels compile");
+        let (check, peak) = w.fitness_run(&compiled, 0, ceiling);
         assert!(
             check.is_valid(),
             "pristine SIMCoV kernels fail validation: {:?}",
             check.failure
         );
+        w.step_budget = step_budget(peak, ceiling);
         w
     }
 
@@ -276,19 +287,20 @@ impl SimcovWorkload {
         crate::pipeline::compile_variant(kernels, &self.cfg.spec)
     }
 
-    /// Builds the simulation device for one run, adopting a pooled
-    /// execution scratch (returned to the pool by
-    /// [`SimcovWorkload::run_sim`]).
+    /// Builds the simulation device for one run with the given
+    /// per-block step limit, adopting a pooled execution scratch (the
+    /// caller returns it to the pool).
     ///
     /// Arena sizing: `Tight` places `chem` flush against the arena end
     /// (no slack buffers at all), `Slack` surrounds fields with zeros.
-    fn sim_device(&self, g: i32, arena: ArenaMode) -> Gpu {
+    fn sim_device(&self, g: i32, arena: ArenaMode, step_limit: u64) -> Gpu {
         #[allow(clippy::cast_sign_loss)]
         let cells = (g * g) as usize;
         let cell_bytes = cells as u64 * 4;
         let field_bytes = self.cfg.layout.field_len(g) as u64 * 4;
         let slack: u64 = 4096;
         let mut spec = self.cfg.spec.clone();
+        spec.step_limit = step_limit;
         match arena {
             ArenaMode::Slack => {
                 let need = 16
@@ -327,8 +339,35 @@ impl SimcovWorkload {
         self.scratch.device(spec)
     }
 
+    /// One fitness run: the configured simulation on a fresh `Slack`
+    /// device whose per-block step limit is `step_limit`, validated
+    /// against the oracle. Returns the outcome and the device's
+    /// [`Gpu::peak_block_steps`].
+    fn fitness_run(
+        &self,
+        compiled: &[CompiledKernel],
+        seed: u64,
+        step_limit: u64,
+    ) -> (EvalOutcome, u64) {
+        let (g, steps, arena) = (self.cfg.g, self.cfg.steps, ArenaMode::Slack);
+        let mut gpu = self.sim_device(g, arena, step_limit);
+        let outcome = match self.run_sim_on(&mut gpu, compiled, g, steps, seed, arena) {
+            Ok((out, cycles, stats)) => match compare(&out, &self.reference, &self.cfg.tolerance) {
+                // The normalized deviation rides along as the
+                // multi-objective error score (`Objective::Error`).
+                Ok(error) => EvalOutcome::pass_with_error(cycles, error, stats),
+                Err(e) => EvalOutcome::fail(e),
+            },
+            Err(e) => EvalOutcome::fail(e),
+        };
+        self.scratch.recycle(&mut gpu);
+        (outcome, gpu.peak_block_steps())
+    }
+
     /// Runs `steps` of the simulation on a fresh device (with a pooled
-    /// execution scratch).
+    /// execution scratch) at the spec's absolute step limit — the
+    /// held-out grid differs from the one the fitness budget was
+    /// measured on.
     fn run_sim(
         &self,
         kernels: &[CompiledKernel],
@@ -337,7 +376,7 @@ impl SimcovWorkload {
         sched_seed: u64,
         arena: ArenaMode,
     ) -> Result<(GpuRunOutput, f64, LaunchStats), String> {
-        let mut gpu = self.sim_device(g, arena);
+        let mut gpu = self.sim_device(g, arena, self.cfg.spec.step_limit);
         let result = self.run_sim_on(&mut gpu, kernels, g, steps, sched_seed, arena);
         self.scratch.recycle(&mut gpu);
         result
@@ -684,21 +723,7 @@ impl Workload for SimcovWorkload {
     }
 
     fn evaluate_compiled(&self, compiled: &[CompiledKernel], eval_seed: u64) -> EvalOutcome {
-        match self.run_sim(
-            compiled,
-            self.cfg.g,
-            self.cfg.steps,
-            eval_seed,
-            ArenaMode::Slack,
-        ) {
-            Ok((out, cycles, stats)) => match compare(&out, &self.reference, &self.cfg.tolerance) {
-                // The normalized deviation rides along as the
-                // multi-objective error score (`Objective::Error`).
-                Ok(error) => EvalOutcome::pass_with_error(cycles, error, stats),
-                Err(e) => EvalOutcome::fail(e),
-            },
-            Err(e) => EvalOutcome::fail(e),
-        }
+        self.fitness_run(compiled, eval_seed, self.step_budget).0
     }
 }
 
@@ -818,6 +843,22 @@ mod tests {
                 .unwrap_or_else(|| panic!("{name} must stay valid"));
             assert!(s > 1.0, "{name} speedup {s}");
         }
+    }
+
+    #[test]
+    fn step_budget_is_four_times_the_pristine_block_peak() {
+        let w = workload();
+        let ceiling = w.config().spec.step_limit;
+        assert_eq!(ceiling, 8_000_000);
+        let compiled = w.compile_variant(w.kernels()).unwrap();
+        let (_, peak) = w.fitness_run(&compiled, 0, ceiling);
+        assert_eq!(w.step_budget, (4 * peak).clamp(10_000, ceiling));
+        assert!(w.step_budget < ceiling, "{peak}");
+        // Held-out runs (larger grid, tight arena) keep the ceiling
+        // rather than a budget measured on another run; the curated
+        // independent deletions pass them.
+        let p = Patch::from_edits(w.curated_independent());
+        w.validate_heldout(&p, 64, 3).expect("curated deletions");
     }
 
     #[test]
