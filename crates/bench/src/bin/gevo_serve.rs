@@ -62,7 +62,7 @@
 //! event) instead of failing the job.
 
 use gevo_bench::checkpoint::{load_state_with_rollback, write_atomic, write_checkpoint};
-use gevo_bench::supervise::{job_deadline, RetryPolicy};
+use gevo_bench::supervise::{deadline_from_env, job_deadline, RetryPolicy};
 use gevo_bench::{arg_value, chaos, env_usize, quarantine_knob, workload_by_name};
 use gevo_engine::{
     GaConfig, GenerationRecord, MigrationEvent, Search, SearchObserver, SearchSpec, SearchState,
@@ -75,7 +75,7 @@ use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Where a job's events go: the stdout printer thread, or the TCP
 /// connection that submitted it.
@@ -112,6 +112,9 @@ struct JobInfo {
 struct Manager {
     dir: PathBuf,
     every: usize,
+    /// Supervision knobs, read and validated once at startup.
+    policy: RetryPolicy,
+    deadline: Option<Duration>,
     jobs: Mutex<BTreeMap<String, JobInfo>>,
     idle: Condvar,
     /// Set by the `shutdown` op: workers checkpoint and suspend at
@@ -288,7 +291,7 @@ fn run_job_once(mgr: &Arc<Manager>, job: &Job, sink: &Sink, attempt: usize) -> A
     } else {
         None
     };
-    let deadline = job_deadline(job.deadline_s);
+    let deadline = job_deadline(job.deadline_s, mgr.deadline);
     let started = Instant::now();
     let mut obs = ServeObserver {
         id: job.id.clone(),
@@ -344,7 +347,7 @@ fn run_job_once(mgr: &Arc<Manager>, job: &Job, sink: &Sink, attempt: usize) -> A
 /// events, and retries from the last checkpoint with exponential
 /// backoff until the policy is exhausted.
 fn run_job(mgr: &Arc<Manager>, job: &Job, sink: &Sink) {
-    let policy = RetryPolicy::from_env();
+    let policy = mgr.policy;
     let mut attempt = 0;
     loop {
         attempt += 1;
@@ -621,9 +624,13 @@ fn main() {
     });
     let _ = quarantine_knob();
     let exit_when_idle = std::env::args().any(|a| a == "--exit-when-idle");
+    // Numeric knobs are parsed once, before any job is recovered or
+    // read: a malformed value panics here, naming the variable.
     let mgr = Arc::new(Manager {
         dir,
         every: env_usize("GEVO_CHECKPOINT_EVERY", 5).max(1),
+        policy: RetryPolicy::from_env(),
+        deadline: deadline_from_env(),
         jobs: Mutex::new(BTreeMap::new()),
         idle: Condvar::new(),
         shutting_down: AtomicBool::new(false),

@@ -23,6 +23,9 @@
 //! | `GEVO_CHAOS` | fault-injection plan (see [`chaos`]) | off |
 //! | `GEVO_JOB_DEADLINE` / `GEVO_JOB_RETRIES` / `GEVO_JOB_BACKOFF_MS` | `gevo-serve` supervision (see [`supervise`]) | — |
 //!
+//! An unset or empty numeric knob keeps its default; any other value
+//! that does not parse panics with the knob's name ([`parse_knob`]).
+//!
 //! The GA-driven harnesses (fig4, fig5, fig6, islands, pareto) all
 //! build their engine session through ONE shared helper,
 //! [`harness_spec`] — the env-knob parsing lives here and nowhere else
@@ -38,8 +41,6 @@
 #![allow(clippy::missing_panics_doc)]
 #![allow(clippy::cast_precision_loss)]
 
-pub mod ab;
-pub mod cases;
 pub mod chaos;
 pub mod checkpoint;
 pub mod kernel_gen;
@@ -71,22 +72,29 @@ pub fn arg_value(flag: &str) -> Option<String> {
     None
 }
 
-/// Reads an environment override.
+/// Parses the raw value of the numeric knob `name` (an environment
+/// variable or a command-line flag); `None` or empty means unset. A
+/// value that does not parse panics, naming the knob and the value: a
+/// typo must not silently run the default.
 #[must_use]
-pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+pub fn parse_knob<T: std::str::FromStr>(name: &str, raw: Option<&str>) -> Option<T> {
+    let raw = raw.map(str::trim).filter(|v| !v.is_empty())?;
+    Some(
+        raw.parse()
+            .unwrap_or_else(|_| panic!("{name}: cannot parse {raw:?} as a number")),
+    )
 }
 
-/// Reads a `u64` environment override.
+/// The numeric environment knob `name`, by the [`parse_knob`] rules.
 #[must_use]
-pub fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+pub fn env_knob<T: std::str::FromStr>(name: &str) -> Option<T> {
+    parse_knob(name, Some(&std::env::var_os(name)?.to_string_lossy()))
+}
+
+/// Reads an environment override, by the [`parse_knob`] rules.
+#[must_use]
+pub fn env_usize(name: &str, default: usize) -> usize {
+    env_knob(name).unwrap_or(default)
 }
 
 /// Worker threads for `Evaluator::evaluate_batch`: `GEVO_THREADS`,
@@ -102,19 +110,6 @@ pub fn env_u64(name: &str, default: u64) -> u64 {
 pub fn harness_threads() -> usize {
     let avail = std::thread::available_parallelism().map_or(1, usize::from);
     env_usize("GEVO_THREADS", 1).clamp(1, avail)
-}
-
-/// The GA budget used by the figure harnesses, honoring env overrides
-/// (`GEVO_POP`, `GEVO_GENS`, `GEVO_SEED`, `GEVO_THREADS`).
-#[must_use]
-pub fn harness_ga(pop: usize, gens: usize) -> GaConfig {
-    GaConfig {
-        population: env_usize("GEVO_POP", pop),
-        generations: env_usize("GEVO_GENS", gens),
-        seed: env_u64("GEVO_SEED", 1),
-        threads: harness_threads(),
-        ..GaConfig::scaled()
-    }
 }
 
 /// The objectives in force: `GEVO_OBJECTIVES` as a comma-separated
@@ -196,11 +191,10 @@ pub fn mut_weights_knob() -> Option<MutationWeights> {
 
 /// The island count in force: `--islands N` (or `--islands=N`) on the
 /// command line wins, then `GEVO_ISLANDS`, then 1. An unparseable
-/// `--islands` value falls through to `GEVO_ISLANDS`.
+/// value of either panics (see [`parse_knob`]).
 #[must_use]
 pub fn islands_knob() -> usize {
-    arg_value("--islands")
-        .and_then(|v| v.parse::<usize>().ok())
+    parse_knob("--islands", arg_value("--islands").as_deref())
         .unwrap_or_else(|| env_usize("GEVO_ISLANDS", 1))
         .max(1)
 }
@@ -229,7 +223,13 @@ pub fn harness_spec(pop: usize, gens: usize) -> SearchSpec {
     // quarantine directory.
     let _ = quarantine_knob();
     let mut spec = SearchSpec {
-        ga: harness_ga(pop, gens),
+        ga: GaConfig {
+            population: env_usize("GEVO_POP", pop),
+            generations: env_usize("GEVO_GENS", gens),
+            seed: env_knob("GEVO_SEED").unwrap_or(1),
+            threads: harness_threads(),
+            ..GaConfig::scaled()
+        },
         islands: islands_knob(),
         ..SearchSpec::default()
     };
@@ -279,9 +279,7 @@ pub fn run_search_stats(w: &dyn Workload, spec: &SearchSpec) -> (SearchResult, E
         .or_else(|| std::env::var("GEVO_CHECKPOINT").ok())
         .map(|base| checkpoint::resolve_checkpoint_path(Path::new(&base), w.name(), spec));
     let every = env_usize("GEVO_CHECKPOINT_EVERY", 5).max(1);
-    let stop_after = std::env::var("GEVO_STOP_AFTER")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok());
+    let stop_after = env_knob::<usize>("GEVO_STOP_AFTER");
     let explicit = arg_value("--resume").map(PathBuf::from);
     let auto_resume = explicit.is_none();
     let resume_from = explicit.or_else(|| ckpt.clone().filter(|p| p.exists()));
@@ -444,8 +442,18 @@ mod tests {
         std::env::set_var("GEVO_TEST_X", "17");
         assert_eq!(env_usize("GEVO_TEST_X", 3), 17);
         assert_eq!(env_usize("GEVO_TEST_MISSING", 3), 3);
+        std::env::set_var("GEVO_TEST_EMPTY", "");
+        assert_eq!(env_usize("GEVO_TEST_EMPTY", 4), 4);
+        assert_eq!(parse_knob::<u64>("--n", Some(" 12 ")), Some(12));
+        assert!(std::panic::catch_unwind(|| parse_knob::<u64>("--n", Some("-1"))).is_err());
+        // A typo panics naming the variable and the value.
         std::env::set_var("GEVO_TEST_BAD", "zzz");
-        assert_eq!(env_usize("GEVO_TEST_BAD", 5), 5);
+        let typo = std::panic::catch_unwind(|| env_usize("GEVO_TEST_BAD", 5)).unwrap_err();
+        let msg = typo.downcast_ref::<String>().expect("formatted message");
+        assert!(
+            msg.contains("GEVO_TEST_BAD") && msg.contains("\"zzz\""),
+            "{msg}"
+        );
     }
 
     #[test]

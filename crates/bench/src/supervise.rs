@@ -9,12 +9,13 @@
 //!
 //! The policy is pure data + arithmetic so the scheduling can be unit
 //! tested without a server: the serve binary reads
-//! [`RetryPolicy::from_env`] once per job and sleeps
-//! [`RetryPolicy::backoff`] between attempts. Retries resume from the
-//! job's last checkpoint (retry ≠ restart); the deadline is enforced
-//! cooperatively at step boundaries, which is sound because every
-//! evaluation is already bounded by the interpreter's step budget — no
-//! single step can stall for long.
+//! [`RetryPolicy::from_env`] and [`deadline_from_env`] once at startup
+//! (a malformed value stops the server there, never inside a job) and
+//! sleeps [`RetryPolicy::backoff`] between attempts. Retries resume
+//! from the job's last checkpoint (retry ≠ restart); the deadline is
+//! enforced cooperatively at step boundaries, which is sound because
+//! every evaluation is already bounded by the interpreter's step
+//! budget — no single step can stall for long.
 
 use std::time::Duration;
 
@@ -42,16 +43,15 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// The policy in force (`GEVO_JOB_RETRIES`, `GEVO_JOB_BACKOFF_MS`).
+    /// The policy in force (`GEVO_JOB_RETRIES`, `GEVO_JOB_BACKOFF_MS`),
+    /// by the [`crate::parse_knob`] rules.
     #[must_use]
     pub fn from_env() -> RetryPolicy {
         let default = RetryPolicy::default();
         RetryPolicy {
             retries: crate::env_usize("GEVO_JOB_RETRIES", default.retries),
-            backoff_base: Duration::from_millis(crate::env_u64(
-                "GEVO_JOB_BACKOFF_MS",
-                u64::try_from(default.backoff_base.as_millis()).expect("small constant"),
-            )),
+            backoff_base: crate::env_knob("GEVO_JOB_BACKOFF_MS")
+                .map_or(default.backoff_base, Duration::from_millis),
         }
     }
 
@@ -68,18 +68,18 @@ impl RetryPolicy {
     }
 }
 
-/// The deadline in force for a job: the job's own `deadline_s` field
-/// when present, else the server-wide `GEVO_JOB_DEADLINE` env knob,
-/// else none.
+/// The server-wide deadline: `GEVO_JOB_DEADLINE` seconds, by the
+/// [`crate::parse_knob`] rules.
 #[must_use]
-pub fn job_deadline(explicit_s: Option<u64>) -> Option<Duration> {
-    explicit_s
-        .or_else(|| {
-            std::env::var("GEVO_JOB_DEADLINE")
-                .ok()
-                .and_then(|v| v.parse().ok())
-        })
-        .map(Duration::from_secs)
+pub fn deadline_from_env() -> Option<Duration> {
+    crate::env_knob("GEVO_JOB_DEADLINE").map(Duration::from_secs)
+}
+
+/// The deadline in force for a job: the job's own `deadline_s` field
+/// when present, else the server-wide default ([`deadline_from_env`]).
+#[must_use]
+pub fn job_deadline(explicit_s: Option<u64>, server: Option<Duration>) -> Option<Duration> {
+    explicit_s.map(Duration::from_secs).or(server)
 }
 
 #[cfg(test)]
@@ -115,8 +115,12 @@ mod tests {
 
     #[test]
     fn explicit_deadline_wins_over_env() {
-        // Only the explicit path is asserted here — the env path would
-        // race sibling tests that mutate GEVO_* variables.
-        assert_eq!(job_deadline(Some(30)), Some(Duration::from_secs(30)));
+        let server = Some(Duration::from_secs(5));
+        assert_eq!(
+            job_deadline(Some(30), server),
+            Some(Duration::from_secs(30))
+        );
+        assert_eq!(job_deadline(None, server), server);
+        assert_eq!(job_deadline(None, None), None);
     }
 }

@@ -3,7 +3,8 @@
 //! flip or truncation), and `gevo-serve` supervision honors its
 //! contract across real process boundaries — per-field submit
 //! rejection, graceful shutdown that suspends (not loses) in-flight
-//! jobs, and per-job deadlines that fail loudly.
+//! jobs, per-job deadlines that fail loudly, and malformed supervision
+//! knobs that stop the server before it reads a request.
 //!
 //! The end-to-end byte-identity battery (corrupt → rollback → rerun →
 //! identical result) lives in the `chaos_check` binary, which CI runs
@@ -385,5 +386,34 @@ fn blown_deadline_fails_the_job() {
         !dir.join("d1.done.json").exists(),
         "a deadline-failed job must not persist a result"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A malformed supervision knob stops the server at startup, naming
+/// the variable, before it reads a request: no job runs without its
+/// deadline, and none fails mid-run.
+#[test]
+fn malformed_deadline_knob_stops_the_server_at_startup() {
+    let dir = scratch("bad-deadline");
+    let mut server = gevo_serve()
+        .arg("--state-dir")
+        .arg(&dir)
+        .env("GEVO_JOB_DEADLINE", "10m")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn gevo-serve");
+    let submit = r#"{"op":"submit","id":"b1","workload":"adept-v0","pop":6,"gens":2}"#;
+    // The server may already be gone; a failed write is fine.
+    let _ = writeln!(server.stdin.take().expect("server stdin"), "{submit}");
+    let out = server.wait_with_output().expect("server exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a bad deadline must fail the server");
+    assert!(
+        stderr.contains("GEVO_JOB_DEADLINE: cannot parse \"10m\""),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty() && !dir.join("b1.job.json").exists());
     std::fs::remove_dir_all(&dir).ok();
 }

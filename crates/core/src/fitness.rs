@@ -454,9 +454,10 @@ impl FaultTallies {
 }
 
 /// Point-in-time view of the [`Evaluator`]'s throughput counters, for
-/// benches and tests. Only `evals`, `cache_hits` and `instructions` are
-/// result-visible (checkpointed in [`EvaluatorSnapshot`]); the rest
-/// are observability only and never influence a trajectory.
+/// the harnesses, `perfbench/` and tests. Only `evals`, `cache_hits`
+/// and `instructions` are result-visible (checkpointed in
+/// [`EvaluatorSnapshot`]); the rest are observability only and never
+/// influence a trajectory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvalStats {
     /// Evaluations actually performed (outcome-cache misses).

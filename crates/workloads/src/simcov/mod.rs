@@ -846,6 +846,22 @@ mod tests {
     }
 
     #[test]
+    fn scaled_config_makes_140_launches_per_evaluation() {
+        let w = workload();
+        let cfg = w.config();
+        // Per step: extravasate, move, commit, epi, substeps × (vdiff,
+        // cdiff, swap), stats.
+        let launches = cfg.steps * (4 + 3 * cfg.params.diffusion_substeps + 1);
+        assert_eq!(launches, 140);
+        // Every launch runs the same grid, so the evaluation's block
+        // total counts its real launches.
+        let out = w.evaluate(w.kernels(), 0);
+        assert!(out.is_valid(), "{:?}", out.failure);
+        let grid = (cfg.g * cfg.g).unsigned_abs().div_ceil(cfg.block);
+        assert_eq!(out.stats.expect("passing stats").blocks, 140 * grid);
+    }
+
+    #[test]
     fn step_budget_is_four_times_the_pristine_block_peak() {
         let w = workload();
         let ceiling = w.config().spec.step_limit;
