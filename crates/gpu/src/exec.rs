@@ -534,97 +534,164 @@ fn read_operand(regs: &[Value], ctx: &LaneCtx, warp_idx: u32, lane: u32, op: &Sl
     }
 }
 
-/// Evaluates one scalar op for one lane.
-fn eval_scalar(
-    regs: &[Value],
-    ctx: &LaneCtx,
-    warp_idx: u32,
-    lane: u32,
-    inst: &CInst,
-) -> Result<Value, ExecError> {
-    eval_pure(inst.op, |i| {
-        read_operand(regs, ctx, warp_idx, lane, &inst.args[i])
-    })
+/// The pure scalar evaluator: one op over already-resolved operand
+/// values, for O2 compile-time constant folding
+/// (`compile::fold_value`) and the once-per-warp uniform path
+/// ([`BlockExec::exec_uniform_scalar`]). Each arm defers to the same
+/// per-op value function the per-lane loops of [`scalar_lanes`] call,
+/// so every op's semantics — results and faults — are written once:
+/// folding and the uniform path are result-preserving by construction.
+pub(crate) fn eval_pure(op: Op, a0: impl Fn(usize) -> Value) -> Result<Value, ExecError> {
+    match op {
+        Op::IBin(op) => eval_ibin(op, a0(0), a0(1)),
+        Op::FBin(op) => eval_fbin(op, a0(0), a0(1)),
+        Op::Icmp(pred) => eval_icmp(pred, a0(0), a0(1)),
+        Op::Fcmp(pred) => eval_fcmp(pred, a0(0), a0(1)),
+        Op::Select => eval_select(a0(0), a0(1), a0(2)),
+        Op::Mov => eval_mov(a0(0)),
+        Op::Not => eval_not(a0(0)),
+        Op::Neg => eval_neg(a0(0)),
+        Op::FNeg => eval_fneg(a0(0)),
+        Op::Sext => eval_sext(a0(0)),
+        Op::Trunc => eval_trunc(a0(0)),
+        Op::SiToFp => eval_sitofp(a0(0)),
+        Op::FpToSi => eval_fptosi(a0(0)),
+        Op::ZextBool => eval_zext_bool(a0(0)),
+        Op::RngNext => eval_rng_next(a0(0), a0(1)),
+        _ => unreachable!("non-scalar op routed to the scalar evaluator: {op:?}"),
+    }
 }
 
-/// The pure scalar evaluator: one op over already-resolved operand
-/// values. This single match is shared between per-lane execution
-/// ([`eval_scalar`]) and O2 compile-time constant folding
-/// (`compile::fold_value`) — keeping them one function is what makes
-/// folding trivially fault- and result-preserving.
-pub(crate) fn eval_pure(op: Op, a0: impl Fn(usize) -> Value) -> Result<Value, ExecError> {
-    Ok(match op {
-        Op::IBin(op) => eval_ibin(op, a0(0), a0(1))?,
-        Op::FBin(op) => {
-            let x = expect_f32(a0(0))?;
-            let y = expect_f32(a0(1))?;
-            Value::F32(match op {
-                FloatBinOp::Add => x + y,
-                FloatBinOp::Sub => x - y,
-                FloatBinOp::Mul => x * y,
-                FloatBinOp::Div => x / y,
-                FloatBinOp::Min => x.min(y),
-                FloatBinOp::Max => x.max(y),
-            })
-        }
-        Op::Icmp(pred) => Value::Bool(eval_icmp(pred, a0(0), a0(1))?),
-        Op::Fcmp(pred) => {
-            let x = expect_f32(a0(0))?;
-            let y = expect_f32(a0(1))?;
-            Value::Bool(match x.partial_cmp(&y) {
-                Some(ord) => pred.eval(ord),
-                None => pred == CmpPred::Ne, // NaN: only `ne` holds
-            })
-        }
-        Op::Select => {
-            let c = expect_bool(a0(0))?;
-            if c {
-                a0(1)
-            } else {
-                a0(2)
+/// One scalar warp instruction over the `active` lanes of a register
+/// file: `inst.op` is decoded **once**, and its arm runs a lane loop
+/// ([`Lanes`]) specialized to that op's value function — the same
+/// function [`eval_pure`] calls, so this path and folding/uniform
+/// execution cannot drift apart. Lanes run in ascending order and the
+/// first faulting lane stops the loop, with every lower lane's result
+/// already written, exactly like evaluating `eval_pure` lane by lane.
+#[inline]
+fn scalar_lanes(
+    inst: &CInst,
+    regs: &mut [Value],
+    ctx: &LaneCtx,
+    widx: u32,
+    active: u64,
+) -> Result<(), ExecError> {
+    let l = Lanes {
+        regs,
+        ctx,
+        widx,
+        active,
+        dst: inst.dst,
+    };
+    let [a, b, c] = &inst.args;
+    match inst.op {
+        Op::IBin(op) => l.op2(a, b, |x, y| eval_ibin(op, x, y)),
+        Op::FBin(op) => l.op2(a, b, |x, y| eval_fbin(op, x, y)),
+        Op::Icmp(pred) => l.op2(a, b, |x, y| eval_icmp(pred, x, y)),
+        Op::Fcmp(pred) => l.op2(a, b, |x, y| eval_fcmp(pred, x, y)),
+        Op::Select => l.op3(a, b, c, eval_select),
+        Op::Mov => l.op1(a, eval_mov),
+        Op::Not => l.op1(a, eval_not),
+        Op::Neg => l.op1(a, eval_neg),
+        Op::FNeg => l.op1(a, eval_fneg),
+        Op::Sext => l.op1(a, eval_sext),
+        Op::Trunc => l.op1(a, eval_trunc),
+        Op::SiToFp => l.op1(a, eval_sitofp),
+        Op::FpToSi => l.op1(a, eval_fptosi),
+        Op::ZextBool => l.op1(a, eval_zext_bool),
+        Op::RngNext => l.op2(a, b, eval_rng_next),
+        op => unreachable!("non-scalar op routed to the scalar lane loop: {op:?}"),
+    }
+}
+
+/// The active-lane loop of one decoded scalar op: walks the set bits
+/// of `active`, reads the operands, applies the op's value function
+/// and writes `dst` (when there is one). When every operand is a
+/// register the reads index the register file directly; any other
+/// operand shape goes through [`read_operand`].
+struct Lanes<'r, 'c> {
+    regs: &'r mut [Value],
+    ctx: &'r LaneCtx<'c>,
+    widx: u32,
+    active: u64,
+    dst: u32,
+}
+
+impl Lanes<'_, '_> {
+    #[inline]
+    fn each(self, f: impl Fn(&[Value], u32) -> Result<Value, ExecError>) -> Result<(), ExecError> {
+        let mut mask = self.active;
+        while mask != 0 {
+            let lane = mask.trailing_zeros();
+            mask &= mask - 1;
+            let v = f(self.regs, lane)?;
+            if self.dst != NO_DST {
+                self.regs[self.dst as usize + lane as usize] = v;
             }
         }
-        Op::Mov => a0(0),
-        Op::Not => match a0(0) {
-            Value::I32(v) => Value::I32(!v),
-            Value::I64(v) => Value::I64(!v),
-            Value::Bool(v) => Value::Bool(!v),
-            v @ Value::F32(_) => {
-                return Err(ExecError::TypeMismatch {
-                    expected: Ty::I32,
-                    found: v.ty(),
-                })
-            }
-        },
-        Op::Neg => match a0(0) {
-            Value::I32(v) => Value::I32(v.wrapping_neg()),
-            Value::I64(v) => Value::I64(v.wrapping_neg()),
-            v => {
-                return Err(ExecError::TypeMismatch {
-                    expected: Ty::I32,
-                    found: v.ty(),
-                })
-            }
-        },
-        Op::FNeg => Value::F32(-expect_f32(a0(0))?),
-        Op::Sext => Value::I64(i64::from(expect_i32(a0(0))?)),
-        Op::Trunc =>
-        {
-            #[allow(clippy::cast_possible_truncation)]
-            Value::I32(expect_i64(a0(0))? as i32)
+        Ok(())
+    }
+
+    #[inline]
+    fn op1(self, a: &Slot, f: impl Fn(Value) -> Result<Value, ExecError>) -> Result<(), ExecError> {
+        if let Slot::Reg(ra) = *a {
+            return self.each(|r, lane| f(r[ra as usize + lane as usize]));
         }
-        #[allow(clippy::cast_precision_loss)]
-        Op::SiToFp => Value::F32(expect_i32(a0(0))? as f32),
-        #[allow(clippy::cast_possible_truncation)]
-        Op::FpToSi => Value::I32(expect_f32(a0(0))? as i32),
-        Op::ZextBool => Value::I32(i32::from(expect_bool(a0(0))?)),
-        Op::RngNext => {
-            let s = expect_i64(a0(0))?;
-            let c = expect_i64(a0(1))?;
-            Value::I32(rng::mix_to_u31(s, c))
+        let (ctx, widx) = (self.ctx, self.widx);
+        self.each(|r, lane| f(read_operand(r, ctx, widx, lane, a)))
+    }
+
+    #[inline]
+    fn op2(
+        self,
+        a: &Slot,
+        b: &Slot,
+        f: impl Fn(Value, Value) -> Result<Value, ExecError>,
+    ) -> Result<(), ExecError> {
+        if let (Slot::Reg(ra), Slot::Reg(rb)) = (*a, *b) {
+            return self.each(|r, lane| {
+                f(
+                    r[ra as usize + lane as usize],
+                    r[rb as usize + lane as usize],
+                )
+            });
         }
-        _ => unreachable!("non-scalar op routed to the scalar evaluator: {op:?}"),
-    })
+        let (ctx, widx) = (self.ctx, self.widx);
+        self.each(|r, lane| {
+            f(
+                read_operand(r, ctx, widx, lane, a),
+                read_operand(r, ctx, widx, lane, b),
+            )
+        })
+    }
+
+    #[inline]
+    fn op3(
+        self,
+        a: &Slot,
+        b: &Slot,
+        c: &Slot,
+        f: impl Fn(Value, Value, Value) -> Result<Value, ExecError>,
+    ) -> Result<(), ExecError> {
+        if let (Slot::Reg(ra), Slot::Reg(rb), Slot::Reg(rc)) = (*a, *b, *c) {
+            return self.each(|r, lane| {
+                f(
+                    r[ra as usize + lane as usize],
+                    r[rb as usize + lane as usize],
+                    r[rc as usize + lane as usize],
+                )
+            });
+        }
+        let (ctx, widx) = (self.ctx, self.widx);
+        self.each(|r, lane| {
+            f(
+                read_operand(r, ctx, widx, lane, a),
+                read_operand(r, ctx, widx, lane, b),
+                read_operand(r, ctx, widx, lane, c),
+            )
+        })
+    }
 }
 
 fn shared_check(shared_bytes: u32, addr: i64, bytes: u64) -> Result<usize, ExecError> {
@@ -1050,25 +1117,13 @@ impl<'a> BlockExec<'a> {
         Ok(false)
     }
 
-    /// Plain per-lane compute ops.
+    /// Plain per-lane compute ops: one op decode per warp instruction,
+    /// then that op's lane loop over the active mask
+    /// ([`scalar_lanes`]).
     fn exec_scalar(&mut self, wi: usize, inst: &CInst, active: u64) -> Result<(), ExecError> {
         let ctx = self.lane_ctx();
-        let dst = inst.dst;
-        // The warp is fetched once; active-lane iteration walks the set
-        // bits of the mask instead of testing every lane (a full warp
-        // pays one trailing_zeros per lane with no conditional branch,
-        // a divergent warp skips its inactive lanes entirely).
         let w = &mut self.warps[wi];
-        let widx = w.idx;
-        let mut mask = active;
-        while mask != 0 {
-            let lane = mask.trailing_zeros();
-            mask &= mask - 1;
-            let result = eval_scalar(&w.regs, &ctx, widx, lane, inst)?;
-            if dst != NO_DST {
-                w.regs[dst as usize + lane as usize] = result;
-            }
-        }
+        scalar_lanes(inst, &mut w.regs, &ctx, w.idx, active)?;
         // The per-op cost table was resolved at compile time.
         w.cycles += inst.cost;
         self.stats.alu_instructions += 1;
@@ -1093,7 +1148,10 @@ impl<'a> BlockExec<'a> {
         if active != 0 {
             // The slow path evaluates nothing (and faults nowhere) with
             // no active lanes, so neither does this one.
-            let result = eval_scalar(&w.regs, &ctx, w.idx, active.trailing_zeros(), inst)?;
+            let lane = active.trailing_zeros();
+            let result = eval_pure(inst.op, |i| {
+                read_operand(&w.regs, &ctx, w.idx, lane, &inst.args[i])
+            })?;
             if dst != NO_DST {
                 let mut mask = active;
                 while mask != 0 {
@@ -1641,16 +1699,12 @@ fn expect_bool(v: Value) -> Result<bool, ExecError> {
     })
 }
 
-fn eval_icmp(pred: CmpPred, x: Value, y: Value) -> Result<bool, ExecError> {
-    match (x, y) {
-        (Value::I32(a), Value::I32(b)) => Ok(pred.eval(a.cmp(&b))),
-        (Value::I64(a), Value::I64(b)) => Ok(pred.eval(a.cmp(&b))),
-        _ => Err(ExecError::TypeMismatch {
-            expected: x.ty(),
-            found: y.ty(),
-        }),
-    }
-}
+// ---- per-op value functions ---------------------------------------------
+//
+// One definition of each scalar op's semantics (result and fault),
+// shared by `eval_pure` and the lane loops of `scalar_lanes`. Operands
+// are checked left to right, so the first mismatching operand names
+// the error.
 
 fn eval_ibin(op: IntBinOp, x: Value, y: Value) -> Result<Value, ExecError> {
     match (x, y) {
@@ -1667,6 +1721,105 @@ fn eval_ibin(op: IntBinOp, x: Value, y: Value) -> Result<Value, ExecError> {
             found: y.ty(),
         }),
     }
+}
+
+fn eval_fbin(op: FloatBinOp, x: Value, y: Value) -> Result<Value, ExecError> {
+    let x = expect_f32(x)?;
+    let y = expect_f32(y)?;
+    Ok(Value::F32(match op {
+        FloatBinOp::Add => x + y,
+        FloatBinOp::Sub => x - y,
+        FloatBinOp::Mul => x * y,
+        FloatBinOp::Div => x / y,
+        FloatBinOp::Min => x.min(y),
+        FloatBinOp::Max => x.max(y),
+    }))
+}
+
+fn eval_icmp(pred: CmpPred, x: Value, y: Value) -> Result<Value, ExecError> {
+    match (x, y) {
+        (Value::I32(a), Value::I32(b)) => Ok(Value::Bool(pred.eval(a.cmp(&b)))),
+        (Value::I64(a), Value::I64(b)) => Ok(Value::Bool(pred.eval(a.cmp(&b)))),
+        _ => Err(ExecError::TypeMismatch {
+            expected: x.ty(),
+            found: y.ty(),
+        }),
+    }
+}
+
+fn eval_fcmp(pred: CmpPred, x: Value, y: Value) -> Result<Value, ExecError> {
+    let x = expect_f32(x)?;
+    let y = expect_f32(y)?;
+    Ok(Value::Bool(match x.partial_cmp(&y) {
+        Some(ord) => pred.eval(ord),
+        None => pred == CmpPred::Ne, // NaN: only `ne` holds
+    }))
+}
+
+fn eval_select(c: Value, t: Value, f: Value) -> Result<Value, ExecError> {
+    Ok(if expect_bool(c)? { t } else { f })
+}
+
+#[allow(clippy::unnecessary_wraps)] // shares the value-function signature
+fn eval_mov(x: Value) -> Result<Value, ExecError> {
+    Ok(x)
+}
+
+fn eval_not(x: Value) -> Result<Value, ExecError> {
+    match x {
+        Value::I32(v) => Ok(Value::I32(!v)),
+        Value::I64(v) => Ok(Value::I64(!v)),
+        Value::Bool(v) => Ok(Value::Bool(!v)),
+        Value::F32(_) => Err(ExecError::TypeMismatch {
+            expected: Ty::I32,
+            found: x.ty(),
+        }),
+    }
+}
+
+fn eval_neg(x: Value) -> Result<Value, ExecError> {
+    match x {
+        Value::I32(v) => Ok(Value::I32(v.wrapping_neg())),
+        Value::I64(v) => Ok(Value::I64(v.wrapping_neg())),
+        _ => Err(ExecError::TypeMismatch {
+            expected: Ty::I32,
+            found: x.ty(),
+        }),
+    }
+}
+
+fn eval_fneg(x: Value) -> Result<Value, ExecError> {
+    Ok(Value::F32(-expect_f32(x)?))
+}
+
+fn eval_sext(x: Value) -> Result<Value, ExecError> {
+    Ok(Value::I64(i64::from(expect_i32(x)?)))
+}
+
+fn eval_trunc(x: Value) -> Result<Value, ExecError> {
+    #[allow(clippy::cast_possible_truncation)]
+    Ok(Value::I32(expect_i64(x)? as i32))
+}
+
+fn eval_sitofp(x: Value) -> Result<Value, ExecError> {
+    #[allow(clippy::cast_precision_loss)]
+    Ok(Value::F32(expect_i32(x)? as f32))
+}
+
+/// Rounds toward zero and saturates; NaN converts to 0 (Rust `as`).
+fn eval_fptosi(x: Value) -> Result<Value, ExecError> {
+    #[allow(clippy::cast_possible_truncation)]
+    Ok(Value::I32(expect_f32(x)? as i32))
+}
+
+fn eval_zext_bool(x: Value) -> Result<Value, ExecError> {
+    Ok(Value::I32(i32::from(expect_bool(x)?)))
+}
+
+fn eval_rng_next(s: Value, c: Value) -> Result<Value, ExecError> {
+    let s = expect_i64(s)?;
+    let c = expect_i64(c)?;
+    Ok(Value::I32(rng::mix_to_u31(s, c)))
 }
 
 fn ibin_i32(op: IntBinOp, a: i32, b: i32) -> i32 {
@@ -1896,5 +2049,251 @@ mod uniformity_soundness {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod lane_loop_equivalence {
+    //! The per-op lane loops of [`scalar_lanes`] against the reference
+    //! they replaced: [`eval_pure`] evaluated lane by lane in ascending
+    //! order, stopping at the first fault. Every scalar op runs over
+    //! every operand shape (registers, each immediate kind, specials,
+    //! parameters — well- and ill-typed), several destinations and
+    //! four masks; the register files must match bit for bit and the
+    //! first error must be the same.
+
+    use super::*;
+    use gevo_ir::Special;
+
+    const LANES: u32 = 8;
+    /// Register-file base of the destination register (reg 10).
+    const DST: u32 = 10 * LANES;
+
+    /// A register file whose values hit the ops' edge cases lane by
+    /// lane: division and remainder by 0, `MIN / -1`, shift counts at
+    /// and beyond the width, NaN, infinities and out-of-range casts.
+    fn register_file() -> Vec<Value> {
+        let nan = f32::NAN;
+        let inf = f32::INFINITY;
+        let mut regs = Vec::new();
+        let i32s: [[i32; 8]; 2] = [
+            [7, i32::MIN, -9, 100, i32::MAX, 0, -1, 5],
+            [0, -1, 32, 33, -3, 2, 40, 1],
+        ];
+        let i64s: [[i64; 8]; 2] = [
+            [7, i64::MIN, -9, 100, i64::MAX, 0, -1, 1 << 40],
+            [0, -1, 64, 65, -3, 2, 100, 1],
+        ];
+        let f32s: [[f32; 8]; 2] = [
+            [1.5, nan, -0.0, inf, -inf, 3e9, -3e9, 2.5],
+            [0.0, 1.0, nan, 2.0, -inf, 0.5, -1e-40, 2.5],
+        ];
+        let bools: [[bool; 8]; 2] = [
+            [true, false, true, false, true, true, false, false],
+            [true, true, false, false, true, false, true, false],
+        ];
+        regs.extend(i32s.iter().flatten().map(|&v| Value::I32(v))); // r0, r1
+        regs.extend(i64s.iter().flatten().map(|&v| Value::I64(v))); // r2, r3
+        regs.extend(f32s.iter().flatten().map(|&v| Value::F32(v))); // r4, r5
+        regs.extend(bools.iter().flatten().map(|&v| Value::Bool(v))); // r6, r7
+                                                                      // r8: hand-built lane-dependent type mismatch — lanes 0..4 hold
+                                                                      // `i32`, lanes 4..8 `f32`, so a fault strikes mid-loop after the
+                                                                      // lower lanes have written their results.
+        regs.extend((0..8).map(|l| {
+            if l < 4 {
+                Value::I32(l)
+            } else {
+                Value::F32(0.25)
+            }
+        }));
+        // r9: `i64` lanes 0..4, `bool` lanes 4..8.
+        regs.extend((0..8).map(|l| {
+            if l < 4 {
+                Value::I64(i64::from(l) - 2)
+            } else {
+                Value::Bool(l % 2 == 0)
+            }
+        }));
+        // r10: destination, poisoned.
+        regs.extend((0..8).map(|_| Value::sentinel(Ty::I32)));
+        regs
+    }
+
+    /// Every operand shape the lowering produces, of every type.
+    fn slot_pool() -> Vec<Slot> {
+        let mut pool: Vec<Slot> = (0..10).map(|r| Slot::Reg(r * LANES)).collect();
+        pool.extend([
+            Slot::ImmI32(0),
+            Slot::ImmI32(-1),
+            Slot::ImmI32(i32::MIN),
+            Slot::ImmI32(40),
+            Slot::ImmI64(-1),
+            Slot::ImmI64(0),
+            Slot::ImmF32(f32::NAN),
+            Slot::ImmF32(-2.5),
+            Slot::ImmBool(true),
+            Slot::ImmBool(false),
+            Slot::Special(Special::ThreadId),
+            Slot::Special(Special::LaneId),
+            Slot::Special(Special::BlockId),
+            Slot::Param(0),
+            Slot::Param(1),
+            Slot::Param(2),
+            Slot::Param(3),
+        ]);
+        pool
+    }
+
+    fn scalar_ops() -> Vec<Op> {
+        use CmpPred::{Eq, Ge, Gt, Le, Lt, Ne};
+        let preds = [Eq, Ne, Lt, Le, Gt, Ge];
+        let mut ops: Vec<Op> = [
+            IntBinOp::Add,
+            IntBinOp::Sub,
+            IntBinOp::Mul,
+            IntBinOp::Div,
+            IntBinOp::Rem,
+            IntBinOp::Min,
+            IntBinOp::Max,
+            IntBinOp::And,
+            IntBinOp::Or,
+            IntBinOp::Xor,
+            IntBinOp::Shl,
+            IntBinOp::AShr,
+            IntBinOp::LShr,
+        ]
+        .into_iter()
+        .map(Op::IBin)
+        .collect();
+        ops.extend(
+            [
+                FloatBinOp::Add,
+                FloatBinOp::Sub,
+                FloatBinOp::Mul,
+                FloatBinOp::Div,
+                FloatBinOp::Min,
+                FloatBinOp::Max,
+            ]
+            .into_iter()
+            .map(Op::FBin),
+        );
+        ops.extend(preds.map(Op::Icmp));
+        ops.extend(preds.map(Op::Fcmp));
+        ops.extend([
+            Op::Select,
+            Op::Mov,
+            Op::Not,
+            Op::Neg,
+            Op::FNeg,
+            Op::Sext,
+            Op::Trunc,
+            Op::SiToFp,
+            Op::FpToSi,
+            Op::ZextBool,
+            Op::RngNext,
+        ]);
+        ops
+    }
+
+    /// The replaced per-lane path: `eval_pure` once per active lane.
+    fn reference(
+        inst: &CInst,
+        regs: &mut [Value],
+        ctx: &LaneCtx,
+        widx: u32,
+        active: u64,
+    ) -> Result<(), ExecError> {
+        let mut mask = active;
+        while mask != 0 {
+            let lane = mask.trailing_zeros();
+            mask &= mask - 1;
+            let v = eval_pure(inst.op, |i| {
+                read_operand(regs, ctx, widx, lane, &inst.args[i])
+            })?;
+            if inst.dst != NO_DST {
+                regs[inst.dst as usize + lane as usize] = v;
+            }
+        }
+        Ok(())
+    }
+
+    /// A value's type and raw bits: `f32` compares by `to_bits`, so a
+    /// NaN equals itself and `-0.0` differs from `0.0`.
+    fn bits(v: Value) -> (Ty, u64) {
+        #[allow(clippy::cast_sign_loss)]
+        match v {
+            Value::I32(x) => (Ty::I32, u64::from(x as u32)),
+            Value::I64(x) => (Ty::I64, x as u64),
+            Value::F32(x) => (Ty::F32, u64::from(x.to_bits())),
+            Value::Bool(x) => (Ty::Bool, u64::from(x)),
+        }
+    }
+
+    #[test]
+    fn lane_loops_match_per_lane_eval_pure() {
+        let params = [
+            Value::I32(-7),
+            Value::I64(1 << 40),
+            Value::F32(0.1),
+            Value::Bool(true),
+        ];
+        let ctx = LaneCtx {
+            params: &params,
+            block_idx: 3,
+            grid: 5,
+            block: 16,
+            lanes: LANES,
+        };
+        let widx = 1;
+        let base = register_file();
+        let pool = slot_pool();
+        // Full, partial, single-lane and empty masks.
+        let masks = [0xFF, 0b1011_0110, 1 << 5, 0];
+        let (mut cases, mut faults) = (0usize, 0usize);
+        for op in scalar_ops() {
+            let arity = op.arity();
+            let n = pool.len().pow(u32::try_from(arity).expect("arity"));
+            for pick in 0..n {
+                let mut args = [Slot::ImmI32(0); 3];
+                let mut rest = pick;
+                for arg in args.iter_mut().take(arity) {
+                    *arg = pool[rest % pool.len()];
+                    rest /= pool.len();
+                }
+                // A fresh destination, none, and one aliasing operand 0.
+                for dst in [DST, NO_DST, 0] {
+                    let inst = CInst {
+                        op,
+                        tag: OpClass::Scalar,
+                        dst,
+                        args,
+                        cost: 1,
+                    };
+                    for active in masks {
+                        let mut want = base.clone();
+                        let mut got = base.clone();
+                        let want_res = reference(&inst, &mut want, &ctx, widx, active);
+                        let got_res = scalar_lanes(&inst, &mut got, &ctx, widx, active);
+                        assert_eq!(
+                            got_res, want_res,
+                            "{op:?} {args:?} dst {dst} mask {active:#x}: first error"
+                        );
+                        let want_bits: Vec<_> = want.iter().map(|&v| bits(v)).collect();
+                        let got_bits: Vec<_> = got.iter().map(|&v| bits(v)).collect();
+                        assert_eq!(
+                            got_bits, want_bits,
+                            "{op:?} {args:?} dst {dst} mask {active:#x}: register file"
+                        );
+                        cases += 1;
+                        faults += usize::from(want_res.is_err());
+                    }
+                }
+            }
+        }
+        // Both outcomes were exercised in bulk.
+        assert!(
+            faults > 1000 && cases - faults > 1000,
+            "{faults} of {cases} faulted"
+        );
     }
 }
