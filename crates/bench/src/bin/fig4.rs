@@ -3,54 +3,28 @@
 //! Paper values (normalized to ADEPT-V0 per GPU):
 //!   V0-GEVO 32.8x / 32x / 18.4x, V1 ~20-30x, V1-GEVO adds 1.28x/1.31x/1.17x.
 //!
-//! This harness reports, per GPU:
-//!   * V0-GEVO  — a real GA run on the naive version (budgeted),
-//!   * V0-cur   — the curated optimum for the same version,
-//!   * V1/V1-GEVO — hand-tuned baseline and the curated V1 optimization
-//!     (the GA path for V1 is exercised by fig8/fig6).
-//!
+//! This harness runs a budgeted GA on the naive version per GPU; the
+//! curated optima and hand-tuned V1 are measured by the `scorecard` bin.
 //! Budget via GEVO_POP / GEVO_GENS / GEVO_SEED; search parallelism via
 //! `--islands N` / GEVO_ISLANDS.
 
-use gevo_bench::{
-    adept_on, bar, budget_banner, harness_spec, run_search, scaled_table1_specs, speedup_of,
-};
-use gevo_engine::{Evaluator, Workload};
+use gevo_bench::{adept_on, bar, budget_banner, harness_spec, run_search, scaled_table1_specs};
 use gevo_workloads::adept::Version;
 
 fn main() {
     let cfg = harness_spec(24, 14);
     println!(
-        "Figure 4: ADEPT speedups (GA budget: {})",
+        "Figure 4: ADEPT-V0 GA speedups (budget: {})",
         budget_banner(&cfg)
     );
     println!();
-    println!(
-        "| {:<7} | {:>9} | {:>9} | {:>9} | {:>9} | paper V0-GEVO / V1-GEVO |",
-        "GPU", "V0-GEVO", "V0-cur", "V1 vs V0", "V1-GEVO"
-    );
-    let paper = [(32.8, 1.28), (32.0, 1.31), (18.4, 1.17)];
-    for (spec, (p_v0, p_v1)) in scaled_table1_specs().iter().zip(paper) {
-        let v0 = adept_on(Version::V0, spec);
-        let ga = run_search(&v0, &cfg);
-        let v0_cur = speedup_of(&v0, &v0.curated_patch());
-
-        let v1 = adept_on(Version::V1, spec);
-        // V1 baseline relative to V0 baseline (the paper's 20-30x).
-        let ev0 = Evaluator::new(&v0);
-        let ev1 = Evaluator::new(&v1);
-        let v1_vs_v0 = ev0.baseline() / ev1.baseline();
-        let v1_gevo = speedup_of(&v1, &v1.curated_patch());
-
-        println!(
-            "| {:<7} | {:>8.1}x | {:>8.1}x | {:>8.1}x | {:>8.2}x | {:>6.1}x / {:.2}x |",
-            spec.name, ga.speedup, v0_cur, v1_vs_v0, v1_gevo, p_v0, p_v1
-        );
+    println!("| {:<7} | {:>9} | paper |", "GPU", "V0-GEVO");
+    for (spec, paper) in scaled_table1_specs().iter().zip([32.8, 32.0, 18.4]) {
+        let ga = run_search(&adept_on(Version::V0, spec), &cfg);
+        println!("| {:<7} | {:>8.1}x | {paper:.1}x |", spec.name, ga.speedup);
         println!("|   {}", bar(ga.speedup, 2.0));
-        let _ = v1.name();
     }
     println!();
-    println!("V0-GEVO: evolved from scratch; V0-cur / V1-GEVO: curated optima");
-    println!("(DESIGN.md §4.5). Shapes to check: V0 gains are order-of-magnitude,");
-    println!("V1 gains are tens of percent, V100 benefits least from V0-GEVO.");
+    println!("The paper's shapes: V0 gains are order-of-magnitude, V1 gains tens of percent,");
+    println!("V100 gains least. Whether each holds: the fig4 rows of the `scorecard` bin.");
 }

@@ -9,12 +9,12 @@
 //! | `--checkpoint <path>` / `GEVO_CHECKPOINT` | write checkpoints here |
 //! | `--resume <path>` | resume from this checkpoint file, trusting the spec it holds over the requested one |
 //! | `GEVO_CHECKPOINT_EVERY` | generations between checkpoints (default 5) |
-//! | `GEVO_STOP_AFTER` | run k generations, checkpoint, exit with code 3 |
+//! | `GEVO_STOP_AFTER` | run k ≥ 1 generations, checkpoint, exit with code 3; refused without a checkpoint path |
 //!
 //! A path ending in `.json` is used verbatim (single-search binaries);
 //! anything else is treated as a directory and each search writes
 //! `<workload-slug>-s<seed>-i<islands>.ckpt.json` inside it, so sweep
-//! binaries (table1, fig4 — many searches per process) cannot collide.
+//! binaries (fig4, fig6 — many searches per process) cannot collide.
 //! When no explicit `--resume` is given but the checkpoint file already
 //! exists, the run resumes from it — which is exactly the kill/restart
 //! recovery story: re-running the same command line continues where the

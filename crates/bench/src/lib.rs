@@ -1,7 +1,10 @@
 //! Shared plumbing for the table/figure harnesses (see DESIGN.md §5 for
 //! the experiment index and EXPERIMENTS.md for recorded outputs).
 //!
-//! Each harness binary regenerates one table or figure of the paper's
+//! The paper's claims that need no GA run (curated fig4/fig5 speedups,
+//! the §VI ablations, §IV generality) are measured once, in
+//! [`scorecard`], and printed by the `scorecard` binary. Each GA-driven
+//! harness binary regenerates one table or figure of the paper's
 //! evaluation. Budgets are scaled for laptops by default and can be
 //! raised through environment variables:
 //!
@@ -18,7 +21,7 @@
 //! | `GEVO_MUT_WEIGHTS` | 7 comma-separated operator weights (see [`mut_weights_knob`]) | built-in |
 //! | `GEVO_CHECKPOINT` | checkpoint path (also `--checkpoint`); see [`checkpoint`] | off |
 //! | `GEVO_CHECKPOINT_EVERY` | generations between checkpoints | 5 |
-//! | `GEVO_STOP_AFTER` | checkpoint + exit(3) after k generations | off |
+//! | `GEVO_STOP_AFTER` | checkpoint + exit(3) after k ≥ 1 generations (needs `GEVO_CHECKPOINT`) | off |
 //! | `GEVO_QUARANTINE` | directory for panic-provoking variants (see [`quarantine_knob`]) | off |
 //! | `GEVO_CHAOS` | fault-injection plan (see [`chaos`]) | off |
 //! | `GEVO_JOB_DEADLINE` / `GEVO_JOB_RETRIES` / `GEVO_JOB_BACKOFF_MS` | `gevo-serve` supervision (see [`supervise`]) | — |
@@ -44,11 +47,12 @@
 pub mod chaos;
 pub mod checkpoint;
 pub mod kernel_gen;
+pub mod scorecard;
 pub mod supervise;
 
 use gevo_engine::{
-    EvalStats, Evaluator, GaConfig, MutationWeights, Objective, Patch, Search, SearchResult,
-    SearchSpec, StepStatus, Workload,
+    EvalStats, GaConfig, MutationWeights, Objective, Search, SearchResult, SearchSpec, StepStatus,
+    Workload,
 };
 use gevo_gpu::GpuSpec;
 use gevo_workloads::adept::{AdeptConfig, AdeptWorkload, Version};
@@ -268,11 +272,13 @@ pub fn run_search(w: &dyn Workload, spec: &SearchSpec) -> SearchResult {
 /// deterministic stand-in for a kill that the recovery tests use.
 ///
 /// # Panics
-/// Panics if a resume file is unreadable or undecodable (continuing
-/// from scratch would silently discard paid-for generations), if an
-/// auto-resumed checkpoint holds a spec other than `spec` (finishing
-/// it would silently run a different search; `ga.threads` is exempt
-/// and taken from `spec`), or if a checkpoint write fails.
+/// Panics before the first generation if `GEVO_STOP_AFTER` is 0 or is
+/// set without a checkpoint path. Panics if a resume file is unreadable
+/// or undecodable (continuing from scratch would silently discard
+/// paid-for generations), if an auto-resumed checkpoint holds a spec
+/// other than `spec` (finishing it would silently run a different
+/// search; `ga.threads` is exempt and taken from `spec`), or if a
+/// checkpoint write fails.
 #[must_use]
 pub fn run_search_stats(w: &dyn Workload, spec: &SearchSpec) -> (SearchResult, EvalStats) {
     let ckpt = arg_value("--checkpoint")
@@ -280,6 +286,15 @@ pub fn run_search_stats(w: &dyn Workload, spec: &SearchSpec) -> (SearchResult, E
         .map(|base| checkpoint::resolve_checkpoint_path(Path::new(&base), w.name(), spec));
     let every = env_usize("GEVO_CHECKPOINT_EVERY", 5).max(1);
     let stop_after = env_knob::<usize>("GEVO_STOP_AFTER");
+    // Completed generations count from 1, and exit code 3 promises a
+    // checkpoint to resume from: refuse a stop that could never fire or
+    // would throw its generations away.
+    if let Some(k) = stop_after {
+        assert!(
+            k > 0 && ckpt.is_some(),
+            "GEVO_STOP_AFTER={k}: needs k >= 1 and --checkpoint or GEVO_CHECKPOINT"
+        );
+    }
     let explicit = arg_value("--resume").map(PathBuf::from);
     let auto_resume = explicit.is_none();
     let resume_from = explicit.or_else(|| ckpt.clone().filter(|p| p.exists()));
@@ -412,14 +427,6 @@ pub fn simcov_on(spec: &GpuSpec) -> SimcovWorkload {
     SimcovWorkload::new(SimcovConfig::scaled().with_spec(spec.clone()))
 }
 
-/// Speedup of a patch on a workload (panics if the patch is invalid —
-/// harnesses only evaluate known-good patches this way).
-#[must_use]
-pub fn speedup_of(w: &dyn Workload, patch: &Patch) -> f64 {
-    let ev = Evaluator::new(w);
-    ev.speedup(patch).expect("harness patch must be valid")
-}
-
 /// Prints a markdown-style table row.
 pub fn row(cells: &[String]) {
     println!("| {} |", cells.join(" | "));
@@ -436,6 +443,7 @@ pub fn bar(value: f64, scale: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gevo_engine::Evaluator;
 
     #[test]
     fn env_overrides_parse() {

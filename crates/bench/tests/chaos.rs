@@ -4,7 +4,9 @@
 //! contract across real process boundaries — per-field submit
 //! rejection, graceful shutdown that suspends (not loses) in-flight
 //! jobs, per-job deadlines that fail loudly, and malformed supervision
-//! knobs that stop the server before it reads a request.
+//! knobs that stop the server before it reads a request. A
+//! `GEVO_STOP_AFTER` that no checkpoint could honor stops `search_job`
+//! the same way, before its first generation.
 //!
 //! The end-to-end byte-identity battery (corrupt → rollback → rerun →
 //! identical result) lives in the `chaos_check` binary, which CI runs
@@ -415,5 +417,37 @@ fn malformed_deadline_knob_stops_the_server_at_startup() {
         "{stderr}"
     );
     assert!(out.stdout.is_empty() && !dir.join("b1.job.json").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `GEVO_STOP_AFTER` is refused before the first generation when it
+/// could never fire (0: completed generations count from 1) or when no
+/// checkpoint would keep the generations it ran: either exit 3 would
+/// promise a resumable stop that is not there.
+#[test]
+fn stop_after_without_a_checkpoint_or_at_zero_is_refused_at_startup() {
+    let dir = scratch("bad-stop-after");
+    let ckpt = dir.join("job.ckpt.json");
+    for (stop_after, checkpoint) in [("2", None), ("0", Some(&ckpt))] {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_search_job"));
+        cmd.env_remove("GEVO_CHAOS")
+            .env_remove("GEVO_CHECKPOINT")
+            .env("GEVO_STOP_AFTER", stop_after)
+            .env("GEVO_POP", "4")
+            .env("GEVO_GENS", "3");
+        if let Some(path) = checkpoint {
+            cmd.env("GEVO_CHECKPOINT", path);
+        }
+        let out = cmd.output().expect("run search_job");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !out.status.success(),
+            "GEVO_STOP_AFTER={stop_after}: {stderr}"
+        );
+        assert_ne!(out.status.code(), Some(3), "not the resumable stop code");
+        assert!(stderr.contains("GEVO_STOP_AFTER"), "{stderr}");
+        assert!(out.stdout.is_empty(), "no search result is printed");
+    }
+    assert!(!ckpt.exists(), "refused before any generation ran");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -59,19 +59,4 @@ fn main() {
             println!(" the fix is zero padding, compare `SimcovConfig::scaled().padded()`)");
         }
     }
-
-    // The curated boundary removal demonstrates the same contrast
-    // deterministically.
-    println!();
-    println!("== curated §VI-D ablation ==");
-    let boundary = Patch::from_edits(workload.boundary_edits());
-    let s = ev.speedup(&boundary).expect("valid on the small grid");
-    println!(
-        "boundary removal on the fitness grid: {:+.1}%",
-        (s - 1.0) * 100.0
-    );
-    match workload.validate_heldout(&boundary, 64, 6) {
-        Err(e) => println!("boundary removal on the held-out grid: FAILS — {e}"),
-        Ok(()) => println!("boundary removal on the held-out grid: passes"),
-    }
 }
