@@ -36,7 +36,7 @@
 //! {"event":"failed","id":"j1","attempt":1,"error":"panic: .."}
 //! {"event":"suspended","id":"j1","gen":4}
 //! {"event":"done","id":"j1","speedup":..,"result":"<path>.done.json",
-//!  "attempts":1,"evals":..,"step_limit_kills":..,"faults":{..}}
+//!  "attempts":1,"evals":..,"faults":{..}}
 //! {"event":"error","id":"j1","message":".."}
 //! {"event":"status","jobs":[{"id":"j1","state":"running","attempts":1}, ..]}
 //! ```
@@ -337,7 +337,6 @@ fn run_job_once(mgr: &Arc<Manager>, job: &Job, sink: &Sink, attempt: usize) -> A
     obj.insert("result", done.display().to_string());
     obj.insert("attempts", attempt as u64);
     obj.insert("evals", stats.evals as u64);
-    obj.insert("step_limit_kills", stats.faults.step_limit as u64);
     obj.insert("faults", stats.faults.to_json());
     sink.emit(&Value::Object(obj).to_string());
     Attempt::Done

@@ -11,31 +11,19 @@
 //!
 //! Budget via GEVO_POP / GEVO_GENS / GEVO_SEED; island count via
 //! `--islands N` / GEVO_ISLANDS (that count is compared against 1).
-//!
-//! `--json` switches the report to one JSON object per line (markdown
-//! tables suppressed), for `BENCH_*.json` trajectory capture:
-//!
-//! ```text
-//! {"workload":"ADEPT-V0 / P100","islands":4,"best_speedup":...,
-//!  "evals":...,"cache_hit_rate":...,"evals_per_sec":...,
-//!  "winstr_per_sec":...,"migrations":...,
-//!  "lowered_insts":...,"uniform_insts":...,"folded_insts":...,
-//!  "scalarized_fraction":...,
-//!  "step_limit_kills":...,"faults":{"step_limit":...,...}}
-//! ```
 
 use gevo_bench::{
-    adept_on, env_usize, harness_spec, islands_knob, row, run_search_stats, scaled_table1_specs,
+    adept_on, env_usize, harness_spec, islands_knob, row, run_search, scaled_table1_specs,
     simcov_on,
 };
-use gevo_engine::{EvalStats, SearchResult, SearchSpec, Workload};
+use gevo_engine::{SearchResult, SearchSpec, Workload};
 use gevo_workloads::adept::Version;
 use std::time::Instant;
 
 #[allow(clippy::cast_precision_loss)]
-fn measure(w: &dyn Workload, spec: &SearchSpec) -> (SearchResult, EvalStats, f64, f64) {
+fn measure(w: &dyn Workload, spec: &SearchSpec) -> (SearchResult, f64, f64) {
     let start = Instant::now();
-    let (res, stats) = run_search_stats(w, spec);
+    let res = run_search(w, spec);
     let secs = start.elapsed().as_secs_f64().max(1e-9);
     let lookups = res.evals + res.cache_hits;
     let hit_rate = if lookups == 0 {
@@ -43,80 +31,45 @@ fn measure(w: &dyn Workload, spec: &SearchSpec) -> (SearchResult, EvalStats, f64
     } else {
         res.cache_hits as f64 / lookups as f64
     };
-    (res, stats, hit_rate, secs)
+    (res, hit_rate, secs)
 }
 
 #[allow(clippy::cast_precision_loss)]
-fn report(name: &str, w: &dyn Workload, islands: usize, pop: usize, gens: usize, json: bool) {
-    if !json {
-        println!("## {name} (pop {pop}, {gens} gens, seed fixed)");
-        row(&[
-            "islands".into(),
-            "best speedup".into(),
-            "evals".into(),
-            "cache hit-rate".into(),
-            "evals/sec".into(),
-            "Mwinstr/sec".into(),
-            "migrations".into(),
-        ]);
-        row(&[
-            "---".into(),
-            "---".into(),
-            "---".into(),
-            "---".into(),
-            "---".into(),
-            "---".into(),
-            "---".into(),
-        ]);
-    }
+fn report(name: &str, w: &dyn Workload, islands: usize, pop: usize, gens: usize) {
+    println!("## {name} (pop {pop}, {gens} gens, seed fixed)");
+    row(&[
+        "islands".into(),
+        "best speedup".into(),
+        "evals".into(),
+        "cache hit-rate".into(),
+        "evals/sec".into(),
+        "Mwinstr/sec".into(),
+        "migrations".into(),
+    ]);
+    row(&[
+        "---".into(),
+        "---".into(),
+        "---".into(),
+        "---".into(),
+        "---".into(),
+        "---".into(),
+        "---".into(),
+    ]);
     let mut best = Vec::new();
     for n in [1, islands] {
         let mut spec = harness_spec(pop, gens);
         spec.islands = n;
-        let (res, stats, hit_rate, secs) = measure(w, &spec);
-        if json {
-            // Hand-rolled JSON: the offline serde shim has no serializer,
-            // and every field here is a number or an escaped-free name.
-            println!(
-                "{{\"workload\":\"{name}\",\"islands\":{n},\"pop\":{pop},\"gens\":{gens},\
-                 \"best_speedup\":{:.6},\"best_fitness\":{:.1},\"evals\":{},\
-                 \"cache_hits\":{},\"cache_hit_rate\":{:.4},\"evals_per_sec\":{:.1},\
-                 \"instructions\":{},\"winstr_per_sec\":{:.0},\
-                 \"migrations\":{},\"wall_secs\":{secs:.3},\
-                 \"lowered_insts\":{},\"uniform_insts\":{},\"folded_insts\":{},\
-                 \"scalarized_fraction\":{:.4},\
-                 \"step_limit_kills\":{},\"faults\":{}}}",
-                res.speedup,
-                res.best.fitness.expect("best is valid"),
-                res.evals,
-                res.cache_hits,
-                hit_rate,
-                res.evals as f64 / secs,
-                res.instructions,
-                res.instructions as f64 / secs,
-                res.history.migrations.len(),
-                stats.lowered_insts,
-                stats.uniform_insts,
-                stats.folded_insts,
-                stats.scalarized_fraction(),
-                stats.faults.step_limit,
-                stats.faults.to_json(),
-            );
-        } else {
-            row(&[
-                n.to_string(),
-                format!("{:.2}x", res.speedup),
-                res.evals.to_string(),
-                format!("{:.1}%", 100.0 * hit_rate),
-                format!("{:.0}", res.evals as f64 / secs),
-                format!("{:.2}", res.instructions as f64 / secs / 1e6),
-                res.history.migrations.len().to_string(),
-            ]);
-        }
+        let (res, hit_rate, secs) = measure(w, &spec);
+        row(&[
+            n.to_string(),
+            format!("{:.2}x", res.speedup),
+            res.evals.to_string(),
+            format!("{:.1}%", 100.0 * hit_rate),
+            format!("{:.0}", res.evals as f64 / secs),
+            format!("{:.2}", res.instructions as f64 / secs / 1e6),
+            res.history.migrations.len().to_string(),
+        ]);
         best.push(res.best.fitness.expect("best is valid"));
-    }
-    if json {
-        return;
     }
     let [single, multi] = best[..] else {
         unreachable!("two configurations measured")
@@ -133,18 +86,15 @@ fn report(name: &str, w: &dyn Workload, islands: usize, pop: usize, gens: usize,
 }
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
     let islands = match islands_knob() {
         1 => 4, // comparing 1 vs 1 says nothing; default the contrast to 4
         n => n,
     };
-    if !json {
-        println!(
-            "Island engine: 1 vs {islands} islands at equal budget (GEVO_MIGRATION {})",
-            env_usize("GEVO_MIGRATION", 5)
-        );
-        println!();
-    }
+    println!(
+        "Island engine: 1 vs {islands} islands at equal budget (GEVO_MIGRATION {})",
+        env_usize("GEVO_MIGRATION", 5)
+    );
+    println!();
     let p100 = &scaled_table1_specs()[0];
 
     let adept = adept_on(Version::V0, p100);
@@ -154,7 +104,6 @@ fn main() {
         islands,
         env_usize("GEVO_POP", 32),
         env_usize("GEVO_GENS", 14),
-        json,
     );
 
     let simcov = simcov_on(p100);
@@ -164,12 +113,9 @@ fn main() {
         islands,
         env_usize("GEVO_POP", 32),
         env_usize("GEVO_GENS", 20),
-        json,
     );
 
-    if !json {
-        println!("Shape to check: equal budgets, so evals are comparable; islands");
-        println!("trade a panmictic population for parallel basins plus migration,");
-        println!("and the sharded cache keeps concurrent lookups from serializing.");
-    }
+    println!("Shape to check: equal budgets, so evals are comparable; islands");
+    println!("trade a panmictic population for parallel basins plus migration,");
+    println!("and the sharded cache keeps concurrent lookups from serializing.");
 }

@@ -15,7 +15,7 @@
 //! (defaults per workload as above).
 //!
 //! `--json` switches to one JSON object per front point (markdown
-//! suppressed), mirroring the `islands --json` trajectory capture:
+//! suppressed):
 //!
 //! ```text
 //! {"workload":"SIMCoV / P100","objectives":["cycles","error"],

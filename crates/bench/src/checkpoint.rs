@@ -1,8 +1,8 @@
 //! Checkpoint/resume plumbing for every GA-driven harness binary.
 //!
-//! The knobs are read in one place, [`crate::run_search_stats`] (the
-//! same single-point rule as [`crate::harness_spec`]): any binary that
-//! runs its search through [`crate::run_search`] understands
+//! The knobs are read in one place, [`crate::run_search`] (the same
+//! single-point rule as [`crate::harness_spec`]): any binary that runs
+//! its search through it understands
 //!
 //! | knob | meaning |
 //! |---|---|

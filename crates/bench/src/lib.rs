@@ -51,8 +51,7 @@ pub mod scorecard;
 pub mod supervise;
 
 use gevo_engine::{
-    EvalStats, GaConfig, MutationWeights, Objective, Search, SearchResult, SearchSpec, StepStatus,
-    Workload,
+    GaConfig, MutationWeights, Objective, Search, SearchResult, SearchSpec, StepStatus, Workload,
 };
 use gevo_gpu::GpuSpec;
 use gevo_workloads::adept::{AdeptConfig, AdeptWorkload, Version};
@@ -151,7 +150,7 @@ pub fn objectives_knob() -> Vec<Objective> {
 /// (`delete,operand_replace,cond_replace,copy,mov,swap,replace`), or
 /// `None` when unset (the built-in defaults apply).
 ///
-/// Applied by [`run_search_stats`] to **fresh** sessions
+/// Applied by [`run_search`] to **fresh** sessions
 /// only: a resumed checkpoint already carries the weights its run
 /// started with, and silently re-weighting mid-run would fork the
 /// trajectory from the uninterrupted one.
@@ -248,24 +247,14 @@ pub fn harness_spec(pop: usize, gens: usize) -> SearchSpec {
 
 /// Runs the configured search session and returns its result (global
 /// history, per-island trajectories, Pareto front when
-/// multi-objective). Checkpoint-aware: because every GA-driven harness
-/// binary runs through this one function, the
-/// `--checkpoint`/`--resume`/`GEVO_CHECKPOINT*` knobs (see
-/// [`checkpoint`]) work identically in all of them.
-#[must_use]
-pub fn run_search(w: &dyn Workload, spec: &SearchSpec) -> SearchResult {
-    run_search_stats(w, spec).0
-}
-
-/// [`run_search`] plus the evaluator's own counters (cache hit rates,
-/// lowering-pass counters, fault tallies) — observability the result
-/// deliberately omits, for the harnesses whose reports include them
-/// (`islands --json`).
+/// multi-objective).
 ///
 /// This is the one checkpoint-aware runner (knob table in
-/// [`checkpoint`]). It resolves this search's checkpoint file and
-/// resumes from `--resume`, or from the checkpoint file itself when it
-/// already exists; otherwise it starts a fresh session with
+/// [`checkpoint`]): because every GA-driven harness binary runs through
+/// it, the `--checkpoint`/`--resume`/`GEVO_CHECKPOINT*` knobs work
+/// identically in all of them. It resolves this search's checkpoint
+/// file and resumes from `--resume`, or from the checkpoint file itself
+/// when it already exists; otherwise it starts a fresh session with
 /// `GEVO_MUT_WEIGHTS` applied. It writes a checkpoint every
 /// `GEVO_CHECKPOINT_EVERY` generations. At `GEVO_STOP_AFTER` it
 /// checkpoints and exits with [`checkpoint::STOPPED_EXIT_CODE`], the
@@ -280,7 +269,7 @@ pub fn run_search(w: &dyn Workload, spec: &SearchSpec) -> SearchResult {
 /// search; `ga.threads` is exempt and taken from `spec`), or if a
 /// checkpoint write fails.
 #[must_use]
-pub fn run_search_stats(w: &dyn Workload, spec: &SearchSpec) -> (SearchResult, EvalStats) {
+pub fn run_search(w: &dyn Workload, spec: &SearchSpec) -> SearchResult {
     let ckpt = arg_value("--checkpoint")
         .or_else(|| std::env::var("GEVO_CHECKPOINT").ok())
         .map(|base| checkpoint::resolve_checkpoint_path(Path::new(&base), w.name(), spec));
@@ -346,8 +335,7 @@ pub fn run_search_stats(w: &dyn Workload, spec: &SearchSpec) -> (SearchResult, E
         // trajectory (the recovery invariant chaos_check asserts).
         chaos::maybe_worker_panic(search.eval_stats().evals);
     }
-    let stats = search.eval_stats();
-    (search.into_result(), stats)
+    search.into_result()
 }
 
 /// Builds one of the Table-1 workloads in its default scaled

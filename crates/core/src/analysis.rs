@@ -448,7 +448,7 @@ pub fn dependency_graph(table: &SubsetTable) -> EpistasisGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fitness::{EvalOutcome, Workload};
+    use crate::fitness::{EvalOutcome, FaultClass, Workload};
     use gevo_gpu::LaunchStats;
     use gevo_ir::{AddrSpace, InstId, Kernel, KernelBuilder, Operand, Special};
 
@@ -510,7 +510,10 @@ mod tests {
                 .collect();
             // d3/d4 without their enabler d2: broken program.
             if (gone[3] || gone[4]) && !gone[2] {
-                return EvalOutcome::fail("dependent edit applied without enabler");
+                return EvalOutcome::fail(
+                    FaultClass::Mismatch,
+                    "dependent edit applied without enabler",
+                );
             }
             let mut cycles = 1000.0;
             if gone[0] {

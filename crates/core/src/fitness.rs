@@ -51,7 +51,7 @@
 //! ```
 
 use crate::edit::Patch;
-use gevo_gpu::{CompiledKernel, LaunchStats};
+use gevo_gpu::{CompiledKernel, ExecError, LaunchStats};
 use gevo_ir::Kernel;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -65,6 +65,9 @@ pub struct EvalOutcome {
     pub fitness: Option<f64>,
     /// Human-readable reason for failure, when failed.
     pub failure: Option<String>,
+    /// The failure's class, named by the layer where the fault arose;
+    /// set together with `failure`, only by [`EvalOutcome::fail`].
+    pub fault: Option<FaultClass>,
     /// Aggregated launch statistics for the (passing) evaluation.
     pub stats: Option<LaunchStats>,
     /// Measured correctness deviation of a *passing* variant, normalized
@@ -91,17 +94,20 @@ impl EvalOutcome {
         EvalOutcome {
             fitness: Some(cycles),
             failure: None,
+            fault: None,
             stats: Some(stats),
             error,
         }
     }
 
-    /// A failing outcome with a reason.
+    /// A failing outcome: its class, named where the fault arose, and
+    /// its reason. The only way to build a failing outcome.
     #[must_use]
-    pub fn fail(reason: impl Into<String>) -> EvalOutcome {
+    pub fn fail(class: FaultClass, reason: impl Into<String>) -> EvalOutcome {
         EvalOutcome {
             fitness: None,
             failure: Some(reason.into()),
+            fault: Some(class),
             stats: None,
             error: f64::INFINITY,
         }
@@ -125,6 +131,9 @@ impl EvalOutcome {
         }
         if let Some(reason) = &self.failure {
             obj.insert("failure", reason.clone());
+        }
+        if let Some(class) = self.fault {
+            obj.insert("fault", class.name());
         }
         if let Some(stats) = &self.stats {
             obj.insert("stats", stats.to_json());
@@ -167,6 +176,17 @@ impl EvalOutcome {
                     .to_string(),
             ),
         };
+        let fault = match v.get("fault") {
+            None => None,
+            Some(s) => Some(
+                s.as_str()
+                    .and_then(FaultClass::from_name)
+                    .ok_or_else(|| format!("EvalOutcome: invalid fault {s}"))?,
+            ),
+        };
+        if failure.is_some() != fault.is_some() {
+            return Err("EvalOutcome: failure and fault must come together".to_string());
+        }
         let stats = match v.get("stats") {
             None => None,
             Some(s) => Some(gevo_gpu::LaunchStats::from_json(s)?),
@@ -174,6 +194,7 @@ impl EvalOutcome {
         Ok(EvalOutcome {
             fitness,
             failure,
+            fault,
             stats,
             error,
         })
@@ -297,7 +318,7 @@ pub trait Workload: Sync {
     /// unreachable for workloads whose `compile` returns `None`.
     fn evaluate_compiled(&self, compiled: &[CompiledKernel], eval_seed: u64) -> EvalOutcome {
         let _ = (compiled, eval_seed);
-        EvalOutcome::fail("workload has no compiled-launch path")
+        EvalOutcome::fail(FaultClass::Other, "workload has no compiled-launch path")
     }
 
     /// Inert: nothing in this workspace calls or overrides it; `perfbench/` forwards it.
@@ -332,10 +353,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     )
 }
 
-/// Coarse classification of an evaluation failure, recovered from the
-/// failure string [`EvalOutcome::failure`] carries (the outcome itself
-/// stays a plain string — its serialized form is checkpointed and must
-/// not change shape).
+/// Coarse classification of an evaluation failure. Each layer names
+/// the class where the fault arises (GEVO's `mutStats` counts at the
+/// same places): the interpreter through `From<&ExecError>`, the
+/// workloads' oracles as [`FaultClass::Mismatch`], and the
+/// [`Evaluator`] for rejected compiles and caught panics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultClass {
     /// The interpreter's step budget killed a runaway mutant
@@ -356,57 +378,44 @@ pub enum FaultClass {
 }
 
 impl FaultClass {
-    /// Classifies a failure string. The match is on the stable phrasing
-    /// each layer uses: `ExecError::StepLimit` displays "step limit",
-    /// the shared compile pipeline prefixes verification failures with
-    /// "verify:", launch-time exec errors all mention "fault",
-    /// "misaligned", "barrier", "launch", "deadlock" or "type mismatch",
-    /// and the isolation boundary prefixes caught panics with "panic:".
-    /// Oracle rejections are mismatches: ADEPT phrases them as
-    /// "... expected ...", `SIMCoV`'s tolerance check as "... exceeds
-    /// ...", "... cells differ ...", "stats[...]: a vs oracle b" or
-    /// "field size mismatch".
-    #[must_use]
-    pub fn classify(reason: &str) -> FaultClass {
-        let has = |kws: &[&str]| kws.iter().any(|kw| reason.contains(kw));
-        if reason.starts_with("panic:") {
-            FaultClass::Panic
-        } else if reason.contains("step limit") {
-            FaultClass::StepLimit
-        } else if reason.starts_with("verify:") || reason.contains("verification failed") {
-            FaultClass::Verify
-        } else if has(&[
-            "fault",
-            "misaligned",
-            "barrier",
-            "launch",
-            "deadlock",
-            "type mismatch",
-        ]) {
-            FaultClass::Exec
-        } else if has(&[
-            "expected",
-            "exceeds",
-            "cells differ",
-            "vs oracle",
-            "size mismatch",
-        ]) {
-            FaultClass::Mismatch
-        } else {
-            FaultClass::Other
+    /// Every class, in declaration order (which is also the order of
+    /// [`FaultTallies`]' fields and of the evaluator's counters).
+    const ALL: [FaultClass; 6] = [
+        FaultClass::StepLimit,
+        FaultClass::Verify,
+        FaultClass::Exec,
+        FaultClass::Mismatch,
+        FaultClass::Panic,
+        FaultClass::Other,
+    ];
+
+    /// The class's name: the `"fault"` value of a failing outcome's
+    /// JSON and the key of its count in [`FaultTallies::to_json`].
+    fn name(self) -> &'static str {
+        match self {
+            FaultClass::StepLimit => "step_limit",
+            FaultClass::Verify => "verify",
+            FaultClass::Exec => "exec",
+            FaultClass::Mismatch => "mismatch",
+            FaultClass::Panic => "panic",
+            FaultClass::Other => "other",
         }
     }
 
-    const COUNT: usize = 6;
+    /// The class a [`FaultClass::name`] names.
+    fn from_name(name: &str) -> Option<FaultClass> {
+        FaultClass::ALL.into_iter().find(|c| c.name() == name)
+    }
+}
 
-    fn index(self) -> usize {
-        match self {
-            FaultClass::StepLimit => 0,
-            FaultClass::Verify => 1,
-            FaultClass::Exec => 2,
-            FaultClass::Mismatch => 3,
-            FaultClass::Panic => 4,
-            FaultClass::Other => 5,
+impl From<&ExecError> for FaultClass {
+    /// The interpreter's failures: a step-budget kill, a verification
+    /// rejection at launch, and every other runtime fault.
+    fn from(e: &ExecError) -> FaultClass {
+        match e {
+            ExecError::StepLimit => FaultClass::StepLimit,
+            ExecError::Verify(_) => FaultClass::Verify,
+            _ => FaultClass::Exec,
         }
     }
 }
@@ -433,22 +442,32 @@ pub struct FaultTallies {
 }
 
 impl FaultTallies {
+    /// The counts in [`FaultClass::ALL`] order.
+    fn counts(&self) -> [usize; 6] {
+        [
+            self.step_limit,
+            self.verify,
+            self.exec,
+            self.mismatch,
+            self.panic,
+            self.other,
+        ]
+    }
+
     /// Total failing evaluations across all classes.
     #[must_use]
     pub fn total(&self) -> usize {
-        self.step_limit + self.verify + self.exec + self.mismatch + self.panic + self.other
+        self.counts().iter().sum()
     }
 
-    /// Serializes to a JSON object (one integer field per class).
+    /// Serializes to a JSON object: one integer field per class, keyed
+    /// by the name a failing outcome's `"fault"` carries.
     #[must_use]
     pub fn to_json(&self) -> serde_json::Value {
         let mut obj = serde_json::Map::new();
-        obj.insert("step_limit", self.step_limit as u64);
-        obj.insert("verify", self.verify as u64);
-        obj.insert("exec", self.exec as u64);
-        obj.insert("mismatch", self.mismatch as u64);
-        obj.insert("panic", self.panic as u64);
-        obj.insert("other", self.other as u64);
+        for (class, n) in FaultClass::ALL.into_iter().zip(self.counts()) {
+            obj.insert(class.name(), n as u64);
+        }
         serde_json::Value::Object(obj)
     }
 }
@@ -537,9 +556,10 @@ pub struct Evaluator<'w> {
     lowered_insts: AtomicU64,
     uniform_insts: AtomicU64,
     folded_insts: AtomicU64,
-    /// Failing performed evaluations by [`FaultClass`] index. Like the
-    /// lowering counters: observability only, never checkpointed.
-    faults: [AtomicUsize; FaultClass::COUNT],
+    /// Failing performed evaluations, indexed in [`FaultClass::ALL`]
+    /// order. Like the lowering counters: observability only, never
+    /// checkpointed.
+    faults: [AtomicUsize; FaultClass::ALL.len()],
     eval_seed: RwLock<u64>,
 }
 
@@ -635,7 +655,7 @@ impl<'w> Evaluator<'w> {
                     self.count_pass_facts(&compiled);
                     self.workload.evaluate_compiled(&compiled, seed)
                 }
-                Some(Err(reason)) => EvalOutcome::fail(reason),
+                Some(Err(reason)) => EvalOutcome::fail(FaultClass::Verify, reason),
                 None => self.workload.evaluate(&kernels, seed),
             }
         }));
@@ -647,11 +667,10 @@ impl<'w> Evaluator<'w> {
                 eval_seed: seed,
                 reason: reason.clone(),
             });
-            EvalOutcome::fail(reason)
+            EvalOutcome::fail(FaultClass::Panic, reason)
         });
-        if let Some(reason) = &outcome.failure {
-            let class = FaultClass::classify(reason);
-            self.faults[class.index()].fetch_add(1, Ordering::Relaxed);
+        if let Some(class) = outcome.fault {
+            self.faults[class as usize].fetch_add(1, Ordering::Relaxed);
         }
         self.evals.fetch_add(1, Ordering::Relaxed);
         if let Some(stats) = &outcome.stats {
@@ -698,7 +717,7 @@ impl<'w> Evaluator<'w> {
     /// is loaded atomically; the set is not a single snapshot.
     #[must_use]
     pub fn stats(&self) -> EvalStats {
-        let fault = |class: FaultClass| self.faults[class.index()].load(Ordering::Relaxed);
+        let fault = |class: FaultClass| self.faults[class as usize].load(Ordering::Relaxed);
         EvalStats {
             evals: self.evals.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
@@ -895,7 +914,7 @@ mod tests {
         fn evaluate(&self, kernels: &[Kernel], _seed: u64) -> EvalOutcome {
             let k = &kernels[0];
             if k.locate(self.store_id).is_none() {
-                return EvalOutcome::fail("output never written");
+                return EvalOutcome::fail(FaultClass::Mismatch, "output never written");
             }
             #[allow(clippy::cast_precision_loss)]
             let fitness = 900.0 + 10.0 * k.inst_count() as f64;
@@ -931,7 +950,7 @@ mod tests {
         fn evaluate(&self, kernels: &[Kernel], seed: u64) -> EvalOutcome {
             match self.compile(kernels).expect("has a compiled path") {
                 Ok(compiled) => self.evaluate_compiled(&compiled, seed),
-                Err(reason) => EvalOutcome::fail(reason),
+                Err(reason) => EvalOutcome::fail(FaultClass::Verify, reason),
             }
         }
         fn compile(&self, kernels: &[Kernel]) -> Option<Result<Vec<CompiledKernel>, String>> {
@@ -1215,8 +1234,36 @@ mod tests {
         let ev = Evaluator::new(&w);
         let out = ev.evaluate(&Patch::empty());
         assert!(!out.is_valid());
+        assert_eq!(out.fault, Some(FaultClass::Verify));
         assert!(out.failure.unwrap().starts_with("verify:"));
-        assert_eq!(ev.stats().compiles, 0, "only successes count");
+        let stats = ev.stats();
+        assert_eq!(stats.compiles, 0, "only successes count");
+        assert_eq!(stats.faults.verify, 1);
+        assert_eq!(stats.faults.total(), 1);
+    }
+
+    #[test]
+    fn caught_panic_is_a_panic_outcome() {
+        struct Panicking(Stub);
+        impl Workload for Panicking {
+            fn name(&self) -> &'static str {
+                "panicking"
+            }
+            fn kernels(&self) -> &[Kernel] {
+                self.0.kernels()
+            }
+            fn evaluate(&self, _kernels: &[Kernel], _seed: u64) -> EvalOutcome {
+                panic!("simulator bug");
+            }
+        }
+        let w = Panicking(Stub::new());
+        let ev = Evaluator::new(&w);
+        let out = ev.evaluate(&Patch::empty());
+        assert_eq!(out.fault, Some(FaultClass::Panic));
+        assert_eq!(out.failure.as_deref(), Some("panic: simulator bug"));
+        let faults = ev.stats().faults;
+        assert_eq!(faults.panic, 1);
+        assert_eq!(faults.total(), 1);
     }
 
     #[test]
@@ -1260,9 +1307,27 @@ mod tests {
         assert!(!out.is_valid());
         assert!(out.error.is_infinite());
         let snap = ev.export_snapshot();
-        let reparsed = serde_json::from_str(&snap.to_json().to_string()).unwrap();
+        let json = snap.to_json().to_string();
+        assert!(json.contains(r#""fault":"mismatch""#), "{json}");
+        let reparsed = serde_json::from_str(&json).unwrap();
         let snap2 = EvaluatorSnapshot::from_json(&reparsed).unwrap();
-        assert_eq!(snap2, snap, "INFINITY error survives the JSON trip");
+        assert_eq!(
+            snap2, snap,
+            "INFINITY error and fault class survive the JSON trip"
+        );
+        assert_eq!(snap2.outcomes[0].1.fault, Some(FaultClass::Mismatch));
+
+        // Every class survives the trip under its own name; a failure
+        // without its class is malformed, not silently unclassified.
+        for class in FaultClass::ALL {
+            let failed = EvalOutcome::fail(class, "x");
+            let json = failed.to_json().to_string();
+            let reparsed = serde_json::from_str(&json).unwrap();
+            assert_eq!(EvalOutcome::from_json(&reparsed).unwrap(), failed);
+            let fault = format!(r#","fault":"{}""#, class.name());
+            let unclassified = serde_json::from_str(&json.replace(&fault, "")).unwrap();
+            assert!(EvalOutcome::from_json(&unclassified).is_err(), "{json}");
+        }
     }
 
     #[test]
@@ -1310,97 +1375,6 @@ mod tests {
         let _ = ev.evaluate_batch(&patches, 4);
         for p in &patches {
             assert_eq!(ev.evaluate(p).fitness, Some(78.0), "stale-seed entry");
-        }
-    }
-
-    /// One real failure string per class from each layer that produces
-    /// them: the ADEPT and `SIMCoV` oracles, the interpreter, the
-    /// compile pipeline and the isolation boundary.
-    #[test]
-    fn classify_maps_every_workload_failure_to_its_class() {
-        use gevo_gpu::ExecError;
-        let mut broken = Stub::new().kernels.remove(0);
-        broken.blocks[0].instrs[0].args.clear();
-        let verify_err = gevo_ir::verify::verify(&broken).expect_err("arity error");
-        let table: Vec<(String, FaultClass)> = vec![
-            // ADEPT oracle.
-            (
-                "pair 3: forward got (score 11, end 7,9), expected (score 14, end 8,9)".into(),
-                FaultClass::Mismatch,
-            ),
-            (
-                "pair 0: reverse got (score 2, end 0,1), expected (score 5, end 3,3)".into(),
-                FaultClass::Mismatch,
-            ),
-            // SIMCoV oracle: every `validate::compare` branch.
-            ("field size mismatch".into(), FaultClass::Mismatch),
-            (
-                "virions: per-value mean deviation 0.8125 exceeds 0.0512".into(),
-                FaultClass::Mismatch,
-            ),
-            (
-                "chemokine: per-value variance 3.0417 exceeds 0.2600".into(),
-                FaultClass::Mismatch,
-            ),
-            (
-                "epithelial states: 41 cells differ (0.160 > 0.020)".into(),
-                FaultClass::Mismatch,
-            ),
-            (
-                "T cells: 9 cells differ (budget 4, 37 live)".into(),
-                FaultClass::Mismatch,
-            ),
-            (
-                "stats[infected]: 212 vs oracle 97".into(),
-                FaultClass::Mismatch,
-            ),
-            // Interpreter, as each workload wraps it.
-            (
-                format!("forward kernel: {}", ExecError::StepLimit),
-                FaultClass::StepLimit,
-            ),
-            (
-                format!("simcov_virion_diffuse: {}", ExecError::StepLimit),
-                FaultClass::StepLimit,
-            ),
-            (
-                format!(
-                    "reverse kernel: {}",
-                    ExecError::GlobalFault { addr: -4, bytes: 4 }
-                ),
-                FaultClass::Exec,
-            ),
-            (
-                format!(
-                    "simcov_virion_diffuse: {}",
-                    ExecError::Misaligned { addr: 6, align: 4 }
-                ),
-                FaultClass::Exec,
-            ),
-            (
-                format!("simcov_tcell_move: {}", ExecError::BarrierDivergence),
-                FaultClass::Exec,
-            ),
-            (
-                format!(
-                    "forward kernel: {}",
-                    ExecError::TypeMismatch {
-                        expected: gevo_ir::Ty::I32,
-                        found: gevo_ir::Ty::F32
-                    }
-                ),
-                FaultClass::Exec,
-            ),
-            // Compile pipeline and isolation boundary.
-            (format!("verify: {verify_err}"), FaultClass::Verify),
-            (
-                "panic: chaos: injected evaluation panic at eval 3".into(),
-                FaultClass::Panic,
-            ),
-            ("output never written".into(), FaultClass::Other),
-        ];
-        for (reason, class) in &table {
-            assert_eq!(FaultClass::classify(reason), *class, "{reason}");
         }
     }
 

@@ -86,61 +86,10 @@ pub struct MigrationEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fitness::{EvalOutcome, Workload};
     use crate::ga::GaConfig;
     use crate::search::{Search, SearchResult, SearchSpec};
-    use gevo_gpu::LaunchStats;
-    use gevo_ir::{AddrSpace, Kernel, KernelBuilder, Operand, Special};
+    use crate::toy::Toy;
     use std::collections::HashMap;
-
-    /// Toy workload with a known optimum: fitness = 100 + 10 per
-    /// remaining deletable instruction; the store must survive.
-    struct Toy {
-        kernels: Vec<Kernel>,
-        store_id: gevo_ir::InstId,
-    }
-
-    impl Toy {
-        fn new() -> Toy {
-            let mut b = KernelBuilder::new("toy");
-            let out = b.param_ptr("out", AddrSpace::Global);
-            let tid = b.special_i32(Special::ThreadId);
-            let mut acc = b.mov(Operand::ImmI32(0));
-            for _ in 0..6 {
-                acc = b.add(acc.into(), Operand::ImmI32(1));
-            }
-            let _ = acc;
-            let addr = b.index_addr(Operand::Param(out), tid.into(), 4);
-            let store_probe = b.peek_next_id();
-            b.store_global_i32(addr.into(), tid.into());
-            b.ret();
-            Toy {
-                kernels: vec![b.finish()],
-                store_id: store_probe,
-            }
-        }
-    }
-
-    impl Workload for Toy {
-        fn name(&self) -> &'static str {
-            "toy"
-        }
-        fn kernels(&self) -> &[Kernel] {
-            &self.kernels
-        }
-        fn evaluate(&self, kernels: &[Kernel], _seed: u64) -> EvalOutcome {
-            let k = &kernels[0];
-            if k.locate(self.store_id).is_none() {
-                return EvalOutcome::fail("store deleted");
-            }
-            if gevo_ir::verify::verify(k).is_err() {
-                return EvalOutcome::fail("verification");
-            }
-            #[allow(clippy::cast_precision_loss)]
-            let f = 100.0 + 10.0 * k.inst_count() as f64;
-            EvalOutcome::pass(f, LaunchStats::default())
-        }
-    }
 
     fn quick_ga(seed: u64) -> GaConfig {
         GaConfig {

@@ -34,7 +34,7 @@
 //! ## Example: evolve a toy workload
 //!
 //! ```
-//! use gevo_engine::{Search, GaConfig, Workload, EvalOutcome, Patch};
+//! use gevo_engine::{Search, GaConfig, Workload, EvalOutcome, FaultClass, Patch};
 //! use gevo_ir::{Kernel, KernelBuilder, Operand, Special, AddrSpace};
 //! use gevo_gpu::LaunchStats;
 //!
@@ -46,7 +46,7 @@
 //!     fn kernels(&self) -> &[Kernel] { &self.kernels }
 //!     fn evaluate(&self, ks: &[Kernel], _seed: u64) -> EvalOutcome {
 //!         if ks[0].locate(self.store).is_none() {
-//!             return EvalOutcome::fail("store removed");
+//!             return EvalOutcome::fail(FaultClass::Mismatch, "store removed");
 //!         }
 //!         EvalOutcome::pass(ks[0].inst_count() as f64, LaunchStats::default())
 //!     }
@@ -87,6 +87,8 @@ pub mod mutation;
 pub mod quarantine;
 pub mod search;
 pub mod state;
+#[cfg(test)]
+mod toy;
 
 pub use analysis::{
     dependency_graph, minimize_weak_edits, split_independent, subset_analysis, EpistasisGraph,

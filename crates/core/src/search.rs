@@ -1362,6 +1362,7 @@ fn tournament<'p, R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fitness::FaultClass;
     use gevo_gpu::LaunchStats;
     use gevo_ir::{AddrSpace, Kernel, KernelBuilder, Operand, Special};
     use proptest::prelude::*;
@@ -1410,10 +1411,10 @@ mod tests {
         fn evaluate(&self, kernels: &[Kernel], _seed: u64) -> EvalOutcome {
             let k = &kernels[0];
             if k.locate(self.store_id).is_none() {
-                return EvalOutcome::fail("store deleted");
+                return EvalOutcome::fail(FaultClass::Mismatch, "store deleted");
             }
             if gevo_ir::verify::verify(k).is_err() {
-                return EvalOutcome::fail("verification");
+                return EvalOutcome::fail(FaultClass::Verify, "verification");
             }
             let deleted = self.base_insts.saturating_sub(k.inst_count());
             #[allow(clippy::cast_precision_loss)]
@@ -1722,7 +1723,7 @@ mod tests {
         assert_eq!(Objective::Error.score(&pass), Some(0.25));
         assert_eq!(Objective::Instructions.score(&pass), Some(42.0));
         assert_eq!(Objective::MemoryTraffic.score(&pass), Some(7.0));
-        let fail = EvalOutcome::fail("nope");
+        let fail = EvalOutcome::fail(FaultClass::Other, "nope");
         assert_eq!(Objective::Cycles.score(&fail), None);
         assert_eq!(Objective::Error.score(&fail), None);
     }

@@ -29,7 +29,7 @@
 //!    is finite by construction and round-trips exactly through the
 //!    shim's shortest-representation float encoding.
 //!
-//! The envelope carries `"format": 1`; [`SearchState::from_json`]
+//! The envelope carries `"format": 2`; [`SearchState::from_json`]
 //! rejects anything else so a stale binary fails loudly instead of
 //! misreading a newer checkpoint.
 //!
@@ -49,8 +49,10 @@ use crate::search::{Objective, ParetoPoint, SearchResult, SearchSpec, Selection}
 use gevo_ir::{InstId, Operand, StreamState};
 use serde_json::Value;
 
-/// The checkpoint format version this build reads and writes.
-pub const STATE_FORMAT: u64 = 1;
+/// The checkpoint format version this build reads and writes. Format 2
+/// added each failing outcome's `"fault"` class to the evaluator cache
+/// (format 1 carried only the failure text).
+pub const STATE_FORMAT: u64 = 2;
 
 /// One island's live state: its RNG stream position, population with
 /// cached fitness, NSGA-II score vectors, current ranking, recorded
@@ -930,7 +932,7 @@ impl SearchState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fitness::EvalOutcome;
+    use crate::fitness::{EvalOutcome, FaultClass};
     use gevo_ir::Special;
 
     fn sample_edits() -> Vec<Edit> {
@@ -1175,7 +1177,7 @@ mod tests {
                 cache_hits: 2,
                 instructions: 456,
                 outcomes: vec![
-                    (5, EvalOutcome::fail("broken")),
+                    (5, EvalOutcome::fail(FaultClass::Mismatch, "broken")),
                     (9, EvalOutcome::pass(999.25, launch_stats)),
                 ],
             },
@@ -1183,13 +1185,16 @@ mod tests {
         let v = reparse(&state.to_json());
         assert_eq!(SearchState::from_json(&v).unwrap(), state);
 
-        // A future format is refused, not misread.
-        let mut bumped = state.to_json();
-        if let Value::Object(obj) = &mut bumped {
-            obj.insert("format", 2u64);
+        // A future format is refused, not misread; so is format 1, whose
+        // failing outcomes carry no fault class.
+        for format in [STATE_FORMAT + 1, 1] {
+            let mut other = state.to_json();
+            if let Value::Object(obj) = &mut other {
+                obj.insert("format", format);
+            }
+            let err = SearchState::from_json(&other).unwrap_err();
+            assert!(err.contains("unsupported checkpoint format"), "{err}");
         }
-        let err = SearchState::from_json(&bumped).unwrap_err();
-        assert!(err.contains("unsupported checkpoint format"), "{err}");
     }
 
     #[test]

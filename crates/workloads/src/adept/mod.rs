@@ -13,10 +13,10 @@
 pub mod v0;
 pub mod v1;
 
-use crate::pipeline::{step_budget, ScratchPool};
+use crate::pipeline::{exec_failure, step_budget, Failure, ScratchPool};
 use crate::seqgen::{SeqGen, SeqPair};
 use crate::sw_cpu::{self, Alignment};
-use gevo_engine::{Edit, EvalOutcome, Patch, Workload};
+use gevo_engine::{Edit, EvalOutcome, FaultClass, Patch, Workload};
 use gevo_gpu::{CompiledKernel, Gpu, GpuSpec, KernelArg, LaunchConfig, LaunchStats};
 use gevo_ir::{Kernel, Operand};
 
@@ -67,23 +67,6 @@ impl AdeptConfig {
             pairs: 8,
             min_len: 22,
             max_len: 32,
-            data_seed: 0xADE9,
-            spec,
-            init_sweeps: 3,
-        }
-    }
-
-    /// Full-width configuration (32-lane warps) used by the figure
-    /// harnesses' ablation paths.
-    #[must_use]
-    pub fn full(version: Version, spec: GpuSpec) -> AdeptConfig {
-        let mut spec = spec;
-        spec.device_mem_bytes = 4 << 20;
-        AdeptConfig {
-            version,
-            pairs: 8,
-            min_len: 48,
-            max_len: 96,
             data_seed: 0xADE9,
             spec,
             init_sweeps: 3,
@@ -170,7 +153,8 @@ pub struct AdeptWorkload {
 impl AdeptWorkload {
     /// Builds the workload: generates the batch, computes oracle
     /// expectations and constructs the version's kernels. The pristine
-    /// kernels' check run also measures the fitness step budget.
+    /// kernels' check run, with no step limit, also measures the fitness
+    /// step budget (`pipeline::step_budget`).
     ///
     /// # Panics
     /// Panics if the pristine kernels fail their own test batch — that is
@@ -210,7 +194,7 @@ impl AdeptWorkload {
         let compiled = w
             .compile_variant(&w.kernels)
             .expect("pristine ADEPT kernels compile");
-        let (check, peak) = w.fitness_run(&compiled, 0, ceiling);
+        let (check, peak) = w.fitness_run(&compiled, 0, u64::MAX);
         assert!(
             check.is_valid(),
             "pristine ADEPT kernels fail their own batch: {:?}",
@@ -265,7 +249,7 @@ impl AdeptWorkload {
         let mut gpu = self.scratch.device(spec);
         let outcome = match self.run_batch(&mut gpu, compiled, &self.data, seed) {
             Ok((cycles, stats)) => EvalOutcome::pass(cycles, stats),
-            Err(reason) => EvalOutcome::fail(reason),
+            Err((class, reason)) => EvalOutcome::fail(class, reason),
         };
         self.scratch.recycle(&mut gpu);
         (outcome, gpu.peak_block_steps())
@@ -273,20 +257,20 @@ impl AdeptWorkload {
 
     /// Runs one batch on `gpu` (a fresh device with a pooled execution
     /// scratch); shared by fitness evaluation and held-out validation.
+    /// A failure carries its class: the interpreter's for alloc and
+    /// launch errors, [`FaultClass::Mismatch`] for the oracle's.
     fn run_batch(
         &self,
         gpu: &mut Gpu,
         kernels: &[CompiledKernel],
         data: &TestData,
         seed: u64,
-    ) -> Result<(f64, LaunchStats), String> {
+    ) -> Result<(f64, LaunchStats), Failure> {
         #[allow(clippy::cast_possible_wrap)]
         let pairs = data.offs_a.len() as u32;
-        let alloc_i32 = |gpu: &mut Gpu, v: &[i32]| -> Result<gevo_gpu::Buffer, String> {
-            let buf = gpu
-                .mem_mut()
-                .alloc((v.len().max(1) * 4) as u64)
-                .map_err(|e| e.to_string())?;
+        let alloc = |gpu: &mut Gpu, bytes: u64| gpu.mem_mut().alloc(bytes).map_err(exec_failure);
+        let alloc_i32 = |gpu: &mut Gpu, v: &[i32]| -> Result<gevo_gpu::Buffer, Failure> {
+            let buf = alloc(gpu, (v.len().max(1) * 4) as u64)?;
             gpu.mem_mut().write_i32s(buf, 0, v);
             Ok(buf)
         };
@@ -296,14 +280,8 @@ impl AdeptWorkload {
         let offs_b = alloc_i32(gpu, &data.offs_b)?;
         let lens_a = alloc_i32(gpu, &data.lens_a)?;
         let lens_b = alloc_i32(gpu, &data.lens_b)?;
-        let out = gpu
-            .mem_mut()
-            .alloc(u64::from(pairs) * 16)
-            .map_err(|e| e.to_string())?;
-        let scratch = gpu
-            .mem_mut()
-            .alloc(u64::from(pairs) * u64::from(self.block_threads) * 4)
-            .map_err(|e| e.to_string())?;
+        let out = alloc(gpu, u64::from(pairs) * 16)?;
+        let scratch = alloc(gpu, u64::from(pairs) * u64::from(self.block_threads) * 4)?;
 
         let cfg = LaunchConfig::new(pairs, self.block_threads).with_seed(seed);
         let mut stats = LaunchStats::default();
@@ -321,26 +299,26 @@ impl AdeptWorkload {
         ];
         let s = gpu
             .launch_compiled(&kernels[0], cfg, &fwd_args)
-            .map_err(|e| format!("forward kernel: {e}"))?;
+            .map_err(|e| (FaultClass::from(&e), format!("forward kernel: {e}")))?;
         stats.accumulate(&s);
         let got = gpu.mem().read_i32s(out, 0, pairs as usize * 4);
         for (p, exp) in data.expected_fwd.iter().enumerate() {
             let (s, ea, eb) = (got[p * 4], got[p * 4 + 1], got[p * 4 + 2]);
             if s != exp.score || ea != exp.end_a || eb != exp.end_b {
-                return Err(format!(
-                    "pair {p}: forward got (score {s}, end {ea},{eb}), expected \
-                     (score {}, end {},{})",
-                    exp.score, exp.end_a, exp.end_b
+                return Err((
+                    FaultClass::Mismatch,
+                    format!(
+                        "pair {p}: forward got (score {s}, end {ea},{eb}), expected \
+                         (score {}, end {},{})",
+                        exp.score, exp.end_a, exp.end_b
+                    ),
                 ));
             }
         }
 
         // Reverse kernel (V1 only).
         if kernels.len() > 1 {
-            let rev_out = gpu
-                .mem_mut()
-                .alloc(u64::from(pairs) * 16)
-                .map_err(|e| e.to_string())?;
+            let rev_out = alloc(gpu, u64::from(pairs) * 16)?;
             let rev_args = [
                 KernelArg::from(seq_a),
                 KernelArg::from(seq_b),
@@ -354,16 +332,19 @@ impl AdeptWorkload {
             ];
             let s = gpu
                 .launch_compiled(&kernels[1], cfg, &rev_args)
-                .map_err(|e| format!("reverse kernel: {e}"))?;
+                .map_err(|e| (FaultClass::from(&e), format!("reverse kernel: {e}")))?;
             stats.accumulate(&s);
             let got = gpu.mem().read_i32s(rev_out, 0, pairs as usize * 4);
             for (p, exp) in data.expected_rev.iter().enumerate() {
                 let (s, ea, eb) = (got[p * 4], got[p * 4 + 1], got[p * 4 + 2]);
                 if s != exp.score || ea != exp.end_a || eb != exp.end_b {
-                    return Err(format!(
-                        "pair {p}: reverse got (score {s}, end {ea},{eb}), expected \
-                         (score {}, end {},{})",
-                        exp.score, exp.end_a, exp.end_b
+                    return Err((
+                        FaultClass::Mismatch,
+                        format!(
+                            "pair {p}: reverse got (score {s}, end {ea},{eb}), expected \
+                             (score {}, end {},{})",
+                            exp.score, exp.end_a, exp.end_b
+                        ),
                     ));
                 }
             }
@@ -393,7 +374,7 @@ impl AdeptWorkload {
         let mut gpu = self.scratch.device(self.cfg.spec.clone());
         let result = self.run_batch(&mut gpu, &compiled, &data, 1);
         self.scratch.recycle(&mut gpu);
-        result.map(|_| ())
+        result.map(|_| ()).map_err(|(_, reason)| reason)
     }
 
     // ---- curated edits (DESIGN.md §4.5) --------------------------------
@@ -597,7 +578,7 @@ impl Workload for AdeptWorkload {
     fn evaluate(&self, kernels: &[Kernel], eval_seed: u64) -> EvalOutcome {
         match self.compile_variant(kernels) {
             Ok(compiled) => self.evaluate_compiled(&compiled, eval_seed),
-            Err(reason) => EvalOutcome::fail(reason),
+            Err(reason) => EvalOutcome::fail(FaultClass::Verify, reason),
         }
     }
 
@@ -613,7 +594,7 @@ impl Workload for AdeptWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gevo_engine::{Evaluator, FaultClass};
+    use gevo_engine::Evaluator;
 
     fn v0() -> AdeptWorkload {
         AdeptWorkload::new(AdeptConfig::scaled(Version::V0))
@@ -621,6 +602,24 @@ mod tests {
 
     fn v1() -> AdeptWorkload {
         AdeptWorkload::new(AdeptConfig::scaled(Version::V1))
+    }
+
+    /// The kernel's last global store: the result write.
+    fn result_store(w: &AdeptWorkload) -> gevo_ir::InstId {
+        w.kernels()[0]
+            .iter_insts()
+            .filter(|(_, i)| {
+                matches!(
+                    i.op,
+                    gevo_ir::Op::Store {
+                        space: gevo_ir::AddrSpace::Global,
+                        ..
+                    }
+                )
+            })
+            .last()
+            .map(|(_, i)| i.id)
+            .unwrap()
     }
 
     #[test]
@@ -717,14 +716,27 @@ mod tests {
 
     #[test]
     fn step_budget_is_four_times_the_pristine_block_peak() {
-        for w in [v0(), v1()] {
+        for (w, budget) in [(v0(), 1_727_712), (v1(), 57_976)] {
             let ceiling = w.config().spec.step_limit;
             assert_eq!(ceiling, 8_000_000);
             let compiled = w.compile_variant(w.kernels()).unwrap();
             let (_, peak) = w.fitness_run(&compiled, 0, ceiling);
             assert_eq!(w.step_budget, (4 * peak).clamp(10_000, ceiling));
-            assert!(w.step_budget < ceiling, "{}: {peak}", w.name());
+            assert_eq!(w.step_budget, budget, "{}", w.name());
         }
+    }
+
+    #[test]
+    fn pristine_longer_than_the_spec_ceiling_keeps_its_headroom() {
+        // V0's pristine block peak is 431 928 steps, far above this
+        // ceiling: the check run is not cut short, and the fitness
+        // budget stays 4x that peak.
+        let mut cfg = AdeptConfig::scaled(Version::V0);
+        cfg.spec.step_limit = 100_000;
+        let w = AdeptWorkload::new(cfg);
+        assert_eq!(w.step_budget, 4 * 431_928);
+        let out = Evaluator::new(&w).evaluate(&Patch::empty());
+        assert!(out.is_valid(), "{:?}", out.failure);
     }
 
     #[test]
@@ -737,12 +749,13 @@ mod tests {
             term: w.v0_sites().unwrap().init_branch,
             new: Operand::ImmBool(true),
         }]);
-        let reason = ev.evaluate(&runaway).failure.expect("runaway fails");
+        let out = ev.evaluate(&runaway);
+        assert_eq!(out.fault, Some(FaultClass::StepLimit));
+        let reason = out.failure.expect("runaway fails");
         assert_eq!(
             reason,
             "forward kernel: step limit exhausted (infinite loop?)"
         );
-        assert_eq!(FaultClass::classify(&reason), FaultClass::StepLimit);
         assert_eq!(ev.stats().faults.step_limit, 1);
 
         // A valid variant slower than the budget allows is killed during
@@ -753,6 +766,7 @@ mod tests {
         let (_, slow_peak) = w.fitness_run(&compiled, 0, w.config().spec.step_limit);
         assert!(slow_peak > w.step_budget, "{slow_peak}");
         let out = w.evaluate(std::slice::from_ref(&slow), 0);
+        assert_eq!(out.fault, Some(FaultClass::StepLimit));
         assert_eq!(out.failure.as_deref(), Some(reason.as_str()));
         let cfg = w.config();
         w.validate_heldout(std::slice::from_ref(&slow), cfg.pairs, cfg.data_seed)
@@ -766,29 +780,36 @@ mod tests {
     #[test]
     fn broken_variant_fails_cleanly() {
         let w = v0();
-        // Delete the last global store (the result write): corrupts
-        // outputs, but never panics.
-        let victim = w.kernels()[0]
-            .iter_insts()
-            .filter(|(_, i)| {
-                matches!(
-                    i.op,
-                    gevo_ir::Op::Store {
-                        space: gevo_ir::AddrSpace::Global,
-                        ..
-                    }
-                )
-            })
-            .last()
-            .map(|(_, i)| i.id)
-            .unwrap();
+        // Delete the result write: corrupts outputs, but never panics.
         let p = Patch::from_edits(vec![Edit::Delete {
             kernel: 0,
-            target: victim,
+            target: result_store(&w),
         }]);
         let (kernels, _) = p.apply(w.kernels());
         let out = w.evaluate(&kernels, 0);
         assert!(!out.is_valid());
+        assert_eq!(out.fault, Some(FaultClass::Mismatch));
+        assert!(out.failure.unwrap().contains("expected"));
+    }
+
+    #[test]
+    fn faulting_variant_is_an_exec_failure() {
+        let w = v0();
+        let ev = Evaluator::new(&w);
+        // Point the result store at address 0, inside the null guard.
+        let p = Patch::from_edits(vec![Edit::OperandReplace {
+            kernel: 0,
+            target: result_store(&w),
+            arg: 0,
+            new: Operand::ImmI64(0),
+        }]);
+        let out = ev.evaluate(&p);
+        assert_eq!(out.fault, Some(FaultClass::Exec), "{:?}", out.failure);
+        assert!(out
+            .failure
+            .unwrap()
+            .starts_with("forward kernel: global memory fault at 0"),);
+        assert_eq!(ev.stats().faults.exec, 1);
     }
 }
 

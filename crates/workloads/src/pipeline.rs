@@ -6,9 +6,24 @@
 //! across workloads, and so does the per-block step budget every
 //! fitness evaluation runs under (`step_budget`).
 
-use gevo_gpu::{CompiledKernel, ExecScratch, Gpu, GpuSpec};
+use gevo_engine::FaultClass;
+use gevo_gpu::{CompiledKernel, ExecError, ExecScratch, Gpu, GpuSpec};
 use gevo_ir::Kernel;
 use std::sync::Mutex;
+
+/// A failed run: the class named where the fault arose, plus the
+/// failure text the outcome carries. Interpreter errors take their
+/// class from `FaultClass::from(&ExecError)`; oracle rejections are
+/// [`FaultClass::Mismatch`].
+pub(crate) type Failure = (FaultClass, String);
+
+/// An interpreter error (e.g. a failed device allocation) as a
+/// [`Failure`] carrying the error's own text. Takes the error by value
+/// so it can be passed straight to `map_err`.
+#[allow(clippy::needless_pass_by_value)]
+pub(crate) fn exec_failure(e: ExecError) -> Failure {
+    (FaultClass::from(&e), e.to_string())
+}
 
 /// Recycled [`ExecScratch`]es shared across a workload's fitness
 /// evaluations.
@@ -80,16 +95,20 @@ pub(crate) const STEP_BUDGET_FACTOR: u64 = 4;
 pub(crate) const STEP_BUDGET_FLOOR: u64 = 10_000;
 
 /// The per-block step limit for fitness evaluations:
-/// `clamp(STEP_BUDGET_FACTOR × pristine_peak, STEP_BUDGET_FLOOR, ceiling)`.
+/// `max(STEP_BUDGET_FACTOR × pristine_peak, min(STEP_BUDGET_FLOOR, ceiling))`.
+///
 /// `pristine_peak` is [`Gpu::peak_block_steps`] after the pristine
-/// program's own check run; `ceiling` is the spec's absolute
-/// [`GpuSpec::step_limit`], which also wins over the floor.
+/// program's own check run, which runs with no step limit: the pristine
+/// kernels are this crate's own reference, and GEVO times the original
+/// program without a timeout. The budget therefore keeps its
+/// `STEP_BUDGET_FACTOR` headroom over a correct pristine program even
+/// above the spec's absolute [`GpuSpec::step_limit`] (`ceiling`), which
+/// only caps the floor.
 #[must_use]
 pub(crate) fn step_budget(pristine_peak: u64, ceiling: u64) -> u64 {
     STEP_BUDGET_FACTOR
         .saturating_mul(pristine_peak)
-        .max(STEP_BUDGET_FLOOR)
-        .min(ceiling)
+        .max(STEP_BUDGET_FLOOR.min(ceiling))
 }
 
 /// Screens and lowers a variant for launching: structural verification
@@ -166,11 +185,15 @@ mod tests {
     }
 
     #[test]
-    fn step_budget_clamps_to_floor_and_ceiling() {
+    fn step_budget_keeps_four_times_the_pristine_peak() {
         assert_eq!(step_budget(100_000, 8_000_000), 400_000);
         assert_eq!(step_budget(10, 8_000_000), STEP_BUDGET_FLOOR);
-        assert_eq!(step_budget(5_000_000, 8_000_000), 8_000_000);
-        assert_eq!(step_budget(u64::MAX, 8_000_000), 8_000_000);
+        assert_eq!(
+            step_budget(5_000_000, 8_000_000),
+            20_000_000,
+            "a pristine program longer than the ceiling keeps its headroom"
+        );
+        assert_eq!(step_budget(u64::MAX, 8_000_000), u64::MAX);
         assert_eq!(step_budget(10, 5_000), 5_000, "the ceiling beats the floor");
     }
 

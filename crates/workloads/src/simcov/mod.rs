@@ -11,9 +11,9 @@ pub mod cpu;
 pub mod kernels;
 pub mod validate;
 
-use crate::pipeline::{step_budget, ScratchPool};
+use crate::pipeline::{exec_failure, step_budget, Failure, ScratchPool};
 use cpu::SimcovState;
-use gevo_engine::{Edit, EvalOutcome, Patch, Workload};
+use gevo_engine::{Edit, EvalOutcome, FaultClass, Patch, Workload};
 use gevo_gpu::{Buffer, CompiledKernel, Gpu, GpuSpec, KernelArg, LaunchConfig, LaunchStats};
 use gevo_ir::{Kernel, Operand};
 use kernels::{Layout, SimcovSites};
@@ -217,8 +217,8 @@ pub mod kidx {
 
 impl SimcovWorkload {
     /// Builds the workload: kernels, CPU oracle, initial state. The
-    /// pristine kernels' check run also measures the fitness step
-    /// budget.
+    /// pristine kernels' check run, with no step limit, also measures
+    /// the fitness step budget (`pipeline::step_budget`).
     ///
     /// # Panics
     /// Panics if the pristine kernels fail their own validation.
@@ -249,7 +249,7 @@ impl SimcovWorkload {
         let compiled = w
             .compile_variant(&w.kernels)
             .expect("pristine SIMCoV kernels compile");
-        let (check, peak) = w.fitness_run(&compiled, 0, ceiling);
+        let (check, peak) = w.fitness_run(&compiled, 0, u64::MAX);
         assert!(
             check.is_valid(),
             "pristine SIMCoV kernels fail validation: {:?}",
@@ -341,7 +341,8 @@ impl SimcovWorkload {
 
     /// One fitness run: the configured simulation on a fresh `Slack`
     /// device whose per-block step limit is `step_limit`, validated
-    /// against the oracle. Returns the outcome and the device's
+    /// against the oracle (every rejection is a
+    /// [`FaultClass::Mismatch`]). Returns the outcome and the device's
     /// [`Gpu::peak_block_steps`].
     fn fitness_run(
         &self,
@@ -356,9 +357,9 @@ impl SimcovWorkload {
                 // The normalized deviation rides along as the
                 // multi-objective error score (`Objective::Error`).
                 Ok(error) => EvalOutcome::pass_with_error(cycles, error, stats),
-                Err(e) => EvalOutcome::fail(e),
+                Err(e) => EvalOutcome::fail(FaultClass::Mismatch, e),
             },
-            Err(e) => EvalOutcome::fail(e),
+            Err((class, e)) => EvalOutcome::fail(class, e),
         };
         self.scratch.recycle(&mut gpu);
         (outcome, gpu.peak_block_steps())
@@ -375,14 +376,15 @@ impl SimcovWorkload {
         steps: i32,
         sched_seed: u64,
         arena: ArenaMode,
-    ) -> Result<(GpuRunOutput, f64, LaunchStats), String> {
+    ) -> Result<(GpuRunOutput, f64, LaunchStats), Failure> {
         let mut gpu = self.sim_device(g, arena, self.cfg.spec.step_limit);
         let result = self.run_sim_on(&mut gpu, kernels, g, steps, sched_seed, arena);
         self.scratch.recycle(&mut gpu);
         result
     }
 
-    /// [`SimcovWorkload::run_sim`] on an already-constructed device.
+    /// [`SimcovWorkload::run_sim`] on an already-constructed device. A
+    /// failed alloc or launch carries the interpreter's class.
     #[allow(clippy::too_many_lines)]
     fn run_sim_on(
         &self,
@@ -392,7 +394,7 @@ impl SimcovWorkload {
         steps: i32,
         sched_seed: u64,
         arena: ArenaMode,
-    ) -> Result<(GpuRunOutput, f64, LaunchStats), String> {
+    ) -> Result<(GpuRunOutput, f64, LaunchStats), Failure> {
         let p = &self.cfg.params;
         let layout = self.cfg.layout;
         #[allow(clippy::cast_sign_loss)]
@@ -402,8 +404,8 @@ impl SimcovWorkload {
         let slack: u64 = 4096;
         let field_bytes = flen as u64 * 4;
 
-        let mut alloc = |bytes: u64| -> Result<Buffer, String> {
-            gpu.mem_mut().alloc(bytes).map_err(|e| e.to_string())
+        let mut alloc = |bytes: u64| -> Result<Buffer, Failure> {
+            gpu.mem_mut().alloc(bytes).map_err(exec_failure)
         };
         let stats_buf = alloc(16)?;
         let epi = alloc(cell_bytes)?;
@@ -432,7 +434,7 @@ impl SimcovWorkload {
                 let chem = gpu
                     .mem_mut()
                     .alloc_at_end(field_bytes)
-                    .map_err(|e| e.to_string())?;
+                    .map_err(exec_failure)?;
                 (vir, chem, next_vir, next_chem)
             }
         };
@@ -470,10 +472,10 @@ impl SimcovWorkload {
         let lcfg = LaunchConfig::new(grid, self.cfg.block).with_seed(sched_seed);
         let mut total = LaunchStats::default();
         let mut launch =
-            |gpu: &mut Gpu, k: &CompiledKernel, args: &[KernelArg]| -> Result<(), String> {
+            |gpu: &mut Gpu, k: &CompiledKernel, args: &[KernelArg]| -> Result<(), Failure> {
                 let s = gpu
                     .launch_compiled(k, lcfg, args)
-                    .map_err(|e| format!("{}: {e}", k.name()))?;
+                    .map_err(|e| (FaultClass::from(&e), format!("{}: {e}", k.name())))?;
                 total.accumulate(&s);
                 Ok(())
             };
@@ -602,7 +604,9 @@ impl SimcovWorkload {
         let compiled = self.compile_variant(&kernels)?;
         let mut reference = SimcovState::new(g, &self.cfg.params);
         reference.run(&self.cfg.params, steps);
-        let (out, _, _) = self.run_sim(&compiled, g, steps, 1, ArenaMode::Tight)?;
+        let (out, _, _) = self
+            .run_sim(&compiled, g, steps, 1, ArenaMode::Tight)
+            .map_err(|(_, reason)| reason)?;
         compare(&out, &reference, &self.cfg.tolerance).map(|_| ())
     }
 
@@ -714,7 +718,7 @@ impl Workload for SimcovWorkload {
     fn evaluate(&self, kernels: &[Kernel], eval_seed: u64) -> EvalOutcome {
         match self.compile_variant(kernels) {
             Ok(compiled) => self.evaluate_compiled(&compiled, eval_seed),
-            Err(reason) => EvalOutcome::fail(reason),
+            Err(reason) => EvalOutcome::fail(FaultClass::Verify, reason),
         }
     }
 
@@ -869,7 +873,7 @@ mod tests {
         let compiled = w.compile_variant(w.kernels()).unwrap();
         let (_, peak) = w.fitness_run(&compiled, 0, ceiling);
         assert_eq!(w.step_budget, (4 * peak).clamp(10_000, ceiling));
-        assert!(w.step_budget < ceiling, "{peak}");
+        assert_eq!(w.step_budget, 10_000, "{peak}");
         // Held-out runs (larger grid, tight arena) keep the ceiling
         // rather than a budget measured on another run; the curated
         // independent deletions pass them.
@@ -899,7 +903,9 @@ mod tests {
             target: victim,
         }]);
         let (kernels, _) = p.apply(w.kernels());
-        assert!(!w.evaluate(&kernels, 0).is_valid());
+        let out = w.evaluate(&kernels, 0);
+        assert!(!out.is_valid());
+        assert_eq!(out.fault, Some(FaultClass::Mismatch), "{:?}", out.failure);
     }
 }
 
