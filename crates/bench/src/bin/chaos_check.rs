@@ -53,15 +53,12 @@ fn search_job(workload: &str, seed: u64) -> Command {
         "GEVO_QUARANTINE",
         "GEVO_POP",
         "GEVO_GENS",
-        "GEVO_ISLANDS",
     ] {
         cmd.env_remove(knob);
     }
     cmd.env("GEVO_POP", "6")
         .env("GEVO_GENS", "4")
         .env("GEVO_SEED", seed.to_string())
-        .env("GEVO_ISLANDS", "2")
-        .env("GEVO_MIGRATION", "2")
         .env("GEVO_THREADS", "1")
         .env("GEVO_CHECKPOINT_EVERY", "1")
         .args(["--workload", workload]);

@@ -5,8 +5,7 @@
 //!
 //! This harness runs a budgeted GA on the naive version per GPU; the
 //! curated optima and hand-tuned V1 are measured by the `scorecard` bin.
-//! Budget via GEVO_POP / GEVO_GENS / GEVO_SEED; search parallelism via
-//! `--islands N` / GEVO_ISLANDS.
+//! Budget via GEVO_POP / GEVO_GENS / GEVO_SEED.
 
 use gevo_bench::{adept_on, bar, budget_banner, harness_spec, run_search, scaled_table1_specs};
 use gevo_workloads::adept::Version;

@@ -3,8 +3,7 @@
 //! Paper values: 1.29x / 1.43x / 1.17x (P100 / 1080Ti / V100).
 //!
 //! Reports a budgeted GA run per GPU (the curated optimum: `scorecard`).
-//! Budget via GEVO_POP / GEVO_GENS / GEVO_SEED; search parallelism via
-//! `--islands N` / GEVO_ISLANDS.
+//! Budget via GEVO_POP / GEVO_GENS / GEVO_SEED.
 
 use gevo_bench::{bar, budget_banner, harness_spec, run_search, scaled_table1_specs, simcov_on};
 

@@ -6,8 +6,7 @@
 //! spans 1.10x–1.33x, SIMCoV 1.18x–1.35x. The paper attributes the spread
 //! to how completely each run discovers the epistatic subgroups (§V-C).
 //!
-//! Budget via GEVO_RUNS / GEVO_POP / GEVO_GENS; search parallelism via
-//! `--islands N` / GEVO_ISLANDS.
+//! Budget via GEVO_RUNS / GEVO_POP / GEVO_GENS.
 
 use gevo_bench::{adept_on, env_usize, harness_spec, run_search, scaled_table1_specs, simcov_on};
 use gevo_engine::{SearchResult, Workload};

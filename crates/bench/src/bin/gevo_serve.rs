@@ -31,7 +31,6 @@
 //! ```text
 //! {"event":"accepted","id":"j1","recovered":false}
 //! {"event":"generation","id":"j1","gen":0,"best_fitness":..,"best_speedup":..}
-//! {"event":"migration","id":"j1","gen":..,"from":0,"to":1}
 //! {"event":"rollback","id":"j1","message":"checkpoint .. rolled back .."}
 //! {"event":"failed","id":"j1","attempt":1,"error":"panic: .."}
 //! {"event":"suspended","id":"j1","gen":4}
@@ -65,8 +64,7 @@ use gevo_bench::checkpoint::{load_state_with_rollback, write_atomic, write_check
 use gevo_bench::supervise::{deadline_from_env, job_deadline, RetryPolicy};
 use gevo_bench::{arg_value, chaos, env_usize, quarantine_knob, workload_by_name};
 use gevo_engine::{
-    GaConfig, GenerationRecord, MigrationEvent, Search, SearchObserver, SearchSpec, SearchState,
-    StepStatus,
+    GaConfig, GenerationRecord, Search, SearchObserver, SearchSpec, SearchState, StepStatus,
 };
 use serde_json::Value;
 use std::collections::BTreeMap;
@@ -236,14 +234,6 @@ impl SearchObserver for ServeObserver {
         obj.insert("gen", record.gen);
         obj.insert("best_fitness", record.best_fitness);
         obj.insert("best_speedup", record.best_speedup);
-        self.sink.emit(&Value::Object(obj).to_string());
-    }
-
-    fn on_migration(&mut self, ev: &MigrationEvent) {
-        let mut obj = event("migration", &self.id);
-        obj.insert("gen", ev.gen);
-        obj.insert("from", ev.from);
-        obj.insert("to", ev.to);
         self.sink.emit(&Value::Object(obj).to_string());
     }
 }
@@ -430,13 +420,15 @@ fn accept_job(mgr: &Arc<Manager>, job: Job, sink: &Sink, recovered: bool) {
 }
 
 /// Builds the resolved job from a submit op: either an explicit
-/// `"spec"` object, or the shorthand pop/gens/seed/islands/migration/
-/// deadline_s fields over scaled defaults (threads pinned to 1 —
-/// determinism before latency for durable jobs).
+/// `"spec"` object, or the shorthand pop/gens/seed/deadline_s fields
+/// over scaled defaults (threads pinned to 1 — determinism before
+/// latency for durable jobs).
 ///
 /// Absent shorthand fields default; **present-but-malformed fields are
 /// errors**, one per field, so a typo'd `"pop":"32"` is rejected
-/// loudly instead of silently running at the default budget.
+/// loudly instead of silently running at the default budget. So are
+/// the removed island fields `islands` and `migration`: an old client
+/// asking for islands is refused rather than given a different search.
 fn job_from_submit(v: &Value) -> Result<Job, Vec<String>> {
     let mut errors: Vec<String> = Vec::new();
     let mut field_u64 = |name: &str, default: u64| -> u64 {
@@ -453,9 +445,13 @@ fn job_from_submit(v: &Value) -> Result<Job, Vec<String>> {
     let pop = field_u64("pop", 8);
     let gens = field_u64("gens", 6);
     let seed = field_u64("seed", 1);
-    let islands = field_u64("islands", 1).max(1);
-    // u64::MAX marks "absent": keep the spec's own default interval.
-    let migration = field_u64("migration", u64::MAX);
+    for name in ["islands", "migration"] {
+        if v.get(name).is_some() {
+            errors.push(format!(
+                "submit: field {name:?} is no longer supported (the island model was removed)"
+            ));
+        }
+    }
     let deadline_s = match v.get("deadline_s") {
         None | Some(Value::Null) => None,
         Some(val) => {
@@ -505,7 +501,7 @@ fn job_from_submit(v: &Value) -> Result<Job, Vec<String>> {
         }
     } else {
         let clamp = |n: u64| usize::try_from(n).unwrap_or(usize::MAX);
-        let mut spec = SearchSpec {
+        SearchSpec {
             ga: GaConfig {
                 population: clamp(pop),
                 generations: clamp(gens),
@@ -513,13 +509,8 @@ fn job_from_submit(v: &Value) -> Result<Job, Vec<String>> {
                 threads: 1,
                 ..GaConfig::scaled()
             },
-            islands: clamp(islands),
             ..SearchSpec::default()
-        };
-        if migration != u64::MAX {
-            spec.migration_interval = clamp(migration);
         }
-        spec
     };
     if errors.is_empty() {
         Ok(Job {

@@ -10,9 +10,8 @@
 //! * ADEPT-V0 against (cycles, `mem_traffic`) — exact-output workload,
 //!   so the second axis is the DRAM-traffic proxy instead.
 //!
-//! Budget via `GEVO_POP` / `GEVO_GENS` / `GEVO_SEED`; island count via
-//! `--islands N` / `GEVO_ISLANDS`; objective pair via `GEVO_OBJECTIVES`
-//! (defaults per workload as above).
+//! Budget via `GEVO_POP` / `GEVO_GENS` / `GEVO_SEED`; objective pair via
+//! `GEVO_OBJECTIVES` (defaults per workload as above).
 //!
 //! `--json` switches to one JSON object per front point (markdown
 //! suppressed):

@@ -10,12 +10,12 @@
 //! byte-for-byte against an uninterrupted process.
 //!
 //! ```text
-//! search_job --workload adept-v0|adept-v1|simcov [--islands N]
+//! search_job --workload adept-v0|adept-v1|simcov
 //!            [--checkpoint <path>] [--resume <path>]
 //! ```
 //!
-//! Budget via `GEVO_POP` / `GEVO_GENS` / `GEVO_SEED` /
-//! `GEVO_MIGRATION`; checkpoint cadence via `GEVO_CHECKPOINT_EVERY`.
+//! Budget via `GEVO_POP` / `GEVO_GENS` / `GEVO_SEED`; checkpoint
+//! cadence via `GEVO_CHECKPOINT_EVERY`.
 
 use gevo_bench::{arg_value, chaos, harness_spec, run_search, workload_by_name};
 

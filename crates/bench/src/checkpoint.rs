@@ -13,7 +13,7 @@
 //!
 //! A path ending in `.json` is used verbatim (single-search binaries);
 //! anything else is treated as a directory and each search writes
-//! `<workload-slug>-s<seed>-i<islands>.ckpt.json` inside it, so sweep
+//! `<workload-slug>-s<seed>.ckpt.json` inside it, so sweep
 //! binaries (fig4, fig6 — many searches per process) cannot collide.
 //! When no explicit `--resume` is given but the checkpoint file already
 //! exists, the run resumes from it — which is exactly the kill/restart
@@ -70,17 +70,16 @@ pub fn workload_slug(name: &str) -> String {
 
 /// Resolves a checkpoint base path for one search: a `.json` path is
 /// used verbatim; anything else is a directory receiving a per-search
-/// file named from the workload slug, seed and island count.
+/// file named from the workload slug and seed.
 #[must_use]
 pub fn resolve_checkpoint_path(base: &Path, workload: &str, spec: &SearchSpec) -> PathBuf {
     if base.extension().is_some_and(|e| e == "json") {
         return base.to_path_buf();
     }
     base.join(format!(
-        "{}-s{}-i{}.ckpt.json",
+        "{}-s{}.ckpt.json",
         workload_slug(workload),
-        spec.ga.seed,
-        spec.islands
+        spec.ga.seed
     ))
 }
 
@@ -265,13 +264,12 @@ mod tests {
                 seed: 9,
                 ..GaConfig::scaled()
             },
-            islands: 4,
             ..SearchSpec::default()
         };
         let verbatim = resolve_checkpoint_path(Path::new("/tmp/x/run.json"), "w", &spec);
         assert_eq!(verbatim, Path::new("/tmp/x/run.json"));
         let dir = resolve_checkpoint_path(Path::new("/tmp/ckpts"), "adept-v0[P100]", &spec);
-        assert_eq!(dir, Path::new("/tmp/ckpts/adept-v0-p100-s9-i4.ckpt.json"));
+        assert_eq!(dir, Path::new("/tmp/ckpts/adept-v0-p100-s9.ckpt.json"));
     }
 
     #[test]

@@ -10,12 +10,10 @@
 //!
 //! | variable | meaning | default |
 //! |---|---|---|
-//! | `GEVO_POP` | GA population (total across islands) | harness-specific |
+//! | `GEVO_POP` | GA population | harness-specific |
 //! | `GEVO_GENS` | GA generations | harness-specific |
 //! | `GEVO_RUNS` | repeated runs (Fig. 6) | 10 |
 //! | `GEVO_SEED` | base RNG seed | 1 |
-//! | `GEVO_ISLANDS` | island count (also `--islands N` on the CLI) | 1 |
-//! | `GEVO_MIGRATION` | generations between migrations | 5 |
 //! | `GEVO_THREADS` | evaluation workers (clamped to host cores) | 1 |
 //! | `GEVO_OBJECTIVES` | comma-separated [`Objective`]s (two+ = NSGA-II) | `cycles` |
 //! | `GEVO_MUT_WEIGHTS` | 7 comma-separated operator weights (see [`mut_weights_knob`]) | built-in |
@@ -29,14 +27,13 @@
 //! An unset or empty numeric knob keeps its default; any other value
 //! that does not parse panics with the knob's name ([`parse_knob`]).
 //!
-//! The GA-driven harnesses (fig4, fig5, fig6, islands, pareto) all
-//! build their engine session through ONE shared helper,
-//! [`harness_spec`] — the env-knob parsing lives here and nowhere else
-//! — and run it with [`run_search`], a thin wrapper over
-//! `gevo_engine::Search`. With one island that is exactly the paper's
-//! single-population GA; with more it is the island engine; with two
-//! or more objectives it is NSGA-II multi-objective selection and the
-//! result carries a Pareto front.
+//! The GA-driven harnesses (fig4, fig5, fig6, pareto) all build their
+//! engine session through ONE shared helper, [`harness_spec`] — the
+//! env-knob parsing lives here and nowhere else — and run it with
+//! [`run_search`], a thin wrapper over `gevo_engine::Search`. With one
+//! objective that is exactly the paper's single-population GA; with two
+//! or more it is NSGA-II multi-objective selection and the result
+//! carries a Pareto front.
 
 #![warn(missing_docs)]
 #![warn(clippy::pedantic)]
@@ -192,16 +189,6 @@ pub fn mut_weights_knob() -> Option<MutationWeights> {
     })
 }
 
-/// The island count in force: `--islands N` (or `--islands=N`) on the
-/// command line wins, then `GEVO_ISLANDS`, then 1. An unparseable
-/// value of either panics (see [`parse_knob`]).
-#[must_use]
-pub fn islands_knob() -> usize {
-    parse_knob("--islands", arg_value("--islands").as_deref())
-        .unwrap_or_else(|| env_usize("GEVO_ISLANDS", 1))
-        .max(1)
-}
-
 /// Applies the `GEVO_QUARANTINE` knob: when set, panic-provoking
 /// variants caught by the engine's evaluation isolation are serialized
 /// into this directory as `*.quarantine.json`
@@ -217,9 +204,8 @@ pub fn quarantine_knob() -> Option<std::path::PathBuf> {
 
 /// The ONE place every harness binary's engine configuration is built:
 /// the GA budget (`GEVO_POP`/`GEVO_GENS`/`GEVO_SEED`/`GEVO_THREADS`)
-/// plus `--islands`/`GEVO_ISLANDS`, `GEVO_MIGRATION` and
-/// `GEVO_OBJECTIVES`, folded into a `gevo_engine::SearchSpec` ready for
-/// [`run_search`].
+/// plus `GEVO_OBJECTIVES`, folded into a `gevo_engine::SearchSpec`
+/// ready for [`run_search`].
 #[must_use]
 pub fn harness_spec(pop: usize, gens: usize) -> SearchSpec {
     // Every GA harness that builds its spec here also picks up the
@@ -233,10 +219,8 @@ pub fn harness_spec(pop: usize, gens: usize) -> SearchSpec {
             threads: harness_threads(),
             ..GaConfig::scaled()
         },
-        islands: islands_knob(),
         ..SearchSpec::default()
     };
-    spec.migration_interval = env_usize("GEVO_MIGRATION", spec.migration_interval);
     let objectives = objectives_knob();
     if objectives.len() > 1 {
         spec.selection = gevo_engine::Selection::Nsga2;
@@ -245,9 +229,8 @@ pub fn harness_spec(pop: usize, gens: usize) -> SearchSpec {
     spec
 }
 
-/// Runs the configured search session and returns its result (global
-/// history, per-island trajectories, Pareto front when
-/// multi-objective).
+/// Runs the configured search session and returns its result (history,
+/// and the Pareto front when multi-objective).
 ///
 /// This is the one checkpoint-aware runner (knob table in
 /// [`checkpoint`]): because every GA-driven harness binary runs through
@@ -367,24 +350,10 @@ pub fn budget_banner(cfg: &SearchSpec) -> String {
     } else {
         String::new()
     };
-    if cfg.islands > 1 {
-        let sizes = cfg.island_populations();
-        let split = if sizes.windows(2).all(|w| w[0] == w[1]) {
-            format!("{} islands x {}", sizes.len(), sizes[0])
-        } else {
-            let parts: Vec<String> = sizes.iter().map(ToString::to_string).collect();
-            format!("{} islands: {}", sizes.len(), parts.join("+"))
-        };
-        format!(
-            "pop {} ({split}), {} gens, migration every {}, seed {}{objectives}",
-            ga.population, ga.generations, cfg.migration_interval, ga.seed
-        )
-    } else {
-        format!(
-            "pop {}, {} gens, seed {}{objectives}",
-            ga.population, ga.generations, ga.seed
-        )
-    }
+    format!(
+        "pop {}, {} gens, seed {}{objectives}",
+        ga.population, ga.generations, ga.seed
+    )
 }
 
 /// The three evaluation GPUs, scaled for search (8-lane warps, small
@@ -473,19 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn islands_knob_reads_env() {
-        // No --islands on the test binary's command line, so the env
-        // var (and then the default) decides.
-        std::env::remove_var("GEVO_ISLANDS");
-        assert_eq!(islands_knob(), 1);
-        std::env::set_var("GEVO_ISLANDS", "4");
-        assert_eq!(islands_knob(), 4);
-        std::env::set_var("GEVO_ISLANDS", "0");
-        assert_eq!(islands_knob(), 1, "floors at one island");
-        std::env::remove_var("GEVO_ISLANDS");
-    }
-
-    #[test]
     fn banner_mentions_split_and_objectives() {
         // Specs are built directly: sibling tests mutate the GEVO_*
         // env vars in parallel, so this test must not read them.
@@ -497,14 +453,8 @@ mod tests {
             },
             ..SearchSpec::default()
         };
-        let multi_island = SearchSpec {
-            islands: 4,
-            ..base.clone()
-        };
-        let banner = budget_banner(&multi_island);
-        assert!(banner.contains("4 islands x 8"), "{banner}");
         let single = budget_banner(&base);
-        assert!(!single.contains("islands"), "{single}");
+        assert_eq!(single, "pop 32, 10 gens, seed 0");
         let multi_objective = SearchSpec {
             objectives: vec![Objective::Cycles, Objective::Error],
             ..base

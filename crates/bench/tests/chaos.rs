@@ -37,7 +37,6 @@ fn sealed_checkpoint() -> &'static str {
                 threads: 1,
                 ..GaConfig::scaled()
             },
-            islands: 2,
             ..SearchSpec::default()
         };
         let mut search = Search::from_spec(w.as_ref(), spec);
@@ -155,7 +154,8 @@ fn scratch(name: &str) -> PathBuf {
 /// A malformed submit is rejected with one `error` event per bad
 /// field — never silently coerced to defaults, never accepted. A spec
 /// carrying the removed `"adapt"` key is rejected too, not run as a
-/// uniform search.
+/// uniform search, and so is a shorthand asking for the removed island
+/// model (`islands`, `migration`), not run as one population.
 #[test]
 fn malformed_submit_gets_one_error_per_field() {
     let dir = scratch("bad-submit");
@@ -172,6 +172,12 @@ fn malformed_submit_gets_one_error_per_field() {
         stdin,
         "{{\"op\":\"submit\",\"id\":\"bad\",\"workload\":\"adept-v0\",\
          \"pop\":\"eight\",\"gens\":true,\"seed\":3}}"
+    )
+    .expect("write submit");
+    writeln!(
+        stdin,
+        "{{\"op\":\"submit\",\"id\":\"isl\",\"workload\":\"adept-v0\",\
+         \"pop\":8,\"islands\":4,\"migration\":2}}"
     )
     .expect("write submit");
     let mut spec = SearchSpec::default().to_json();
@@ -193,6 +199,8 @@ fn malformed_submit_gets_one_error_per_field() {
         r#"field \"pop\""#,
         r#"field \"gens\""#,
         r#"field \"adapt\""#,
+        r#"field \"islands\""#,
+        r#"field \"migration\""#,
     ] {
         assert!(
             events
@@ -205,7 +213,7 @@ fn malformed_submit_gets_one_error_per_field() {
         !events.contains("\"event\":\"accepted\""),
         "a malformed submit must not be accepted: {events}"
     );
-    for id in ["bad", "adaptive"] {
+    for id in ["bad", "isl", "adaptive"] {
         assert!(
             !dir.join(format!("{id}.job.json")).exists(),
             "a rejected submit must not persist a job record"
@@ -261,7 +269,6 @@ fn shutdown_suspends_and_restart_resumes_not_restarts() {
             .env("GEVO_POP", pop.to_string())
             .env("GEVO_GENS", gens.to_string())
             .env("GEVO_SEED", seed.to_string())
-            .env("GEVO_ISLANDS", "1")
             .env("GEVO_THREADS", "1")
             .args(["--workload", "adept-v0"]);
         let out = cmd.output().expect("run search_job");

@@ -29,10 +29,13 @@ fn pinned_spec() -> SearchSpec {
 
 /// Values the `O0` lowering produced for [`pinned_spec`] on P100.
 ///
-/// The checkpoint CRCs are of checkpoint format 2. Deleting each
-/// failing outcome's `"fault"` field and writing `"format":1` back gives
-/// the format-1 bytes `O0` recorded (CRCs `0xCBB0_0A68` and
-/// `0xA972_FB34`).
+/// The checkpoint CRCs are of checkpoint format 3, which holds the one
+/// population at the top level. The same states at format 2 (a
+/// one-element `"islands"` list, a migration RNG and the island fields
+/// of the spec) had CRCs `0x461B_B44D` and `0x935E_38BD`. Deleting each
+/// failing outcome's `"fault"` field from those and writing
+/// `"format":1` back gives the format-1 bytes `O0` recorded (CRCs
+/// `0xCBB0_0A68` and `0xA972_FB34`).
 struct Pin {
     name: &'static str,
     result_crc: u32,
@@ -46,7 +49,7 @@ const PINS: [Pin; 2] = [
     Pin {
         name: "adept-v0",
         result_crc: 0x1AF3_8E76,
-        ckpt_crc: 0x461B_B44D,
+        ckpt_crc: 0xED3F_3953,
         evals: 27,
         cache_hits: 18,
         instructions: 24_340_207,
@@ -54,7 +57,7 @@ const PINS: [Pin; 2] = [
     Pin {
         name: "simcov",
         result_crc: 0x4C98_C1ED,
-        ckpt_crc: 0x935E_38BD,
+        ckpt_crc: 0xC7B4_0D2F,
         evals: 30,
         cache_hits: 19,
         instructions: 2_761_194,

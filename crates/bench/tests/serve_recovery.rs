@@ -37,19 +37,17 @@ fn scratch(name: &str) -> PathBuf {
 /// Budget envs shared by both sides of a comparison. The spec must be
 /// identical between the straight and the interrupted process or the
 /// byte-identity assertion would be vacuous.
-fn budget(cmd: &mut Command, pop: usize, gens: usize, seed: u64, islands: usize) {
+fn budget(cmd: &mut Command, pop: usize, gens: usize, seed: u64) {
     cmd.env("GEVO_POP", pop.to_string())
         .env("GEVO_GENS", gens.to_string())
         .env("GEVO_SEED", seed.to_string())
-        .env("GEVO_ISLANDS", islands.to_string())
-        .env("GEVO_MIGRATION", "2")
         .env("GEVO_THREADS", "1");
 }
 
 /// Runs `search_job` to completion and returns its single result line.
-fn straight_line(workload: &str, pop: usize, gens: usize, seed: u64, islands: usize) -> String {
+fn straight_line(workload: &str, pop: usize, gens: usize, seed: u64) -> String {
     let mut cmd = search_job();
-    budget(&mut cmd, pop, gens, seed, islands);
+    budget(&mut cmd, pop, gens, seed);
     let out = cmd
         .arg("--workload")
         .arg(workload)
@@ -66,13 +64,13 @@ fn straight_line(workload: &str, pop: usize, gens: usize, seed: u64, islands: us
 fn search_job_stop_resume_is_byte_identical() {
     let dir = scratch("stop-resume");
     let ckpt = dir.join("run.json");
-    let (pop, gens, seed, islands) = (8, 4, 5, 2);
+    let (pop, gens, seed) = (8, 4, 5);
 
-    let straight = straight_line("simcov", pop, gens, seed, islands);
+    let straight = straight_line("simcov", pop, gens, seed);
 
     // Interrupted half: checkpoint every generation, stop after 2.
     let mut cmd = search_job();
-    budget(&mut cmd, pop, gens, seed, islands);
+    budget(&mut cmd, pop, gens, seed);
     let out = cmd
         .args(["--workload", "simcov"])
         .env("GEVO_CHECKPOINT", &ckpt)
@@ -90,7 +88,7 @@ fn search_job_stop_resume_is_byte_identical() {
     // Second half: same command line, no stop. The checkpoint file
     // already exists, so the run auto-resumes from it.
     let mut cmd = search_job();
-    budget(&mut cmd, pop, gens, seed, islands);
+    budget(&mut cmd, pop, gens, seed);
     let out = cmd
         .args(["--workload", "simcov"])
         .env("GEVO_CHECKPOINT", &ckpt)
@@ -116,11 +114,11 @@ fn search_job_resumes_under_a_different_thread_count() {
     let dir = scratch("threads");
     let ckpt = dir.join("run.json");
     let (pop, gens, seed) = (8, 4, 2);
-    let straight = straight_line("adept-v0", pop, gens, seed, 1);
+    let straight = straight_line("adept-v0", pop, gens, seed);
 
     let run = |threads: &str, stop_after: Option<&str>| {
         let mut cmd = search_job();
-        budget(&mut cmd, pop, gens, seed, 1);
+        budget(&mut cmd, pop, gens, seed);
         cmd.args(["--workload", "adept-v0"])
             .env("GEVO_THREADS", threads)
             .env("GEVO_CHECKPOINT", &ckpt)
@@ -163,7 +161,7 @@ fn search_job_refuses_a_stale_checkpoint() {
     let ckpt = dir.join("run.json");
     let run = |gens: usize| {
         let mut cmd = search_job();
-        budget(&mut cmd, 8, gens, 1, 1);
+        budget(&mut cmd, 8, gens, 1);
         cmd.args(["--workload", "adept-v0"])
             .env("GEVO_CHECKPOINT", &ckpt)
             .env("GEVO_CHECKPOINT_EVERY", "1")
@@ -224,9 +222,9 @@ fn read_done(dir: &Path, id: &str) -> String {
 #[test]
 fn gevo_serve_survives_sigkill_and_finishes_from_checkpoint() {
     let dir = scratch("sigkill");
-    let (pop, gens, seed, islands) = (8, 4, 3, 1);
+    let (pop, gens, seed) = (8, 4, 3);
 
-    let straight = straight_line("adept-v0", pop, gens, seed, islands);
+    let straight = straight_line("adept-v0", pop, gens, seed);
 
     // Session one: submit a job, watch it past its second generation
     // (so at least one checkpoint is durable), then SIGKILL the server.
@@ -242,7 +240,7 @@ fn gevo_serve_survives_sigkill_and_finishes_from_checkpoint() {
     writeln!(
         stdin,
         "{{\"op\":\"submit\",\"id\":\"k1\",\"workload\":\"adept-v0\",\
-         \"pop\":{pop},\"gens\":{gens},\"seed\":{seed},\"islands\":{islands},\"migration\":2}}"
+         \"pop\":{pop},\"gens\":{gens},\"seed\":{seed}}}"
     )
     .expect("submit job");
     stdin.flush().expect("flush submit");
@@ -302,7 +300,7 @@ fn gevo_serve_survives_sigkill_and_finishes_from_checkpoint() {
     writeln!(
         stdin,
         "{{\"op\":\"submit\",\"id\":\"k1\",\"workload\":\"adept-v0\",\
-         \"pop\":{pop},\"gens\":{gens},\"seed\":{seed},\"islands\":{islands},\"migration\":2}}"
+         \"pop\":{pop},\"gens\":{gens},\"seed\":{seed}}}"
     )
     .expect("resubmit job");
     drop(stdin);

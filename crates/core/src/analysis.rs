@@ -55,10 +55,9 @@
 
 use crate::edit::{Edit, Patch};
 use crate::fitness::Evaluator;
-use serde::{Deserialize, Serialize};
 
 /// Result of Algorithm 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MinimizeReport {
     /// Edits kept (order preserved from the input patch).
     pub kept: Patch,
@@ -148,7 +147,7 @@ pub fn minimize_weak_edits(
 }
 
 /// Result of Algorithm 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SplitReport {
     /// Edits whose solo and in-context contributions agree.
     pub independent: Vec<Edit>,
@@ -230,7 +229,7 @@ pub fn split_independent(evaluator: &Evaluator<'_>, patch: &Patch, tolerance: f6
 }
 
 /// Outcome of applying one subset of the epistatic set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SubsetOutcome {
     /// The variant failed validation — the orange "Exec failed" regions of
     /// Fig. 7 (e.g. edit 8 alone).
@@ -251,7 +250,7 @@ impl SubsetOutcome {
 }
 
 /// Exhaustive subset evaluation of an epistatic edit set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SubsetTable {
     /// The edits, fixing bit positions: bit `i` of a mask refers to
     /// `edits[i]`.
@@ -333,7 +332,7 @@ pub fn subset_analysis(evaluator: &Evaluator<'_>, base: &Patch, edits: &[Edit]) 
 }
 
 /// The Fig. 7 dependency structure recovered from a subset table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpistasisGraph {
     /// The edits (bit order matches the table).
     pub edits: Vec<Edit>,

@@ -37,13 +37,12 @@
 //! ```
 
 use gevo_ir::{InstId, Kernel, Operand, TermKind};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One mutation operator application. `kernel` indexes the workload's
 /// kernel list (multi-kernel programs like ADEPT-V1 and `SIMCoV` evolve all
 /// their kernels in one genome, as GEVO does).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Edit {
     /// Remove the instruction.
     Delete {
@@ -282,7 +281,7 @@ impl fmt::Display for Edit {
 }
 
 /// An ordered list of edits: one individual's genome.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Patch {
     edits: Vec<Edit>,
 }

@@ -8,10 +8,8 @@
 //! [`Evaluator`] memoizes outcomes in a **sharded cache**: a fixed
 //! power-of-two array of locks, each guarding one slice of the hash
 //! space, selected by the low bits of the patch's content hash. The
-//! single-population GA, the island engine ([`crate::island`]) and the
-//! [`Evaluator::evaluate_batch`] worker pool all hit the cache
-//! concurrently; sharding keeps those lookups from serializing on one
-//! mutex.
+//! [`Evaluator::evaluate_batch`] workers hit the cache concurrently;
+//! sharding keeps their lookups from serializing on one mutex.
 //!
 //! On a cache miss an evaluation is apply → compile → run: the patch is
 //! applied to the pristine kernels, [`Workload::compile`] lowers them and
@@ -334,8 +332,7 @@ pub trait Workload: Sync {
 
 /// Number of cache shards. A fixed power of two so shard selection is a
 /// mask of the patch hash's low bits; 16 comfortably out-scales the
-/// worker pools the engine spawns (islands × batch threads) on the
-/// machines this runs on.
+/// batch worker pools the engine spawns on the machines this runs on.
 pub const CACHE_SHARDS: usize = 16;
 
 /// Extracts the human-readable message from a caught panic payload
@@ -533,7 +530,7 @@ impl EvalStats {
 ///
 /// The cache is split into [`CACHE_SHARDS`] independently locked shards,
 /// selected by the low bits of [`Patch::content_hash`], so concurrent
-/// islands and `evaluate_batch` workers do not contend on one mutex.
+/// `evaluate_batch` workers do not contend on one mutex.
 /// The evaluation seed is guarded by an [`RwLock`] that every
 /// [`Evaluator::evaluate`] call holds in *read* mode across its whole
 /// lookup–evaluate–insert sequence, and [`Evaluator::set_eval_seed`]
@@ -817,9 +814,9 @@ impl<'w> Evaluator<'w> {
     /// Evaluates many patches in parallel with `threads` workers,
     /// preserving order. Results are cached like single evaluations.
     ///
-    /// Duplicate patches (the island engine's batches routinely carry
-    /// the same champion on several islands) are deduplicated by content
-    /// hash *before* dispatch: each unique patch is evaluated exactly
+    /// Duplicate patches (a population routinely carries copies: elites
+    /// and offspring that neither crossover nor mutation changed) are
+    /// deduplicated by content hash *before* dispatch: each unique patch is evaluated exactly
     /// once, so two workers can never race the same uncached key and
     /// [`Evaluator::evals_performed`] stays deterministic across thread
     /// schedules. Unique patches are dispatched in first-seen order.

@@ -42,15 +42,12 @@
 //! ```
 
 use crate::edit::{Edit, Patch};
-use crate::island::MigrationEvent;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// GA hyper-parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GaConfig {
-    /// Individuals per generation (paper: 256). Under the island engine
-    /// this is the **total** across islands.
+    /// Individuals per generation (paper: 256).
     pub population: usize,
     /// Best individuals copied unchanged into the next generation
     /// (paper: 4).
@@ -112,7 +109,7 @@ impl GaConfig {
 }
 
 /// One individual: genome plus cached fitness.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Individual {
     /// The genome.
     pub patch: Patch,
@@ -121,26 +118,22 @@ pub struct Individual {
 }
 
 /// Per-generation record for trajectory figures (Fig. 6, Fig. 8).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GenerationRecord {
     /// Generation index (0-based).
     pub gen: usize,
-    /// The island that owned this record's best individual (0 in
-    /// single-population runs and in per-island histories of island 0).
-    pub island: usize,
     /// Best (lowest) valid fitness this generation.
     pub best_fitness: f64,
     /// Speedup of the best individual over the pristine program.
     pub best_speedup: f64,
     /// The best individual's genome.
     pub best_patch: Patch,
-    /// Valid individuals this generation (summed across islands in a
-    /// global history).
+    /// Valid individuals this generation.
     pub valid: usize,
 }
 
 /// Everything recorded during a run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct History {
     /// Cycles of the pristine program.
     pub baseline: f64,
@@ -149,9 +142,6 @@ pub struct History {
     /// Generation at which each edit first appeared in the *best*
     /// individual — the discovery sequence behind Fig. 8.
     pub first_seen_in_best: HashMap<Edit, usize>,
-    /// Every migration event this history witnessed (empty for
-    /// single-population runs; see [`crate::island`]).
-    pub migrations: Vec<MigrationEvent>,
 }
 
 impl History {
@@ -211,7 +201,6 @@ mod tests {
         );
         assert!(res.best.fitness.unwrap() < res.history.baseline);
         assert_eq!(res.history.records.len(), 30);
-        assert!(res.history.migrations.is_empty(), "N=1 never migrates");
     }
 
     #[test]
@@ -274,12 +263,5 @@ mod tests {
         let res = ga(&toy, &cfg);
         assert!(res.best.fitness.is_some());
         assert!(res.speedup >= 1.0);
-    }
-
-    #[test]
-    fn generation_records_carry_island_zero() {
-        let toy = Toy::new();
-        let res = ga(&toy, &quick_cfg(2));
-        assert!(res.history.records.iter().all(|r| r.island == 0));
     }
 }

@@ -19,10 +19,10 @@
 //! * [`Workload`] / [`Evaluator`] — fitness = mean simulated kernel
 //!   cycles over the test set; failing variants are invalid (§III-E).
 //! * [`Search`] — **the engine's one entry point**: a composable session
-//!   (`Search::new(&w).config(ga).islands(4).objectives(&[...])`) over
-//!   the generational loop with elitism, tournament or NSGA-II
-//!   selection, island migration, streaming [`SearchObserver`]
-//!   callbacks and full history recording (Figs. 6 and 8).
+//!   (`Search::new(&w).config(ga).objectives(&[...])`) over the
+//!   paper's one-population generational loop with elitism, tournament
+//!   or NSGA-II selection, streaming [`SearchObserver`] callbacks and
+//!   full history recording (Figs. 6 and 8).
 //! * [`Objective`] — the minimized dimensions (cycles, correctness
 //!   error, memory-traffic/instruction proxies); two or more switch the
 //!   selector to NSGA-II non-dominated sorting and the run surfaces its
@@ -82,7 +82,6 @@ pub mod analysis;
 pub mod edit;
 pub mod fitness;
 pub mod ga;
-pub mod island;
 pub mod mutation;
 pub mod quarantine;
 pub mod search;
@@ -100,11 +99,10 @@ pub use fitness::{
     CACHE_SHARDS,
 };
 pub use ga::{GaConfig, GenerationRecord, History, Individual};
-pub use island::{MigrationEvent, Topology};
 pub use mutation::{crossover_one_point, crossover_uniform, MutationSpace, MutationWeights};
 pub use quarantine::QuarantineRecord;
 pub use search::{
     crowding_distances, dominates, non_dominated_sort, nsga2_order, Objective, ParetoPoint, Search,
     SearchObserver, SearchResult, SearchSpec, Selection, StepStatus,
 };
-pub use state::{IslandSnapshot, SearchState, STATE_FORMAT};
+pub use state::{SearchState, STATE_FORMAT};

@@ -28,36 +28,34 @@
 //! let w = Toy { kernels: vec![b.finish()] };
 //!
 //! let ga = GaConfig { population: 16, generations: 8, threads: 1, ..GaConfig::scaled() };
-//! let res = Search::new(&w).config(ga).islands(4).run();
+//! let res = Search::new(&w).config(ga).run();
 //! assert_eq!(res.history.records.len(), 8);
-//! assert_eq!(res.islands.len(), 4);
 //! assert!(res.speedup >= 1.0);
 //! ```
 //!
+//! The search runs one population, as the paper's GEVO does (§III-E).
 //! With a single objective ([`Objective::Cycles`], the default) and
-//! [`Selection::Tournament`], `Search` runs the paper's scalar GA; one
-//! island is the single panmictic population, more add the migration
-//! RNG stream. Fixed seeds reproduce their pinned trajectories bit for
-//! bit.
+//! [`Selection::Tournament`], `Search` runs the paper's scalar GA.
+//! Fixed seeds reproduce their pinned trajectories bit for bit.
 //! Passing two or more [`Objective`]s switches [`Selection::Nsga2`] on:
-//! per-island ranking becomes NSGA-II non-dominated sorting with
+//! ranking becomes NSGA-II non-dominated sorting with
 //! crowding-distance tie-breaking (GEVO's actual selection scheme —
 //! Liou et al., TACO 2020, rank variants by runtime *and* error), and
 //! the maintained Pareto archive is surfaced as
 //! [`SearchResult::pareto`].
 //!
-//! A streaming [`SearchObserver`] receives per-generation records and
-//! migration events as they happen, so harnesses and serving layers no
-//! longer post-hoc mine [`History`].
+//! A streaming [`SearchObserver`] receives per-generation records as
+//! they happen, so harnesses and serving layers need not post-hoc mine
+//! [`History`].
 //!
 //! ## The session as an explicit state machine
 //!
 //! [`Search::run`] is now sugar over a stepwise API: [`Search::step`]
 //! executes exactly one generation (evaluate → rank → record → observe →
-//! migrate-if-due → breed) and reports [`StepStatus`];
+//! breed) and reports [`StepStatus`];
 //! [`Search::into_result`] finalizes. Between steps the *entire* run
-//! state — per-island populations and histories, RNG streams captured as
-//! `(seed, word position)` pairs, the Pareto archive, the evaluator's
+//! state — the population and its history, the RNG stream captured as
+//! a `(seed, word position)` pair, the Pareto archive, the evaluator's
 //! outcome cache and counters, the generation index — can be captured
 //! with [`Search::checkpoint`] into a serializable
 //! [`crate::state::SearchState`] and later rebuilt with
@@ -69,21 +67,19 @@
 use crate::edit::Patch;
 use crate::fitness::{EvalOutcome, Evaluator, Workload};
 use crate::ga::{GaConfig, GenerationRecord, History, Individual};
-use crate::island::{MigrationEvent, Topology};
 use crate::mutation::{crossover_one_point, MutationSpace, MutationWeights};
-use crate::state::{IslandSnapshot, SearchState};
+use crate::state::SearchState;
 use gevo_ir::StreamState;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One dimension of the (possibly multi-objective) fitness. All
 /// objectives are **minimized**; each extracts its score from a passing
 /// [`EvalOutcome`] (invalid variants stay excluded from selection
 /// entirely, exactly as in the scalar engine).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Objective {
     /// Mean simulated kernel cycles over the test set — the paper's
     /// scalar fitness (§III-E) and the engine's default.
@@ -134,8 +130,8 @@ impl Objective {
     }
 }
 
-/// How parents (and elites) are ranked within an island.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// How parents (and elites) are ranked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Selection {
     /// Scalar tournament on the first objective — the paper's §III-E
     /// scheme and the bit-identical legacy path.
@@ -148,18 +144,10 @@ pub enum Selection {
 /// The full declarative description of a search session — everything
 /// [`Search`] runs is a deterministic function of this spec (plus the
 /// workload). Serializable so harnesses can log exactly what they ran.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchSpec {
-    /// The GA knobs. `population` is the **total** across islands.
+    /// The GA knobs.
     pub ga: GaConfig,
-    /// Number of subpopulations (1 = the classic panmictic GA).
-    pub islands: usize,
-    /// Generations between migrations (0 = never migrate).
-    pub migration_interval: usize,
-    /// Elite individuals each island emits per migration.
-    pub emigrants: usize,
-    /// Destination pattern for emigrants.
-    pub topology: Topology,
     /// The minimized objectives, in report order. The first objective
     /// also names the scalar recorded in [`History`] trajectories.
     pub objectives: Vec<Objective>,
@@ -174,10 +162,6 @@ impl Default for SearchSpec {
     fn default() -> Self {
         SearchSpec {
             ga: GaConfig::default(),
-            islands: 1,
-            migration_interval: 5,
-            emigrants: 2,
-            topology: Topology::Ring,
             objectives: vec![Objective::Cycles],
             selection: Selection::Tournament,
         }
@@ -185,21 +169,6 @@ impl Default for SearchSpec {
 }
 
 impl SearchSpec {
-    /// Per-island population sizes: the total [`GaConfig::population`]
-    /// budget split as evenly as possible (the first
-    /// `population % islands` islands take one extra individual), so
-    /// 1-island and N-island runs compare at **exactly** equal budgets.
-    /// The island count is clamped to the population so no island
-    /// starts empty.
-    #[must_use]
-    pub fn island_populations(&self) -> Vec<usize> {
-        let total = self.ga.population.max(1);
-        let n = self.islands.clamp(1, total);
-        let base = total / n;
-        let extra = total % n;
-        (0..n).map(|i| base + usize::from(i < extra)).collect()
-    }
-
     /// Same spec with a different master seed (repeated-run sweeps).
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> SearchSpec {
@@ -209,24 +178,19 @@ impl SearchSpec {
 }
 
 /// Streaming callbacks fired while a search runs, so consumers see
-/// progress without post-hoc mining [`History`]. All methods default to
-/// no-ops; implement what you need. Callbacks never influence the
-/// search (the RNG streams are untouched by observation).
+/// progress without post-hoc mining [`History`]. The callback defaults
+/// to a no-op. It never influences the search (the RNG stream is
+/// untouched by observation).
 pub trait SearchObserver {
-    /// Fired once per generation with the global (cross-island) record,
-    /// right after it is appended to the history.
+    /// Fired once per generation with its record, right after it is
+    /// appended to the history.
     fn on_generation(&mut self, record: &GenerationRecord) {
         let _ = record;
-    }
-
-    /// Fired for every *delivered* migration, in log order.
-    fn on_migration(&mut self, event: &MigrationEvent) {
-        let _ = event;
     }
 }
 
 /// One non-dominated point of a multi-objective run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParetoPoint {
     /// The genome.
     pub patch: Patch,
@@ -236,24 +200,19 @@ pub struct ParetoPoint {
     pub scores: Vec<f64>,
     /// Generation at which this point entered the archive.
     pub gen: usize,
-    /// Island that produced it.
-    pub island: usize,
-    /// Population slot it occupied on that island at offer time.
+    /// Population slot it occupied at offer time.
     pub slot: usize,
 }
 
 /// Everything a [`Search`] run records.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchResult {
-    /// The lowest-cycles individual across all islands over the run.
+    /// The lowest-cycles individual over the run.
     pub best: Individual,
     /// Speedup of `best` over the pristine program.
     pub speedup: f64,
-    /// The global trajectory (per generation, the best individual
-    /// across islands) plus every migration event.
+    /// The trajectory: per generation, the best individual.
     pub history: History,
-    /// Per-island trajectories, one per island actually run.
-    pub islands: Vec<History>,
     /// Fitness evaluations actually performed (cache misses).
     pub evals: usize,
     /// Evaluations served from the sharded cache.
@@ -302,7 +261,7 @@ pub struct Search<'a> {
 }
 
 impl<'a> Search<'a> {
-    /// A session with default spec: one island, scalar cycles objective,
+    /// A session with default spec: scalar cycles objective,
     /// tournament selection, [`GaConfig::default`] budget.
     #[must_use]
     pub fn new(workload: &'a dyn Workload) -> Search<'a> {
@@ -372,23 +331,6 @@ impl<'a> Search<'a> {
         self
     }
 
-    /// Sets the island count (1 = single panmictic population).
-    #[must_use]
-    pub fn islands(mut self, n: usize) -> Search<'a> {
-        self.assert_unstarted();
-        self.spec.islands = n.max(1);
-        self
-    }
-
-    /// Sets the migration cadence (generations between waves; 0 never
-    /// migrates).
-    #[must_use]
-    pub fn migration_interval(mut self, gens: usize) -> Search<'a> {
-        self.assert_unstarted();
-        self.spec.migration_interval = gens;
-        self
-    }
-
     /// Sets the mutation-operator weights.
     #[must_use]
     pub fn weights(mut self, weights: MutationWeights) -> Search<'a> {
@@ -419,10 +361,10 @@ impl<'a> Search<'a> {
         self
     }
 
-    /// Attaches a streaming observer for per-generation records and
-    /// migration events. Unlike the spec setters this is valid at any
-    /// point — a resumed session attaches its observer here and the
-    /// stream continues from the resumed generation.
+    /// Attaches a streaming observer for per-generation records. Unlike
+    /// the spec setters this is valid at any point — a resumed session
+    /// attaches its observer here and the stream continues from the
+    /// resumed generation.
     #[must_use]
     pub fn observer(mut self, observer: &'a mut dyn SearchObserver) -> Search<'a> {
         self.observer = Some(observer);
@@ -454,7 +396,7 @@ impl<'a> Search<'a> {
     }
 
     /// Materializes the run state (baseline evaluation, initial
-    /// populations, RNG streams) if this session has not started yet.
+    /// population, RNG stream) if this session has not started yet.
     fn ensure_engine(&mut self) {
         if self.engine.is_none() {
             self.engine = Some(Engine::new(self.workload, &self.spec, &self.weights));
@@ -462,9 +404,9 @@ impl<'a> Search<'a> {
     }
 
     /// Executes exactly one generation: evaluate → rank → record →
-    /// observer → (unless this was the final generation) migrate-if-due
-    /// → breed. Returns [`StepStatus::Done`] without doing anything once
-    /// the budget is exhausted.
+    /// observer → (unless this was the final generation) breed. Returns
+    /// [`StepStatus::Done`] without doing anything once the budget is
+    /// exhausted.
     ///
     /// # Panics
     /// Panics if the pristine program fails its own test set (workload
@@ -489,10 +431,10 @@ impl<'a> Search<'a> {
         engine.snapshot(self.workload, &self.spec, &self.weights)
     }
 
-    /// Finalizes the session into its [`SearchResult`]: fans the
-    /// migration log out to per-island histories, orders the Pareto
-    /// archive by provenance, computes the speedup. Valid at any point —
-    /// finishing early yields the result of the generations run so far.
+    /// Finalizes the session into its [`SearchResult`]: orders the
+    /// Pareto archive by provenance, computes the speedup. Valid at any
+    /// point — finishing early yields the result of the generations run
+    /// so far.
     ///
     /// # Panics
     /// Panics if the pristine program fails its own test set (workload
@@ -663,30 +605,57 @@ pub fn nsga2_order(scores: &[Vec<f64>]) -> Vec<usize> {
 }
 
 // ---------------------------------------------------------------------
-// The engine loop (moved here from `island.rs`, generalized with
-// multi-objective ranking, the Pareto archive and observer hooks).
+// The engine loop: one population, generalized with multi-objective
+// ranking, the Pareto archive and observer hooks.
 // ---------------------------------------------------------------------
 
-/// `SplitMix64` — used to derive independent island seeds from the
-/// master seed (island 0 keeps the master seed itself so N=1 reproduces
-/// the original single-population stream).
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// A Pareto archive over (patch, scores): keeps every non-dominated
+/// point seen so far, first-seen order preserved among survivors.
+struct ParetoArchive {
+    points: Vec<ParetoPoint>,
+    seen: std::collections::HashSet<u64>,
 }
 
-fn island_seed(master: u64, island: usize) -> u64 {
-    if island == 0 {
-        master
-    } else {
-        splitmix64(master ^ (island as u64).wrapping_mul(0xA076_1D64_78BD_642F))
+impl ParetoArchive {
+    fn new() -> ParetoArchive {
+        ParetoArchive {
+            points: Vec::new(),
+            seen: std::collections::HashSet::new(),
+        }
+    }
+
+    fn offer(&mut self, patch: &Patch, fitness: f64, scores: &[f64], gen: usize, slot: usize) {
+        if !self.seen.insert(patch.content_hash()) {
+            return; // already offered (identical genome)
+        }
+        if self
+            .points
+            .iter()
+            .any(|p| dominates(&p.scores, scores) || p.scores == scores)
+        {
+            return;
+        }
+        self.points.retain(|p| !dominates(scores, &p.scores));
+        self.points.push(ParetoPoint {
+            patch: patch.clone(),
+            fitness,
+            scores: scores.to_vec(),
+            gen,
+            slot,
+        });
     }
 }
 
-/// One subpopulation plus its private RNG stream and trajectory.
-struct Island {
+/// The live state of a running search: one population with its
+/// master-seeded RNG stream, ranking and trajectory, plus the
+/// evaluator and the Pareto archive. [`Search::step`] advances it one
+/// generation at a time and [`Search::checkpoint`]/[`Engine::restore`]
+/// move it across process boundaries.
+struct Engine<'a> {
+    evaluator: Evaluator<'a>,
+    space: MutationSpace,
+    baseline: f64,
+    /// The breeding RNG, seeded with [`GaConfig::seed`].
     rng: ChaCha8Rng,
     population: Vec<Individual>,
     /// Per-individual objective scores (empty vec = invalid), parallel
@@ -696,11 +665,22 @@ struct Island {
     ranked: Vec<usize>,
     history: History,
     best: Individual,
+    archive: ParetoArchive,
+    /// The next generation to execute.
+    gen: usize,
 }
 
-impl Island {
-    fn new(seed: u64, pop: usize, baseline: f64, space: &MutationSpace) -> Island {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+impl<'a> Engine<'a> {
+    /// Fresh-run construction: evaluates the baseline, then seeds the
+    /// population with the pristine program plus single-mutation
+    /// variants drawn from the master-seeded stream.
+    fn new(workload: &'a dyn Workload, spec: &SearchSpec, weights: &MutationWeights) -> Engine<'a> {
+        let evaluator = Evaluator::new(workload);
+        let baseline = evaluator.baseline();
+        let space = MutationSpace::new(workload.kernels(), weights.clone());
+        let ga = &spec.ga;
+        let pop = ga.population.max(1);
+        let mut rng = ChaCha8Rng::seed_from_u64(ga.seed);
         let mut population: Vec<Individual> = Vec::with_capacity(pop);
         population.push(Individual {
             patch: Patch::empty(),
@@ -714,28 +694,85 @@ impl Island {
                 fitness: None,
             });
         }
-        Island {
+        Engine {
+            evaluator,
+            space,
+            baseline,
             rng,
             population,
             scores: Vec::new(),
             ranked: Vec::new(),
             history: History {
                 baseline,
-                records: Vec::new(),
+                records: Vec::with_capacity(ga.generations),
                 first_seen_in_best: HashMap::new(),
-                migrations: Vec::new(),
             },
             best: Individual {
                 patch: Patch::empty(),
                 fitness: Some(baseline),
             },
+            archive: ParetoArchive::new(),
+            gen: 0,
+        }
+    }
+
+    /// Rebuilds the machine a [`SearchState`] describes: the stream at
+    /// its captured word position, the evaluator cache re-imported, the
+    /// mutation space re-derived (it is a pure function of workload ×
+    /// weights).
+    fn restore(workload: &'a dyn Workload, state: &SearchState) -> Engine<'a> {
+        let evaluator = Evaluator::new(workload);
+        evaluator.import_snapshot(&state.evaluator);
+        let space = MutationSpace::new(workload.kernels(), state.weights.clone());
+        Engine {
+            evaluator,
+            space,
+            baseline: state.baseline,
+            rng: state.rng.restore(),
+            population: state.population.clone(),
+            scores: state.scores.clone(),
+            ranked: state.ranked.clone(),
+            history: state.history.clone(),
+            best: state.best.clone(),
+            archive: ParetoArchive {
+                points: state.pareto.clone(),
+                seen: state.pareto_seen.iter().copied().collect(),
+            },
+            gen: state.gen,
+        }
+    }
+
+    /// Captures the machine as a serializable [`SearchState`] (the
+    /// inverse of [`Engine::restore`]).
+    fn snapshot(
+        &self,
+        workload: &dyn Workload,
+        spec: &SearchSpec,
+        weights: &MutationWeights,
+    ) -> SearchState {
+        let mut pareto_seen: Vec<u64> = self.archive.seen.iter().copied().collect();
+        pareto_seen.sort_unstable();
+        SearchState {
+            workload: workload.name().to_string(),
+            spec: spec.clone(),
+            weights: weights.clone(),
+            gen: self.gen,
+            baseline: self.baseline,
+            rng: StreamState::capture(&self.rng),
+            population: self.population.clone(),
+            scores: self.scores.clone(),
+            ranked: self.ranked.clone(),
+            history: self.history.clone(),
+            best: self.best.clone(),
+            pareto: self.archive.points.clone(),
+            pareto_seen,
+            evaluator: self.evaluator.export_snapshot(),
         }
     }
 
     /// Re-ranks the valid individuals. Under [`Selection::Tournament`]
-    /// this is the historical stable sort by scalar fitness (lower
-    /// cycles = better), bit-identical to the legacy engine; under
-    /// [`Selection::Nsga2`] it is non-dominated fronts ordered by
+    /// this is a stable sort by scalar fitness (lower cycles = better);
+    /// under [`Selection::Nsga2`] it is non-dominated fronts ordered by
     /// crowding distance.
     fn rank(&mut self, selection: Selection) {
         let valid: Vec<usize> = (0..self.population.len())
@@ -775,59 +812,51 @@ impl Island {
         best
     }
 
-    /// Appends this generation to the island's own trajectory.
-    fn record(&mut self, gen: usize, id: usize, baseline: f64) {
-        if let Some(gb) = self.gen_best().cloned() {
+    /// Appends generation `gen` to the trajectory and updates the
+    /// best-so-far individual.
+    fn record(&mut self, gen: usize) {
+        let record = if let Some(gb) = self.gen_best().cloned() {
             let f = gb.fitness.expect("ranked individuals are valid");
-            if f < self.best.fitness.expect("island best is always valid") {
+            if f < self.best.fitness.expect("best is always valid") {
                 self.best = gb.clone();
             }
             for e in gb.patch.edits() {
                 self.history.first_seen_in_best.entry(*e).or_insert(gen);
             }
-            self.history.records.push(GenerationRecord {
+            GenerationRecord {
                 gen,
-                island: id,
                 best_fitness: f,
-                best_speedup: baseline / f,
+                best_speedup: self.baseline / f,
                 best_patch: gb.patch,
                 valid: self.ranked.len(),
-            });
+            }
         } else {
-            self.history.records.push(GenerationRecord {
+            GenerationRecord {
                 gen,
-                island: id,
-                best_fitness: baseline,
+                best_fitness: self.baseline,
                 best_speedup: 1.0,
                 best_patch: Patch::empty(),
                 valid: 0,
-            });
-        }
+            }
+        };
+        self.history.records.push(record);
     }
 
-    /// Elites + offspring, exactly the single-population breeding loop.
-    /// `elitism` arrives pre-split across islands: at least one elite
-    /// per island when elitism is enabled (so every island's trajectory
-    /// stays monotone), exactly zero when the caller disabled elitism.
-    fn breed(
-        &mut self,
-        cfg: &GaConfig,
-        pop: usize,
-        elitism: usize,
-        baseline: f64,
-        space: &MutationSpace,
-        selection: Selection,
-    ) {
+    /// Elites + offspring: the `elitism` best-ranked individuals carry
+    /// over unchanged, the rest are bred by tournament, crossover and
+    /// mutation.
+    fn breed(&mut self, cfg: &GaConfig, selection: Selection) {
+        let pop = cfg.population.max(1);
         let mut next: Vec<Individual> = self
             .ranked
             .iter()
-            .take(elitism)
+            .take(cfg.elitism)
             .map(|&i| self.population[i].clone())
             .collect();
         if next.is_empty() {
             next.push(Individual {
                 patch: Patch::empty(),
-                fitness: Some(baseline),
+                fitness: Some(self.baseline),
             });
         }
         while next.len() < pop {
@@ -839,7 +868,7 @@ impl Island {
                 parent_a
             };
             if self.rng.gen_bool(cfg.mutation_p) {
-                space.mutate(&mut child, &mut self.rng);
+                self.space.mutate(&mut child, &mut self.rng);
             }
             if child.len() > cfg.max_patch_len {
                 let edits = child.edits()[child.len() - cfg.max_patch_len..].to_vec();
@@ -887,255 +916,13 @@ impl Island {
         }
     }
 
-    /// Replaceable slots under a given protection level: everything but
-    /// the island's `protect` best-ranked individuals. Callers truncate
-    /// an inbound wave to this before delivering (and before logging).
-    fn receive_capacity(&self, protect: usize) -> usize {
-        self.population.len() - protect.min(self.ranked.len())
-    }
-
-    /// Overwrites this island's worst individuals with immigrants.
-    /// Invalid individuals go first, then the weakest valid ones; the
-    /// island's `protect` best-ranked individuals are never replaced
-    /// (migration adds diversity, it must not evict the local champion).
-    /// Callers pre-truncate to [`Island::receive_capacity`]. The ranking
-    /// is refreshed afterwards so immigrants can be elites.
-    fn receive(
-        &mut self,
-        immigrants: Vec<(Individual, Vec<f64>)>,
-        protect: usize,
-        selection: Selection,
-    ) {
-        if immigrants.is_empty() {
-            return;
-        }
-        let keep = protect.min(self.ranked.len());
-        let mut worst_first: Vec<usize> = (0..self.population.len())
-            .filter(|i| !self.ranked.contains(i))
-            .collect();
-        worst_first.extend(self.ranked.iter().skip(keep).rev().copied());
-        for (slot, (imm, scores)) in worst_first.into_iter().zip(immigrants) {
-            // Immigrants carry their score vector from the source
-            // island so the post-delivery re-rank can place them.
-            if let Some(s) = self.scores.get_mut(slot) {
-                *s = scores;
-            }
-            self.population[slot] = imm;
-        }
-        self.rank(selection);
-    }
-}
-
-/// A Pareto archive over (patch, scores): keeps every non-dominated
-/// point seen so far, first-seen order preserved among survivors.
-struct ParetoArchive {
-    points: Vec<ParetoPoint>,
-    seen: std::collections::HashSet<u64>,
-}
-
-impl ParetoArchive {
-    fn new() -> ParetoArchive {
-        ParetoArchive {
-            points: Vec::new(),
-            seen: std::collections::HashSet::new(),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn offer(
-        &mut self,
-        patch: &Patch,
-        fitness: f64,
-        scores: &[f64],
-        gen: usize,
-        island: usize,
-        slot: usize,
-    ) {
-        if !self.seen.insert(patch.content_hash()) {
-            return; // already offered (identical genome)
-        }
-        if self
-            .points
-            .iter()
-            .any(|p| dominates(&p.scores, scores) || p.scores == scores)
-        {
-            return;
-        }
-        self.points.retain(|p| !dominates(scores, &p.scores));
-        self.points.push(ParetoPoint {
-            patch: patch.clone(),
-            fitness,
-            scores: scores.to_vec(),
-            gen,
-            island,
-            slot,
-        });
-    }
-}
-
-/// Elitism split across `n` islands: totals divide with a floor of one
-/// elite per island — otherwise an island could lose its best between
-/// generations — except when the caller disabled elitism outright,
-/// which is honored everywhere.
-fn split_elitism(total: usize, n: usize) -> usize {
-    if n == 1 || total == 0 {
-        total
-    } else {
-        (total / n).max(1)
-    }
-}
-
-/// The live state of a running search: what used to be the local
-/// variables of the old monolithic loop, now an explicit machine that
-/// [`Search::step`] advances one generation at a time and
-/// [`Search::checkpoint`]/[`Engine::restore`] move across process
-/// boundaries. With one objective and tournament selection the step
-/// sequence is line-for-line the legacy island loop (same RNG streams,
-/// same history).
-struct Engine<'a> {
-    evaluator: Evaluator<'a>,
-    space: MutationSpace,
-    baseline: f64,
-    /// Per-island population sizes (fixed for the whole run).
-    pops: Vec<usize>,
-    /// Per-island elitism (see [`split_elitism`]).
-    elitism: usize,
-    islands: Vec<Island>,
-    /// Random-topology draws come from a dedicated stream so migration
-    /// policy never perturbs the islands' evolutionary randomness.
-    mig_rng: ChaCha8Rng,
-    history: History,
-    best: Individual,
-    archive: ParetoArchive,
-    /// The next generation to execute.
-    gen: usize,
-}
-
-impl<'a> Engine<'a> {
-    /// Fresh-run construction: evaluates the baseline, seeds the
-    /// initial populations and RNG streams. Identical to the preamble
-    /// of the old monolithic loop.
-    fn new(workload: &'a dyn Workload, spec: &SearchSpec, weights: &MutationWeights) -> Engine<'a> {
-        let evaluator = Evaluator::new(workload);
-        let baseline = evaluator.baseline();
-        let space = MutationSpace::new(workload.kernels(), weights.clone());
-        let ga = &spec.ga;
-        let pops = spec.island_populations();
-        let elitism = split_elitism(ga.elitism, pops.len());
-        let islands: Vec<Island> = pops
-            .iter()
-            .enumerate()
-            .map(|(i, &pop)| Island::new(island_seed(ga.seed, i), pop, baseline, &space))
-            .collect();
-        let mig_rng = ChaCha8Rng::seed_from_u64(splitmix64(ga.seed ^ 0x4D69_6772_6174_6521));
-        Engine {
-            evaluator,
-            space,
-            baseline,
-            pops,
-            elitism,
-            islands,
-            mig_rng,
-            history: History {
-                baseline,
-                records: Vec::with_capacity(ga.generations),
-                first_seen_in_best: HashMap::new(),
-                migrations: Vec::new(),
-            },
-            best: Individual {
-                patch: Patch::empty(),
-                fitness: Some(baseline),
-            },
-            archive: ParetoArchive::new(),
-            gen: 0,
-        }
-    }
-
-    /// Rebuilds the machine a [`SearchState`] describes: every stream at
-    /// its captured word position, the evaluator cache re-imported, the
-    /// mutation space re-derived (it is a pure function of workload ×
-    /// weights).
-    fn restore(workload: &'a dyn Workload, state: &SearchState) -> Engine<'a> {
-        let evaluator = Evaluator::new(workload);
-        evaluator.import_snapshot(&state.evaluator);
-        let space = MutationSpace::new(workload.kernels(), state.weights.clone());
-        let pops = state.spec.island_populations();
-        let elitism = split_elitism(state.spec.ga.elitism, pops.len());
-        let islands: Vec<Island> = state
-            .islands
-            .iter()
-            .map(|snap| Island {
-                rng: snap.rng.restore(),
-                population: snap.population.clone(),
-                scores: snap.scores.clone(),
-                ranked: snap.ranked.clone(),
-                history: snap.history.clone(),
-                best: snap.best.clone(),
-            })
-            .collect();
-        Engine {
-            evaluator,
-            space,
-            baseline: state.baseline,
-            pops,
-            elitism,
-            islands,
-            mig_rng: state.mig_rng.restore(),
-            history: state.history.clone(),
-            best: state.best.clone(),
-            archive: ParetoArchive {
-                points: state.pareto.clone(),
-                seen: state.pareto_seen.iter().copied().collect(),
-            },
-            gen: state.gen,
-        }
-    }
-
-    /// Captures the machine as a serializable [`SearchState`] (the
-    /// inverse of [`Engine::restore`]).
-    fn snapshot(
-        &self,
-        workload: &dyn Workload,
-        spec: &SearchSpec,
-        weights: &MutationWeights,
-    ) -> SearchState {
-        let mut pareto_seen: Vec<u64> = self.archive.seen.iter().copied().collect();
-        pareto_seen.sort_unstable();
-        SearchState {
-            workload: workload.name().to_string(),
-            spec: spec.clone(),
-            weights: weights.clone(),
-            gen: self.gen,
-            baseline: self.baseline,
-            islands: self
-                .islands
-                .iter()
-                .map(|isl| IslandSnapshot {
-                    rng: StreamState::capture(&isl.rng),
-                    population: isl.population.clone(),
-                    scores: isl.scores.clone(),
-                    ranked: isl.ranked.clone(),
-                    history: isl.history.clone(),
-                    best: isl.best.clone(),
-                })
-                .collect(),
-            mig_rng: StreamState::capture(&self.mig_rng),
-            history: self.history.clone(),
-            best: self.best.clone(),
-            pareto: self.archive.points.clone(),
-            pareto_seen,
-            evaluator: self.evaluator.export_snapshot(),
-        }
-    }
-
-    /// One full generation — the body of the old loop, verbatim in RNG
-    /// consumption order (the bit-identity pins depend on it):
-    /// evaluate → rank → record → observer → (unless final) migrate →
-    /// breed.
+    /// One full generation, in fixed RNG consumption order (the
+    /// bit-identity pins depend on it): evaluate → rank → record →
+    /// observer → (unless final) breed.
     fn step(
         &mut self,
         spec: &SearchSpec,
-        mut observer: Option<&mut (dyn SearchObserver + '_)>,
+        observer: Option<&mut (dyn SearchObserver + '_)>,
     ) -> StepStatus {
         let ga = &spec.ga;
         if self.gen >= ga.generations {
@@ -1144,184 +931,65 @@ impl<'a> Engine<'a> {
         let gen = self.gen;
         let selection = spec.selection;
         let multi = spec.objectives.len() > 1;
-        let n = self.islands.len();
 
-        // Evaluate every island's population through one shared batch so
-        // the worker pool (and the sharded cache) sees all of it at once.
         let patches: Vec<Patch> = self
-            .islands
+            .population
             .iter()
-            .flat_map(|isl| isl.population.iter().map(|ind| ind.patch.clone()))
+            .map(|ind| ind.patch.clone())
             .collect();
         let outcomes = self.evaluator.evaluate_batch(&patches, ga.threads);
-        let mut cursor = 0;
-        for (island_id, isl) in self.islands.iter_mut().enumerate() {
-            if selection == Selection::Nsga2 {
-                isl.scores = vec![Vec::new(); isl.population.len()];
-            }
-            for (slot, ind) in isl.population.iter_mut().enumerate() {
-                let outcome = &outcomes[cursor];
-                ind.fitness = outcome.fitness;
-                // Score vectors are only materialized when someone
-                // consumes them — the scalar/tournament path stays as
-                // allocation-free as the legacy engine.
-                let scoring = multi || selection == Selection::Nsga2;
-                if let (Some(f), true) = (outcome.fitness, scoring) {
-                    let scores: Vec<f64> = spec
-                        .objectives
-                        .iter()
-                        .map(|o| o.score(outcome).expect("outcome is valid"))
-                        .collect();
-                    if multi {
-                        self.archive
-                            .offer(&ind.patch, f, &scores, gen, island_id, slot);
-                    }
-                    if selection == Selection::Nsga2 {
-                        isl.scores[slot] = scores;
-                    }
+        if selection == Selection::Nsga2 {
+            self.scores = vec![Vec::new(); self.population.len()];
+        }
+        // Score vectors are only materialized when someone consumes
+        // them — the scalar/tournament path stays allocation-free.
+        let scoring = multi || selection == Selection::Nsga2;
+        for (slot, (ind, outcome)) in self.population.iter_mut().zip(&outcomes).enumerate() {
+            ind.fitness = outcome.fitness;
+            if let (Some(f), true) = (outcome.fitness, scoring) {
+                let scores: Vec<f64> = spec
+                    .objectives
+                    .iter()
+                    .map(|o| o.score(outcome).expect("outcome is valid"))
+                    .collect();
+                if multi {
+                    self.archive.offer(&ind.patch, f, &scores, gen, slot);
                 }
-                cursor += 1;
+                if selection == Selection::Nsga2 {
+                    self.scores[slot] = scores;
+                }
             }
-            isl.rank(selection);
         }
-        for (id, isl) in self.islands.iter_mut().enumerate() {
-            isl.record(gen, id, self.baseline);
-        }
-
-        // Global record: the best island this generation.
-        let winner = self
-            .islands
-            .iter()
-            .enumerate()
-            .filter_map(|(id, isl)| isl.gen_best().map(|gb| (id, gb)))
-            .min_by(|(_, a), (_, b)| {
-                a.fitness
-                    .partial_cmp(&b.fitness)
-                    .expect("valid fitness is never NaN")
-            });
-        let valid_total: usize = self.islands.iter().map(|isl| isl.ranked.len()).sum();
-        let record = if let Some((id, gb)) = winner {
-            let gb = gb.clone();
-            let f = gb.fitness.expect("winner is valid");
-            if f < self.best.fitness.expect("baseline valid") {
-                self.best = gb.clone();
-            }
-            for e in gb.patch.edits() {
-                self.history.first_seen_in_best.entry(*e).or_insert(gen);
-            }
-            GenerationRecord {
-                gen,
-                island: id,
-                best_fitness: f,
-                best_speedup: self.baseline / f,
-                best_patch: gb.patch,
-                valid: valid_total,
-            }
-        } else {
-            GenerationRecord {
-                gen,
-                island: 0,
-                best_fitness: self.baseline,
-                best_speedup: 1.0,
-                best_patch: Patch::empty(),
-                valid: 0,
-            }
-        };
-        self.history.records.push(record);
-        if let Some(obs) = observer.as_deref_mut() {
+        self.rank(selection);
+        self.record(gen);
+        if let Some(obs) = observer {
             obs.on_generation(self.history.records.last().expect("just pushed"));
         }
 
         self.gen = gen + 1;
-        if self.gen == ga.generations {
-            // The final generation skips migration and breeding, exactly
-            // as the old loop's `break` did.
-            return StepStatus::Advanced { gen };
-        }
-
-        // Migration: collect everything against the pre-migration
-        // populations first, then deliver, so a fast individual cannot
-        // hop two islands in one wave.
-        if n > 1 && spec.migration_interval > 0 && (gen + 1).is_multiple_of(spec.migration_interval)
-        {
-            let mut inboxes: Vec<Vec<(MigrationEvent, Individual, Vec<f64>)>> = vec![Vec::new(); n];
-            for (src, isl) in self.islands.iter().enumerate() {
-                let dst = match spec.topology {
-                    Topology::Ring => (src + 1) % n,
-                    Topology::Random => {
-                        let pick = self.mig_rng.gen_range(0..n - 1);
-                        if pick >= src {
-                            pick + 1
-                        } else {
-                            pick
-                        }
-                    }
-                };
-                for &i in isl.ranked.iter().take(spec.emigrants) {
-                    let emigrant = isl.population[i].clone();
-                    let event = MigrationEvent {
-                        gen,
-                        from: src,
-                        to: dst,
-                        fitness: emigrant.fitness.expect("ranked emigrant is valid"),
-                        patch: emigrant.patch.clone(),
-                    };
-                    let scores = isl.scores.get(i).cloned().unwrap_or_default();
-                    inboxes[dst].push((event, emigrant, scores));
-                }
-            }
-            // Even with elitism disabled, an island's current champion
-            // survives the wave — migration fills weak slots only, and
-            // the log records only the crossings actually delivered.
-            let protect = self.elitism.max(1);
-            for (isl, inbox) in self.islands.iter_mut().zip(inboxes) {
-                let capacity = isl.receive_capacity(protect);
-                let mut delivered = Vec::with_capacity(inbox.len().min(capacity));
-                for (event, imm, scores) in inbox.into_iter().take(capacity) {
-                    if let Some(obs) = observer.as_deref_mut() {
-                        obs.on_migration(&event);
-                    }
-                    self.history.migrations.push(event);
-                    delivered.push((imm, scores));
-                }
-                isl.receive(delivered, protect, selection);
-            }
-        }
-
-        let elitism = self.elitism;
-        let baseline = self.baseline;
-        for (isl, &pop) in self.islands.iter_mut().zip(&self.pops) {
-            isl.breed(ga, pop, elitism, baseline, &self.space, selection);
+        if self.gen < ga.generations {
+            // The final generation is evaluated and recorded, never bred.
+            self.breed(ga, selection);
         }
         StepStatus::Advanced { gen }
     }
 
-    /// Finalization: fan the migration log out to per-island histories,
-    /// order the archive by provenance, compute the speedup.
-    fn into_result(mut self, spec: &SearchSpec) -> SearchResult {
-        for (id, isl) in self.islands.iter_mut().enumerate() {
-            isl.history.migrations = self
-                .history
-                .migrations
-                .iter()
-                .filter(|m| m.from == id || m.to == id)
-                .cloned()
-                .collect();
-        }
-        // Offers happen in (gen, island, slot) order, and the archive
-        // preserves relative order among survivors, so this sort is a
-        // stable no-op in-process. It is the *invariant* that matters:
-        // the final front is ordered by provenance, never by archive
-        // internals, so a resumed run cannot reorder it.
+    /// Finalization: order the archive by provenance, compute the
+    /// speedup.
+    fn into_result(self, spec: &SearchSpec) -> SearchResult {
+        // Offers happen in (gen, slot) order, and the archive preserves
+        // relative order among survivors, so this sort is a stable no-op
+        // in-process. It is the *invariant* that matters: the final
+        // front is ordered by provenance, never by archive internals, so
+        // a resumed run cannot reorder it.
         let mut pareto = self.archive.points;
-        pareto.sort_by_key(|p| (p.gen, p.island, p.slot));
+        pareto.sort_by_key(|p| (p.gen, p.slot));
         let speedup = self.baseline / self.best.fitness.expect("best individual is always valid");
         let stats = self.evaluator.stats();
         SearchResult {
             best: self.best,
             speedup,
             history: self.history,
-            islands: self.islands.into_iter().map(|isl| isl.history).collect(),
             evals: stats.evals,
             cache_hits: stats.cache_hits,
             instructions: stats.instructions,
@@ -1632,17 +1300,21 @@ mod tests {
         let run = || {
             Search::new(&w)
                 .config(quick_ga(9))
-                .islands(3)
                 .objectives(&[Objective::Cycles, Objective::Error])
                 .run()
         };
         let a = run();
         let b = run();
+        assert_eq!(a.history.records.len(), 12);
         assert_eq!(a.pareto, b.pareto);
         assert_eq!(a.history, b.history);
         assert_eq!(a.best.patch, b.best.patch);
     }
 
+    /// An NSGA-II run keeps one record per generation, and its result
+    /// keeps the one-island layout of the JSON format: `"islands"` is a
+    /// one-element copy of the history, and every record and Pareto
+    /// point names island 0.
     #[test]
     fn nsga2_island_run_keeps_history_shape() {
         let w = Approx::new();
@@ -1650,15 +1322,24 @@ mod tests {
         ga.generations = 8;
         let res = Search::new(&w)
             .config(ga)
-            .islands(3)
-            .migration_interval(2)
             .objectives(&[Objective::Cycles, Objective::Error])
             .run();
         assert_eq!(res.history.records.len(), 8);
-        assert_eq!(res.islands.len(), 3);
-        for (id, h) in res.islands.iter().enumerate() {
-            assert_eq!(h.records.len(), 8);
-            assert!(h.records.iter().all(|r| r.island == id));
+        let json = res.to_json();
+        let islands = json.get("islands").and_then(|v| v.as_array()).unwrap();
+        assert_eq!(islands.len(), 1);
+        assert_eq!(islands[0], res.history.to_json());
+        let records = islands[0]
+            .get("records")
+            .and_then(|v| v.as_array())
+            .unwrap();
+        assert_eq!(records.len(), 8);
+        assert!(records
+            .iter()
+            .all(|r| r.get("island").and_then(serde_json::Value::as_u64) == Some(0)));
+        assert!(!res.pareto.is_empty());
+        for p in json.get("pareto").and_then(|v| v.as_array()).unwrap() {
+            assert_eq!(p.get("island").and_then(serde_json::Value::as_u64), Some(0));
         }
         assert!(res.speedup >= 1.0);
     }
@@ -1667,15 +1348,11 @@ mod tests {
     #[derive(Default)]
     struct Tape {
         gens: Vec<GenerationRecord>,
-        migrations: Vec<MigrationEvent>,
     }
 
     impl SearchObserver for Tape {
         fn on_generation(&mut self, record: &GenerationRecord) {
             self.gens.push(record.clone());
-        }
-        fn on_migration(&mut self, event: &MigrationEvent) {
-            self.migrations.push(event.clone());
         }
     }
 
@@ -1685,16 +1362,9 @@ mod tests {
         let mut tape = Tape::default();
         let res = Search::new(&w)
             .config(quick_ga(2))
-            .islands(3)
-            .migration_interval(2)
             .observer(&mut tape)
             .run();
         assert_eq!(tape.gens, res.history.records);
-        assert_eq!(tape.migrations, res.history.migrations);
-        assert!(
-            !tape.migrations.is_empty(),
-            "migration happened and streamed"
-        );
     }
 
     #[test]
@@ -1703,10 +1373,9 @@ mod tests {
         let mut tape = Tape::default();
         let observed = Search::new(&w)
             .config(quick_ga(4))
-            .islands(2)
             .observer(&mut tape)
             .run();
-        let silent = Search::new(&w).config(quick_ga(4)).islands(2).run();
+        let silent = Search::new(&w).config(quick_ga(4)).run();
         assert_eq!(observed.history, silent.history);
         assert_eq!(observed.best.patch, silent.best.patch);
     }

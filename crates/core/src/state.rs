@@ -2,9 +2,9 @@
 //! boundaries.
 //!
 //! [`SearchState`] is the complete run state of a [`crate::Search`]
-//! session between two generations — per-island populations and
-//! histories, every RNG stream captured as a `(seed, word position)`
-//! pair ([`gevo_ir::StreamState`]), the Pareto archive with its
+//! session between two generations — the population and its history,
+//! the breeding RNG stream captured as a `(seed, word position)` pair
+//! ([`gevo_ir::StreamState`]), the Pareto archive with its
 //! dedup set, the evaluator's outcome cache and counters, and the index
 //! of the next generation to execute. The contract, pinned by tier-1
 //! tests: *checkpoint at any generation, serialize to JSON, reload in a
@@ -14,9 +14,8 @@
 //!
 //! ## JSON conventions
 //!
-//! The in-tree `serde` shim provides marker traits only, so every type
-//! converts explicitly through inherent `to_json`/`from_json` methods
-//! over [`serde_json::Value`]. Two rules keep the byte stream
+//! Every type converts explicitly through inherent `to_json`/`from_json`
+//! methods over [`serde_json::Value`]. Two rules keep the byte stream
 //! deterministic across processes:
 //!
 //! 1. **Hash containers serialize sorted.** `History`'s
@@ -29,7 +28,7 @@
 //!    is finite by construction and round-trips exactly through the
 //!    shim's shortest-representation float encoding.
 //!
-//! The envelope carries `"format": 2`; [`SearchState::from_json`]
+//! The envelope carries `"format": 3`; [`SearchState::from_json`]
 //! rejects anything else so a stale binary fails loudly instead of
 //! misreading a newer checkpoint.
 //!
@@ -43,36 +42,17 @@
 use crate::edit::{Edit, Patch};
 use crate::fitness::EvaluatorSnapshot;
 use crate::ga::{GaConfig, GenerationRecord, History, Individual};
-use crate::island::{MigrationEvent, Topology};
 use crate::mutation::MutationWeights;
 use crate::search::{Objective, ParetoPoint, SearchResult, SearchSpec, Selection};
 use gevo_ir::{InstId, Operand, StreamState};
 use serde_json::Value;
 
-/// The checkpoint format version this build reads and writes. Format 2
-/// added each failing outcome's `"fault"` class to the evaluator cache
-/// (format 1 carried only the failure text).
-pub const STATE_FORMAT: u64 = 2;
-
-/// One island's live state: its RNG stream position, population with
-/// cached fitness, NSGA-II score vectors, current ranking, recorded
-/// history and best-so-far individual.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IslandSnapshot {
-    /// The island's breeding RNG, captured mid-stream.
-    pub rng: StreamState,
-    /// The population as bred for the next generation.
-    pub population: Vec<Individual>,
-    /// Per-individual objective scores (NSGA-II mode only; empty vec =
-    /// invalid individual), parallel to `population`.
-    pub scores: Vec<Vec<f64>>,
-    /// Valid individuals of the last evaluated generation, best first.
-    pub ranked: Vec<usize>,
-    /// The island's own trajectory so far.
-    pub history: History,
-    /// Best individual this island has seen.
-    pub best: Individual,
-}
+/// The checkpoint format version this build reads and writes. Format 3
+/// holds one population's state at the top level; format 2 held a list
+/// of islands plus a migration RNG and the island fields of the spec.
+/// Format 2 added each failing outcome's `"fault"` class to the
+/// evaluator cache (format 1 carried only the failure text).
+pub const STATE_FORMAT: u64 = 3;
 
 /// The complete state of a search session between two generations —
 /// everything [`crate::Search::resume`] needs to continue the run
@@ -90,13 +70,18 @@ pub struct SearchState {
     pub gen: usize,
     /// Baseline fitness of the pristine program.
     pub baseline: f64,
-    /// Per-island state, in island order.
-    pub islands: Vec<IslandSnapshot>,
-    /// The dedicated migration-topology RNG, captured mid-stream.
-    pub mig_rng: StreamState,
-    /// The global trajectory recorded so far.
+    /// The breeding RNG, captured mid-stream.
+    pub rng: StreamState,
+    /// The population as bred for the next generation.
+    pub population: Vec<Individual>,
+    /// Per-individual objective scores (NSGA-II mode only; empty vec =
+    /// invalid individual), parallel to `population`.
+    pub scores: Vec<Vec<f64>>,
+    /// Valid individuals of the last evaluated generation, best first.
+    pub ranked: Vec<usize>,
+    /// The trajectory recorded so far.
     pub history: History,
-    /// Best individual across all islands so far.
+    /// Best individual seen so far.
     pub best: Individual,
     /// The Pareto archive (multi-objective runs; empty otherwise).
     pub pareto: Vec<ParetoPoint>,
@@ -116,16 +101,27 @@ fn want<'v>(v: &'v Value, name: &str, ctx: &str) -> Result<&'v Value, String> {
         .ok_or_else(|| format!("{ctx}: missing field {name:?}"))
 }
 
-/// Refuses the `"adapt"` key that adaptive-scheduling runs wrote
-/// (DESIGN.md §3.10). The scheduler is gone; resuming such a state as
-/// a uniform run would silently misread it.
-fn reject_adapt(v: &Value, ctx: &str) -> Result<(), String> {
-    if v.get("adapt").is_some() {
-        return Err(format!(
-            "{ctx}: field \"adapt\" is no longer supported (adaptive mutation scheduling was removed)"
-        ));
+/// Keys of removed features, each with what was removed. Adaptive
+/// mutation scheduling wrote `"adapt"` (DESIGN.md §3.10); the island
+/// model wrote the other four (DESIGN.md §3.4). Running a spec that
+/// names one as a plain one-population search would silently run a
+/// different search than the one asked for.
+const REMOVED_KEYS: [(&str, &str); 5] = [
+    ("adapt", "adaptive mutation scheduling"),
+    ("islands", "the island model"),
+    ("migration_interval", "the island model"),
+    ("emigrants", "the island model"),
+    ("topology", "the island model"),
+];
+
+/// Refuses any of the [`REMOVED_KEYS`], naming the first present.
+fn reject_removed(v: &Value, ctx: &str) -> Result<(), String> {
+    match REMOVED_KEYS.iter().find(|(key, _)| v.get(key).is_some()) {
+        Some((key, what)) => Err(format!(
+            "{ctx}: field {key:?} is no longer supported ({what} was removed)"
+        )),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 fn want_u64(v: &Value, name: &str, ctx: &str) -> Result<u64, String> {
@@ -361,7 +357,8 @@ impl GenerationRecord {
     pub fn to_json(&self) -> Value {
         let mut obj = serde_json::Map::new();
         obj.insert("gen", self.gen);
-        obj.insert("island", self.island);
+        // A fixed part of the format since the island model was removed.
+        obj.insert("island", 0);
         obj.insert("best_fitness", self.best_fitness);
         obj.insert("best_speedup", self.best_speedup);
         obj.insert("best_patch", self.best_patch.to_json());
@@ -377,40 +374,10 @@ impl GenerationRecord {
         const CTX: &str = "GenerationRecord";
         Ok(GenerationRecord {
             gen: want_usize(v, "gen", CTX)?,
-            island: want_usize(v, "island", CTX)?,
             best_fitness: want_f64(v, "best_fitness", CTX)?,
             best_speedup: want_f64(v, "best_speedup", CTX)?,
             best_patch: Patch::from_json(want(v, "best_patch", CTX)?)?,
             valid: want_usize(v, "valid", CTX)?,
-        })
-    }
-}
-
-impl MigrationEvent {
-    /// Serializes to a flat JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> Value {
-        let mut obj = serde_json::Map::new();
-        obj.insert("gen", self.gen);
-        obj.insert("from", self.from);
-        obj.insert("to", self.to);
-        obj.insert("fitness", self.fitness);
-        obj.insert("patch", self.patch.to_json());
-        Value::Object(obj)
-    }
-
-    /// Deserializes the [`to_json`](Self::to_json) representation.
-    ///
-    /// # Errors
-    /// Returns a message naming the missing or malformed field.
-    pub fn from_json(v: &Value) -> Result<Self, String> {
-        const CTX: &str = "MigrationEvent";
-        Ok(MigrationEvent {
-            gen: want_usize(v, "gen", CTX)?,
-            from: want_usize(v, "from", CTX)?,
-            to: want_usize(v, "to", CTX)?,
-            fitness: want_f64(v, "fitness", CTX)?,
-            patch: Patch::from_json(want(v, "patch", CTX)?)?,
         })
     }
 }
@@ -447,15 +414,8 @@ impl History {
                     .collect(),
             ),
         );
-        obj.insert(
-            "migrations",
-            Value::Array(
-                self.migrations
-                    .iter()
-                    .map(MigrationEvent::to_json)
-                    .collect(),
-            ),
-        );
+        // A fixed part of the format since the island model was removed.
+        obj.insert("migrations", Value::Array(Vec::new()));
         Value::Object(obj)
     }
 
@@ -486,10 +446,6 @@ impl History {
                 .map(GenerationRecord::from_json)
                 .collect::<Result<_, _>>()?,
             first_seen_in_best,
-            migrations: want_array(v, "migrations", CTX)?
-                .iter()
-                .map(MigrationEvent::from_json)
-                .collect::<Result<_, _>>()?,
         })
     }
 }
@@ -497,31 +453,6 @@ impl History {
 // ---------------------------------------------------------------------
 // Spec types.
 // ---------------------------------------------------------------------
-
-impl Topology {
-    /// Serializes to `"ring"` or `"random"`.
-    #[must_use]
-    pub fn to_json(&self) -> Value {
-        Value::from(match self {
-            Topology::Ring => "ring",
-            Topology::Random => "random",
-        })
-    }
-
-    /// Deserializes the [`to_json`](Self::to_json) representation.
-    ///
-    /// # Errors
-    /// Returns a message naming the unknown variant.
-    pub fn from_json(v: &Value) -> Result<Self, String> {
-        match v.as_str() {
-            Some("ring") => Ok(Topology::Ring),
-            Some("random") => Ok(Topology::Random),
-            _ => Err(format!(
-                "Topology: expected \"ring\" or \"random\", got {v}"
-            )),
-        }
-    }
-}
 
 impl Objective {
     /// Serializes to the objective's `snake_case` name.
@@ -651,10 +582,6 @@ impl SearchSpec {
     pub fn to_json(&self) -> Value {
         let mut obj = serde_json::Map::new();
         obj.insert("ga", self.ga.to_json());
-        obj.insert("islands", self.islands);
-        obj.insert("migration_interval", self.migration_interval);
-        obj.insert("emigrants", self.emigrants);
-        obj.insert("topology", self.topology.to_json());
         obj.insert(
             "objectives",
             Value::Array(self.objectives.iter().map(Objective::to_json).collect()),
@@ -666,16 +593,15 @@ impl SearchSpec {
     /// Deserializes the [`to_json`](Self::to_json) representation.
     ///
     /// # Errors
-    /// Returns a message naming the missing or malformed field.
+    /// Returns a message naming the missing or malformed field, or a
+    /// field of a removed feature (`"adapt"`, or the island model's
+    /// `"islands"`, `"migration_interval"`, `"emigrants"` and
+    /// `"topology"`).
     pub fn from_json(v: &Value) -> Result<Self, String> {
         const CTX: &str = "SearchSpec";
-        reject_adapt(v, CTX)?;
+        reject_removed(v, CTX)?;
         Ok(SearchSpec {
             ga: GaConfig::from_json(want(v, "ga", CTX)?)?,
-            islands: want_usize(v, "islands", CTX)?,
-            migration_interval: want_usize(v, "migration_interval", CTX)?,
-            emigrants: want_usize(v, "emigrants", CTX)?,
-            topology: Topology::from_json(want(v, "topology", CTX)?)?,
             objectives: want_array(v, "objectives", CTX)?
                 .iter()
                 .map(Objective::from_json)
@@ -701,7 +627,8 @@ impl ParetoPoint {
             Value::Array(self.scores.iter().map(|&s| Value::from(s)).collect()),
         );
         obj.insert("gen", self.gen);
-        obj.insert("island", self.island);
+        // A fixed part of the format since the island model was removed.
+        obj.insert("island", 0);
         obj.insert("slot", self.slot);
         Value::Object(obj)
     }
@@ -717,7 +644,6 @@ impl ParetoPoint {
             fitness: want_f64(v, "fitness", CTX)?,
             scores: f64_array(v, "scores", CTX)?,
             gen: want_usize(v, "gen", CTX)?,
-            island: want_usize(v, "island", CTX)?,
             slot: want_usize(v, "slot", CTX)?,
         })
     }
@@ -727,16 +653,18 @@ impl SearchResult {
     /// Serializes to a JSON object. Byte-deterministic: two processes
     /// producing equal results emit identical strings (the harness
     /// checkpoint tests compare them directly).
+    ///
+    /// `"islands"` repeats the history as a one-element list: a fixed
+    /// part of the format since the island model was removed, kept so
+    /// results stay byte-identical to those recorded before.
     #[must_use]
     pub fn to_json(&self) -> Value {
         let mut obj = serde_json::Map::new();
+        let history = self.history.to_json();
         obj.insert("best", self.best.to_json());
         obj.insert("speedup", self.speedup);
-        obj.insert("history", self.history.to_json());
-        obj.insert(
-            "islands",
-            Value::Array(self.islands.iter().map(History::to_json).collect()),
-        );
+        obj.insert("history", history.clone());
+        obj.insert("islands", Value::Array(vec![history]));
         obj.insert("evals", self.evals);
         obj.insert("cache_hits", self.cache_hits);
         obj.insert("instructions", self.instructions);
@@ -761,10 +689,6 @@ impl SearchResult {
             best: Individual::from_json(want(v, "best", CTX)?)?,
             speedup: want_f64(v, "speedup", CTX)?,
             history: History::from_json(want(v, "history", CTX)?)?,
-            islands: want_array(v, "islands", CTX)?
-                .iter()
-                .map(History::from_json)
-                .collect::<Result<_, _>>()?,
             evals: want_usize(v, "evals", CTX)?,
             cache_hits: want_usize(v, "cache_hits", CTX)?,
             instructions: want_u64(v, "instructions", CTX)?,
@@ -784,11 +708,18 @@ impl SearchResult {
 // The state envelope.
 // ---------------------------------------------------------------------
 
-impl IslandSnapshot {
-    /// Serializes to a JSON object.
+impl SearchState {
+    /// Serializes the full checkpoint, wrapped in a
+    /// `"format": `[`STATE_FORMAT`] envelope.
     #[must_use]
     pub fn to_json(&self) -> Value {
         let mut obj = serde_json::Map::new();
+        obj.insert("format", STATE_FORMAT);
+        obj.insert("workload", self.workload.clone());
+        obj.insert("spec", self.spec.to_json());
+        obj.insert("weights", self.weights.to_json());
+        obj.insert("gen", self.gen);
+        obj.insert("baseline", self.baseline);
         obj.insert("rng", self.rng.to_json());
         obj.insert(
             "population",
@@ -807,70 +738,6 @@ impl IslandSnapshot {
             "ranked",
             Value::Array(self.ranked.iter().map(|&i| Value::from(i)).collect()),
         );
-        obj.insert("history", self.history.to_json());
-        obj.insert("best", self.best.to_json());
-        Value::Object(obj)
-    }
-
-    /// Deserializes the [`to_json`](Self::to_json) representation.
-    ///
-    /// # Errors
-    /// Returns a message naming the missing or malformed field.
-    pub fn from_json(v: &Value) -> Result<Self, String> {
-        const CTX: &str = "IslandSnapshot";
-        reject_adapt(v, CTX)?;
-        let scores = want_array(v, "scores", CTX)?
-            .iter()
-            .map(|s| {
-                s.as_array()
-                    .ok_or_else(|| format!("{CTX}: scores element is not an array"))?
-                    .iter()
-                    .map(|x| {
-                        x.as_f64()
-                            .ok_or_else(|| format!("{CTX}: score is not a number"))
-                    })
-                    .collect::<Result<Vec<f64>, String>>()
-            })
-            .collect::<Result<_, _>>()?;
-        let ranked = want_array(v, "ranked", CTX)?
-            .iter()
-            .map(|x| {
-                x.as_u64()
-                    .and_then(|u| usize::try_from(u).ok())
-                    .ok_or_else(|| format!("{CTX}: ranked index is not a usize"))
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(IslandSnapshot {
-            rng: StreamState::from_json(want(v, "rng", CTX)?)?,
-            population: want_array(v, "population", CTX)?
-                .iter()
-                .map(Individual::from_json)
-                .collect::<Result<_, _>>()?,
-            scores,
-            ranked,
-            history: History::from_json(want(v, "history", CTX)?)?,
-            best: Individual::from_json(want(v, "best", CTX)?)?,
-        })
-    }
-}
-
-impl SearchState {
-    /// Serializes the full checkpoint, wrapped in a
-    /// `"format": `[`STATE_FORMAT`] envelope.
-    #[must_use]
-    pub fn to_json(&self) -> Value {
-        let mut obj = serde_json::Map::new();
-        obj.insert("format", STATE_FORMAT);
-        obj.insert("workload", self.workload.clone());
-        obj.insert("spec", self.spec.to_json());
-        obj.insert("weights", self.weights.to_json());
-        obj.insert("gen", self.gen);
-        obj.insert("baseline", self.baseline);
-        obj.insert(
-            "islands",
-            Value::Array(self.islands.iter().map(IslandSnapshot::to_json).collect()),
-        );
-        obj.insert("mig_rng", self.mig_rng.to_json());
         obj.insert("history", self.history.to_json());
         obj.insert("best", self.best.to_json());
         obj.insert(
@@ -899,6 +766,27 @@ impl SearchState {
                 "{CTX}: unsupported checkpoint format {format} (this build reads {STATE_FORMAT})"
             ));
         }
+        let scores = want_array(v, "scores", CTX)?
+            .iter()
+            .map(|s| {
+                s.as_array()
+                    .ok_or_else(|| format!("{CTX}: scores element is not an array"))?
+                    .iter()
+                    .map(|x| {
+                        x.as_f64()
+                            .ok_or_else(|| format!("{CTX}: score is not a number"))
+                    })
+                    .collect::<Result<Vec<f64>, String>>()
+            })
+            .collect::<Result<_, _>>()?;
+        let ranked = want_array(v, "ranked", CTX)?
+            .iter()
+            .map(|x| {
+                x.as_u64()
+                    .and_then(|u| usize::try_from(u).ok())
+                    .ok_or_else(|| format!("{CTX}: ranked index is not a usize"))
+            })
+            .collect::<Result<_, _>>()?;
         let pareto_seen = want_array(v, "pareto_seen", CTX)?
             .iter()
             .map(|x| {
@@ -912,11 +800,13 @@ impl SearchState {
             weights: MutationWeights::from_json(want(v, "weights", CTX)?)?,
             gen: want_usize(v, "gen", CTX)?,
             baseline: want_f64(v, "baseline", CTX)?,
-            islands: want_array(v, "islands", CTX)?
+            rng: StreamState::from_json(want(v, "rng", CTX)?)?,
+            population: want_array(v, "population", CTX)?
                 .iter()
-                .map(IslandSnapshot::from_json)
+                .map(Individual::from_json)
                 .collect::<Result<_, _>>()?,
-            mig_rng: StreamState::from_json(want(v, "mig_rng", CTX)?)?,
+            scores,
+            ranked,
             history: History::from_json(want(v, "history", CTX)?)?,
             best: Individual::from_json(want(v, "best", CTX)?)?,
             pareto: want_array(v, "pareto", CTX)?
@@ -1006,20 +896,12 @@ mod tests {
             baseline: 1000.0,
             records: vec![GenerationRecord {
                 gen: 0,
-                island: 1,
                 best_fitness: 900.0,
                 best_speedup: 1000.0 / 900.0,
                 best_patch: Patch::from_edits(vec![sample_edits()[0]]),
                 valid: 7,
             }],
             first_seen_in_best: std::collections::HashMap::new(),
-            migrations: vec![MigrationEvent {
-                gen: 4,
-                from: 0,
-                to: 1,
-                fitness: 950.0,
-                patch: Patch::empty(),
-            }],
         };
         for (i, e) in sample_edits().into_iter().enumerate() {
             h.first_seen_in_best.insert(e, i / 2);
@@ -1058,10 +940,6 @@ mod tests {
                 threads: 2,
                 max_patch_len: 9,
             },
-            islands: 4,
-            migration_interval: 3,
-            emigrants: 2,
-            topology: Topology::Random,
             objectives: vec![
                 Objective::Cycles,
                 Objective::Error,
@@ -1075,46 +953,19 @@ mod tests {
 
     #[test]
     fn removed_adapt_key_is_rejected() {
-        let with_adapt = |mut v: Value, adapt: Value| {
-            if let Value::Object(obj) = &mut v {
-                obj.insert("adapt", adapt);
+        // Every removed feature's key, not just "adapt": a spec naming
+        // islands must not silently run as one population.
+        for (key, _) in REMOVED_KEYS {
+            let mut spec = SearchSpec::default().to_json();
+            if let Value::Object(obj) = &mut spec {
+                obj.insert(key, Value::from(4u64));
             }
-            v
-        };
-        let spec = with_adapt(SearchSpec::default().to_json(), Value::from("ucb1"));
-        let err = SearchSpec::from_json(&spec).unwrap_err();
-        assert!(
-            err.contains("SearchSpec") && err.contains("\"adapt\""),
-            "{err}"
-        );
-
-        let island = IslandSnapshot {
-            rng: StreamState {
-                seed: [3; 32],
-                word_pos: 8,
-            },
-            population: Vec::new(),
-            scores: Vec::new(),
-            ranked: Vec::new(),
-            history: History {
-                baseline: 10.0,
-                records: Vec::new(),
-                first_seen_in_best: std::collections::HashMap::new(),
-                migrations: Vec::new(),
-            },
-            best: Individual {
-                patch: Patch::empty(),
-                fitness: Some(10.0),
-            },
-        };
-        let plain = reparse(&island.to_json());
-        assert_eq!(IslandSnapshot::from_json(&plain).unwrap(), island);
-        let tagged = with_adapt(plain, Value::Object(serde_json::Map::new()));
-        let err = IslandSnapshot::from_json(&tagged).unwrap_err();
-        assert!(
-            err.contains("IslandSnapshot") && err.contains("\"adapt\""),
-            "{err}"
-        );
+            let err = SearchSpec::from_json(&spec).unwrap_err();
+            assert!(
+                err.contains("SearchSpec") && err.contains(&format!("{key:?}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -1126,37 +977,20 @@ mod tests {
             weights: MutationWeights::default(),
             gen: 5,
             baseline: 1234.5,
-            islands: vec![IslandSnapshot {
-                rng: StreamState {
-                    seed: [7; 32],
-                    word_pos: 42,
-                },
-                population: vec![Individual {
-                    patch: Patch::from_edits(sample_edits()),
-                    fitness: Some(999.25),
-                }],
-                scores: vec![vec![999.25, 0.5]],
-                ranked: vec![0],
-                history: History {
-                    baseline: 1234.5,
-                    records: Vec::new(),
-                    first_seen_in_best: std::collections::HashMap::new(),
-                    migrations: Vec::new(),
-                },
-                best: Individual {
-                    patch: Patch::empty(),
-                    fitness: Some(1234.5),
-                },
-            }],
-            mig_rng: StreamState {
-                seed: [9; 32],
-                word_pos: 0,
+            rng: StreamState {
+                seed: [7; 32],
+                word_pos: 42,
             },
+            population: vec![Individual {
+                patch: Patch::from_edits(sample_edits()),
+                fitness: Some(999.25),
+            }],
+            scores: vec![vec![999.25, 0.5]],
+            ranked: vec![0],
             history: History {
                 baseline: 1234.5,
                 records: Vec::new(),
                 first_seen_in_best: std::collections::HashMap::new(),
-                migrations: Vec::new(),
             },
             best: Individual {
                 patch: Patch::empty(),
@@ -1167,7 +1001,6 @@ mod tests {
                 fitness: 999.25,
                 scores: vec![999.25, 0.5],
                 gen: 2,
-                island: 0,
                 slot: 3,
             }],
             pareto_seen: vec![1, 17, 0xFFFF_FFFF_FFFF_FFFF],
@@ -1185,9 +1018,10 @@ mod tests {
         let v = reparse(&state.to_json());
         assert_eq!(SearchState::from_json(&v).unwrap(), state);
 
-        // A future format is refused, not misread; so is format 1, whose
-        // failing outcomes carry no fault class.
-        for format in [STATE_FORMAT + 1, 1] {
+        // A future format is refused, not misread; so are format 2, whose
+        // state is a list of islands, and format 1, whose failing
+        // outcomes carry no fault class.
+        for format in [STATE_FORMAT + 1, 2, 1] {
             let mut other = state.to_json();
             if let Value::Object(obj) = &mut other {
                 obj.insert("format", format);
@@ -1209,14 +1043,7 @@ mod tests {
                 baseline: 1000.0,
                 records: Vec::new(),
                 first_seen_in_best: std::collections::HashMap::new(),
-                migrations: Vec::new(),
             },
-            islands: vec![History {
-                baseline: 1000.0,
-                records: Vec::new(),
-                first_seen_in_best: std::collections::HashMap::new(),
-                migrations: Vec::new(),
-            }],
             evals: 100,
             cache_hits: 40,
             instructions: 123_456,

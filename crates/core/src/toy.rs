@@ -1,4 +1,4 @@
-//! The toy workload the GA and island-engine unit tests evolve.
+//! The toy workload the GA unit tests evolve.
 
 use crate::fitness::{EvalOutcome, FaultClass, Workload};
 use gevo_gpu::LaunchStats;

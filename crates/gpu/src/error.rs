@@ -6,11 +6,10 @@
 //! one or more test cases are not part of the calculation").
 
 use gevo_ir::{Ty, VerifyError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why a kernel launch failed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecError {
     /// Global-memory access outside the device arena (or below the null
     /// guard) — the simulated segmentation fault of the paper's Fig. 10(b).

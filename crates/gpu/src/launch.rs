@@ -2,7 +2,6 @@
 
 use crate::mem::Buffer;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An actual argument passed to a kernel launch.
@@ -52,7 +51,7 @@ impl From<Buffer> for KernelArg {
 }
 
 /// Grid geometry plus the deterministic scheduler seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaunchConfig {
     /// Thread blocks in the grid.
     pub grid: u32,
@@ -90,7 +89,7 @@ impl LaunchConfig {
 /// rest feed the analysis sections (instruction-mix shifts, §VI-D's "31% of
 /// kernel instructions were boundary logic", divergence accounting for
 /// §VI-A, row-buffer behaviour for §VI-E).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LaunchStats {
     /// Modeled execution time in SM cycles.
     pub cycles: u64,

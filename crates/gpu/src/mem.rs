@@ -14,13 +14,12 @@
 
 use crate::error::ExecError;
 use gevo_ir::MemTy;
-use serde::{Deserialize, Serialize};
 
 /// Addresses below this value fault: the null-pointer guard.
 pub const NULL_GUARD: u64 = 256;
 
 /// A device allocation handle (base byte address + length).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Buffer {
     /// Base byte address inside the arena.
     pub addr: u64,

@@ -8,10 +8,8 @@
 //! serialization, Volta's expensive warp-synchronization) — see DESIGN.md
 //! §2.
 
-use serde::{Deserialize, Serialize};
-
 /// Latency/cost table, in SM cycles, consumed by the timing model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Simple integer/logic op.
     pub alu: u64,
@@ -107,7 +105,7 @@ impl Default for CostModel {
 }
 
 /// One GPU model: execution geometry, memory system and cost table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     /// Marketing name, e.g. `"P100"`.
     pub name: String,

@@ -1,7 +1,6 @@
 //! Runtime values held in simulated registers.
 
 use gevo_ir::Ty;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dynamically typed scalar.
@@ -9,7 +8,7 @@ use std::fmt;
 /// The executor checks types at every use: a mismatch means the verifier
 /// was bypassed or has a hole, so it surfaces as a *typed execution error*
 /// (invalid variant), never a panic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Value {
     /// 32-bit signed integer.
     I32(i32),

@@ -8,14 +8,13 @@
 //! edit subsets.
 
 use crate::types::{AddrSpace, CmpPred, MemTy};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A virtual register. Registers are per-thread storage with a fixed type
 /// assigned at allocation; unlike LLVM-IR, a register may be written by
 /// more than one instruction (see DESIGN.md §4.1 for why the reproduction
 /// uses a register machine instead of SSA).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Reg(pub u32);
 
 impl fmt::Display for Reg {
@@ -29,7 +28,7 @@ impl fmt::Display for Reg {
 /// IDs are never reused: instructions inserted by edits receive fresh IDs
 /// above the pristine kernel's range, so an ID unambiguously names either
 /// an original instruction or a specific insertion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InstId(pub u32);
 
 impl fmt::Display for InstId {
@@ -39,7 +38,7 @@ impl fmt::Display for InstId {
 }
 
 /// Identity of a basic block within its kernel (index into `Kernel::blocks`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockId(pub u32);
 
 impl BlockId {
@@ -61,7 +60,7 @@ impl fmt::Display for BlockId {
 /// Immediates appear inside edits, which must be `Eq + Hash` so patches can
 /// be deduplicated and memoized; raw `f32` is neither. The wrapper stores
 /// the bit pattern and converts on demand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct F32Bits(pub u32);
 
 impl From<f32> for F32Bits {
@@ -87,7 +86,7 @@ impl fmt::Display for F32Bits {
 /// Built-in per-thread identifiers, the CUDA `threadIdx.x`-family of
 /// special registers. One-dimensional launches are sufficient for both
 /// workloads (`SIMCoV` linearizes its grid exactly like the CUDA original).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Special {
     /// Thread index within its block (`threadIdx.x`).
     ThreadId,
@@ -168,7 +167,7 @@ impl fmt::Display for Special {
 }
 
 /// An instruction operand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operand {
     /// A virtual register.
     Reg(Reg),
@@ -308,7 +307,7 @@ impl fmt::Display for Operand {
 
 /// Integer/bitwise binary operations (valid on `i32`, `i64`; the logical
 /// subset is also valid on `b1`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IntBinOp {
     /// Wrapping addition.
     Add,
@@ -386,7 +385,7 @@ impl fmt::Display for IntBinOp {
 }
 
 /// Floating-point binary operations (valid on `f32`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FloatBinOp {
     /// Addition.
     Add,
@@ -429,7 +428,7 @@ impl fmt::Display for FloatBinOp {
 }
 
 /// The operation an [`Instr`] performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Integer/bitwise binary op; args `[a, b]`.
     IBin(IntBinOp),
@@ -598,14 +597,14 @@ impl Op {
 }
 
 /// Index into a kernel's source-location table; see [`crate::Kernel::locs`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LocId(pub u16);
 
 /// The anonymous source location.
 pub const LOC_NONE: LocId = LocId(0);
 
 /// A single (non-terminator) instruction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Instr {
     /// Stable identity; see [`InstId`].
     pub id: InstId,
@@ -637,7 +636,7 @@ impl Instr {
 /// constructs in the IR. Evolutionary edits may replace the *condition
 /// operand* of [`TermKind::CondBr`] but never the successor structure
 /// (DESIGN.md §4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TermKind {
     /// Unconditional jump.
     Br(BlockId),
@@ -656,7 +655,7 @@ pub enum TermKind {
 
 /// A block terminator; carries an [`InstId`] so condition-replacement
 /// edits can address it stably.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Terminator {
     /// Stable identity, drawn from the same namespace as instruction IDs.
     pub id: InstId,

@@ -4,11 +4,10 @@ use crate::inst::{
     BlockId, InstId, Instr, LocId, Operand, Reg, Special, TermKind, Terminator, LOC_NONE,
 };
 use crate::types::{ParamTy, Ty};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A formal kernel parameter.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Param {
     /// Human-readable name (printed, never semantically meaningful).
     pub name: String,
@@ -17,7 +16,7 @@ pub struct Param {
 }
 
 /// A basic block: straight-line instructions plus one terminator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     /// Label for printing.
     pub name: String,
@@ -30,7 +29,7 @@ pub struct Block {
 /// Where an instruction lives right now: block index and position within
 /// the block. Positions are *not* stable across edits — use [`InstId`] for
 /// stable references and [`Kernel::locate`] to resolve them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct InstPos {
     /// Index into [`Kernel::blocks`].
     pub block: usize,
@@ -43,7 +42,7 @@ pub struct InstPos {
 /// Kernels are built with [`crate::KernelBuilder`], verified with
 /// [`crate::verify::verify`], executed by `gevo-gpu`, and mutated by
 /// `gevo-engine` (which clones the pristine kernel and edits the clone).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Kernel {
     /// Kernel name (diagnostics only).
     pub name: String,

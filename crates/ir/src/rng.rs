@@ -12,9 +12,8 @@
 //! critically, stateless: a thread's draw depends only on its logical
 //! coordinates, never on scheduling order.
 //!
-//! The engine's *stateful* streams (per-island breeding RNGs, the
-//! migration RNG) are `ChaCha8Rng` instances; [`StreamState`] captures
-//! one as its `(seed, word position)` pair so a checkpoint can restore
+//! The engine's *stateful* stream (the breeding RNG) is a `ChaCha8Rng`;
+//! [`StreamState`] captures it as its `(seed, word position)` pair so a checkpoint can restore
 //! the stream mid-flight and continue bit-identically.
 
 use rand_chacha::ChaCha8Rng;

@@ -7,7 +7,6 @@
 //! run time; their address space is a *static* property of the load/store
 //! instruction, mirroring PTX's `ld.global` / `ld.shared` forms.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The address space a memory instruction operates on.
@@ -16,7 +15,7 @@ use std::fmt;
 /// models bank conflicts only for [`AddrSpace::Shared`], so the distinction
 /// is load-bearing for the paper's Section VI-A analysis (shared memory vs.
 /// register exchange).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AddrSpace {
     /// Device (DRAM-backed) memory, visible to the whole grid.
     Global,
@@ -34,7 +33,7 @@ impl fmt::Display for AddrSpace {
 }
 
 /// Scalar value types carried by registers and operands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Ty {
     /// 32-bit signed integer.
     I32,
@@ -61,7 +60,7 @@ impl fmt::Display for Ty {
 ///
 /// Booleans are not directly addressable; workloads store flags as `i32`,
 /// exactly as the CUDA originals do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemTy {
     /// 4-byte integer access.
     I32,
@@ -99,7 +98,7 @@ impl fmt::Display for MemTy {
 }
 
 /// Kernel parameter types: scalars or pointers-with-address-space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ParamTy {
     /// A scalar parameter of the given type.
     Val(Ty),
@@ -131,7 +130,7 @@ impl fmt::Display for ParamTy {
 /// Comparison predicates shared by integer (`icmp`) and float (`fcmp`)
 /// comparisons. Integer comparisons are signed, which matches every index
 /// computation in the workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpPred {
     /// Equal.
     Eq,

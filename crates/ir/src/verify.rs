@@ -12,7 +12,6 @@
 use crate::inst::{Instr, Op, Operand, TermKind};
 use crate::kernel::Kernel;
 use crate::types::Ty;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A structural defect found by [`verify`].
@@ -21,7 +20,7 @@ use std::fmt;
 /// this enum in its `ExecError`, whose by-value size and drop glue are
 /// priced on the simulator's per-operand hot path. Growing these fields
 /// to `String` measurably slows every kernel launch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VerifyError {
     /// An instruction's operand count does not match its op.
     Arity {

@@ -13,7 +13,7 @@
 pub mod v0;
 pub mod v1;
 
-use crate::pipeline::{exec_failure, step_budget, Failure, ScratchPool};
+use crate::pipeline::{exec_failure, heldout_step_limit, step_budget, Failure, ScratchPool};
 use crate::seqgen::{SeqGen, SeqPair};
 use crate::sw_cpu::{self, Alignment};
 use gevo_engine::{Edit, EvalOutcome, FaultClass, Patch, Workload};
@@ -244,15 +244,30 @@ impl AdeptWorkload {
         seed: u64,
         step_limit: u64,
     ) -> (EvalOutcome, u64) {
-        let mut spec = self.cfg.spec.clone();
-        spec.step_limit = step_limit;
-        let mut gpu = self.scratch.device(spec);
-        let outcome = match self.run_batch(&mut gpu, compiled, &self.data, seed) {
+        let (result, peak) = self.fresh_run(compiled, &self.data, seed, step_limit);
+        let outcome = match result {
             Ok((cycles, stats)) => EvalOutcome::pass(cycles, stats),
             Err((class, reason)) => EvalOutcome::fail(class, reason),
         };
+        (outcome, peak)
+    }
+
+    /// [`AdeptWorkload::run_batch`] on a fresh device whose per-block
+    /// step limit is `step_limit`, returning the result and the
+    /// device's [`Gpu::peak_block_steps`].
+    fn fresh_run(
+        &self,
+        compiled: &[CompiledKernel],
+        data: &TestData,
+        seed: u64,
+        step_limit: u64,
+    ) -> (Result<(f64, LaunchStats), Failure>, u64) {
+        let mut spec = self.cfg.spec.clone();
+        spec.step_limit = step_limit;
+        let mut gpu = self.scratch.device(spec);
+        let result = self.run_batch(&mut gpu, compiled, data, seed);
         self.scratch.recycle(&mut gpu);
-        (outcome, gpu.peak_block_steps())
+        (result, gpu.peak_block_steps())
     }
 
     /// Runs one batch on `gpu` (a fresh device with a pooled execution
@@ -354,8 +369,9 @@ impl AdeptWorkload {
     }
 
     /// Held-out validation (§III-C): a bigger, differently seeded batch,
-    /// run at the spec's absolute step limit (the fitness budget was
-    /// measured on a different batch).
+    /// run at a step limit measured on that batch
+    /// (`pipeline::heldout_step_limit`): the fitness budget was measured
+    /// on a different batch.
     ///
     /// # Errors
     /// Returns the first mismatch or execution failure.
@@ -371,9 +387,12 @@ impl AdeptWorkload {
             return Err("held-out batch exceeds the kernels' block size".into());
         }
         let compiled = self.compile_variant(kernels)?;
-        let mut gpu = self.scratch.device(self.cfg.spec.clone());
-        let result = self.run_batch(&mut gpu, &compiled, &data, 1);
-        self.scratch.recycle(&mut gpu);
+        let pristine = self
+            .compile_variant(&self.kernels)
+            .expect("pristine ADEPT kernels compile");
+        let (_, peak) = self.fresh_run(&pristine, &data, 1, u64::MAX);
+        let limit = heldout_step_limit(peak, self.cfg.spec.step_limit);
+        let (result, _) = self.fresh_run(&compiled, &data, 1, limit);
         result.map(|_| ()).map_err(|(_, reason)| reason)
     }
 
@@ -737,6 +756,10 @@ mod tests {
         assert_eq!(w.step_budget, 4 * 431_928);
         let out = Evaluator::new(&w).evaluate(&Patch::empty());
         assert!(out.is_valid(), "{:?}", out.failure);
+        // Held-out validation measures its own pristine peak too: at the
+        // bare ceiling the pristine program ran out of steps.
+        w.validate_heldout(w.kernels(), 16, 4242)
+            .expect("pristine passes its own held-out check");
     }
 
     #[test]

@@ -111,6 +111,20 @@ pub(crate) fn step_budget(pristine_peak: u64, ceiling: u64) -> u64 {
         .max(STEP_BUDGET_FLOOR.min(ceiling))
 }
 
+/// The per-block step limit for held-out validation:
+/// `max(ceiling, step_budget(pristine_peak, ceiling))`.
+///
+/// Held-out inputs differ from the fitness inputs, so the fitness peak
+/// does not carry over: `pristine_peak` is measured by running the
+/// pristine program on the held-out inputs with no step limit. The
+/// spec's absolute ceiling stays a floor, so a variant that finishes
+/// under the ceiling keeps its verdict, and a pristine program longer
+/// than the ceiling still passes its own held-out check.
+#[must_use]
+pub(crate) fn heldout_step_limit(pristine_peak: u64, ceiling: u64) -> u64 {
+    step_budget(pristine_peak, ceiling).max(ceiling)
+}
+
 /// Screens and lowers a variant for launching: structural verification
 /// first (cheap rejection of broken variants, GEVO's "fails to
 /// compile"), then backend DCE (GEVO hands the variant back to LLVM

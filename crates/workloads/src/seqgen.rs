@@ -7,10 +7,9 @@
 //! (not just "everything matches" or "nothing matches").
 
 use gevo_ir::rng::mix64;
-use serde::{Deserialize, Serialize};
 
 /// One DNA pair (bases encoded 0..=3).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeqPair {
     /// First sequence ("read").
     pub a: Vec<u8>,

@@ -11,7 +11,7 @@ pub mod cpu;
 pub mod kernels;
 pub mod validate;
 
-use crate::pipeline::{exec_failure, step_budget, Failure, ScratchPool};
+use crate::pipeline::{exec_failure, heldout_step_limit, step_budget, Failure, ScratchPool};
 use cpu::SimcovState;
 use gevo_engine::{Edit, EvalOutcome, FaultClass, Patch, Workload};
 use gevo_gpu::{Buffer, CompiledKernel, Gpu, GpuSpec, KernelArg, LaunchConfig, LaunchStats};
@@ -366,9 +366,8 @@ impl SimcovWorkload {
     }
 
     /// Runs `steps` of the simulation on a fresh device (with a pooled
-    /// execution scratch) at the spec's absolute step limit — the
-    /// held-out grid differs from the one the fitness budget was
-    /// measured on.
+    /// execution scratch) whose per-block step limit is `step_limit`,
+    /// returning the result and the device's [`Gpu::peak_block_steps`].
     fn run_sim(
         &self,
         kernels: &[CompiledKernel],
@@ -376,11 +375,12 @@ impl SimcovWorkload {
         steps: i32,
         sched_seed: u64,
         arena: ArenaMode,
-    ) -> Result<(GpuRunOutput, f64, LaunchStats), Failure> {
-        let mut gpu = self.sim_device(g, arena, self.cfg.spec.step_limit);
+        step_limit: u64,
+    ) -> (Result<(GpuRunOutput, f64, LaunchStats), Failure>, u64) {
+        let mut gpu = self.sim_device(g, arena, step_limit);
         let result = self.run_sim_on(&mut gpu, kernels, g, steps, sched_seed, arena);
         self.scratch.recycle(&mut gpu);
-        result
+        (result, gpu.peak_block_steps())
     }
 
     /// [`SimcovWorkload::run_sim`] on an already-constructed device. A
@@ -594,7 +594,10 @@ impl SimcovWorkload {
     /// Held-out validation on a larger grid with the signal field at the
     /// end of device memory (Fig. 10(b)). Applies `patch` to freshly
     /// built kernels for the large grid — instruction IDs are stable
-    /// across grid sizes, so evolved patches transfer directly.
+    /// across grid sizes, so evolved patches transfer directly. The step
+    /// limit is measured on the held-out grid
+    /// (`pipeline::heldout_step_limit`): the fitness budget was measured
+    /// on a smaller one.
     ///
     /// # Errors
     /// Returns the failure description (e.g. the simulated segfault).
@@ -602,11 +605,15 @@ impl SimcovWorkload {
         let (pristine, _) = build_kernels(g, &self.cfg.params, self.cfg.layout);
         let (kernels, _) = patch.apply(&pristine);
         let compiled = self.compile_variant(&kernels)?;
+        let pristine = self
+            .compile_variant(&pristine)
+            .expect("pristine SIMCoV kernels compile");
+        let (_, peak) = self.run_sim(&pristine, g, steps, 1, ArenaMode::Tight, u64::MAX);
+        let limit = heldout_step_limit(peak, self.cfg.spec.step_limit);
         let mut reference = SimcovState::new(g, &self.cfg.params);
         reference.run(&self.cfg.params, steps);
-        let (out, _, _) = self
-            .run_sim(&compiled, g, steps, 1, ArenaMode::Tight)
-            .map_err(|(_, reason)| reason)?;
+        let (result, _) = self.run_sim(&compiled, g, steps, 1, ArenaMode::Tight, limit);
+        let (out, _, _) = result.map_err(|(_, reason)| reason)?;
         compare(&out, &reference, &self.cfg.tolerance).map(|_| ())
     }
 
@@ -994,9 +1001,9 @@ mod probe_exact_tests {
             let mut reference = SimcovState::new(cfg.g, &cfg.params);
             reference.run(&cfg.params, steps);
             let compiled = w.compile_variant(w.kernels()).unwrap();
-            let (out, _, _) = w
-                .run_sim(&compiled, cfg.g, steps, 0, ArenaMode::Slack)
-                .unwrap();
+            let ceiling = cfg.spec.step_limit;
+            let (result, _) = w.run_sim(&compiled, cfg.g, steps, 0, ArenaMode::Slack, ceiling);
+            let (out, _, _) = result.unwrap();
             let vd = out
                 .vir
                 .iter()

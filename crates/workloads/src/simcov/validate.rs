@@ -9,7 +9,6 @@
 //! budgets for the discrete fields.
 
 use super::cpu::SimcovState;
-use serde::{Deserialize, Serialize};
 
 /// Everything read back from the device after a simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,7 +26,7 @@ pub struct GpuRunOutput {
 }
 
 /// Acceptance thresholds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tolerance {
     /// Bound on mean |gpu−cpu| per cell, relative to the oracle's mean
     /// magnitude.

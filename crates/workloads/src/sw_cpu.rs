@@ -6,8 +6,6 @@
 //! (§III-C), so validation is strict equality on (score, end position,
 //! start position).
 
-use serde::{Deserialize, Serialize};
-
 /// Scoring constants shared by the CPU oracle and the GPU kernels
 /// (paper Fig. 2).
 pub mod score {
@@ -20,7 +18,7 @@ pub mod score {
 }
 
 /// The result of aligning one pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Alignment {
     /// Best local-alignment score.
     pub score: i32,

@@ -23,9 +23,9 @@ pub use gevo_workloads as workloads;
 pub mod prelude {
     pub use gevo_engine::{
         dependency_graph, minimize_weak_edits, split_independent, subset_analysis, Edit,
-        EvalOutcome, EvalStats, Evaluator, EvaluatorSnapshot, GaConfig, IslandSnapshot,
-        MigrationEvent, Objective, ParetoPoint, Patch, Search, SearchObserver, SearchResult,
-        SearchSpec, SearchState, Selection, StepStatus, Topology, Workload,
+        EvalOutcome, EvalStats, Evaluator, EvaluatorSnapshot, GaConfig, Objective, ParetoPoint,
+        Patch, Search, SearchObserver, SearchResult, SearchSpec, SearchState, Selection,
+        StepStatus, Workload,
     };
     pub use gevo_gpu::{CompiledKernel, Gpu, GpuSpec, LaunchConfig};
     pub use gevo_workloads::adept::{AdeptConfig, AdeptWorkload, Version};

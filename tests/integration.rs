@@ -171,46 +171,19 @@ fn full_stack_determinism() {
     assert_eq!(a.speedup, b.speedup);
 }
 
-/// The island acceptance bar: at an equal total evaluation budget on
-/// ADEPT-V0 with a fixed seed, four islands with ring migration match
-/// or beat the single panmictic population (the whole stack is
-/// deterministic, so this is a stable regression test, not a flake).
-#[test]
-fn four_islands_match_or_beat_one_at_equal_budget() {
-    let w = AdeptWorkload::new(AdeptConfig::scaled(Version::V0));
-    let ga = quick_cfg(2, 20, 8);
-    let single = Search::new(&w).config(ga.clone()).run();
-    let multi = Search::new(&w)
-        .config(ga)
-        .islands(4)
-        .migration_interval(3)
-        .run();
-    assert!(
-        multi.best.fitness.unwrap() <= single.best.fitness.unwrap(),
-        "4 islands ({:.0} cycles) should match or beat 1 island ({:.0} cycles)",
-        multi.best.fitness.unwrap(),
-        single.best.fitness.unwrap()
-    );
-    assert!(!multi.history.migrations.is_empty(), "migration happened");
-    assert_eq!(multi.islands.len(), 4);
-}
-
-/// Same seed + same island count reproduces the identical result —
-/// best fitness, full global history, per-island histories, evals.
+/// The search engine's one population reproduces itself in full: the
+/// same seed gives the same best fitness, full history and evaluation
+/// count, down to the serialized bytes (whose `"islands"` entry is the
+/// one-element copy of that history).
 #[test]
 fn island_engine_full_stack_determinism() {
     let w = AdeptWorkload::new(AdeptConfig::scaled(Version::V0));
-    let run = || {
-        Search::new(&w)
-            .config(quick_cfg(11, 16, 5))
-            .islands(3)
-            .run()
-    };
+    let run = || Search::new(&w).config(quick_cfg(11, 16, 5)).run();
     let a = run();
     let b = run();
     assert_eq!(a.best.fitness, b.best.fitness);
     assert_eq!(a.best.patch, b.best.patch);
     assert_eq!(a.history, b.history);
-    assert_eq!(a.islands, b.islands);
     assert_eq!(a.evals, b.evals);
+    assert_eq!(a.to_json().to_string(), b.to_json().to_string());
 }

@@ -2,8 +2,7 @@
 //! workloads.
 //!
 //! Each pin records the CRC-32 of a whole `SearchResult` JSON body and
-//! its evaluation count, single-population and islands alike, through
-//! both the builder (`Search::new(..).config(..)`) and the spec
+//! its evaluation count, through both the builder (`Search::new(..).config(..)`) and the spec
 //! (`Search::from_spec`) entry points. Any change to the RNG draws, the
 //! population order, the history or the evaluator's counters flips a
 //! fingerprint.
@@ -48,43 +47,17 @@ fn search_pins_single_population_trajectory_on_simcov() {
     assert_eq!(fingerprint(&res), (0x05D5_60B9, 24));
 }
 
-#[test]
-fn search_pins_island_trajectory_on_adept_v0() {
-    let w = AdeptWorkload::new(AdeptConfig::scaled(Version::V0));
-    let res = Search::new(&w)
-        .config(tiny(2, 16, 6))
-        .islands(4)
-        .migration_interval(2)
-        .run();
-    assert!(
-        !res.history.migrations.is_empty(),
-        "migration actually exercised"
-    );
-    assert_eq!(fingerprint(&res), (0xB768_98CB, 67));
-}
-
 /// The `SearchSpec` literal path the harnesses use
 /// (`Search::from_spec`).
 #[test]
-fn from_spec_pins_island_trajectory_on_simcov() {
+fn from_spec_pins_single_population_trajectory_on_simcov() {
     let w = SimcovWorkload::new(SimcovConfig::scaled());
     let spec = SearchSpec {
         ga: tiny(5, 9, 4),
-        islands: 3,
-        migration_interval: 2,
         ..SearchSpec::default()
     };
     let res = Search::from_spec(&w, spec).run();
-    assert_eq!(fingerprint(&res), (0x0AE2_DB67, 20));
-}
-
-/// Three islands at the default migration interval: the configuration
-/// whose batches interleave several parents per generation.
-#[test]
-fn search_pins_three_island_trajectory_on_simcov() {
-    let w = SimcovWorkload::new(SimcovConfig::scaled());
-    let res = Search::new(&w).config(tiny(5, 9, 4)).islands(3).run();
-    assert_eq!(fingerprint(&res), (0x19F8_7630, 21));
+    assert_eq!(fingerprint(&res), (0x50FE_D3C0, 24));
 }
 
 /// The acceptance bar for multi-objective mode: a two-objective NSGA-II
