@@ -26,6 +26,9 @@
 //!
 //! An unset or empty numeric knob keeps its default; any other value
 //! that does not parse panics with the knob's name ([`parse_knob`]).
+//! The knobs of removed features (`GEVO_ISLANDS`, `GEVO_MIGRATION`,
+//! `--islands`, `GEVO_ADAPT`, `GEVO_OPT`) are refused the same way by
+//! [`harness_spec`], rather than ignored.
 //!
 //! The GA-driven harnesses (fig4, fig5, fig6, pareto) all build their
 //! engine session through ONE shared helper, [`harness_spec`] — the
@@ -202,12 +205,53 @@ pub fn quarantine_knob() -> Option<std::path::PathBuf> {
     dir
 }
 
+/// Knobs of removed features, each with what was removed: the island
+/// model read the first three (DESIGN.md §3.4), adaptive mutation
+/// scheduling `GEVO_ADAPT` (§3.10) and the process-global lowering
+/// level `GEVO_OPT` (§3.8). A harness that ignored one would silently
+/// run a different search than the one asked for. Names starting with
+/// `--` are command-line flags, the others environment variables.
+const REMOVED_KNOBS: [(&str, &str); 5] = [
+    ("GEVO_ISLANDS", "the island model"),
+    ("GEVO_MIGRATION", "the island model"),
+    ("--islands", "the island model"),
+    ("GEVO_ADAPT", "adaptive mutation scheduling"),
+    ("GEVO_OPT", "the process-global optimization level"),
+];
+
+/// The refusal for the first of the [`REMOVED_KNOBS`] that is given:
+/// a flag present in `args` (as `--flag` or `--flag=value`), or an
+/// environment variable `env` reports as set and non-empty (empty
+/// means unset, as for every knob).
+fn removed_knob(args: &[String], env: impl Fn(&str) -> Option<String>) -> Option<String> {
+    let given = |knob: &str| {
+        if knob.starts_with("--") {
+            let prefix = format!("{knob}=");
+            args.iter().any(|a| a == knob || a.starts_with(&prefix))
+        } else {
+            env(knob).is_some_and(|v| !v.trim().is_empty())
+        }
+    };
+    REMOVED_KNOBS
+        .iter()
+        .find(|(knob, _)| given(knob))
+        .map(|(knob, what)| format!("{knob} is no longer supported ({what} was removed)"))
+}
+
 /// The ONE place every harness binary's engine configuration is built:
 /// the GA budget (`GEVO_POP`/`GEVO_GENS`/`GEVO_SEED`/`GEVO_THREADS`)
 /// plus `GEVO_OBJECTIVES`, folded into a `gevo_engine::SearchSpec`
 /// ready for [`run_search`].
+///
+/// # Panics
+/// Panics naming the knob when a removed one is given: `GEVO_ISLANDS`,
+/// `GEVO_MIGRATION`, `--islands`, `GEVO_ADAPT` or `GEVO_OPT`.
 #[must_use]
 pub fn harness_spec(pop: usize, gens: usize) -> SearchSpec {
+    let args: Vec<String> = std::env::args().collect();
+    if let Some(refusal) = removed_knob(&args, |name| std::env::var(name).ok()) {
+        panic!("{refusal}");
+    }
     // Every GA harness that builds its spec here also picks up the
     // quarantine directory.
     let _ = quarantine_knob();
@@ -419,6 +463,32 @@ mod tests {
             msg.contains("GEVO_TEST_BAD") && msg.contains("\"zzz\""),
             "{msg}"
         );
+    }
+
+    #[test]
+    fn removed_knobs_are_named_not_ignored() {
+        let args = |a: &[&str]| a.iter().map(ToString::to_string).collect::<Vec<_>>();
+        let unset = |_: &str| None;
+        // A removed variable's name as a flag's value is not the variable.
+        let plain = args(&["bin", "--workload", "simcov", "--tag", "GEVO_ADAPT"]);
+        assert_eq!(removed_knob(&plain, unset), None);
+        assert_eq!(
+            removed_knob(&[], |_: &str| Some(" ".to_string())),
+            None,
+            "empty is unset"
+        );
+        for (knob, what) in REMOVED_KNOBS {
+            let refusal = if knob.starts_with("--") {
+                assert!(removed_knob(&args(&["bin", &format!("{knob}=4")]), unset).is_some());
+                removed_knob(&args(&["bin", knob, "4"]), unset)
+            } else {
+                removed_knob(&[], |name: &str| (name == knob).then(|| "4".to_string()))
+            };
+            assert_eq!(
+                refusal.as_deref(),
+                Some(format!("{knob} is no longer supported ({what} was removed)").as_str())
+            );
+        }
     }
 
     #[test]

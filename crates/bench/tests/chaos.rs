@@ -5,8 +5,9 @@
 //! rejection, graceful shutdown that suspends (not loses) in-flight
 //! jobs, per-job deadlines that fail loudly, and malformed supervision
 //! knobs that stop the server before it reads a request. A
-//! `GEVO_STOP_AFTER` that no checkpoint could honor stops `search_job`
-//! the same way, before its first generation.
+//! `GEVO_STOP_AFTER` that no checkpoint could honor, and a knob of a
+//! removed feature, stop `search_job` the same way, before its first
+//! generation.
 //!
 //! The end-to-end byte-identity battery (corrupt → rollback → rerun →
 //! identical result) lives in the `chaos_check` binary, which CI runs
@@ -457,4 +458,36 @@ fn stop_after_without_a_checkpoint_or_at_zero_is_refused_at_startup() {
     }
     assert!(!ckpt.exists(), "refused before any generation ran");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The knobs of removed features are refused at startup, naming the
+/// knob, instead of running a plain one-population search in their
+/// place.
+#[test]
+fn removed_knobs_are_refused_at_startup() {
+    let runs: [(&str, Option<&str>, &[&str]); 3] = [
+        ("GEVO_ISLANDS", Some("4"), &[]),
+        ("GEVO_ADAPT", Some("1"), &[]),
+        ("--islands", None, &["--islands", "4"]),
+    ];
+    for (knob, env, args) in runs {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_search_job"));
+        cmd.env_remove("GEVO_CHAOS")
+            .env_remove("GEVO_CHECKPOINT")
+            .env("GEVO_POP", "4")
+            .env("GEVO_GENS", "2")
+            .args(["--workload", "adept-v0"])
+            .args(args);
+        if let Some(v) = env {
+            cmd.env(knob, v);
+        }
+        let out = cmd.output().expect("run search_job");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{knob}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{knob} is no longer supported")),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "no search result is printed");
+    }
 }

@@ -605,6 +605,26 @@ fn scalar_lanes(
     }
 }
 
+/// Writes `v` to every active lane of the register at base `dst`.
+/// A mask that is a contiguous low prefix (a full warp, or the partial
+/// last warp of a block) is one slice fill; any other mask walks its
+/// set bits. Both write the same value to the same lanes.
+#[inline]
+fn broadcast(regs: &mut [Value], dst: u32, active: u64, v: Value) {
+    let dst = dst as usize;
+    if active & active.wrapping_add(1) == 0 {
+        let n = active.trailing_ones() as usize;
+        regs[dst..dst + n].fill(v);
+        return;
+    }
+    let mut mask = active;
+    while mask != 0 {
+        let lane = mask.trailing_zeros() as usize;
+        mask &= mask - 1;
+        regs[dst + lane] = v;
+    }
+}
+
 /// The active-lane loop of one decoded scalar op: walks the set bits
 /// of `active`, reads the operands, applies the op's value function
 /// and writes `dst` (when there is one). When every operand is a
@@ -821,31 +841,39 @@ impl<'a> BlockExec<'a> {
     }
 
     /// Runs one warp until it blocks at a barrier, finishes, or faults.
+    ///
+    /// Each block visit fetches the rest of the block's body as one
+    /// slice and walks it; the terminator runs after the slice. Every
+    /// instruction and every terminator is one step, counted and
+    /// checked against the limit before it runs. `ip` is written only
+    /// when a barrier suspends the warp mid-block (entering a block
+    /// resets it to 0), so it is the resume point and nothing else.
     fn run_warp(&mut self, wi: usize) -> Result<(), ExecError> {
+        let (kernel, limit) = (self.kernel, self.spec.step_limit);
         loop {
-            self.steps += 1;
-            if self.steps > self.spec.step_limit {
-                return Err(ExecError::StepLimit);
-            }
             let (block, ip) = {
                 let w = &self.warps[wi];
                 (w.block as usize, w.ip as usize)
             };
-            let flat = self.kernel.block_bounds[block] as usize + ip;
-            if flat < self.kernel.block_bounds[block + 1] as usize {
-                let inst = &self.kernel.code[flat];
-                let hit_barrier = self.exec_inst(wi, inst)?;
-                self.warps[wi].ip += 1;
-                if hit_barrier {
+            let start = kernel.block_bounds[block] as usize + ip;
+            let end = kernel.block_bounds[block + 1] as usize;
+            for (k, inst) in kernel.code[start..end].iter().enumerate() {
+                self.steps += 1;
+                if self.steps > limit {
+                    return Err(ExecError::StepLimit);
+                }
+                if self.exec_inst(wi, inst)? {
+                    self.warps[wi].ip = (ip + k + 1) as u32;
                     return Ok(());
                 }
-            } else {
-                // Terminator.
-                let term = self.kernel.terms[block];
-                self.exec_terminator(wi, term)?;
-                if self.warps[wi].state != WarpState::Running {
-                    return Ok(());
-                }
+            }
+            self.steps += 1;
+            if self.steps > limit {
+                return Err(ExecError::StepLimit);
+            }
+            self.exec_terminator(wi, kernel.terms[block])?;
+            if self.warps[wi].state != WarpState::Running {
+                return Ok(());
             }
         }
     }
@@ -1073,12 +1101,7 @@ impl<'a> BlockExec<'a> {
                         votes |= 1 << lane;
                     }
                 }
-                let mut mask = active;
-                while mask != 0 {
-                    let lane = mask.trailing_zeros();
-                    mask &= mask - 1;
-                    w.regs[dst as usize + lane as usize] = Value::I32(votes);
-                }
+                broadcast(&mut w.regs, dst, active, Value::I32(votes));
                 w.cycles += self.spec.costs.ballot;
                 self.stats.ballots += 1;
                 self.issue += 1;
@@ -1089,12 +1112,7 @@ impl<'a> BlockExec<'a> {
                 let dst = inst.dst;
                 debug_assert_ne!(dst, NO_DST, "activemask has dst");
                 let w = &mut self.warps[wi];
-                let mut mask = active;
-                while mask != 0 {
-                    let lane = mask.trailing_zeros();
-                    mask &= mask - 1;
-                    w.regs[dst as usize + lane as usize] = mask_v;
-                }
+                broadcast(&mut w.regs, dst, active, mask_v);
                 w.cycles += self.spec.costs.activemask;
                 self.issue += 1;
             }
@@ -1153,12 +1171,7 @@ impl<'a> BlockExec<'a> {
                 read_operand(&w.regs, &ctx, w.idx, lane, &inst.args[i])
             })?;
             if dst != NO_DST {
-                let mut mask = active;
-                while mask != 0 {
-                    let lane = mask.trailing_zeros();
-                    mask &= mask - 1;
-                    w.regs[dst as usize + lane as usize] = result;
-                }
+                broadcast(&mut w.regs, dst, active, result);
             }
         }
         w.cycles += inst.cost;
@@ -1177,12 +1190,7 @@ impl<'a> BlockExec<'a> {
         debug_assert_ne!(dst, NO_DST, "folded ops have a dst");
         let w = &mut self.warps[wi];
         let result = read_operand(&w.regs, &ctx, w.idx, 0, &inst.args[0]);
-        let mut mask = active;
-        while mask != 0 {
-            let lane = mask.trailing_zeros();
-            mask &= mask - 1;
-            w.regs[dst as usize + lane as usize] = result;
-        }
+        broadcast(&mut w.regs, dst, active, result);
         w.cycles += inst.cost;
         self.stats.alu_instructions += 1;
         self.issue += 1;
@@ -1293,12 +1301,7 @@ impl<'a> BlockExec<'a> {
                 AddrSpace::Global => self.mem.load(addr, ty)?,
                 AddrSpace::Shared => shared_load(self.shared, shared_bytes, addr, ty)?,
             };
-            let mut mask = active;
-            while mask != 0 {
-                let lane = mask.trailing_zeros();
-                mask &= mask - 1;
-                w.regs[dst as usize + lane as usize] = v;
-            }
+            broadcast(&mut w.regs, dst, active, v);
         }
         self.charge_mem_uniform(wi, space, active, addr, false);
         Ok(())
@@ -2295,5 +2298,214 @@ mod lane_loop_equivalence {
             faults > 1000 && cases - faults > 1000,
             "{faults} of {cases} faulted"
         );
+    }
+
+    /// [`broadcast`] against the set-bit walk it shortcuts: full,
+    /// partial-warp prefix, non-contiguous, single-high-lane and empty
+    /// masks write bit-identical register files.
+    #[test]
+    fn broadcast_matches_the_set_bit_walk() {
+        let base = register_file();
+        let masks: [u64; 5] = [0xFF, 0b0000_0111, 0b1011_0110, 1 << (LANES - 1), 0];
+        let values = [
+            Value::I32(-3),
+            Value::I64(i64::MIN),
+            Value::F32(f32::NAN),
+            Value::F32(-0.0),
+            Value::Bool(true),
+        ];
+        for dst in [DST, 0, 4 * LANES] {
+            for active in masks {
+                for v in values {
+                    let mut want = base.clone();
+                    let mut mask = active;
+                    while mask != 0 {
+                        let lane = mask.trailing_zeros();
+                        mask &= mask - 1;
+                        want[dst as usize + lane as usize] = v;
+                    }
+                    let mut got = base.clone();
+                    broadcast(&mut got, dst, active, v);
+                    let want_bits: Vec<_> = want.iter().map(|&v| bits(v)).collect();
+                    let got_bits: Vec<_> = got.iter().map(|&v| bits(v)).collect();
+                    assert_eq!(got_bits, want_bits, "{v:?} to {dst} under {active:#x}");
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod step_accounting {
+    //! The step count is exact per instruction: `StepLimit` fires at the
+    //! same instruction inside a block (not at a block boundary), and a
+    //! barrier in the middle of a block suspends and resumes the warp at
+    //! the next instruction. The pinned numbers are the reference: they
+    //! were recorded with an interpreter loop that fetched, counted and
+    //! checked one instruction per iteration.
+
+    use super::*;
+    use crate::compile::OptLevel;
+    use crate::spec::GpuSpec;
+    use gevo_ir::{AddrSpace, IntBinOp, Kernel, KernelBuilder, Operand, Special};
+
+    /// Loop of `(blockIdx + 1) * 4` trips whose body is one straight
+    /// line of eight instructions, four of them stores of the loop's
+    /// running values to the block's own four words of `out`.
+    fn straight_line_loop() -> Kernel {
+        let mut b = KernelBuilder::new("line");
+        let out = b.param_ptr("out", AddrSpace::Global);
+        let bid = b.special_i32(Special::BlockId);
+        let bid1 = b.add(bid.into(), Operand::ImmI32(1));
+        let trips = b.mul(bid1.into(), Operand::ImmI32(4));
+        let i = b.mov(Operand::ImmI32(0));
+        let base = b.mul(bid.into(), Operand::ImmI32(4));
+        let mut words = Vec::new();
+        for k in 0..4 {
+            let w = b.add(base.into(), Operand::ImmI32(k));
+            words.push(b.index_addr(Operand::Param(out), w.into(), 4));
+        }
+        let hdr = b.new_block("hdr");
+        let body = b.new_block("body");
+        let exit = b.new_block("exit");
+        b.br(hdr);
+        b.switch_to(hdr);
+        let more = b.icmp_lt(i.into(), trips.into());
+        b.cond_br(more.into(), body, exit);
+        b.switch_to(body);
+        let tripled = b.mul(i.into(), Operand::ImmI32(3));
+        b.store_global_i32(words[0].into(), tripled.into());
+        let bumped = b.add(tripled.into(), Operand::ImmI32(7));
+        b.store_global_i32(words[1].into(), bumped.into());
+        let mixed = b.ibin(IntBinOp::Xor, bumped.into(), i.into());
+        b.store_global_i32(words[2].into(), mixed.into());
+        b.ibin_to(i, IntBinOp::Add, i.into(), Operand::ImmI32(1));
+        b.store_global_i32(words[3].into(), i.into());
+        b.br(hdr);
+        b.switch_to(exit);
+        b.ret();
+        b.finish()
+    }
+
+    /// Launches `k` on a fresh device at `opt` and returns the result,
+    /// the device's peak block steps and the first `words` words of a
+    /// `-1`-filled output buffer (read after a fault too).
+    fn launch_at(
+        k: &Kernel,
+        spec: &GpuSpec,
+        opt: OptLevel,
+        cfg: LaunchConfig,
+        words: usize,
+    ) -> (Result<LaunchStats, ExecError>, u64, Vec<i32>) {
+        let ck = CompiledKernel::compile_with(k, spec, opt).expect("kernel verifies");
+        let mut gpu = Gpu::new(spec.clone());
+        let buf = gpu.mem_mut().alloc(words as u64 * 4).expect("arena fits");
+        gpu.mem_mut().write_i32s(buf, 0, &vec![-1; words]);
+        let res = gpu.launch_compiled(&ck, cfg, &[buf.into()]);
+        (
+            res,
+            gpu.peak_block_steps(),
+            gpu.mem().read_i32s(buf, 0, words),
+        )
+    }
+
+    #[test]
+    fn step_limit_fires_mid_block_at_the_recorded_step() {
+        let k = straight_line_loop();
+        // Two warps per block (32 + 8 lanes); block 0 runs 4 trips and
+        // block 1 runs 8.
+        let cfg = LaunchConfig::new(2, 40);
+        for opt in [OptLevel::O0, OptLevel::O2] {
+            let mut spec = GpuSpec::p100();
+            let (res, peak, out) = launch_at(&k, &spec, opt, cfg, 8);
+            assert_eq!(res.map(|s| s.instructions), Ok(364), "{opt:?}");
+            assert_eq!(peak, 226, "{opt:?}: block 1 is the peak");
+            assert_eq!(out, [9, 16, 19, 4, 21, 28, 27, 8], "{opt:?}");
+
+            // Block 0 takes 138 steps and fits. Block 1's warp 0 takes
+            // 113; its warp 1 enters the loop body at step 138 and is
+            // killed at the body's fifth instruction (step 142, `bumped ^ i`)
+            // or its seventh (step 144, `i + 1`): the stores before the
+            // kill landed, the ones after it did not.
+            spec.step_limit = 141;
+            let (res, peak, out) = launch_at(&k, &spec, opt, cfg, 8);
+            assert_eq!(res, Err(ExecError::StepLimit), "{opt:?}");
+            assert_eq!(peak, 138, "{opt:?}: only block 0 completed");
+            assert_eq!(out, [9, 16, 19, 4, 0, 7, 27, 8], "{opt:?}");
+            spec.step_limit = 143;
+            let (res, peak, out) = launch_at(&k, &spec, opt, cfg, 8);
+            assert_eq!(res, Err(ExecError::StepLimit), "{opt:?}");
+            assert_eq!(peak, 138, "{opt:?}");
+            assert_eq!(out, [9, 16, 19, 4, 0, 7, 7, 8], "{opt:?}");
+        }
+    }
+
+    /// Three trips of a loop whose single block holds two barriers:
+    /// each thread publishes `tid + 5 * i` to shared memory, syncs,
+    /// adds its right neighbour's value and a uniform global load to
+    /// an accumulator, syncs again, and finally stores the sum.
+    fn barrier_mid_block() -> Kernel {
+        let mut b = KernelBuilder::new("bar");
+        b.shared_bytes(72 * 4);
+        let out = b.param_ptr("out", AddrSpace::Global);
+        let tid = b.special_i32(Special::ThreadId);
+        let dim = b.special_i32(Special::BlockDim);
+        let i = b.mov(Operand::ImmI32(0));
+        let acc = b.mov(Operand::ImmI32(0));
+        let mine = b.index_addr(Operand::ImmI64(0), tid.into(), 4);
+        let tid1 = b.add(tid.into(), Operand::ImmI32(1));
+        let right = b.rem(tid1.into(), dim.into());
+        let theirs = b.index_addr(Operand::ImmI64(0), right.into(), 4);
+        let looph = b.new_block("loop");
+        let exit = b.new_block("exit");
+        b.br(looph);
+        b.switch_to(looph);
+        let step = b.mul(i.into(), Operand::ImmI32(5));
+        let published = b.add(tid.into(), step.into());
+        b.store_shared_i32(mine.into(), published.into());
+        b.sync_threads();
+        let neighbour = b.load_shared_i32(theirs.into());
+        let word0 = b.load_global_i32(Operand::Param(out));
+        let term = b.add(neighbour.into(), word0.into());
+        b.ibin_to(acc, IntBinOp::Add, acc.into(), term.into());
+        b.sync_threads();
+        b.ibin_to(i, IntBinOp::Add, i.into(), Operand::ImmI32(1));
+        let more = b.icmp_lt(i.into(), Operand::ImmI32(3));
+        b.cond_br(more.into(), looph, exit);
+        b.switch_to(exit);
+        let bid = b.special_i32(Special::BlockId);
+        let row = b.mul(bid.into(), dim.into());
+        let slot = b.add(row.into(), tid.into());
+        let slot1 = b.add(slot.into(), Operand::ImmI32(1));
+        let addr = b.index_addr(Operand::Param(out), slot1.into(), 4);
+        b.store_global_i32(addr.into(), acc.into());
+        b.ret();
+        b.finish()
+    }
+
+    #[test]
+    fn barrier_mid_block_matches_at_o0_and_o2() {
+        let k = barrier_mid_block();
+        let spec = GpuSpec::p100();
+        // Three warps per block (32 + 32 + 8 lanes), two blocks.
+        let cfg = LaunchConfig::new(2, 72);
+        let (o0, o0_peak, o0_out) = launch_at(&k, &spec, OptLevel::O0, cfg, 145);
+        let (o2, o2_peak, o2_out) = launch_at(&k, &spec, OptLevel::O2, cfg, 145);
+        let stats = o0.expect("O0 runs");
+        assert_eq!(o2, Ok(stats));
+        assert_eq!(o2_peak, o0_peak);
+        assert_eq!(o2_out, o0_out);
+        // Two barriers per trip, three trips, two blocks; steps, cycles
+        // and peak are pinned like the test above.
+        assert_eq!(stats.barriers, 12);
+        assert_eq!((stats.instructions, stats.cycles, o0_peak), (348, 586, 174));
+        // Word 0 is the uniform load's `-1`; thread t of either block
+        // sums its right neighbour's published values minus 1 per trip.
+        for (t, &got) in o0_out[1..].iter().enumerate() {
+            let right = (t % 72 + 1) % 72;
+            #[allow(clippy::cast_possible_wrap)]
+            let want: i32 = (0..3).map(|i| right as i32 + 5 * i - 1).sum();
+            assert_eq!(got, want, "thread {t}");
+        }
     }
 }
