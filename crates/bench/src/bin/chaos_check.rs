@@ -264,20 +264,23 @@ fn repro(path: &Path) -> i32 {
             return 2;
         }
     };
-    let Some(w) = gevo_bench::workload_by_name(&rec.workload) else {
+    // The record carries the workload's display name
+    // (`adept-v0[P100-scaled]`), not its registry name.
+    let Some(w) = ["adept-v0", "adept-v1", "simcov"]
+        .into_iter()
+        .filter_map(gevo_bench::workload_by_name)
+        .find(|w| w.name() == rec.workload)
+    else {
         eprintln!("unknown workload {:?} in record", rec.workload);
         return 2;
     };
     println!(
-        "replaying {} on {} (seed {}, quarantined for: {})",
+        "replaying {} on {} (quarantined for: {})",
         path.display(),
         rec.workload,
-        rec.eval_seed,
         rec.reason
     );
-    let ev = Evaluator::new(w.as_ref());
-    ev.set_eval_seed(rec.eval_seed);
-    let outcome = ev.evaluate(&rec.patch);
+    let outcome = Evaluator::new(w.as_ref()).evaluate(&rec.patch);
     match (&outcome.fitness, &outcome.failure) {
         (Some(f), _) => println!("outcome: passes now (fitness {f})"),
         (None, Some(reason)) => println!("outcome: still fails ({reason})"),

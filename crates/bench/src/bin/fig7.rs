@@ -11,7 +11,9 @@
 //! By default the pipeline runs on the curated optimization patch
 //! (deterministic); set GEVO_FROM_GA=1 to run it on a fresh GA result.
 
-use gevo_bench::{adept_on, env_usize, harness_spec, run_search, scaled_table1_specs};
+use gevo_bench::{
+    adept_on, env_usize, harness_spec, quarantine_knob, run_search, scaled_table1_specs,
+};
 use gevo_engine::{
     dependency_graph, minimize_weak_edits, split_independent, subset_analysis, Evaluator, Patch,
 };
@@ -20,7 +22,7 @@ use gevo_workloads::adept::Version;
 fn main() {
     let p100 = &scaled_table1_specs()[0];
     let w = adept_on(Version::V1, p100);
-    let ev = Evaluator::new(&w);
+    let ev = Evaluator::new(&w).quarantine(quarantine_knob());
 
     let (patch, origin) = if env_usize("GEVO_FROM_GA", 0) == 1 {
         let spec = harness_spec(32, 40);

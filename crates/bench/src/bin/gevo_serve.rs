@@ -113,6 +113,8 @@ struct Manager {
     /// Supervision knobs, read and validated once at startup.
     policy: RetryPolicy,
     deadline: Option<Duration>,
+    /// `GEVO_QUARANTINE`, given to every job's search.
+    quarantine: Option<PathBuf>,
     jobs: Mutex<BTreeMap<String, JobInfo>>,
     idle: Condvar,
     /// Set by the `shutdown` op: workers checkpoint and suspend at
@@ -291,7 +293,8 @@ fn run_job_once(mgr: &Arc<Manager>, job: &Job, sink: &Sink, attempt: usize) -> A
         Some(s) => Search::resume(w.as_ref(), s),
         None => Search::from_spec(w.as_ref(), job.spec.clone()),
     }
-    .observer(&mut obs);
+    .observer(&mut obs)
+    .quarantine(mgr.quarantine.clone());
     while let StepStatus::Advanced { gen } = search.step() {
         if (gen + 1) % mgr.every == 0 {
             write_checkpoint(&ckpt, &search.checkpoint());
@@ -612,7 +615,6 @@ fn main() {
         eprintln!("cannot create state dir {}: {e}", dir.display());
         std::process::exit(2);
     });
-    let _ = quarantine_knob();
     let exit_when_idle = std::env::args().any(|a| a == "--exit-when-idle");
     // Numeric knobs are parsed once, before any job is recovered or
     // read: a malformed value panics here, naming the variable.
@@ -621,6 +623,7 @@ fn main() {
         every: env_usize("GEVO_CHECKPOINT_EVERY", 5).max(1),
         policy: RetryPolicy::from_env(),
         deadline: deadline_from_env(),
+        quarantine: quarantine_knob(),
         jobs: Mutex::new(BTreeMap::new()),
         idle: Condvar::new(),
         shutting_down: AtomicBool::new(false),

@@ -7,7 +7,7 @@
 //!
 //! Budget via GEVO_POP / GEVO_GENS / GEVO_SEED.
 
-use gevo_bench::{adept_on, harness_spec, run_search, scaled_table1_specs};
+use gevo_bench::{adept_on, harness_spec, quarantine_knob, run_search, scaled_table1_specs};
 use gevo_engine::{minimize_weak_edits, Evaluator, Workload};
 use gevo_workloads::adept::Version;
 
@@ -24,7 +24,7 @@ fn main() {
             spec.ga.seed
         );
         let result = run_search(&w, &spec);
-        let ev = Evaluator::new(&w);
+        let ev = Evaluator::new(&w).quarantine(quarantine_knob());
         let report = minimize_weak_edits(&ev, &result.best.patch, 0.01);
         println!(
             "  genome: {} edits at {:.3}x -> minimized: {} edits at {:.3}x",

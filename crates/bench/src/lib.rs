@@ -192,17 +192,14 @@ pub fn mut_weights_knob() -> Option<MutationWeights> {
     })
 }
 
-/// Applies the `GEVO_QUARANTINE` knob: when set, panic-provoking
-/// variants caught by the engine's evaluation isolation are serialized
-/// into this directory as `*.quarantine.json`
-/// ([`gevo_engine::QuarantineRecord`]) for deterministic replay.
-/// Returns the directory in force.
-pub fn quarantine_knob() -> Option<std::path::PathBuf> {
-    let dir = std::env::var("GEVO_QUARANTINE")
-        .ok()
-        .map(std::path::PathBuf::from);
-    gevo_engine::quarantine::set_dir(dir.clone());
-    dir
+/// The `GEVO_QUARANTINE` directory, if set: the harnesses give it to
+/// every evaluator they build, which serializes panic-provoking
+/// variants caught by its evaluation isolation into it as
+/// `*.quarantine.json` ([`gevo_engine::QuarantineRecord`]) for
+/// deterministic replay.
+#[must_use]
+pub fn quarantine_knob() -> Option<PathBuf> {
+    std::env::var("GEVO_QUARANTINE").ok().map(PathBuf::from)
 }
 
 /// Knobs of removed features, each with what was removed: the island
@@ -252,9 +249,6 @@ pub fn harness_spec(pop: usize, gens: usize) -> SearchSpec {
     if let Some(refusal) = removed_knob(&args, |name| std::env::var(name).ok()) {
         panic!("{refusal}");
     }
-    // Every GA harness that builds its spec here also picks up the
-    // quarantine directory.
-    let _ = quarantine_knob();
     let mut spec = SearchSpec {
         ga: GaConfig {
             population: env_usize("GEVO_POP", pop),
@@ -343,7 +337,8 @@ pub fn run_search(w: &dyn Workload, spec: &SearchSpec) -> SearchResult {
             Some(weights) => fresh.weights(weights),
             None => fresh,
         }
-    };
+    }
+    .quarantine(quarantine_knob());
 
     while let StepStatus::Advanced { gen } = search.step() {
         let completed = gen + 1;

@@ -7,7 +7,7 @@
 //! knobs that stop the server before it reads a request. A
 //! `GEVO_STOP_AFTER` that no checkpoint could honor, and a knob of a
 //! removed feature, stop `search_job` the same way, before its first
-//! generation.
+//! generation. `chaos_check --repro` replays a quarantine record.
 //!
 //! The end-to-end byte-identity battery (corrupt → rollback → rerun →
 //! identical result) lives in the `chaos_check` binary, which CI runs
@@ -490,4 +490,28 @@ fn removed_knobs_are_refused_at_startup() {
         );
         assert!(out.stdout.is_empty(), "no search result is printed");
     }
+}
+
+/// `chaos_check --repro` replays a quarantine record as the evaluator
+/// writes it: named by the workload's display name
+/// (`adept-v0[P100-scaled]`), not its registry name, and possibly
+/// carrying the `"eval_seed"` field older builds wrote.
+#[test]
+fn repro_replays_a_quarantine_record() {
+    let w = gevo_bench::workload_by_name("adept-v0").expect("registry workload");
+    let path = scratch("repro").join("record.quarantine.json");
+    let record = format!(
+        r#"{{"workload":"{}","patch":[],"eval_seed":0,"reason":"panic: simulator bug"}}"#,
+        w.name()
+    );
+    std::fs::write(&path, record).expect("write record");
+    let out = Command::new(env!("CARGO_BIN_EXE_chaos_check"))
+        .arg("--repro")
+        .arg(&path)
+        .output()
+        .expect("run chaos_check");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stdout}{stderr}");
+    assert!(stdout.contains("outcome: passes now"), "{stdout}");
 }

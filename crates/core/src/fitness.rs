@@ -5,11 +5,11 @@
 //! excluded from selection. Here "execution time" is the simulator's
 //! modeled cycles.
 //!
-//! [`Evaluator`] memoizes outcomes in a **sharded cache**: a fixed
-//! power-of-two array of locks, each guarding one slice of the hash
-//! space, selected by the low bits of the patch's content hash. The
-//! [`Evaluator::evaluate_batch`] workers hit the cache concurrently;
-//! sharding keeps their lookups from serializing on one mutex.
+//! [`Evaluator`] is a plain memo: one locked map from a patch's content
+//! hash to its outcome. The lock is held for a lookup or an insert,
+//! never across an evaluation, so the [`Evaluator::evaluate_batch`]
+//! workers evaluate in parallel. Every evaluation runs under scheduler
+//! seed 0, the deterministic natural warp order.
 //!
 //! On a cache miss an evaluation is apply → compile → run: the patch is
 //! applied to the pristine kernels, [`Workload::compile`] lowers them and
@@ -52,8 +52,13 @@ use crate::edit::Patch;
 use gevo_gpu::{CompiledKernel, ExecError, LaunchStats};
 use gevo_ir::Kernel;
 use std::collections::HashMap;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::Mutex;
+
+/// The scheduler seed every evaluation passes to the [`Workload`]: 0,
+/// the deterministic natural warp order the fitness baseline uses.
+const EVAL_SEED: u64 = 0;
 
 /// The outcome of evaluating one program variant on the full test set.
 #[derive(Debug, Clone, PartialEq)]
@@ -199,8 +204,8 @@ impl EvalOutcome {
     }
 }
 
-/// The serializable logical content of an [`Evaluator`]: seed, counters
-/// and the outcome cache's entries.
+/// The serializable logical content of an [`Evaluator`]: counters and
+/// the outcome cache's entries.
 ///
 /// Checkpointing this alongside the search state is what keeps a
 /// resumed run's `SearchResult` **bit-identical** to the uninterrupted
@@ -209,8 +214,6 @@ impl EvalOutcome {
 /// `instructions` counters (all part of the result) drift.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvaluatorSnapshot {
-    /// Scheduler seed in force ([`Evaluator::set_eval_seed`]).
-    pub eval_seed: u64,
     /// Evaluations actually performed so far.
     pub evals: u64,
     /// Cache hits served so far.
@@ -224,11 +227,13 @@ pub struct EvaluatorSnapshot {
 }
 
 impl EvaluatorSnapshot {
-    /// Serializes to a JSON object.
+    /// Serializes to a JSON object. `"eval_seed":0` is a fixed part of
+    /// the format: every evaluation runs under scheduler seed 0, and
+    /// checkpoints keep the bytes they had when the seed was settable.
     #[must_use]
     pub fn to_json(&self) -> serde_json::Value {
         let mut obj = serde_json::Map::new();
-        obj.insert("eval_seed", self.eval_seed);
+        obj.insert("eval_seed", EVAL_SEED);
         obj.insert("evals", self.evals);
         obj.insert("cache_hits", self.cache_hits);
         obj.insert("instructions", self.instructions);
@@ -246,13 +251,21 @@ impl EvaluatorSnapshot {
     /// Deserializes the [`to_json`](Self::to_json) representation.
     ///
     /// # Errors
-    /// Returns a message naming the malformed field.
+    /// Returns a message naming the malformed field, including an
+    /// `eval_seed` other than 0 (no evaluation runs under another seed).
     pub fn from_json(v: &serde_json::Value) -> Result<Self, String> {
         let want_u64 = |name: &str| {
             v.get(name)
                 .and_then(serde_json::Value::as_u64)
                 .ok_or_else(|| format!("EvaluatorSnapshot: missing or invalid {name}"))
         };
+        let eval_seed = want_u64("eval_seed")?;
+        if eval_seed != EVAL_SEED {
+            return Err(format!(
+                "EvaluatorSnapshot: eval_seed {eval_seed} is not supported \
+                 (every evaluation runs under seed {EVAL_SEED})"
+            ));
+        }
         let outcomes = v
             .get("outcomes")
             .and_then(serde_json::Value::as_array)
@@ -270,7 +283,6 @@ impl EvaluatorSnapshot {
             })
             .collect::<Result<Vec<_>, String>>()?;
         Ok(EvaluatorSnapshot {
-            eval_seed: want_u64("eval_seed")?,
             evals: want_u64("evals")?,
             cache_hits: want_u64("cache_hits")?,
             instructions: want_u64("instructions")?,
@@ -294,7 +306,8 @@ pub trait Workload: Sync {
 
     /// Runs the variant on every test case and scores it. `eval_seed`
     /// perturbs scheduler interleaving for stochastic workloads
-    /// (paper §II-C2); deterministic workloads may ignore it.
+    /// (paper §II-C2); deterministic workloads may ignore it. The
+    /// [`Evaluator`] always passes 0, the natural warp order.
     fn evaluate(&self, kernels: &[Kernel], eval_seed: u64) -> EvalOutcome;
 
     /// Lowers variant kernels into their compiled form for repeated
@@ -329,11 +342,6 @@ pub trait Workload: Sync {
         None
     }
 }
-
-/// Number of cache shards. A fixed power of two so shard selection is a
-/// mask of the patch hash's low bits; 16 comfortably out-scales the
-/// batch worker pools the engine spawns on the machines this runs on.
-pub const CACHE_SHARDS: usize = 16;
 
 /// Extracts the human-readable message from a caught panic payload
 /// (`panic!("...")` carries `&str` or `String`; anything else is
@@ -526,21 +534,15 @@ impl EvalStats {
 /// caching by patch content hash. The analysis algorithms (§V) re-evaluate
 /// heavily overlapping subsets; the cache keeps that tractable.
 ///
-/// # Concurrency
-///
-/// The cache is split into [`CACHE_SHARDS`] independently locked shards,
-/// selected by the low bits of [`Patch::content_hash`], so concurrent
-/// `evaluate_batch` workers do not contend on one mutex.
-/// The evaluation seed is guarded by an [`RwLock`] that every
-/// [`Evaluator::evaluate`] call holds in *read* mode across its whole
-/// lookup–evaluate–insert sequence, and [`Evaluator::set_eval_seed`]
-/// holds in *write* mode across its reseed-and-clear: a reseed can never
-/// interleave with an in-flight evaluation, so the cache never holds an
-/// outcome computed under a seed other than the one currently in force.
-/// Readers don't block each other, so evaluations still run in parallel.
+/// The cache is one `Mutex<HashMap>`, locked only for a lookup or an
+/// insert. A variant whose evaluation panics is written to the
+/// quarantine directory given to [`Evaluator::quarantine`], if any.
 pub struct Evaluator<'w> {
     workload: &'w dyn Workload,
-    shards: Vec<Mutex<HashMap<u64, EvalOutcome>>>,
+    cache: Mutex<HashMap<u64, EvalOutcome>>,
+    /// Where panic-provoking variants are recorded ([`crate::quarantine`]).
+    /// Crate-visible so a resumed [`crate::Search`] can set it in place.
+    pub(crate) quarantine: Option<PathBuf>,
     evals: AtomicUsize,
     cache_hits: AtomicUsize,
     compiles: AtomicUsize,
@@ -557,7 +559,6 @@ pub struct Evaluator<'w> {
     /// order. Like the lowering counters: observability only, never
     /// checkpointed.
     faults: [AtomicUsize; FaultClass::ALL.len()],
-    eval_seed: RwLock<u64>,
 }
 
 impl<'w> Evaluator<'w> {
@@ -566,9 +567,8 @@ impl<'w> Evaluator<'w> {
     pub fn new(workload: &'w dyn Workload) -> Evaluator<'w> {
         Evaluator {
             workload,
-            shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            cache: Mutex::new(HashMap::new()),
+            quarantine: None,
             evals: AtomicUsize::new(0),
             cache_hits: AtomicUsize::new(0),
             compiles: AtomicUsize::new(0),
@@ -577,20 +577,22 @@ impl<'w> Evaluator<'w> {
             uniform_insts: AtomicU64::new(0),
             folded_insts: AtomicU64::new(0),
             faults: std::array::from_fn(|_| AtomicUsize::new(0)),
-            eval_seed: RwLock::new(0),
         }
+    }
+
+    /// Sets (or clears) the directory where panic-provoking variants are
+    /// recorded as [`crate::QuarantineRecord`]s. Without one, a caught
+    /// panic is still scored as a failure but leaves no record.
+    #[must_use]
+    pub fn quarantine(mut self, dir: Option<PathBuf>) -> Evaluator<'w> {
+        self.quarantine = dir;
+        self
     }
 
     /// The wrapped workload.
     #[must_use]
     pub fn workload(&self) -> &dyn Workload {
         self.workload
-    }
-
-    /// The shard holding a given patch hash.
-    #[allow(clippy::cast_possible_truncation)]
-    fn shard(&self, key: u64) -> &Mutex<HashMap<u64, EvalOutcome>> {
-        &self.shards[(key as usize) & (CACHE_SHARDS - 1)]
     }
 
     /// Accumulates the lowering-pass counters over a newly produced
@@ -608,29 +610,10 @@ impl<'w> Evaluator<'w> {
         self.folded_insts.fetch_add(folded, Ordering::Relaxed);
     }
 
-    /// Sets the scheduler seed used for subsequent evaluations and clears
-    /// the outcome cache (outcomes may differ under the new seed).
-    ///
-    /// The reseed and the clear happen under the seed's write lock, which
-    /// excludes every concurrent [`Evaluator::evaluate`] (they hold the
-    /// read lock for their full duration): no stale-seed outcome can be
-    /// inserted into the freshly cleared cache.
-    pub fn set_eval_seed(&self, seed: u64) {
-        let mut guard = self.eval_seed.write().expect("seed lock");
-        *guard = seed;
-        for shard in &self.shards {
-            shard.lock().expect("cache shard").clear();
-        }
-    }
-
     /// Evaluates a patch (cached).
     pub fn evaluate(&self, patch: &Patch) -> EvalOutcome {
         let key = patch.content_hash();
-        // Hold the seed read-lock across lookup, evaluation and insert so
-        // a concurrent set_eval_seed cannot slip its clear between our
-        // evaluation and our insert (see the type-level docs).
-        let seed_guard = self.eval_seed.read().expect("seed lock");
-        if let Some(hit) = self.shard(key).lock().expect("cache shard").get(&key) {
+        if let Some(hit) = self.cache.lock().expect("cache lock").get(&key) {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             return hit.clone();
         }
@@ -643,27 +626,32 @@ impl<'w> Evaluator<'w> {
         // The caught failure is cached and checkpointed like any other
         // outcome, so a genuine (deterministic) panic scores the same
         // across resume — byte-identity holds.
-        let seed = *seed_guard;
         let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let (kernels, _) = patch.apply(self.workload.kernels());
             match self.workload.compile(&kernels) {
                 Some(Ok(compiled)) => {
                     self.compiles.fetch_add(1, Ordering::Relaxed);
                     self.count_pass_facts(&compiled);
-                    self.workload.evaluate_compiled(&compiled, seed)
+                    self.workload.evaluate_compiled(&compiled, EVAL_SEED)
                 }
                 Some(Err(reason)) => EvalOutcome::fail(FaultClass::Verify, reason),
-                None => self.workload.evaluate(&kernels, seed),
+                None => self.workload.evaluate(&kernels, EVAL_SEED),
             }
         }));
         let outcome = computed.unwrap_or_else(|payload| {
             let reason = format!("panic: {}", panic_message(payload.as_ref()));
-            crate::quarantine::quarantine(&crate::quarantine::QuarantineRecord {
-                workload: self.workload.name().to_string(),
-                patch: patch.clone(),
-                eval_seed: seed,
-                reason: reason.clone(),
-            });
+            if let Some(dir) = &self.quarantine {
+                let record = crate::QuarantineRecord {
+                    workload: self.workload.name().to_string(),
+                    patch: patch.clone(),
+                    reason: reason.clone(),
+                };
+                // Best-effort: a failed write must not make a survived
+                // panic fatal.
+                if let Err(e) = record.write_to(dir) {
+                    eprintln!("gevo: quarantine write failed: {e}");
+                }
+            }
             EvalOutcome::fail(FaultClass::Panic, reason)
         });
         if let Some(class) = outcome.fault {
@@ -674,9 +662,9 @@ impl<'w> Evaluator<'w> {
             self.instructions
                 .fetch_add(stats.instructions, Ordering::Relaxed);
         }
-        self.shard(key)
+        self.cache
             .lock()
-            .expect("cache shard")
+            .expect("cache lock")
             .insert(key, outcome.clone());
         outcome
     }
@@ -737,39 +725,30 @@ impl<'w> Evaluator<'w> {
         }
     }
 
-    /// Entries currently cached, summed over every shard.
+    /// Entries currently cached.
     #[must_use]
     pub fn cache_len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard").len())
-            .sum()
+        self.cache.lock().expect("cache lock").len()
     }
 
-    /// Captures the evaluator's logical content — seed, result-visible
+    /// Captures the evaluator's logical content — result-visible
     /// counters, outcome-cache entries — for checkpointing. Entries are
     /// sorted by content hash so the snapshot (and anything serialized
     /// from it) is byte-stable across processes.
     ///
     /// # Panics
-    /// Panics if a cache lock is poisoned.
+    /// Panics if the cache lock is poisoned.
     #[must_use]
     pub fn export_snapshot(&self) -> EvaluatorSnapshot {
         let mut outcomes: Vec<(u64, EvalOutcome)> = self
-            .shards
+            .cache
+            .lock()
+            .expect("cache lock")
             .iter()
-            .flat_map(|shard| {
-                shard
-                    .lock()
-                    .expect("cache shard")
-                    .iter()
-                    .map(|(k, v)| (*k, v.clone()))
-                    .collect::<Vec<_>>()
-            })
+            .map(|(k, v)| (*k, v.clone()))
             .collect();
         outcomes.sort_by_key(|(k, _)| *k);
         EvaluatorSnapshot {
-            eval_seed: *self.eval_seed.read().expect("seed lock"),
             evals: self.evals.load(Ordering::Relaxed) as u64,
             cache_hits: self.cache_hits.load(Ordering::Relaxed) as u64,
             instructions: self.instructions.load(Ordering::Relaxed),
@@ -778,27 +757,15 @@ impl<'w> Evaluator<'w> {
     }
 
     /// Restores a snapshot taken by [`Evaluator::export_snapshot`]:
-    /// replaces the outcome cache, seed, and counters so subsequent
+    /// replaces the outcome cache and counters so subsequent
     /// evaluations hit and count exactly as they would have had the
     /// original evaluator kept running.
     ///
     /// # Panics
     /// Panics if a snapshot counter exceeds `usize` on this platform or
-    /// a cache lock is poisoned.
+    /// the cache lock is poisoned.
     pub fn import_snapshot(&self, snapshot: &EvaluatorSnapshot) {
-        // Write-lock the seed for the whole restore so no concurrent
-        // evaluate() can interleave with a half-imported cache.
-        let mut seed = self.eval_seed.write().expect("seed lock");
-        *seed = snapshot.eval_seed;
-        for shard in &self.shards {
-            shard.lock().expect("cache shard").clear();
-        }
-        for (key, outcome) in &snapshot.outcomes {
-            self.shard(*key)
-                .lock()
-                .expect("cache shard")
-                .insert(*key, outcome.clone());
-        }
+        *self.cache.lock().expect("cache lock") = snapshot.outcomes.iter().cloned().collect();
         self.evals.store(
             usize::try_from(snapshot.evals).expect("evals fits usize"),
             Ordering::Relaxed,
@@ -962,39 +929,25 @@ mod tests {
             )
         }
         #[allow(clippy::cast_precision_loss)]
-        fn evaluate_compiled(&self, compiled: &[CompiledKernel], seed: u64) -> EvalOutcome {
+        fn evaluate_compiled(&self, compiled: &[CompiledKernel], _seed: u64) -> EvalOutcome {
             let insts: usize = compiled.iter().map(CompiledKernel::inst_count).sum();
-            EvalOutcome::pass(
-                1000.0 * (1.0 + seed as f64) + insts as f64,
-                LaunchStats::default(),
-            )
+            EvalOutcome::pass(1000.0 + insts as f64, LaunchStats::default())
         }
     }
 
-    /// A workload whose fitness encodes the evaluation seed, to observe
-    /// which seed an outcome was computed under.
-    struct SeedEcho {
-        kernels: Vec<Kernel>,
-    }
+    /// A workload whose every evaluation panics, for the isolation
+    /// boundary and quarantine tests.
+    struct Panicking(Stub);
 
-    impl SeedEcho {
-        fn new() -> SeedEcho {
-            SeedEcho {
-                kernels: Stub::new().kernels,
-            }
-        }
-    }
-
-    impl Workload for SeedEcho {
+    impl Workload for Panicking {
         fn name(&self) -> &'static str {
-            "seed-echo"
+            "panicking"
         }
         fn kernels(&self) -> &[Kernel] {
-            &self.kernels
+            self.0.kernels()
         }
-        #[allow(clippy::cast_precision_loss)]
-        fn evaluate(&self, _kernels: &[Kernel], seed: u64) -> EvalOutcome {
-            EvalOutcome::pass(1.0 + seed as f64, LaunchStats::default())
+        fn evaluate(&self, _kernels: &[Kernel], _seed: u64) -> EvalOutcome {
+            panic!("simulator bug");
         }
     }
 
@@ -1075,8 +1028,7 @@ mod tests {
         let _ = ev.evaluate(&Patch::empty());
         let _ = ev.evaluate(&Patch::empty()); // cache hit: simulates nothing
         assert_eq!(ev.stats().instructions, 7);
-        ev.set_eval_seed(3);
-        let _ = ev.evaluate(&Patch::empty()); // re-simulated under new seed
+        let _ = ev.evaluate(&distinct_patches(1)[0]); // a new variant simulates
         assert_eq!(ev.stats().instructions, 14);
     }
 
@@ -1130,18 +1082,19 @@ mod tests {
         assert_eq!(ev.stats().compiles, 2);
         assert_eq!(w.compiles.load(Ordering::Relaxed), 2);
 
-        // Same patches under a new seed: the outcome cache was cleared
-        // and the fitness encodes the seed, so both are applied,
-        // compiled and run again.
-        ev.set_eval_seed(5);
-        let second: Vec<EvalOutcome> = patches.iter().map(|p| ev.evaluate(p)).collect();
-        let stats = ev.stats();
-        assert_eq!(stats.evals, 4, "re-evaluated under new seed");
-        assert_eq!(stats.compiles, 4);
+        // A fresh evaluator has an empty cache: both patches are
+        // applied, compiled and run again, to the same outcomes.
+        let fresh = Evaluator::new(&w);
+        let second: Vec<EvalOutcome> = patches.iter().map(|p| fresh.evaluate(p)).collect();
+        assert_eq!(fresh.stats().evals, 2);
+        assert_eq!(fresh.stats().compiles, 2);
+        assert_eq!(
+            ev.stats().compiles,
+            2,
+            "the first evaluator compiled nothing more"
+        );
         assert_eq!(w.compiles.load(Ordering::Relaxed), 4);
-        for (a, b) in first.iter().zip(&second) {
-            assert_ne!(a.fitness, b.fitness, "fitness tracks the new seed");
-        }
+        assert_eq!(first, second);
     }
 
     #[test]
@@ -1241,18 +1194,6 @@ mod tests {
 
     #[test]
     fn caught_panic_is_a_panic_outcome() {
-        struct Panicking(Stub);
-        impl Workload for Panicking {
-            fn name(&self) -> &'static str {
-                "panicking"
-            }
-            fn kernels(&self) -> &[Kernel] {
-                self.0.kernels()
-            }
-            fn evaluate(&self, _kernels: &[Kernel], _seed: u64) -> EvalOutcome {
-                panic!("simulator bug");
-            }
-        }
         let w = Panicking(Stub::new());
         let ev = Evaluator::new(&w);
         let out = ev.evaluate(&Patch::empty());
@@ -1261,6 +1202,42 @@ mod tests {
         let faults = ev.stats().faults;
         assert_eq!(faults.panic, 1);
         assert_eq!(faults.total(), 1);
+    }
+
+    #[test]
+    fn each_evaluator_quarantines_into_its_own_directory() {
+        let root = std::env::temp_dir().join(format!("gevo-quarantine-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let (dir_a, dir_b) = (root.join("a"), root.join("b"));
+        let w = Panicking(Stub::new());
+        let a = Evaluator::new(&w).quarantine(Some(dir_a.clone()));
+        let b = Evaluator::new(&w).quarantine(Some(dir_b.clone()));
+        let unrecorded = Evaluator::new(&w);
+        let patches = distinct_patches(3);
+        let _ = a.evaluate(&patches[0]);
+        let _ = b.evaluate(&patches[1]);
+        let _ = b.evaluate(&patches[2]);
+        assert_eq!(
+            unrecorded.evaluate(&patches[0]).fault,
+            Some(FaultClass::Panic)
+        );
+
+        let records = |dir: &std::path::Path| -> Vec<Patch> {
+            let mut patches: Vec<Patch> = std::fs::read_dir(dir)
+                .expect("quarantine dir exists")
+                .map(|e| {
+                    let rec = crate::QuarantineRecord::load(&e.expect("dir entry").path());
+                    rec.expect("record loads").patch
+                })
+                .collect();
+            patches.sort_by_key(Patch::content_hash);
+            patches
+        };
+        assert_eq!(records(&dir_a), vec![patches[0].clone()]);
+        let mut want_b = vec![patches[1].clone(), patches[2].clone()];
+        want_b.sort_by_key(Patch::content_hash);
+        assert_eq!(records(&dir_b), want_b);
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
@@ -1327,62 +1304,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn seed_change_clears_cache() {
-        let w = Stub::new();
-        let ev = Evaluator::new(&w);
-        let _ = ev.evaluate(&Patch::empty());
-        assert_eq!(ev.cache_len(), 1);
-        ev.set_eval_seed(99);
-        assert_eq!(ev.cache_len(), 0);
-        let _ = ev.evaluate(&Patch::empty());
-        assert_eq!(ev.evals_performed(), 2);
-    }
-
-    #[test]
-    fn reseed_is_atomic_with_concurrent_evaluates() {
-        // Hammer evaluate() from many threads while reseeding in between:
-        // at every instant the cache must only hold outcomes computed
-        // under the seed in force, so after the final reseed every cached
-        // fitness echoes the final seed.
-        let w = SeedEcho::new();
-        let ev = Evaluator::new(&w);
-        let patches = distinct_patches(32);
-        let done = std::sync::atomic::AtomicBool::new(false);
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let ev = &ev;
-                let patches = &patches;
-                let done = &done;
-                s.spawn(move || {
-                    let mut i = t;
-                    while !done.load(Ordering::Relaxed) {
-                        let _ = ev.evaluate(&patches[i % patches.len()]);
-                        i += 1;
-                    }
-                });
-            }
-            for seed in 1..=20u64 {
-                ev.set_eval_seed(seed);
-            }
-            done.store(true, Ordering::Relaxed);
-        });
-        // Everything cached after the final reseed was computed under it.
-        ev.set_eval_seed(77);
-        let _ = ev.evaluate_batch(&patches, 4);
-        for p in &patches {
-            assert_eq!(ev.evaluate(p).fitness, Some(78.0), "stale-seed entry");
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16).with_rng_seed(0x5AAD_CA5E))]
 
         /// The concurrent zero-lost-entries property: however many worker
-        /// threads race distinct patches into the sharded cache, every
-        /// entry lands exactly once and every later lookup hits.
+        /// threads race distinct patches into the cache, every entry
+        /// lands exactly once and every later lookup hits.
         #[test]
-        fn sharded_cache_loses_nothing_under_concurrency(
+        fn cache_loses_nothing_under_concurrency(
             threads in 2usize..8,
             patches in 8usize..48,
         ) {

@@ -96,10 +96,9 @@ pub use analysis::{
 pub use edit::{Edit, Patch};
 pub use fitness::{
     EvalOutcome, EvalStats, Evaluator, EvaluatorSnapshot, FaultClass, FaultTallies, Workload,
-    CACHE_SHARDS,
 };
 pub use ga::{GaConfig, GenerationRecord, History, Individual};
-pub use mutation::{crossover_one_point, crossover_uniform, MutationSpace, MutationWeights};
+pub use mutation::{crossover_one_point, MutationSpace, MutationWeights};
 pub use quarantine::QuarantineRecord;
 pub use search::{
     crowding_distances, dominates, non_dominated_sort, nsga2_order, Objective, ParetoPoint, Search,

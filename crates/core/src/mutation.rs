@@ -285,23 +285,6 @@ pub fn crossover_one_point<R: Rng>(a: &Patch, b: &Patch, rng: &mut R) -> Patch {
     Patch::from_edits(edits)
 }
 
-/// Uniform crossover: each edit of each parent is inherited with p=0.5,
-/// preserving relative order (parent `a` first).
-pub fn crossover_uniform<R: Rng>(a: &Patch, b: &Patch, rng: &mut R) -> Patch {
-    let mut edits = Vec::new();
-    for e in a.edits() {
-        if rng.gen_bool(0.5) {
-            edits.push(*e);
-        }
-    }
-    for e in b.edits() {
-        if rng.gen_bool(0.5) {
-            edits.push(*e);
-        }
-    }
-    Patch::from_edits(edits)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,26 +381,6 @@ mod tests {
                 assert!(pa.edits().contains(e) || pb.edits().contains(e));
             }
             assert!(child.len() <= pa.len() + pb.len());
-        }
-    }
-
-    #[test]
-    fn crossover_uniform_inherits_subset() {
-        let ks = kernels();
-        let ids = ks[0].inst_ids();
-        let pa = Patch::from_edits(
-            ids.iter()
-                .map(|id| Edit::Delete {
-                    kernel: 0,
-                    target: *id,
-                })
-                .collect(),
-        );
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let child = crossover_uniform(&pa, &Patch::empty(), &mut rng);
-        assert!(child.len() < pa.len(), "p=0.5 keeps roughly half");
-        for e in child.edits() {
-            assert!(pa.edits().contains(e));
         }
     }
 

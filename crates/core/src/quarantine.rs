@@ -6,47 +6,28 @@
 //! therefore runs every evaluation behind `catch_unwind`; when an
 //! evaluation panics, the offending variant is serialized here as a
 //! [`QuarantineRecord`] before the search continues, so the exact
-//! (workload, patch, seed) triple that provoked the panic can be
+//! (workload, patch) pair that provoked the panic can be
 //! replayed deterministically in isolation (`chaos_check --repro`).
 //!
-//! The quarantine directory is process-global configuration, set once
-//! at startup from the `GEVO_QUARANTINE` knob: evaluation happens deep
-//! inside the engine where threading a path through every call site
-//! would touch the entire GA for a debugging-only concern. Writes are best-effort
-//! — a full disk must not turn a survived panic into a fatal error —
-//! and failures are reported on stderr.
+//! The directory is a parameter of each evaluator
+//! ([`crate::Evaluator::quarantine`], [`crate::Search::quarantine`]);
+//! an evaluator without one records nothing. Writes are best-effort —
+//! a full disk must not turn a survived panic into a fatal error — and
+//! failures are reported on stderr.
 
 use crate::edit::Patch;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock};
-
-fn dir_cell() -> &'static Mutex<Option<PathBuf>> {
-    static CELL: OnceLock<Mutex<Option<PathBuf>>> = OnceLock::new();
-    CELL.get_or_init(|| Mutex::new(None))
-}
-
-/// Sets (or clears) the process-wide quarantine directory.
-pub fn set_dir(dir: Option<PathBuf>) {
-    *dir_cell().lock().expect("quarantine dir lock") = dir;
-}
-
-/// The quarantine directory currently in force, if any.
-#[must_use]
-pub fn dir() -> Option<PathBuf> {
-    dir_cell().lock().expect("quarantine dir lock").clone()
-}
 
 /// Everything needed to replay a panic-provoking evaluation: the
-/// workload registry name, the exact patch, the scheduler seed in
-/// force, and the captured panic message.
+/// workload name, the exact patch and the captured panic
+/// message. Every evaluation runs under scheduler seed 0, so the record
+/// names no seed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuarantineRecord {
-    /// Workload registry name (`adept-v0`, `adept-v1`, `simcov`).
+    /// The workload's [`crate::Workload::name`] (`adept-v0[P100-scaled]`).
     pub workload: String,
     /// The variant that provoked the panic.
     pub patch: Patch,
-    /// Scheduler seed the evaluation ran under.
-    pub eval_seed: u64,
     /// The failure as scored (`panic: <captured message>`).
     pub reason: String,
 }
@@ -58,12 +39,13 @@ impl QuarantineRecord {
         let mut obj = serde_json::Map::new();
         obj.insert("workload", self.workload.clone());
         obj.insert("patch", self.patch.to_json());
-        obj.insert("eval_seed", self.eval_seed);
         obj.insert("reason", self.reason.clone());
         serde_json::Value::Object(obj)
     }
 
     /// Deserializes the [`to_json`](Self::to_json) representation.
+    /// Keys it does not read are ignored, so records that still carry
+    /// the `"eval_seed"` field older builds wrote load too.
     ///
     /// # Errors
     /// Returns a message naming the malformed field.
@@ -77,10 +59,6 @@ impl QuarantineRecord {
         Ok(QuarantineRecord {
             workload: str_field("workload")?,
             patch: Patch::from_json(v.get("patch").ok_or("QuarantineRecord: missing patch")?)?,
-            eval_seed: v
-                .get("eval_seed")
-                .and_then(serde_json::Value::as_u64)
-                .ok_or("QuarantineRecord: missing or invalid eval_seed")?,
             reason: str_field("reason")?,
         })
     }
@@ -129,22 +107,6 @@ impl QuarantineRecord {
     }
 }
 
-/// Best-effort quarantine into the process-wide directory: a no-op when
-/// no directory is configured, and a stderr report (never a panic) when
-/// the write fails — quarantine must not make a survived panic fatal.
-// The returned path is informational; the evaluator fires and forgets.
-#[allow(clippy::must_use_candidate)]
-pub fn quarantine(record: &QuarantineRecord) -> Option<PathBuf> {
-    let dir = dir()?;
-    match record.write_to(&dir) {
-        Ok(path) => Some(path),
-        Err(e) => {
-            eprintln!("gevo: quarantine write failed: {e}");
-            None
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,7 +119,6 @@ mod tests {
                 kernel: 0,
                 target: gevo_ir::InstId(3),
             }]),
-            eval_seed: 42,
             reason: "panic: index out of bounds".to_string(),
         }
     }
@@ -183,6 +144,21 @@ mod tests {
         // Same variant re-quarantined lands on the same file.
         assert_eq!(rec.write_to(&dir).expect("rewrite"), path);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn record_with_an_eval_seed_still_loads() {
+        // Records written before the seed was fixed carry "eval_seed".
+        let rec = sample();
+        let mut obj = serde_json::Map::new();
+        obj.insert("workload", rec.workload.clone());
+        obj.insert("patch", rec.patch.to_json());
+        obj.insert("eval_seed", 0u64);
+        obj.insert("reason", rec.reason.clone());
+        let text = serde_json::Value::Object(obj).to_string();
+        assert!(text.contains(r#""eval_seed":0"#), "{text}");
+        let back = QuarantineRecord::from_json(&serde_json::from_str(&text).unwrap());
+        assert_eq!(back.expect("older record loads"), rec);
     }
 
     #[test]

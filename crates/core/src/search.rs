@@ -74,6 +74,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
+use std::path::PathBuf;
 
 /// One dimension of the (possibly multi-objective) fitness. All
 /// objectives are **minimized**; each extracts its score from a passing
@@ -215,7 +216,7 @@ pub struct SearchResult {
     pub history: History,
     /// Fitness evaluations actually performed (cache misses).
     pub evals: usize,
-    /// Evaluations served from the sharded cache.
+    /// Evaluations served from the outcome cache.
     pub cache_hits: usize,
     /// Simulated warp-instructions across the performed evaluations.
     pub instructions: u64,
@@ -253,6 +254,8 @@ pub struct Search<'a> {
     spec: SearchSpec,
     weights: MutationWeights,
     observer: Option<&'a mut dyn SearchObserver>,
+    /// Where the evaluator records panic-provoking variants.
+    quarantine: Option<PathBuf>,
     /// The live run state, materialized lazily on the first
     /// [`Search::step`]/[`Search::checkpoint`] (or rebuilt by
     /// [`Search::resume`]). `None` while the session is still being
@@ -270,6 +273,7 @@ impl<'a> Search<'a> {
             spec: SearchSpec::default(),
             weights: MutationWeights::default(),
             observer: None,
+            quarantine: None,
             engine: None,
         }
     }
@@ -283,6 +287,7 @@ impl<'a> Search<'a> {
             spec,
             weights: MutationWeights::default(),
             observer: None,
+            quarantine: None,
             engine: None,
         }
     }
@@ -309,6 +314,7 @@ impl<'a> Search<'a> {
             spec: state.spec.clone(),
             weights: state.weights.clone(),
             observer: None,
+            quarantine: None,
             engine: Some(engine),
         }
     }
@@ -371,6 +377,20 @@ impl<'a> Search<'a> {
         self
     }
 
+    /// Sets (or clears) the directory where the evaluator records
+    /// panic-provoking variants ([`Evaluator::quarantine`]). Like
+    /// [`Search::observer`] it is valid at any point, before or after
+    /// [`Search::resume`]; it is never part of the spec, the checkpoint
+    /// or the result.
+    #[must_use]
+    pub fn quarantine(mut self, dir: Option<PathBuf>) -> Search<'a> {
+        if let Some(engine) = &mut self.engine {
+            engine.evaluator.quarantine.clone_from(&dir);
+        }
+        self.quarantine = dir;
+        self
+    }
+
     /// The spec this session will run (for banners and logs).
     #[must_use]
     pub fn spec(&self) -> &SearchSpec {
@@ -399,7 +419,8 @@ impl<'a> Search<'a> {
     /// population, RNG stream) if this session has not started yet.
     fn ensure_engine(&mut self) {
         if self.engine.is_none() {
-            self.engine = Some(Engine::new(self.workload, &self.spec, &self.weights));
+            let evaluator = Evaluator::new(self.workload).quarantine(self.quarantine.clone());
+            self.engine = Some(Engine::new(evaluator, &self.spec, &self.weights));
         }
     }
 
@@ -674,8 +695,8 @@ impl<'a> Engine<'a> {
     /// Fresh-run construction: evaluates the baseline, then seeds the
     /// population with the pristine program plus single-mutation
     /// variants drawn from the master-seeded stream.
-    fn new(workload: &'a dyn Workload, spec: &SearchSpec, weights: &MutationWeights) -> Engine<'a> {
-        let evaluator = Evaluator::new(workload);
+    fn new(evaluator: Evaluator<'a>, spec: &SearchSpec, weights: &MutationWeights) -> Engine<'a> {
+        let workload = evaluator.workload();
         let baseline = evaluator.baseline();
         let space = MutationSpace::new(workload.kernels(), weights.clone());
         let ga = &spec.ga;
@@ -1365,6 +1386,48 @@ mod tests {
             .observer(&mut tape)
             .run();
         assert_eq!(tape.gens, res.history.records);
+    }
+
+    #[test]
+    fn quarantine_applies_before_and_after_resume() {
+        /// Panics on every variant that deleted an instruction.
+        struct PanicsOnDelete(crate::toy::Toy);
+        impl Workload for PanicsOnDelete {
+            fn name(&self) -> &'static str {
+                "panics-on-delete"
+            }
+            fn kernels(&self) -> &[Kernel] {
+                self.0.kernels()
+            }
+            fn evaluate(&self, ks: &[Kernel], seed: u64) -> EvalOutcome {
+                let pristine = self.0.kernels()[0].inst_count();
+                assert!(ks[0].inst_count() >= pristine, "deleted an instruction");
+                self.0.evaluate(ks, seed)
+            }
+        }
+        let root = std::env::temp_dir().join(format!("gevo-search-q-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let records = |dir: &str| std::fs::read_dir(root.join(dir)).map_or(0, Iterator::count);
+        let w = PanicsOnDelete(crate::toy::Toy::new());
+
+        let mut first = Search::new(&w)
+            .config(quick_ga(3))
+            .quarantine(Some(root.join("fresh")));
+        let _ = first.step();
+        let state = first.checkpoint();
+        assert!(records("fresh") > 0, "set before the engine starts");
+        let fresh_records = records("fresh");
+
+        let _ = Search::resume(&w, &state)
+            .quarantine(Some(root.join("resumed")))
+            .run();
+        assert!(records("resumed") > 0, "set after resume");
+        assert_eq!(
+            records("fresh"),
+            fresh_records,
+            "the first search's directory"
+        );
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

@@ -1005,7 +1005,6 @@ mod tests {
             }],
             pareto_seen: vec![1, 17, 0xFFFF_FFFF_FFFF_FFFF],
             evaluator: crate::fitness::EvaluatorSnapshot {
-                eval_seed: 11,
                 evals: 3,
                 cache_hits: 2,
                 instructions: 456,
@@ -1017,6 +1016,8 @@ mod tests {
         };
         let v = reparse(&state.to_json());
         assert_eq!(SearchState::from_json(&v).unwrap(), state);
+        let text = state.to_json().to_string();
+        assert!(text.contains(r#""evaluator":{"eval_seed":0,"#), "{text}");
 
         // A future format is refused, not misread; so are format 2, whose
         // state is a list of islands, and format 1, whose failing
@@ -1029,6 +1030,24 @@ mod tests {
             let err = SearchState::from_json(&other).unwrap_err();
             assert!(err.contains("unsupported checkpoint format"), "{err}");
         }
+    }
+
+    #[test]
+    fn checkpoint_with_a_nonzero_eval_seed_is_refused() {
+        let w = crate::toy::Toy::new();
+        let mut search = crate::Search::new(&w).config(crate::GaConfig {
+            population: 4,
+            generations: 2,
+            ..crate::GaConfig::default()
+        });
+        let _ = search.step();
+        let text = search.checkpoint().to_json().to_string();
+        assert!(SearchState::from_json(&serde_json::from_str(&text).unwrap()).is_ok());
+
+        let reseeded = text.replace(r#""eval_seed":0"#, r#""eval_seed":11"#);
+        assert_eq!(reseeded.len(), text.len() + 1, "one eval_seed field");
+        let err = SearchState::from_json(&serde_json::from_str(&reseeded).unwrap()).unwrap_err();
+        assert!(err.contains("eval_seed"), "{err}");
     }
 
     #[test]

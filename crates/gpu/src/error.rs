@@ -19,12 +19,6 @@ pub enum ExecError {
         /// Access width.
         bytes: u64,
     },
-    /// Global access outside any live allocation while the GPU is in
-    /// strict (cuda-memcheck-like) bounds mode.
-    StrictFault {
-        /// Offending byte address.
-        addr: i64,
-    },
     /// Shared-memory access outside the block's static allocation.
     SharedFault {
         /// Offending byte offset.
@@ -84,9 +78,6 @@ impl fmt::Display for ExecError {
         match self {
             ExecError::GlobalFault { addr, bytes } => {
                 write!(f, "global memory fault at {addr} ({bytes}-byte access)")
-            }
-            ExecError::StrictFault { addr } => {
-                write!(f, "strict-mode fault: {addr} is outside every live buffer")
             }
             ExecError::SharedFault { addr, shared_bytes } => {
                 write!(

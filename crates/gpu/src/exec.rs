@@ -41,9 +41,7 @@ use crate::launch::{KernelArg, LaunchConfig, LaunchStats};
 use crate::mem::DeviceMemory;
 use crate::spec::GpuSpec;
 use crate::value::Value;
-use gevo_ir::{
-    rng, AddrSpace, CmpPred, FloatBinOp, InstId, IntBinOp, Kernel, MemTy, Op, Param, Ty,
-};
+use gevo_ir::{rng, AddrSpace, CmpPred, FloatBinOp, IntBinOp, Kernel, MemTy, Op, Param, Ty};
 
 /// Maximum supported warp width (masks are stored in `u64`, lane indices
 /// reported through `i32` ballots cap at 32).
@@ -94,16 +92,6 @@ impl Gpu {
     /// [`Gpu::with_scratch`].
     pub fn take_scratch(&mut self) -> ExecScratch {
         std::mem::take(&mut self.scratch)
-    }
-
-    /// Creates a device with an explicit arena size (e.g. sized so a
-    /// buffer can be placed flush against the top; see
-    /// [`DeviceMemory::alloc_at_end`]).
-    #[must_use]
-    pub fn with_arena(spec: GpuSpec, arena_bytes: u64) -> Gpu {
-        let mut spec = spec;
-        spec.device_mem_bytes = arena_bytes;
-        Gpu::new(spec)
     }
 
     /// The device's spec.
@@ -1864,23 +1852,6 @@ fn ibin_i64(op: IntBinOp, a: i64, b: i64) -> i64 {
         IntBinOp::AShr => a.wrapping_shr(b as u32),
         #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
         IntBinOp::LShr => ((a as u64).wrapping_shr(b as u32)) as i64,
-    }
-}
-
-/// Identify an instruction for diagnostics (kernel + id).
-#[must_use]
-pub fn describe_inst(kernel: &Kernel, id: InstId) -> String {
-    match kernel.locate(id) {
-        Some(pos) => {
-            let inst = kernel.inst_at(pos).expect("located");
-            let tag = kernel.loc_str(inst.loc);
-            if tag.is_empty() {
-                format!("{}:{}", kernel.name, id)
-            } else {
-                format!("{}:{} @{}", kernel.name, id, tag)
-            }
-        }
-        None => format!("{}:{} (terminator or deleted)", kernel.name, id),
     }
 }
 

@@ -7,10 +7,7 @@
 //!   reads zeros as long as it stays inside device memory (`SIMCoV`'s
 //!   boundary-check removal passes the small-grid tests this way);
 //! * accesses beyond the arena (or below the null guard) fault — the
-//!   "segmentation fault on the 2500×2500 held-out grid";
-//! * a `strict` mode additionally faults on any access outside a live
-//!   allocation, the cuda-memcheck analog used by tests that want to
-//!   assert a variant is genuinely in-bounds.
+//!   "segmentation fault on the 2500×2500 held-out grid".
 
 use crate::error::ExecError;
 use gevo_ir::MemTy;
@@ -33,21 +30,13 @@ impl Buffer {
     pub fn base(&self) -> i64 {
         i64::try_from(self.addr).expect("arena addresses fit in i64")
     }
-
-    /// Byte address of element `i` for `elem`-byte elements.
-    #[must_use]
-    pub fn elem_addr(&self, i: u64, elem: u64) -> i64 {
-        i64::try_from(self.addr + i * elem).expect("arena addresses fit in i64")
-    }
 }
 
 /// The device-memory arena.
 #[derive(Debug, Clone)]
 pub struct DeviceMemory {
     data: Vec<u8>,
-    allocs: Vec<Buffer>,
     cursor: u64,
-    strict: bool,
 }
 
 impl DeviceMemory {
@@ -56,9 +45,7 @@ impl DeviceMemory {
     pub fn new(bytes: u64) -> DeviceMemory {
         DeviceMemory {
             data: vec![0u8; usize::try_from(bytes).expect("arena fits in usize")],
-            allocs: Vec::new(),
             cursor: NULL_GUARD,
-            strict: false,
         }
     }
 
@@ -72,17 +59,6 @@ impl DeviceMemory {
     #[must_use]
     pub fn available(&self) -> u64 {
         self.capacity().saturating_sub(self.cursor)
-    }
-
-    /// Enables or disables strict (cuda-memcheck-like) bounds checking.
-    pub fn set_strict(&mut self, strict: bool) {
-        self.strict = strict;
-    }
-
-    /// Whether strict mode is on.
-    #[must_use]
-    pub fn strict(&self) -> bool {
-        self.strict
     }
 
     /// Allocates `bytes` bytes, 256-byte aligned (cudaMalloc-like).
@@ -104,7 +80,6 @@ impl DeviceMemory {
             addr: base,
             len: bytes,
         };
-        self.allocs.push(buf);
         self.cursor = end;
         Ok(buf)
     }
@@ -131,16 +106,8 @@ impl DeviceMemory {
             addr: base_aligned,
             len: self.capacity() - base_aligned,
         };
-        self.allocs.push(buf);
         self.cursor = self.capacity();
         Ok(buf)
-    }
-
-    /// Resets all allocations and zeroes the arena (fresh test case).
-    pub fn reset(&mut self) {
-        self.data.fill(0);
-        self.allocs.clear();
-        self.cursor = NULL_GUARD;
     }
 
     fn check(&self, addr: i64, bytes: u64) -> Result<usize, ExecError> {
@@ -153,14 +120,6 @@ impl DeviceMemory {
         }
         if !a.is_multiple_of(bytes) {
             return Err(ExecError::Misaligned { addr, align: bytes });
-        }
-        if self.strict
-            && !self
-                .allocs
-                .iter()
-                .any(|b| a >= b.addr && a + bytes <= b.addr + b.len)
-        {
-            return Err(ExecError::StrictFault { addr });
         }
         Ok(usize::try_from(a).expect("checked address fits usize"))
     }
@@ -352,18 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn strict_mode_rejects_out_of_buffer() {
-        let mut m = DeviceMemory::new(4096);
-        let a = m.alloc(64).unwrap();
-        m.set_strict(true);
-        assert!(m.load(a.base(), MemTy::I32).is_ok());
-        assert!(matches!(
-            m.load(a.base() + 1024, MemTy::I32),
-            Err(ExecError::StrictFault { .. })
-        ));
-    }
-
-    #[test]
     fn store_then_load_roundtrip() {
         let mut m = DeviceMemory::new(4096);
         let a = m.alloc(64).unwrap();
@@ -398,16 +345,5 @@ mod tests {
             m.load((g.addr + g.len) as i64, MemTy::I32),
             Err(ExecError::GlobalFault { .. })
         ));
-    }
-
-    #[test]
-    fn reset_clears_allocations_and_data() {
-        let mut m = DeviceMemory::new(4096);
-        let a = m.alloc(64).unwrap();
-        m.store(a.base(), Value::I32(42)).unwrap();
-        m.reset();
-        let b = m.alloc(64).unwrap();
-        assert_eq!(b.addr, a.addr, "allocation restarts from the bottom");
-        assert_eq!(m.load(b.base(), MemTy::I32).unwrap(), Value::I32(0));
     }
 }

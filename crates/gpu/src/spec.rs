@@ -275,15 +275,6 @@ impl GpuSpec {
     pub fn cuda_cores(&self) -> u32 {
         self.sm_count * self.cores_per_sm
     }
-
-    /// Converts a cycle count to milliseconds at this spec's clock.
-    #[must_use]
-    pub fn cycles_to_ms(&self, cycles: u64) -> f64 {
-        #[allow(clippy::cast_precision_loss)]
-        {
-            cycles as f64 / (f64::from(self.clock_mhz) * 1e3)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -316,15 +307,5 @@ mod tests {
         assert_eq!(s.warp_size, 8);
         assert_eq!(s.costs, p.costs);
         assert_eq!(s.clock_mhz, p.clock_mhz);
-    }
-
-    #[test]
-    fn cycle_conversion() {
-        let p = GpuSpec::p100();
-        let ms = p.cycles_to_ms(1_386_000);
-        assert!(
-            (ms - 1.0).abs() < 1e-9,
-            "1386k cycles at 1386MHz = 1ms, got {ms}"
-        );
     }
 }

@@ -67,12 +67,6 @@ impl UniformityInfo {
             Operand::Special(s) => !matches!(s, Special::ThreadId | Special::LaneId),
         }
     }
-
-    /// Number of registers proved uniform.
-    #[must_use]
-    pub fn uniform_count(&self) -> usize {
-        self.uniform_regs.iter().filter(|&&u| u).count()
-    }
 }
 
 /// Whether a def of this op yields the same value in every lane that

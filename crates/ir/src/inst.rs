@@ -549,20 +549,6 @@ impl Op {
         !matches!(self, Op::Store { .. } | Op::SyncThreads)
     }
 
-    /// True for ops that read or write memory (used by mutation operators
-    /// to bias sampling, and by the verifier).
-    #[must_use]
-    pub fn touches_memory(&self) -> bool {
-        matches!(
-            self,
-            Op::Load { .. }
-                | Op::Store { .. }
-                | Op::AtomicAdd { .. }
-                | Op::AtomicMax { .. }
-                | Op::AtomicCas { .. }
-        )
-    }
-
     /// Mnemonic used by the printer.
     #[must_use]
     pub fn mnemonic(&self) -> String {

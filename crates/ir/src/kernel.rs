@@ -4,7 +4,6 @@ use crate::inst::{
     BlockId, InstId, Instr, LocId, Operand, Reg, Special, TermKind, Terminator, LOC_NONE,
 };
 use crate::types::{ParamTy, Ty};
-use std::collections::HashMap;
 
 /// A formal kernel parameter.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -160,15 +159,6 @@ impl Kernel {
         })
     }
 
-    /// Builds an index from instruction ID to current position. Invalidated
-    /// by any structural edit.
-    #[must_use]
-    pub fn position_index(&self) -> HashMap<InstId, InstPos> {
-        self.iter_insts()
-            .map(|(pos, inst)| (inst.id, pos))
-            .collect()
-    }
-
     /// Resolves a (body) instruction ID to its current position, scanning.
     #[must_use]
     pub fn locate(&self, id: InstId) -> Option<InstPos> {
@@ -287,12 +277,6 @@ impl Kernel {
         self.iter_insts().map(|(_, i)| i.id).collect()
     }
 
-    /// Dynamic count of `b1`-typed registers (condition-replacement pool).
-    #[must_use]
-    pub fn bool_regs(&self) -> Vec<Reg> {
-        self.regs_of_ty(Ty::Bool)
-    }
-
     /// Highest instruction ID ever allocated plus one; IDs below this bound
     /// belong to the pristine kernel or earlier insertions.
     #[must_use]
@@ -401,14 +385,5 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(k.loc_str(a), "site_a");
         assert_eq!(k.loc_str(LOC_NONE), "");
-    }
-
-    #[test]
-    fn position_index_matches_iteration() {
-        let k = small_kernel();
-        let idx = k.position_index();
-        for (pos, inst) in k.iter_insts() {
-            assert_eq!(idx[&inst.id], pos);
-        }
     }
 }

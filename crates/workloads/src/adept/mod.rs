@@ -835,151 +835,3 @@ mod tests {
         assert_eq!(ev.stats().faults.exec, 1);
     }
 }
-
-#[cfg(test)]
-mod diag_tests {
-    use super::*;
-    use gevo_engine::Evaluator;
-
-    #[test]
-    #[ignore = "diagnostic"]
-    fn print_v1_cost_breakdown() {
-        let w = AdeptWorkload::new(AdeptConfig::scaled(Version::V1));
-        let ev = Evaluator::new(&w);
-        let base = ev.evaluate(&Patch::empty());
-        println!("baseline: {:?}", base.fitness);
-        println!("{}", base.stats.unwrap());
-        for set in [
-            vec!["v1:e6"],
-            vec!["v1:e6", "v1:e8"],
-            vec!["v1:e6", "v1:e8", "v1:e10"],
-            vec!["v1:e5", "v1:e6", "v1:e8", "v1:e10"],
-            vec!["v1:e0", "v1:e11"],
-            vec!["v1:k0:del_ballot"],
-            vec!["v1:k0:del_recompute"],
-            vec!["v1:e5", "v1:e6", "v1:e8", "v1:e10", "v1:e0", "v1:e11"],
-        ] {
-            let p = Patch::from_edits(set.iter().map(|n| w.edit(n)).collect());
-            let out = ev.evaluate(&p);
-            match out.fitness {
-                Some(f) => {
-                    let s = base.fitness.unwrap() / f;
-                    let st = out.stats.unwrap();
-                    println!(
-                        "{set:?}: speedup {s:.4} (div {} shfl {} sh {} conf {})",
-                        st.divergent_branches, st.shfls, st.shared_accesses, st.shared_conflicts
-                    );
-                }
-                None => println!("{set:?}: FAILED ({})", out.failure.unwrap()),
-            }
-        }
-        let full = ev.evaluate(&w.curated_patch());
-        println!(
-            "curated_patch: speedup {:.4}",
-            base.fitness.unwrap() / full.fitness.expect("curated patch valid")
-        );
-    }
-}
-
-#[cfg(test)]
-mod probe_tests {
-    use super::*;
-    use gevo_engine::Evaluator;
-
-    #[test]
-    #[ignore = "diagnostic"]
-    fn probe_divergence_sensitivity() {
-        for (div, shfl) in [(12u64, 6u64), (100, 6), (12, 50)] {
-            let mut cfg = AdeptConfig::scaled(Version::V1);
-            cfg.spec.costs.divergence = div;
-            cfg.spec.costs.shfl = shfl;
-            let w = AdeptWorkload::new(cfg);
-            let ev = Evaluator::new(&w);
-            let base = ev.evaluate(&Patch::empty()).fitness.unwrap();
-            let cluster = Patch::from_edits(vec![
-                w.edit("v1:e5"),
-                w.edit("v1:e6"),
-                w.edit("v1:e8"),
-                w.edit("v1:e10"),
-            ]);
-            let f = ev.evaluate(&cluster).fitness.unwrap();
-            println!(
-                "div={div} shfl={shfl}: base={base} cluster={f} speedup={:.4}",
-                base / f
-            );
-        }
-    }
-}
-
-#[cfg(test)]
-mod probe2_tests {
-    use super::*;
-    use gevo_engine::Evaluator;
-
-    #[test]
-    #[ignore = "diagnostic"]
-    fn probe_single_block() {
-        let mut cfg = AdeptConfig::scaled(Version::V1);
-        cfg.pairs = 1;
-        cfg.min_len = 24;
-        cfg.max_len = 24;
-        let w = AdeptWorkload::new(cfg);
-        let ev = Evaluator::new(&w);
-        let base = ev.evaluate(&Patch::empty()).fitness.unwrap();
-        for (label, names) in [
-            ("e6", vec!["v1:e6"]),
-            ("e6+e8", vec!["v1:e6", "v1:e8"]),
-            ("cluster4", vec!["v1:e5", "v1:e6", "v1:e8", "v1:e10"]),
-            (
-                "fwd+rev all 8",
-                vec![
-                    "v1:e5", "v1:e6", "v1:e8", "v1:e10", "v1:e_r5", "v1:e0", "v1:e11", "v1:e_r10",
-                ],
-            ),
-        ] {
-            let p = Patch::from_edits(names.iter().map(|n| w.edit(n)).collect());
-            match ev.evaluate(&p).fitness {
-                Some(f) => println!(
-                    "{label}: base={base} f={f} delta={} speedup={:.4}",
-                    base - f,
-                    base / f
-                ),
-                None => println!("{label}: FAILED"),
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod probe3_tests {
-    use super::*;
-    use gevo_engine::Evaluator;
-
-    #[test]
-    #[ignore = "diagnostic"]
-    fn probe_v0_speedups() {
-        let w = AdeptWorkload::new(AdeptConfig::scaled(Version::V0));
-        let ev = Evaluator::new(&w);
-        let base = ev.evaluate(&Patch::empty()).fitness.unwrap();
-        println!("V0 baseline: {base}");
-        for (label, names) in [
-            ("skip_init", vec!["v0:skip_init"]),
-            ("skip_init+sync", vec!["v0:skip_init", "v0:del_init_sync"]),
-            (
-                "all",
-                vec![
-                    "v0:skip_init",
-                    "v0:del_init_sync",
-                    "v0:del_reload",
-                    "v0:del_dead_store",
-                ],
-            ),
-        ] {
-            let p = Patch::from_edits(names.iter().map(|n| w.edit(n)).collect());
-            match ev.evaluate(&p).fitness {
-                Some(f) => println!("{label}: speedup {:.2}", base / f),
-                None => println!("{label}: FAILED"),
-            }
-        }
-    }
-}

@@ -342,25 +342,3 @@ mod tests {
         }
     }
 }
-
-#[cfg(test)]
-mod probe_tests {
-    use super::*;
-
-    #[test]
-    #[ignore = "diagnostic"]
-    fn probe_dynamics() {
-        let p = SimcovParams::default();
-        let mut s = SimcovState::new(16, &p);
-        for step in 0..20 {
-            s.step(&p, step);
-            let st = s.stats();
-            let max_chem = s.chem.iter().fold(0.0f32, |a, &b| a.max(b));
-            let max_vir = s.vir.iter().fold(0.0f32, |a, &b| a.max(b));
-            println!(
-                "step {step}: virq={} inf={} dead={} tc={} max_vir={max_vir:.2} max_chem={max_chem:.2}",
-                st[0], st[1], st[2], st[3]
-            );
-        }
-    }
-}

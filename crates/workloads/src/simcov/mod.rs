@@ -915,135 +915,3 @@ mod tests {
         assert_eq!(out.fault, Some(FaultClass::Mismatch), "{:?}", out.failure);
     }
 }
-
-#[cfg(test)]
-mod probe_tests {
-    use super::*;
-    use gevo_engine::Evaluator;
-
-    #[test]
-    #[ignore = "diagnostic"]
-    fn probe_simcov_speedups() {
-        let w = SimcovWorkload::new(SimcovConfig::scaled());
-        let ev = Evaluator::new(&w);
-        let base = ev.evaluate(&Patch::empty());
-        println!("baseline: {:?}", base.fitness);
-        let bs = base.stats.unwrap();
-        println!(
-            "  insts {} glob {} segs {} chit {} cmiss {} rh {} rm {} div {}",
-            bs.instructions,
-            bs.global_accesses,
-            bs.global_segments,
-            bs.cache_hits,
-            bs.cache_misses,
-            bs.row_hits,
-            bs.row_misses,
-            bs.divergent_branches
-        );
-        for (label, p) in [
-            ("boundary", Patch::from_edits(w.boundary_edits())),
-            ("dup_rng", Patch::from_edits(vec![w.edit("sc:del_dup_rng")])),
-            (
-                "move_store",
-                Patch::from_edits(vec![w.edit("sc:del_move_store")]),
-            ),
-            (
-                "recompute",
-                Patch::from_edits(vec![w.edit("sc:del_recompute")]),
-            ),
-            ("curated", w.curated_patch()),
-        ] {
-            let out = ev.evaluate(&p);
-            match out.fitness {
-                Some(f) => {
-                    let st = out.stats.unwrap();
-                    println!(
-                        "{label}: speedup {:.4} (insts {} cmiss {} rm {} div {})",
-                        base.fitness.unwrap() / f,
-                        st.instructions,
-                        st.cache_misses,
-                        st.row_misses,
-                        st.divergent_branches
-                    );
-                }
-                None => println!("{label}: FAILED ({})", out.failure.unwrap()),
-            }
-        }
-        let padded = SimcovWorkload::new(SimcovConfig::scaled().padded());
-        let fp = padded.evaluate(padded.kernels(), 0).fitness.unwrap();
-        println!(
-            "padded: speedup over checked {:.4}",
-            base.fitness.unwrap() / fp
-        );
-    }
-}
-
-#[cfg(test)]
-mod probe_exact_tests {
-    use super::*;
-
-    #[test]
-    #[ignore = "diagnostic"]
-    fn probe_first_divergence() {
-        let mut cfg = SimcovConfig::scaled();
-        cfg.tolerance = Tolerance {
-            field_rel_mean: 1e9,
-            field_abs_mean: 1e9,
-            field_rel_var: 1e9,
-            field_abs_var: 1e9,
-            epi_mismatch_frac: 1.0,
-            tcell_abs: 100_000,
-            tcell_rel: 1.0,
-            stats_rel: 1e9,
-        };
-        let w = SimcovWorkload::new(cfg.clone());
-        for steps in 1..=10 {
-            let mut reference = SimcovState::new(cfg.g, &cfg.params);
-            reference.run(&cfg.params, steps);
-            let compiled = w.compile_variant(w.kernels()).unwrap();
-            let ceiling = cfg.spec.step_limit;
-            let (result, _) = w.run_sim(&compiled, cfg.g, steps, 0, ArenaMode::Slack, ceiling);
-            let (out, _, _) = result.unwrap();
-            let vd = out
-                .vir
-                .iter()
-                .zip(&reference.vir)
-                .enumerate()
-                .filter(|(_, (a, b))| a != b)
-                .count();
-            let cd = out
-                .chem
-                .iter()
-                .zip(&reference.chem)
-                .enumerate()
-                .filter(|(_, (a, b))| a != b)
-                .count();
-            let ed = out
-                .epi
-                .iter()
-                .zip(&reference.epi)
-                .filter(|(a, b)| a != b)
-                .count();
-            let td = out
-                .tcell
-                .iter()
-                .zip(&reference.tcell)
-                .filter(|(a, b)| a != b)
-                .count();
-            println!("steps {steps}: vir≠{vd} chem≠{cd} epi≠{ed} tcell≠{td}");
-            if vd + cd + ed + td > 0 {
-                for (i, (a, b)) in out.tcell.iter().zip(&reference.tcell).enumerate() {
-                    if a != b {
-                        println!("  tcell[{i}]: gpu {a} cpu {b} (r={}, c={})", i / 16, i % 16);
-                    }
-                }
-                for (i, (a, b)) in out.epi.iter().zip(&reference.epi).enumerate() {
-                    if a != b {
-                        println!("  epi[{i}]: gpu {a} cpu {b}");
-                    }
-                }
-                break;
-            }
-        }
-    }
-}
