@@ -12,7 +12,8 @@
 //! (deterministic); set GEVO_FROM_GA=1 to run it on a fresh GA result.
 
 use gevo_bench::{
-    adept_on, env_usize, harness_spec, quarantine_knob, run_search, scaled_table1_specs,
+    adept_on, check_knobs, env_usize, harness_spec, quarantine_knob, run_search,
+    scaled_table1_specs,
 };
 use gevo_engine::{
     dependency_graph, minimize_weak_edits, split_independent, subset_analysis, Evaluator, Patch,
@@ -20,6 +21,7 @@ use gevo_engine::{
 use gevo_workloads::adept::Version;
 
 fn main() {
+    check_knobs();
     let p100 = &scaled_table1_specs()[0];
     let w = adept_on(Version::V1, p100);
     let ev = Evaluator::new(&w).quarantine(quarantine_knob());

@@ -62,7 +62,7 @@
 
 use gevo_bench::checkpoint::{load_state_with_rollback, write_atomic, write_checkpoint};
 use gevo_bench::supervise::{deadline_from_env, job_deadline, RetryPolicy};
-use gevo_bench::{arg_value, chaos, env_usize, quarantine_knob, workload_by_name};
+use gevo_bench::{arg_value, chaos, check_knobs, env_usize, quarantine_knob, workload_by_name};
 use gevo_engine::{
     GaConfig, GenerationRecord, Search, SearchObserver, SearchSpec, SearchState, StepStatus,
 };
@@ -617,7 +617,9 @@ fn main() {
     });
     let exit_when_idle = std::env::args().any(|a| a == "--exit-when-idle");
     // Numeric knobs are parsed once, before any job is recovered or
-    // read: a malformed value panics here, naming the variable.
+    // read: a malformed value, or a `GEVO_*` name that is not a knob,
+    // panics here, naming the variable.
+    check_knobs();
     let mgr = Arc::new(Manager {
         dir,
         every: env_usize("GEVO_CHECKPOINT_EVERY", 5).max(1),

@@ -23,12 +23,15 @@
 //! | `GEVO_QUARANTINE` | directory for panic-provoking variants (see [`quarantine_knob`]) | off |
 //! | `GEVO_CHAOS` | fault-injection plan (see [`chaos`]) | off |
 //! | `GEVO_JOB_DEADLINE` / `GEVO_JOB_RETRIES` / `GEVO_JOB_BACKOFF_MS` | `gevo-serve` supervision (see [`supervise`]) | — |
+//! | `GEVO_WORKLOAD` | `search_job`'s workload (also `--workload`) | `adept-v0` |
+//! | `GEVO_FROM_GA` | `fig7`: 1 runs the pipeline on a fresh GA best | 0 |
 //!
 //! An unset or empty numeric knob keeps its default; any other value
 //! that does not parse panics with the knob's name ([`parse_knob`]).
 //! The knobs of removed features (`GEVO_ISLANDS`, `GEVO_MIGRATION`,
-//! `--islands`, `GEVO_ADAPT`, `GEVO_OPT`) are refused the same way by
-//! [`harness_spec`], rather than ignored.
+//! `--islands`, `GEVO_ADAPT`, `GEVO_OPT`) and any other `GEVO_*`
+//! variable not in this table (a misspelt `GEVO_GEN`, say) are refused
+//! the same way at startup by [`check_knobs`], rather than ignored.
 //!
 //! The GA-driven harnesses (fig4, fig5, fig6, pareto) all build their
 //! engine session through ONE shared helper, [`harness_spec`] — the
@@ -235,20 +238,78 @@ fn removed_knob(args: &[String], env: impl Fn(&str) -> Option<String>) -> Option
         .map(|(knob, what)| format!("{knob} is no longer supported ({what} was removed)"))
 }
 
+/// Every `GEVO_*` environment variable some binary of this crate reads:
+/// the knob table in the crate docs.
+const KNOBS: [&str; 17] = [
+    "GEVO_POP",
+    "GEVO_GENS",
+    "GEVO_RUNS",
+    "GEVO_SEED",
+    "GEVO_THREADS",
+    "GEVO_OBJECTIVES",
+    "GEVO_MUT_WEIGHTS",
+    "GEVO_CHECKPOINT",
+    "GEVO_CHECKPOINT_EVERY",
+    "GEVO_STOP_AFTER",
+    "GEVO_QUARANTINE",
+    "GEVO_CHAOS",
+    "GEVO_JOB_DEADLINE",
+    "GEVO_JOB_RETRIES",
+    "GEVO_JOB_BACKOFF_MS",
+    "GEVO_WORKLOAD",
+    "GEVO_FROM_GA",
+];
+
+/// The refusal for the alphabetically first variable in `vars` (name,
+/// value) that is named `GEVO_*`, is set non-empty, and is neither one
+/// of the [`KNOBS`] nor one of the [`REMOVED_KNOBS`] (which
+/// [`removed_knob`] names with what was removed).
+fn unknown_knob(vars: impl IntoIterator<Item = (String, String)>) -> Option<String> {
+    let known = |name: &str| KNOBS.contains(&name) || REMOVED_KNOBS.iter().any(|(k, _)| *k == name);
+    vars.into_iter()
+        .filter(|(name, value)| {
+            name.starts_with("GEVO_") && !value.trim().is_empty() && !known(name)
+        })
+        .map(|(name, _)| name)
+        .min()
+        .map(|name| format!("{name} is not a known knob (known: {})", KNOBS.join(", ")))
+}
+
+/// Refuses, before any work, a knob that would otherwise be silently
+/// ignored: the knob of a removed feature, or a `GEVO_*` variable that
+/// is not in the knob table of the crate docs. [`harness_spec`] calls
+/// it; a binary that reads knobs without building a spec calls it
+/// first thing.
+///
+/// # Panics
+/// Panics naming the knob: `GEVO_ISLANDS`, `GEVO_MIGRATION`,
+/// `--islands`, `GEVO_ADAPT`, `GEVO_OPT`, or the unknown variable.
+pub fn check_knobs() {
+    let args: Vec<String> = std::env::args().collect();
+    let vars = std::env::vars_os().map(|(name, value)| {
+        (
+            name.to_string_lossy().into_owned(),
+            value.to_string_lossy().into_owned(),
+        )
+    });
+    if let Some(refusal) =
+        removed_knob(&args, |name| std::env::var(name).ok()).or_else(|| unknown_knob(vars))
+    {
+        panic!("{refusal}");
+    }
+}
+
 /// The ONE place every harness binary's engine configuration is built:
 /// the GA budget (`GEVO_POP`/`GEVO_GENS`/`GEVO_SEED`/`GEVO_THREADS`)
 /// plus `GEVO_OBJECTIVES`, folded into a `gevo_engine::SearchSpec`
 /// ready for [`run_search`].
 ///
 /// # Panics
-/// Panics naming the knob when a removed one is given: `GEVO_ISLANDS`,
-/// `GEVO_MIGRATION`, `--islands`, `GEVO_ADAPT` or `GEVO_OPT`.
+/// Panics naming the knob when a removed or unknown one is given
+/// ([`check_knobs`]).
 #[must_use]
 pub fn harness_spec(pop: usize, gens: usize) -> SearchSpec {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(refusal) = removed_knob(&args, |name| std::env::var(name).ok()) {
-        panic!("{refusal}");
-    }
+    check_knobs();
     let mut spec = SearchSpec {
         ga: GaConfig {
             population: env_usize("GEVO_POP", pop),
@@ -484,6 +545,26 @@ mod tests {
                 Some(format!("{knob} is no longer supported ({what} was removed)").as_str())
             );
         }
+    }
+
+    #[test]
+    fn unknown_gevo_variables_are_named_not_ignored() {
+        let vars = |v: &[(&str, &str)]| {
+            v.iter()
+                .map(|(n, x)| ((*n).to_string(), (*x).to_string()))
+                .collect::<Vec<_>>()
+        };
+        let mut every_knob: Vec<(&str, &str)> = KNOBS.iter().map(|k| (*k, "1")).collect();
+        every_knob.extend(REMOVED_KNOBS.iter().map(|(k, _)| (*k, "1")));
+        every_knob.extend([("PATH", "/bin"), ("GEVOX", "1"), ("GEVO_EMPTY", " ")]);
+        assert_eq!(unknown_knob(vars(&every_knob)), None);
+        let typos = vars(&[("GEVO_POP", "6"), ("GEVO_GEN", "5"), ("GEVO_EPOCHS", "2")]);
+        let refusal = unknown_knob(typos).expect("refused");
+        assert!(
+            refusal.starts_with("GEVO_EPOCHS is not a known knob (known: GEVO_POP, "),
+            "{refusal}"
+        );
+        assert!(refusal.contains("GEVO_GENS") && refusal.contains("GEVO_FROM_GA"));
     }
 
     #[test]

@@ -492,6 +492,42 @@ fn removed_knobs_are_refused_at_startup() {
     }
 }
 
+/// A misspelt `GEVO_*` variable is refused at startup, naming it,
+/// instead of silently running the default: `GEVO_GEN=5` used to run
+/// `search_job` at `GEVO_GENS`' default, and `GEVO_JOB_DEADLNE` to
+/// start `gevo-serve` with no deadline.
+#[test]
+fn unknown_knobs_are_refused_at_startup() {
+    let mut search = Command::new(env!("CARGO_BIN_EXE_search_job"));
+    search
+        .env("GEVO_POP", "4")
+        .env("GEVO_GEN", "5")
+        .args(["--workload", "adept-v0"]);
+    let mut serve = Command::new(env!("CARGO_BIN_EXE_gevo-serve"));
+    serve
+        .env("GEVO_JOB_DEADLNE", "1")
+        .arg("--state-dir")
+        .arg(scratch("unknown-knob"))
+        .arg("--exit-when-idle")
+        .stdin(Stdio::null());
+    for (mut cmd, knob) in [(search, "GEVO_GEN"), (serve, "GEVO_JOB_DEADLNE")] {
+        let out = cmd
+            .env_remove("GEVO_CHAOS")
+            .env_remove("GEVO_CHECKPOINT")
+            .output()
+            .expect("run binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{knob}: {stderr}");
+        assert!(
+            stderr.contains(&format!(
+                "{knob} is not a known knob (known: GEVO_POP, GEVO_GENS,"
+            )),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{knob}: nothing is printed");
+    }
+}
+
 /// `chaos_check --repro` replays a quarantine record as the evaluator
 /// writes it: named by the workload's display name
 /// (`adept-v0[P100-scaled]`), not its registry name, and possibly

@@ -218,7 +218,8 @@ pub struct EvaluatorSnapshot {
     pub evals: u64,
     /// Cache hits served so far.
     pub cache_hits: u64,
-    /// Warp-instructions simulated so far.
+    /// Warp-instructions simulated so far by passing evaluations
+    /// ([`EvalStats::instructions`]).
     pub instructions: u64,
     /// Outcome-cache entries as `(content_hash, outcome)` pairs, sorted
     /// by hash so the serialized form is independent of `HashMap`
@@ -496,7 +497,10 @@ pub struct EvalStats {
     pub delta_patched: usize,
     /// Inert, always 0; kept only because `perfbench/` reads it.
     pub delta_fallbacks: usize,
-    /// Warp-instructions simulated across performed evaluations.
+    /// Warp-instructions simulated by the performed evaluations that
+    /// passed. A failing outcome carries no `LaunchStats`, so the
+    /// instructions a failing evaluation simulated before its fault are
+    /// not counted.
     pub instructions: u64,
     /// Statically lowered instructions across every compiled image this
     /// evaluator produced — the denominator for the scalarization
@@ -546,8 +550,10 @@ pub struct Evaluator<'w> {
     evals: AtomicUsize,
     cache_hits: AtomicUsize,
     compiles: AtomicUsize,
-    /// Total simulated warp-instructions across performed evaluations
-    /// (cache hits simulate nothing and add nothing).
+    /// Total simulated warp-instructions of the performed evaluations
+    /// that passed (failing outcomes carry no `LaunchStats`; cache hits
+    /// simulate nothing). Checkpointed, so the counting rule is part of
+    /// the result.
     instructions: AtomicU64,
     /// Lowering-pass counters, accumulated over every compiled image
     /// this evaluator produces. Observability only — never

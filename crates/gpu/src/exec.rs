@@ -550,49 +550,6 @@ pub(crate) fn eval_pure(op: Op, a0: impl Fn(usize) -> Value) -> Result<Value, Ex
     }
 }
 
-/// One scalar warp instruction over the `active` lanes of a register
-/// file: `inst.op` is decoded **once**, and its arm runs a lane loop
-/// ([`Lanes`]) specialized to that op's value function — the same
-/// function [`eval_pure`] calls, so this path and folding/uniform
-/// execution cannot drift apart. Lanes run in ascending order and the
-/// first faulting lane stops the loop, with every lower lane's result
-/// already written, exactly like evaluating `eval_pure` lane by lane.
-#[inline]
-fn scalar_lanes(
-    inst: &CInst,
-    regs: &mut [Value],
-    ctx: &LaneCtx,
-    widx: u32,
-    active: u64,
-) -> Result<(), ExecError> {
-    let l = Lanes {
-        regs,
-        ctx,
-        widx,
-        active,
-        dst: inst.dst,
-    };
-    let [a, b, c] = &inst.args;
-    match inst.op {
-        Op::IBin(op) => l.op2(a, b, |x, y| eval_ibin(op, x, y)),
-        Op::FBin(op) => l.op2(a, b, |x, y| eval_fbin(op, x, y)),
-        Op::Icmp(pred) => l.op2(a, b, |x, y| eval_icmp(pred, x, y)),
-        Op::Fcmp(pred) => l.op2(a, b, |x, y| eval_fcmp(pred, x, y)),
-        Op::Select => l.op3(a, b, c, eval_select),
-        Op::Mov => l.op1(a, eval_mov),
-        Op::Not => l.op1(a, eval_not),
-        Op::Neg => l.op1(a, eval_neg),
-        Op::FNeg => l.op1(a, eval_fneg),
-        Op::Sext => l.op1(a, eval_sext),
-        Op::Trunc => l.op1(a, eval_trunc),
-        Op::SiToFp => l.op1(a, eval_sitofp),
-        Op::FpToSi => l.op1(a, eval_fptosi),
-        Op::ZextBool => l.op1(a, eval_zext_bool),
-        Op::RngNext => l.op2(a, b, eval_rng_next),
-        op => unreachable!("non-scalar op routed to the scalar lane loop: {op:?}"),
-    }
-}
-
 /// Writes `v` to every active lane of the register at base `dst`.
 /// A mask that is a contiguous low prefix (a full warp, or the partial
 /// last warp of a block) is one slice fill; any other mask walks its
@@ -613,93 +570,129 @@ fn broadcast(regs: &mut [Value], dst: u32, active: u64, v: Value) {
     }
 }
 
-/// The active-lane loop of one decoded scalar op: walks the set bits
-/// of `active`, reads the operands, applies the op's value function
-/// and writes `dst` (when there is one). When every operand is a
-/// register the reads index the register file directly; any other
-/// operand shape goes through [`read_operand`].
-struct Lanes<'r, 'c> {
-    regs: &'r mut [Value],
-    ctx: &'r LaneCtx<'c>,
+/// One scalar warp instruction over the `active` lanes of a register
+/// file. The op **and its sub-op** (`IntBinOp`, `FloatBinOp`,
+/// `CmpPred`) are decoded once per warp instruction, and each sub-op
+/// arm runs [`lane_loop`] instantiated for that one sub-op, with its
+/// value function — the same one [`eval_pure`] calls — as a constant.
+/// Operands are resolved once too ([`LaneArg::resolve`]). Lanes run in
+/// ascending order and the first faulting lane stops the loop, with
+/// every lower lane's result already written, exactly like evaluating
+/// `eval_pure` lane by lane.
+#[inline]
+fn scalar_lanes(
+    inst: &CInst,
+    regs: &mut [Value],
+    ctx: &LaneCtx,
     widx: u32,
     active: u64,
-    dst: u32,
+) -> Result<(), ExecError> {
+    let dst = inst.dst;
+    let arg = |i: usize| LaneArg::resolve(&inst.args[i], ctx, widx);
+    // One arm per sub-op, each with its own `lane_loop` instance; the
+    // match stays exhaustive, so a new sub-op cannot fall through.
+    macro_rules! per_sub_op {
+        ($sub:expr, $ty:ident, $eval:ident, [$($v:ident),+]) => {
+            match $sub {
+                $($ty::$v => lane_loop(regs, dst, active, [arg(0), arg(1)], |[x, y]| {
+                    $eval($ty::$v, x, y)
+                }),)+
+            }
+        };
+    }
+    match inst.op {
+        Op::IBin(op) => per_sub_op!(
+            op,
+            IntBinOp,
+            eval_ibin,
+            [Add, Sub, Mul, Div, Rem, Min, Max, And, Or, Xor, Shl, AShr, LShr]
+        ),
+        Op::FBin(op) => per_sub_op!(op, FloatBinOp, eval_fbin, [Add, Sub, Mul, Div, Min, Max]),
+        Op::Icmp(pred) => per_sub_op!(pred, CmpPred, eval_icmp, [Eq, Ne, Lt, Le, Gt, Ge]),
+        Op::Fcmp(pred) => per_sub_op!(pred, CmpPred, eval_fcmp, [Eq, Ne, Lt, Le, Gt, Ge]),
+        Op::Select => lane_loop(regs, dst, active, [arg(0), arg(1), arg(2)], |[c, t, f]| {
+            eval_select(c, t, f)
+        }),
+        Op::Mov => lane_loop(regs, dst, active, [arg(0)], |[x]| eval_mov(x)),
+        Op::Not => lane_loop(regs, dst, active, [arg(0)], |[x]| eval_not(x)),
+        Op::Neg => lane_loop(regs, dst, active, [arg(0)], |[x]| eval_neg(x)),
+        Op::FNeg => lane_loop(regs, dst, active, [arg(0)], |[x]| eval_fneg(x)),
+        Op::Sext => lane_loop(regs, dst, active, [arg(0)], |[x]| eval_sext(x)),
+        Op::Trunc => lane_loop(regs, dst, active, [arg(0)], |[x]| eval_trunc(x)),
+        Op::SiToFp => lane_loop(regs, dst, active, [arg(0)], |[x]| eval_sitofp(x)),
+        Op::FpToSi => lane_loop(regs, dst, active, [arg(0)], |[x]| eval_fptosi(x)),
+        Op::ZextBool => lane_loop(regs, dst, active, [arg(0)], |[x]| eval_zext_bool(x)),
+        Op::RngNext => lane_loop(regs, dst, active, [arg(0), arg(1)], |[s, c]| {
+            eval_rng_next(s, c)
+        }),
+        op => unreachable!("non-scalar op routed to the scalar lane loop: {op:?}"),
+    }
 }
 
-impl Lanes<'_, '_> {
+/// A scalar op's operand, resolved once per warp instruction: what is
+/// left of a [`Slot`] once the warp and the launch are fixed.
+#[derive(Clone, Copy)]
+enum LaneArg {
+    /// Register-file base: lane `l` reads `regs[base + l]`.
+    Reg(u32),
+    /// One value for every lane: an immediate, a parameter, or a
+    /// lane-invariant special (`BlockId`, `BlockDim`, `GridDim`,
+    /// `WarpId`, `WarpSize`).
+    Same(Value),
+    /// `ThreadId` (`first` = warp index × lanes) or `LaneId`
+    /// (`first` = 0): lane `l` reads `I32(first + l)`.
+    LaneIndex(u32),
+}
+
+impl LaneArg {
     #[inline]
-    fn each(self, f: impl Fn(&[Value], u32) -> Result<Value, ExecError>) -> Result<(), ExecError> {
-        let mut mask = self.active;
-        while mask != 0 {
-            let lane = mask.trailing_zeros();
-            mask &= mask - 1;
-            let v = f(self.regs, lane)?;
-            if self.dst != NO_DST {
-                self.regs[self.dst as usize + lane as usize] = v;
-            }
+    fn resolve(slot: &Slot, ctx: &LaneCtx, widx: u32) -> LaneArg {
+        use gevo_ir::Special;
+        match *slot {
+            Slot::Reg(base) => LaneArg::Reg(base),
+            Slot::Special(Special::ThreadId) => LaneArg::LaneIndex(widx * ctx.lanes),
+            Slot::Special(Special::LaneId) => LaneArg::LaneIndex(0),
+            // Every other slot reads the same value in every lane.
+            _ => LaneArg::Same(read_operand(&[], ctx, widx, 0, slot)),
         }
-        Ok(())
     }
 
+    /// This operand's value in `lane`: the value [`read_operand`]
+    /// returns for the slot it was resolved from.
     #[inline]
-    fn op1(self, a: &Slot, f: impl Fn(Value) -> Result<Value, ExecError>) -> Result<(), ExecError> {
-        if let Slot::Reg(ra) = *a {
-            return self.each(|r, lane| f(r[ra as usize + lane as usize]));
+    fn read(self, regs: &[Value], lane: u32) -> Value {
+        match self {
+            LaneArg::Reg(base) => regs[base as usize + lane as usize],
+            LaneArg::Same(v) => v,
+            #[allow(clippy::cast_possible_wrap)]
+            LaneArg::LaneIndex(first) => Value::I32((first + lane) as i32),
         }
-        let (ctx, widx) = (self.ctx, self.widx);
-        self.each(|r, lane| f(read_operand(r, ctx, widx, lane, a)))
     }
+}
 
-    #[inline]
-    fn op2(
-        self,
-        a: &Slot,
-        b: &Slot,
-        f: impl Fn(Value, Value) -> Result<Value, ExecError>,
-    ) -> Result<(), ExecError> {
-        if let (Slot::Reg(ra), Slot::Reg(rb)) = (*a, *b) {
-            return self.each(|r, lane| {
-                f(
-                    r[ra as usize + lane as usize],
-                    r[rb as usize + lane as usize],
-                )
-            });
+/// The one lane loop of the scalar path: walks the set bits of
+/// `active` in ascending order, reads the `N` operands, applies `f`
+/// and writes `dst` (when there is one); the first fault returns.
+/// Out of line, so each `(N, f)` instance stays a small loop and
+/// [`scalar_lanes`] stays a dispatcher.
+#[inline(never)]
+fn lane_loop<const N: usize>(
+    regs: &mut [Value],
+    dst: u32,
+    active: u64,
+    args: [LaneArg; N],
+    f: impl Fn([Value; N]) -> Result<Value, ExecError>,
+) -> Result<(), ExecError> {
+    let mut mask = active;
+    while mask != 0 {
+        let lane = mask.trailing_zeros();
+        mask &= mask - 1;
+        let v = f(args.map(|a| a.read(regs, lane)))?;
+        if dst != NO_DST {
+            regs[dst as usize + lane as usize] = v;
         }
-        let (ctx, widx) = (self.ctx, self.widx);
-        self.each(|r, lane| {
-            f(
-                read_operand(r, ctx, widx, lane, a),
-                read_operand(r, ctx, widx, lane, b),
-            )
-        })
     }
-
-    #[inline]
-    fn op3(
-        self,
-        a: &Slot,
-        b: &Slot,
-        c: &Slot,
-        f: impl Fn(Value, Value, Value) -> Result<Value, ExecError>,
-    ) -> Result<(), ExecError> {
-        if let (Slot::Reg(ra), Slot::Reg(rb), Slot::Reg(rc)) = (*a, *b, *c) {
-            return self.each(|r, lane| {
-                f(
-                    r[ra as usize + lane as usize],
-                    r[rb as usize + lane as usize],
-                    r[rc as usize + lane as usize],
-                )
-            });
-        }
-        let (ctx, widx) = (self.ctx, self.widx);
-        self.each(|r, lane| {
-            f(
-                read_operand(r, ctx, widx, lane, a),
-                read_operand(r, ctx, widx, lane, b),
-                read_operand(r, ctx, widx, lane, c),
-            )
-        })
-    }
+    Ok(())
 }
 
 fn shared_check(shared_bytes: u32, addr: i64, bytes: u64) -> Result<usize, ExecError> {
@@ -2028,13 +2021,14 @@ mod uniformity_soundness {
 
 #[cfg(test)]
 mod lane_loop_equivalence {
-    //! The per-op lane loops of [`scalar_lanes`] against the reference
-    //! they replaced: [`eval_pure`] evaluated lane by lane in ascending
-    //! order, stopping at the first fault. Every scalar op runs over
-    //! every operand shape (registers, each immediate kind, specials,
-    //! parameters — well- and ill-typed), several destinations and
-    //! four masks; the register files must match bit for bit and the
-    //! first error must be the same.
+    //! The per-sub-op lane loops of [`scalar_lanes`] against the
+    //! reference they replaced: [`eval_pure`] over [`read_operand`],
+    //! evaluated lane by lane in ascending order, stopping at the first
+    //! fault. Every scalar op runs over every operand shape (registers,
+    //! each immediate kind, every special, parameters — well- and
+    //! ill-typed), several destinations, four masks and two warps; the
+    //! register files must match bit for bit and the first error must
+    //! be the same.
 
     use super::*;
     use gevo_ir::Special;
@@ -2110,6 +2104,10 @@ mod lane_loop_equivalence {
             Slot::Special(Special::ThreadId),
             Slot::Special(Special::LaneId),
             Slot::Special(Special::BlockId),
+            Slot::Special(Special::WarpId),
+            Slot::Special(Special::BlockDim),
+            Slot::Special(Special::GridDim),
+            Slot::Special(Special::WarpSize),
             Slot::Param(0),
             Slot::Param(1),
             Slot::Param(2),
@@ -2211,55 +2209,60 @@ mod lane_loop_equivalence {
             Value::F32(0.1),
             Value::Bool(true),
         ];
+        // Every lane-invariant special reads a distinct value, so one
+        // resolved from the wrong context field shows.
         let ctx = LaneCtx {
             params: &params,
             block_idx: 3,
             grid: 5,
-            block: 16,
+            block: 24,
             lanes: LANES,
         };
-        let widx = 1;
         let base = register_file();
         let pool = slot_pool();
         // Full, partial, single-lane and empty masks.
         let masks = [0xFF, 0b1011_0110, 1 << 5, 0];
         let (mut cases, mut faults) = (0usize, 0usize);
-        for op in scalar_ops() {
-            let arity = op.arity();
-            let n = pool.len().pow(u32::try_from(arity).expect("arity"));
-            for pick in 0..n {
-                let mut args = [Slot::ImmI32(0); 3];
-                let mut rest = pick;
-                for arg in args.iter_mut().take(arity) {
-                    *arg = pool[rest % pool.len()];
-                    rest /= pool.len();
-                }
-                // A fresh destination, none, and one aliasing operand 0.
-                for dst in [DST, NO_DST, 0] {
-                    let inst = CInst {
-                        op,
-                        tag: OpClass::Scalar,
-                        dst,
-                        args,
-                        cost: 1,
-                    };
-                    for active in masks {
-                        let mut want = base.clone();
-                        let mut got = base.clone();
-                        let want_res = reference(&inst, &mut want, &ctx, widx, active);
-                        let got_res = scalar_lanes(&inst, &mut got, &ctx, widx, active);
-                        assert_eq!(
+        // Two warps: an operand resolved for the wrong warp (or, under
+        // the masks that skip lane 0, for the wrong lane) differs.
+        for widx in [1, 2] {
+            for op in scalar_ops() {
+                let arity = op.arity();
+                let n = pool.len().pow(u32::try_from(arity).expect("arity"));
+                for pick in 0..n {
+                    let mut args = [Slot::ImmI32(0); 3];
+                    let mut rest = pick;
+                    for arg in args.iter_mut().take(arity) {
+                        *arg = pool[rest % pool.len()];
+                        rest /= pool.len();
+                    }
+                    // A fresh destination, none, and one aliasing operand 0.
+                    for dst in [DST, NO_DST, 0] {
+                        let inst = CInst {
+                            op,
+                            tag: OpClass::Scalar,
+                            dst,
+                            args,
+                            cost: 1,
+                        };
+                        for active in masks {
+                            let mut want = base.clone();
+                            let mut got = base.clone();
+                            let want_res = reference(&inst, &mut want, &ctx, widx, active);
+                            let got_res = scalar_lanes(&inst, &mut got, &ctx, widx, active);
+                            assert_eq!(
                             got_res, want_res,
-                            "{op:?} {args:?} dst {dst} mask {active:#x}: first error"
+                            "{op:?} {args:?} warp {widx} dst {dst} mask {active:#x}: first error"
                         );
-                        let want_bits: Vec<_> = want.iter().map(|&v| bits(v)).collect();
-                        let got_bits: Vec<_> = got.iter().map(|&v| bits(v)).collect();
-                        assert_eq!(
+                            let want_bits: Vec<_> = want.iter().map(|&v| bits(v)).collect();
+                            let got_bits: Vec<_> = got.iter().map(|&v| bits(v)).collect();
+                            assert_eq!(
                             got_bits, want_bits,
-                            "{op:?} {args:?} dst {dst} mask {active:#x}: register file"
+                            "{op:?} {args:?} warp {widx} dst {dst} mask {active:#x}: register file"
                         );
-                        cases += 1;
-                        faults += usize::from(want_res.is_err());
+                            cases += 1;
+                            faults += usize::from(want_res.is_err());
+                        }
                     }
                 }
             }
