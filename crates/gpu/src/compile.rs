@@ -12,15 +12,15 @@
 //! instruction stream:
 //!
 //! * operands become pre-resolved slots — register operands are pre-multiplied
-//!   into direct indices into the per-warp register file, immediates are
-//!   pre-converted to runtime [`Value`]s (no `F32Bits` decode on the hot
-//!   path);
+//!   into direct indices into the per-warp register file and carry the
+//!   register's declared type, immediates are pre-converted to their
+//!   runtime payloads (no `F32Bits` decode on the hot path);
 //! * branch targets and each block's reconvergence point (immediate
 //!   post-dominator) are baked into flat arrays;
 //! * the static issue cost of every scalar instruction is resolved
 //!   against the [`GpuSpec`]'s cost table at compile time;
-//! * the per-warp register-file image (one typed sentinel per register ×
-//!   lane) is prebuilt so warp initialization is a `clone`.
+//! * the per-warp register-file image (the bits of one typed sentinel per
+//!   register × lane) is prebuilt so warp initialization is a `memcpy`.
 //!
 //! A `CompiledKernel` is tied to the spec it was compiled for (the warp
 //! width shapes the register file, the cost table is baked in);
@@ -33,7 +33,7 @@ use crate::spec::GpuSpec;
 use crate::value::Value;
 use gevo_ir::analysis::uniformity;
 use gevo_ir::verify::{verify, VerifyError};
-use gevo_ir::{Cfg, Kernel, Op, Operand, Param, Reg};
+use gevo_ir::{Cfg, Kernel, Op, Operand, Param, Reg, Ty};
 
 /// Optimization level of the lowering pipeline (DESIGN.md §3.8).
 ///
@@ -75,21 +75,28 @@ pub(crate) const EXIT: u32 = u32::MAX;
 /// A pre-resolved operand: everything the interpreter needs to read a
 /// value without touching the source kernel.
 ///
+/// Registers hold untyped `u64` words, so a register slot carries the
+/// register's declared type: with the verifier's guarantee that every
+/// operand fits its op, the types of a whole instruction are known from
+/// its slots, and the interpreter picks one typed lane loop per warp
+/// instruction instead of checking a tag per lane.
+///
 /// Immediates are split per type rather than stored as one [`Value`]
 /// payload: nesting `Value` here lets rustc niche-pack the enum
 /// (folding this discriminant into `Value`'s tag ranges), and the
 /// resulting multi-compare decode on every operand read measurably
 /// slows the interpreter. The flat shape keeps a plain one-byte tag —
-/// the same dispatch cost as the IR's `Operand` — while still baking
-/// in the pre-multiplied register base and the decoded `f32`.
+/// the same dispatch cost as the IR's `Operand` — in 16 bytes, with the
+/// register base, its type and the decoded `f32` baked in.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Slot {
     // PartialEq is manual (bitwise on `ImmF32`): the differential test
     // layer compares compiled streams for *bit* identity, and a NaN
     // float immediate must compare equal to itself there.
-    /// Register-file base index, pre-multiplied (`reg × lanes`); add the
-    /// lane to address one thread's copy.
-    Reg(u32),
+    /// Register-file base index, pre-multiplied (`reg × lanes`; add the
+    /// lane to address one thread's copy), and the register's declared
+    /// type.
+    Reg(u32, Ty),
     /// `i32` immediate.
     ImmI32(i32),
     /// `i64` immediate.
@@ -107,7 +114,7 @@ pub(crate) enum Slot {
 impl PartialEq for Slot {
     fn eq(&self, other: &Slot) -> bool {
         match (self, other) {
-            (Slot::Reg(a), Slot::Reg(b)) => a == b,
+            (Slot::Reg(a, s), Slot::Reg(b, t)) => a == b && s == t,
             (Slot::ImmI32(a), Slot::ImmI32(b)) => a == b,
             (Slot::ImmI64(a), Slot::ImmI64(b)) => a == b,
             (Slot::ImmF32(a), Slot::ImmF32(b)) => a.to_bits() == b.to_bits(),
@@ -136,7 +143,7 @@ impl Slot {
     pub(crate) fn is_warp_uniform(&self) -> bool {
         use gevo_ir::Special;
         match self {
-            Slot::Reg(_) => false,
+            Slot::Reg(..) => false,
             Slot::ImmI32(_)
             | Slot::ImmI64(_)
             | Slot::ImmF32(_)
@@ -295,9 +302,11 @@ pub struct CompiledKernel {
     /// branch on a boolean immediate and was folded to [`CTerm::Br`].
     /// All-`false` at O0.
     pub(crate) term_folded: Vec<bool>,
-    /// Prebuilt per-warp register-file image: `regs × lanes` typed
-    /// sentinels, reg-major.
-    pub(crate) reg_file: Vec<Value>,
+    /// Prebuilt per-warp register-file image: `regs × lanes` words,
+    /// reg-major, each the bits of its register's typed sentinel.
+    pub(crate) reg_file: Vec<u64>,
+    /// Declared type of each register (debug checks of register writes).
+    pub(crate) reg_tys: Vec<Ty>,
 }
 
 impl CompiledKernel {
@@ -334,7 +343,7 @@ impl CompiledKernel {
         let slot_uniform = |s: &Slot| match (&info, s) {
             // Register slots are pre-multiplied bases; divide the warp
             // width back out to index the analysis result.
-            (Some(i), Slot::Reg(base)) => i.uniform_regs[(base / lanes) as usize],
+            (Some(i), Slot::Reg(base, _)) => i.uniform_regs[(base / lanes) as usize],
             _ => s.is_warp_uniform(),
         };
 
@@ -346,7 +355,7 @@ impl CompiledKernel {
             for inst in &block.instrs {
                 let mut args = [Slot::ImmI32(0); 3];
                 for (i, a) in inst.args.iter().enumerate() {
-                    args[i] = lower_operand(a, lanes);
+                    args[i] = lower_operand(kernel, a, lanes);
                 }
                 let mut ci = CInst {
                     op: inst.op,
@@ -368,7 +377,7 @@ impl CompiledKernel {
                     if_true,
                     if_false,
                 } => CTerm::CondBr {
-                    cond: lower_operand(&cond, lanes),
+                    cond: lower_operand(kernel, &cond, lanes),
                     if_true: if_true.0,
                     if_false: if_false.0,
                 },
@@ -408,12 +417,13 @@ impl CompiledKernel {
             })
             .collect();
 
-        let mut reg_file = Vec::with_capacity(kernel.reg_count() * lanes as usize);
-        for r in 0..kernel.reg_count() {
-            let sentinel = Value::sentinel(kernel.reg_ty(Reg(u32::try_from(r).expect("reg idx"))));
-            for _ in 0..lanes {
-                reg_file.push(sentinel);
-            }
+        let reg_tys: Vec<Ty> = (0..kernel.reg_count())
+            .map(|r| kernel.reg_ty(Reg(u32::try_from(r).expect("reg idx"))))
+            .collect();
+        let mut reg_file = Vec::with_capacity(reg_tys.len() * lanes as usize);
+        for &ty in &reg_tys {
+            let sentinel = Value::sentinel(ty).to_bits();
+            reg_file.extend((0..lanes).map(|_| sentinel));
         }
 
         Ok(CompiledKernel {
@@ -429,6 +439,7 @@ impl CompiledKernel {
             uniform_cond,
             term_folded,
             reg_file,
+            reg_tys,
         })
     }
 
@@ -511,9 +522,9 @@ fn reg_base(r: Reg, lanes: u32) -> u32 {
 }
 
 /// Lowers one IR operand to its pre-resolved slot.
-fn lower_operand(op: &Operand, lanes: u32) -> Slot {
+fn lower_operand(kernel: &Kernel, op: &Operand, lanes: u32) -> Slot {
     match op {
-        Operand::Reg(r) => Slot::Reg(reg_base(*r, lanes)),
+        Operand::Reg(r) => Slot::Reg(reg_base(*r, lanes), kernel.reg_ty(*r)),
         Operand::ImmI32(v) => Slot::ImmI32(*v),
         Operand::ImmI64(v) => Slot::ImmI64(*v),
         Operand::ImmF32(v) => Slot::ImmF32(v.value()),
@@ -576,7 +587,7 @@ fn slot_imm_value(s: &Slot) -> Option<Value> {
         Slot::ImmI64(v) => Some(Value::I64(*v)),
         Slot::ImmF32(v) => Some(Value::F32(*v)),
         Slot::ImmBool(v) => Some(Value::Bool(*v)),
-        Slot::Reg(_) | Slot::Special(_) | Slot::Param(_) => None,
+        Slot::Reg(..) | Slot::Special(_) | Slot::Param(_) => None,
     }
 }
 
@@ -636,7 +647,7 @@ mod tests {
         assert!(Slot::Special(Special::WarpId).is_warp_uniform());
         assert!(!Slot::Special(Special::ThreadId).is_warp_uniform());
         assert!(!Slot::Special(Special::LaneId).is_warp_uniform());
-        assert!(!Slot::Reg(0).is_warp_uniform());
+        assert!(!Slot::Reg(0, Ty::I32).is_warp_uniform());
     }
 
     #[test]
@@ -725,7 +736,9 @@ mod tests {
         let ck = CompiledKernel::compile(&k, &spec).expect("verifies");
         assert_eq!(ck.reg_file.len(), k.reg_count() * 8);
         for r in 0..k.reg_count() {
-            let want = Value::sentinel(k.reg_ty(Reg(u32::try_from(r).unwrap())));
+            let ty = k.reg_ty(Reg(u32::try_from(r).unwrap()));
+            assert_eq!(ck.reg_tys[r], ty);
+            let want = Value::sentinel(ty).to_bits();
             for lane in 0..8 {
                 assert_eq!(ck.reg_file[r * 8 + lane], want);
             }

@@ -384,8 +384,11 @@ struct Warp {
     /// whole flattened stream is indexed by `u32` block bounds).
     ip: u32,
     stack: Vec<Frame>,
-    /// Register file, reg-major: `regs[reg * lanes + lane]`.
-    regs: Vec<Value>,
+    /// Register file, reg-major: `regs[reg * lanes + lane]`. Untyped
+    /// words: each register's type is the one the kernel declares
+    /// ([`Slot::Reg`] carries it), and [`Value::to_bits`] /
+    /// [`Value::from_bits`] convert at that type.
+    regs: Vec<u64>,
     cycles: u64,
     state: WarpState,
 }
@@ -401,7 +404,7 @@ fn live_mask(live: u32) -> u64 {
 
 impl Warp {
     /// A freshly allocated warp at the kernel entry.
-    fn fresh(idx: u32, n_threads: u32, lanes: u32, reg_file: &[Value]) -> Warp {
+    fn fresh(idx: u32, n_threads: u32, lanes: u32, reg_file: &[u64]) -> Warp {
         let live = (n_threads - idx * lanes).min(lanes);
         Warp {
             idx,
@@ -410,7 +413,7 @@ impl Warp {
             block: 0,
             ip: 0,
             stack: Vec::new(),
-            // The typed-sentinel image was prebuilt at compile time;
+            // The sentinel-word image was prebuilt at compile time;
             // per-warp initialization is one memcpy.
             regs: reg_file.to_vec(),
             cycles: 0,
@@ -421,7 +424,7 @@ impl Warp {
     /// Reinitializes this warp in place, reusing the register-file and
     /// divergence-stack allocations. Equivalent to `*self = fresh(...)`
     /// without the two heap allocations.
-    fn reset(&mut self, idx: u32, n_threads: u32, lanes: u32, reg_file: &[Value]) {
+    fn reset(&mut self, idx: u32, n_threads: u32, lanes: u32, reg_file: &[u64]) {
         let live = (n_threads - idx * lanes).min(lanes);
         self.idx = idx;
         self.active = live_mask(live);
@@ -490,6 +493,32 @@ struct LaneCtx<'a> {
     grid: u32,
     block: u32,
     lanes: u32,
+    /// Declared type of each register (debug checks of register writes).
+    reg_tys: &'a [Ty],
+}
+
+impl LaneCtx<'_> {
+    /// Debug builds check that a value of type `ty` goes to a register
+    /// of that declared type (`dst` is its file base). The verifier
+    /// makes this hold for every compiled kernel, and untagged register
+    /// words rest on it.
+    #[inline]
+    fn check_write(&self, dst: u32, ty: Ty) {
+        debug_assert!(
+            dst == NO_DST || self.reg_tys[(dst / self.lanes) as usize] == ty,
+            "{ty} written to r{} of declared type {}",
+            dst / self.lanes,
+            self.reg_tys[(dst / self.lanes) as usize]
+        );
+    }
+
+    /// The register word holding `v`, which is written to file base
+    /// `dst`.
+    #[inline]
+    fn word(&self, v: Value, dst: u32) -> u64 {
+        self.check_write(dst, v.ty());
+        v.to_bits()
+    }
 }
 
 #[inline]
@@ -507,19 +536,72 @@ fn special(ctx: &LaneCtx, warp_idx: u32, lane: u32, s: gevo_ir::Special) -> i32 
     }
 }
 
-/// Reads one pre-resolved operand for one lane against a warp's
-/// register file.
+/// The type a pre-resolved operand reads: a register's declared type,
+/// an immediate's type, `i32` for a special, a parameter's argument
+/// type.
 #[inline]
-fn read_operand(regs: &[Value], ctx: &LaneCtx, warp_idx: u32, lane: u32, op: &Slot) -> Value {
-    match op {
-        Slot::Reg(base) => regs[*base as usize + lane as usize],
-        Slot::ImmI32(v) => Value::I32(*v),
-        Slot::ImmI64(v) => Value::I64(*v),
-        Slot::ImmF32(v) => Value::F32(*v),
-        Slot::ImmBool(v) => Value::Bool(*v),
-        Slot::Special(s) => Value::I32(special(ctx, warp_idx, lane, *s)),
-        Slot::Param(p) => ctx.params[*p as usize],
+fn slot_ty(slot: &Slot, ctx: &LaneCtx) -> Ty {
+    match *slot {
+        Slot::Reg(_, ty) => ty,
+        Slot::ImmI32(_) | Slot::Special(_) => Ty::I32,
+        Slot::ImmI64(_) => Ty::I64,
+        Slot::ImmF32(_) => Ty::F32,
+        Slot::ImmBool(_) => Ty::Bool,
+        Slot::Param(p) => ctx.params[p as usize].ty(),
     }
+}
+
+/// Reads one pre-resolved operand for one lane against a warp's
+/// register file, as a typed value.
+#[inline]
+fn read_operand(regs: &[u64], ctx: &LaneCtx, warp_idx: u32, lane: u32, op: &Slot) -> Value {
+    match *op {
+        Slot::Reg(base, ty) => Value::from_bits(ty, regs[base as usize + lane as usize]),
+        Slot::ImmI32(v) => Value::I32(v),
+        Slot::ImmI64(v) => Value::I64(v),
+        Slot::ImmF32(v) => Value::F32(v),
+        Slot::ImmBool(v) => Value::Bool(v),
+        Slot::Special(s) => Value::I32(special(ctx, warp_idx, lane, s)),
+        Slot::Param(p) => ctx.params[p as usize],
+    }
+}
+
+/// `TypeMismatch` unless an operand of type `found` is of type
+/// `expected`. Operand types are the same in every lane, so the memory
+/// and warp ops check each operand once per warp instruction, if any
+/// lane is active, ahead of the first access that lane would make
+/// after reading it.
+#[inline]
+fn expect_ty(found: Ty, expected: Ty) -> Result<(), ExecError> {
+    if found == expected {
+        Ok(())
+    } else {
+        Err(ExecError::TypeMismatch { expected, found })
+    }
+}
+
+/// The address an `i64` register word holds.
+#[inline]
+fn word_i64(w: u64) -> i64 {
+    match Value::from_bits(Ty::I64, w) {
+        Value::I64(v) => v,
+        _ => unreachable!("from_bits(I64) is an I64"),
+    }
+}
+
+/// The `i32` an `i32` register word holds.
+#[inline]
+fn word_i32(w: u64) -> i32 {
+    match Value::from_bits(Ty::I32, w) {
+        Value::I32(v) => v,
+        _ => unreachable!("from_bits(I32) is an I32"),
+    }
+}
+
+/// The `b1` a `b1` register word holds.
+#[inline]
+fn word_bool(w: u64) -> bool {
+    Value::from_bits(Ty::Bool, w) == Value::Bool(true)
 }
 
 /// The pure scalar evaluator: one op over already-resolved operand
@@ -550,97 +632,239 @@ pub(crate) fn eval_pure(op: Op, a0: impl Fn(usize) -> Value) -> Result<Value, Ex
     }
 }
 
-/// Writes `v` to every active lane of the register at base `dst`.
+/// Writes word `w` to every active lane of the register at base `dst`.
 /// A mask that is a contiguous low prefix (a full warp, or the partial
 /// last warp of a block) is one slice fill; any other mask walks its
-/// set bits. Both write the same value to the same lanes.
+/// set bits. Both write the same word to the same lanes.
 #[inline]
-fn broadcast(regs: &mut [Value], dst: u32, active: u64, v: Value) {
+fn broadcast(regs: &mut [u64], dst: u32, active: u64, w: u64) {
     let dst = dst as usize;
     if active & active.wrapping_add(1) == 0 {
         let n = active.trailing_ones() as usize;
-        regs[dst..dst + n].fill(v);
+        regs[dst..dst + n].fill(w);
         return;
     }
     let mut mask = active;
     while mask != 0 {
         let lane = mask.trailing_zeros() as usize;
         mask &= mask - 1;
-        regs[dst + lane] = v;
+        regs[dst + lane] = w;
     }
 }
 
 /// One scalar warp instruction over the `active` lanes of a register
-/// file. The op **and its sub-op** (`IntBinOp`, `FloatBinOp`,
-/// `CmpPred`) are decoded once per warp instruction, and each sub-op
-/// arm runs [`lane_loop`] instantiated for that one sub-op, with its
-/// value function — the same one [`eval_pure`] calls — as a constant.
-/// Operands are resolved once too ([`LaneArg::resolve`]). Lanes run in
-/// ascending order and the first faulting lane stops the loop, with
-/// every lower lane's result already written, exactly like evaluating
-/// `eval_pure` lane by lane.
+/// file. The op, its sub-op (`IntBinOp`, `FloatBinOp`, `CmpPred`) and
+/// its operand types are decoded once per warp instruction, and each
+/// arm runs [`lane_loop`] instantiated for that (op, sub-op, type): the
+/// op's value function — the one [`eval_pure`] calls — applied to
+/// operands made by [`Value::from_bits`] at a constant type, so the
+/// compiler folds the function's type match away. Operands are
+/// resolved once too ([`LaneArg::resolve`]). Lanes run in ascending
+/// order and the first faulting lane stops the loop, with every lower
+/// lane's result already written, exactly like evaluating `eval_pure`
+/// lane by lane. Operand types no value function accepts (an ill-typed
+/// instruction, which the verifier keeps out of compiled kernels) take
+/// [`eval_lanes`], which faults with `TypeMismatch`.
 #[inline]
+#[allow(clippy::too_many_lines)] // one arm per (op, sub-op, operand types)
 fn scalar_lanes(
     inst: &CInst,
-    regs: &mut [Value],
+    regs: &mut [u64],
     ctx: &LaneCtx,
     widx: u32,
     active: u64,
 ) -> Result<(), ExecError> {
     let dst = inst.dst;
     let arg = |i: usize| LaneArg::resolve(&inst.args[i], ctx, widx);
-    // One arm per sub-op, each with its own `lane_loop` instance; the
-    // match stays exhaustive, so a new sub-op cannot fall through.
+    let ty = |i: usize| slot_ty(&inst.args[i], ctx);
+    let put = |v: Value| ctx.word(v, dst);
+    // A lane loop over operands of constant types: `$f` sees each
+    // operand as the typed value its word holds.
+    macro_rules! typed {
+        (@loop [$($x:ident: $t:ident),+], $args:expr, $f:expr) => {
+            lane_loop(regs, dst, active, $args, |[$($x),+]| {
+                $(let $x = Value::from_bits(Ty::$t, $x);)+
+                $f.map(put)
+            })
+        };
+        ([$x:ident: $t:ident] => $f:expr) => {
+            typed!(@loop [$x: $t], [arg(0)], $f)
+        };
+        ([$x:ident: $t:ident, $y:ident: $u:ident] => $f:expr) => {
+            typed!(@loop [$x: $t, $y: $u], [arg(0), arg(1)], $f)
+        };
+        ([$x:ident: $t:ident, $y:ident: $u:ident, $z:ident: $v:ident] => $f:expr) => {
+            typed!(@loop [$x: $t, $y: $u, $z: $v], [arg(0), arg(1), arg(2)], $f)
+        };
+    }
+    // One instance per sub-op at operand type `$t`; the match stays
+    // exhaustive (or names its fallback), so a new sub-op cannot fall
+    // through.
     macro_rules! per_sub_op {
-        ($sub:expr, $ty:ident, $eval:ident, [$($v:ident),+]) => {
+        ($sub:expr, $sty:ident, $eval:ident, $t:ident, [$($v:ident),+] $(, $rest:pat => $other:expr)?) => {
             match $sub {
-                $($ty::$v => lane_loop(regs, dst, active, [arg(0), arg(1)], |[x, y]| {
-                    $eval($ty::$v, x, y)
-                }),)+
+                $($sty::$v => typed!([x: $t, y: $t] => $eval($sty::$v, x, y)),)+
+                $($rest => $other,)?
             }
         };
     }
+    macro_rules! ill_typed {
+        () => {
+            eval_lanes(inst, regs, ctx, widx, active)
+        };
+    }
     match inst.op {
-        Op::IBin(op) => per_sub_op!(
-            op,
-            IntBinOp,
-            eval_ibin,
-            [Add, Sub, Mul, Div, Rem, Min, Max, And, Or, Xor, Shl, AShr, LShr]
-        ),
-        Op::FBin(op) => per_sub_op!(op, FloatBinOp, eval_fbin, [Add, Sub, Mul, Div, Min, Max]),
-        Op::Icmp(pred) => per_sub_op!(pred, CmpPred, eval_icmp, [Eq, Ne, Lt, Le, Gt, Ge]),
-        Op::Fcmp(pred) => per_sub_op!(pred, CmpPred, eval_fcmp, [Eq, Ne, Lt, Le, Gt, Ge]),
-        Op::Select => lane_loop(regs, dst, active, [arg(0), arg(1), arg(2)], |[c, t, f]| {
-            eval_select(c, t, f)
-        }),
-        Op::Mov => lane_loop(regs, dst, active, [arg(0)], |[x]| eval_mov(x)),
-        Op::Not => lane_loop(regs, dst, active, [arg(0)], |[x]| eval_not(x)),
-        Op::Neg => lane_loop(regs, dst, active, [arg(0)], |[x]| eval_neg(x)),
-        Op::FNeg => lane_loop(regs, dst, active, [arg(0)], |[x]| eval_fneg(x)),
-        Op::Sext => lane_loop(regs, dst, active, [arg(0)], |[x]| eval_sext(x)),
-        Op::Trunc => lane_loop(regs, dst, active, [arg(0)], |[x]| eval_trunc(x)),
-        Op::SiToFp => lane_loop(regs, dst, active, [arg(0)], |[x]| eval_sitofp(x)),
-        Op::FpToSi => lane_loop(regs, dst, active, [arg(0)], |[x]| eval_fptosi(x)),
-        Op::ZextBool => lane_loop(regs, dst, active, [arg(0)], |[x]| eval_zext_bool(x)),
-        Op::RngNext => lane_loop(regs, dst, active, [arg(0), arg(1)], |[s, c]| {
-            eval_rng_next(s, c)
-        }),
+        Op::IBin(op) => match (ty(0), ty(1)) {
+            (Ty::I32, Ty::I32) => per_sub_op!(
+                op,
+                IntBinOp,
+                eval_ibin,
+                I32,
+                [Add, Sub, Mul, Div, Rem, Min, Max, And, Or, Xor, Shl, AShr, LShr]
+            ),
+            (Ty::I64, Ty::I64) => per_sub_op!(
+                op,
+                IntBinOp,
+                eval_ibin,
+                I64,
+                [Add, Sub, Mul, Div, Rem, Min, Max, And, Or, Xor, Shl, AShr, LShr]
+            ),
+            (Ty::Bool, Ty::Bool) => {
+                per_sub_op!(op, IntBinOp, eval_ibin, Bool, [And, Or, Xor], _ => ill_typed!())
+            }
+            _ => ill_typed!(),
+        },
+        Op::FBin(op) => match (ty(0), ty(1)) {
+            (Ty::F32, Ty::F32) => {
+                per_sub_op!(
+                    op,
+                    FloatBinOp,
+                    eval_fbin,
+                    F32,
+                    [Add, Sub, Mul, Div, Min, Max]
+                )
+            }
+            _ => ill_typed!(),
+        },
+        Op::Icmp(pred) => match (ty(0), ty(1)) {
+            (Ty::I32, Ty::I32) => {
+                per_sub_op!(pred, CmpPred, eval_icmp, I32, [Eq, Ne, Lt, Le, Gt, Ge])
+            }
+            (Ty::I64, Ty::I64) => {
+                per_sub_op!(pred, CmpPred, eval_icmp, I64, [Eq, Ne, Lt, Le, Gt, Ge])
+            }
+            _ => ill_typed!(),
+        },
+        Op::Fcmp(pred) => match (ty(0), ty(1)) {
+            (Ty::F32, Ty::F32) => {
+                per_sub_op!(pred, CmpPred, eval_fcmp, F32, [Eq, Ne, Lt, Le, Gt, Ge])
+            }
+            _ => ill_typed!(),
+        },
+        Op::Select => match (ty(0), ty(1), ty(2)) {
+            (Ty::Bool, Ty::I32, Ty::I32) => {
+                typed!([c: Bool, t: I32, f: I32] => eval_select(c, t, f))
+            }
+            (Ty::Bool, Ty::I64, Ty::I64) => {
+                typed!([c: Bool, t: I64, f: I64] => eval_select(c, t, f))
+            }
+            (Ty::Bool, Ty::F32, Ty::F32) => {
+                typed!([c: Bool, t: F32, f: F32] => eval_select(c, t, f))
+            }
+            (Ty::Bool, Ty::Bool, Ty::Bool) => {
+                typed!([c: Bool, t: Bool, f: Bool] => eval_select(c, t, f))
+            }
+            _ => ill_typed!(),
+        },
+        Op::Mov => match ty(0) {
+            Ty::I32 => typed!([x: I32] => eval_mov(x)),
+            Ty::I64 => typed!([x: I64] => eval_mov(x)),
+            Ty::F32 => typed!([x: F32] => eval_mov(x)),
+            Ty::Bool => typed!([x: Bool] => eval_mov(x)),
+        },
+        Op::Not => match ty(0) {
+            Ty::I32 => typed!([x: I32] => eval_not(x)),
+            Ty::I64 => typed!([x: I64] => eval_not(x)),
+            Ty::Bool => typed!([x: Bool] => eval_not(x)),
+            Ty::F32 => ill_typed!(),
+        },
+        Op::Neg => match ty(0) {
+            Ty::I32 => typed!([x: I32] => eval_neg(x)),
+            Ty::I64 => typed!([x: I64] => eval_neg(x)),
+            _ => ill_typed!(),
+        },
+        Op::FNeg => match ty(0) {
+            Ty::F32 => typed!([x: F32] => eval_fneg(x)),
+            _ => ill_typed!(),
+        },
+        Op::Sext => match ty(0) {
+            Ty::I32 => typed!([x: I32] => eval_sext(x)),
+            _ => ill_typed!(),
+        },
+        Op::Trunc => match ty(0) {
+            Ty::I64 => typed!([x: I64] => eval_trunc(x)),
+            _ => ill_typed!(),
+        },
+        Op::SiToFp => match ty(0) {
+            Ty::I32 => typed!([x: I32] => eval_sitofp(x)),
+            _ => ill_typed!(),
+        },
+        Op::FpToSi => match ty(0) {
+            Ty::F32 => typed!([x: F32] => eval_fptosi(x)),
+            _ => ill_typed!(),
+        },
+        Op::ZextBool => match ty(0) {
+            Ty::Bool => typed!([x: Bool] => eval_zext_bool(x)),
+            _ => ill_typed!(),
+        },
+        Op::RngNext => match (ty(0), ty(1)) {
+            (Ty::I64, Ty::I64) => typed!([s: I64, c: I64] => eval_rng_next(s, c)),
+            _ => ill_typed!(),
+        },
         op => unreachable!("non-scalar op routed to the scalar lane loop: {op:?}"),
     }
 }
 
-/// A scalar op's operand, resolved once per warp instruction: what is
-/// left of a [`Slot`] once the warp and the launch are fixed.
+/// The untyped path of [`scalar_lanes`]: [`eval_pure`] over
+/// [`read_operand`], lane by lane in ascending order, stopping at the
+/// first fault. It receives only operand types no value function
+/// accepts, so its first active lane faults with `TypeMismatch`; no
+/// verified kernel reaches it.
+#[cold]
+#[inline(never)]
+fn eval_lanes(
+    inst: &CInst,
+    regs: &mut [u64],
+    ctx: &LaneCtx,
+    widx: u32,
+    active: u64,
+) -> Result<(), ExecError> {
+    let mut mask = active;
+    while mask != 0 {
+        let lane = mask.trailing_zeros();
+        mask &= mask - 1;
+        let v = eval_pure(inst.op, |i| {
+            read_operand(regs, ctx, widx, lane, &inst.args[i])
+        })?;
+        if inst.dst != NO_DST {
+            regs[inst.dst as usize + lane as usize] = ctx.word(v, inst.dst);
+        }
+    }
+    Ok(())
+}
+
+/// An operand resolved once per warp instruction: what is left of a
+/// [`Slot`] once the warp and the launch are fixed.
 #[derive(Clone, Copy)]
 enum LaneArg {
     /// Register-file base: lane `l` reads `regs[base + l]`.
     Reg(u32),
-    /// One value for every lane: an immediate, a parameter, or a
+    /// One word for every lane: an immediate, a parameter, or a
     /// lane-invariant special (`BlockId`, `BlockDim`, `GridDim`,
     /// `WarpId`, `WarpSize`).
-    Same(Value),
+    Same(u64),
     /// `ThreadId` (`first` = warp index × lanes) or `LaneId`
-    /// (`first` = 0): lane `l` reads `I32(first + l)`.
+    /// (`first` = 0): lane `l` reads the `i32` `first + l`.
     LaneIndex(u32),
 }
 
@@ -649,40 +873,68 @@ impl LaneArg {
     fn resolve(slot: &Slot, ctx: &LaneCtx, widx: u32) -> LaneArg {
         use gevo_ir::Special;
         match *slot {
-            Slot::Reg(base) => LaneArg::Reg(base),
+            Slot::Reg(base, _) => LaneArg::Reg(base),
             Slot::Special(Special::ThreadId) => LaneArg::LaneIndex(widx * ctx.lanes),
             Slot::Special(Special::LaneId) => LaneArg::LaneIndex(0),
             // Every other slot reads the same value in every lane.
-            _ => LaneArg::Same(read_operand(&[], ctx, widx, 0, slot)),
+            _ => LaneArg::Same(read_operand(&[], ctx, widx, 0, slot).to_bits()),
         }
     }
 
-    /// This operand's value in `lane`: the value [`read_operand`]
-    /// returns for the slot it was resolved from.
+    /// This operand's word in `lane`: the bits of the value
+    /// [`read_operand`] returns for the slot it was resolved from.
     #[inline]
-    fn read(self, regs: &[Value], lane: u32) -> Value {
+    fn read(self, regs: &[u64], lane: u32) -> u64 {
         match self {
             LaneArg::Reg(base) => regs[base as usize + lane as usize],
-            LaneArg::Same(v) => v,
+            LaneArg::Same(w) => w,
             #[allow(clippy::cast_possible_wrap)]
-            LaneArg::LaneIndex(first) => Value::I32((first + lane) as i32),
+            LaneArg::LaneIndex(first) => Value::I32((first + lane) as i32).to_bits(),
+        }
+    }
+
+    /// The register-file base, for a register operand.
+    #[inline]
+    fn base(self) -> Option<usize> {
+        match self {
+            LaneArg::Reg(base) => Some(base as usize),
+            _ => None,
+        }
+    }
+
+    /// The one word every lane reads, for a lane-invariant operand.
+    #[inline]
+    fn same(self) -> Option<u64> {
+        match self {
+            LaneArg::Same(w) => Some(w),
+            _ => None,
         }
     }
 }
 
-/// The one lane loop of the scalar path: walks the set bits of
-/// `active` in ascending order, reads the `N` operands, applies `f`
-/// and writes `dst` (when there is one); the first fault returns.
-/// Out of line, so each `(N, f)` instance stays a small loop and
-/// [`scalar_lanes`] stays a dispatcher.
+/// The one lane loop of the scalar path: applies `f` to the `N`
+/// operand words of each active lane, in ascending lane order, and
+/// writes the result word to `dst` (when there is one); the first
+/// fault returns. A mask that is a contiguous low prefix (a full warp,
+/// or a block's partial last warp — the test [`broadcast`] uses) runs
+/// as a counted loop when [`prefix_loop`] hoists the operands' shape;
+/// every other case walks the mask's set bits. Out of line, so each
+/// `(N, f)` instance stays a small loop and [`scalar_lanes`] stays a
+/// dispatcher.
 #[inline(never)]
 fn lane_loop<const N: usize>(
-    regs: &mut [Value],
+    regs: &mut [u64],
     dst: u32,
     active: u64,
     args: [LaneArg; N],
-    f: impl Fn([Value; N]) -> Result<Value, ExecError>,
+    f: impl Fn([u64; N]) -> Result<u64, ExecError>,
 ) -> Result<(), ExecError> {
+    if dst != NO_DST && active & active.wrapping_add(1) == 0 {
+        let n = active.trailing_ones() as usize;
+        if let Some(res) = prefix_loop(regs, dst as usize, n, args, &f) {
+            return res;
+        }
+    }
     let mut mask = active;
     while mask != 0 {
         let lane = mask.trailing_zeros();
@@ -691,6 +943,76 @@ fn lane_loop<const N: usize>(
         if dst != NO_DST {
             regs[dst as usize + lane as usize] = v;
         }
+    }
+    Ok(())
+}
+
+/// [`lane_loop`] over lanes `0..lanes` for the operand shapes it
+/// hoists: every operand a register, or two operands of which one is a
+/// register and the other lane-invariant (`None` for any other shape).
+/// Each register operand is read as a slice of exactly `lanes` words, and
+/// results collect in a stack buffer that is copied to `dst` after the
+/// loop — up to the faulting lane, if one faults. No lane reads another
+/// lane's word, so this writes what the in-place walk writes, even when
+/// `dst` is also an operand.
+#[inline]
+fn prefix_loop<const N: usize>(
+    regs: &mut [u64],
+    dst: usize,
+    lanes: usize,
+    args: [LaneArg; N],
+    eval: &impl Fn([u64; N]) -> Result<u64, ExecError>,
+) -> Option<Result<(), ExecError>> {
+    let mut buf = [0u64; MAX_WARP as usize];
+    let out = &mut buf[..lanes];
+    let done = {
+        let words = |base: usize| &regs[base..base + lanes];
+        if args.iter().all(|a| a.base().is_some()) {
+            let srcs = args.map(|a| words(a.base().unwrap_or(0)));
+            fill(out, |lane| srcs.map(|src| src[lane]), eval)
+        } else if N == 2 {
+            let (first, last) = (args[0], args[N - 1]);
+            match (first.base(), last.same(), first.same(), last.base()) {
+                (Some(base), Some(same), ..) => {
+                    let src = words(base);
+                    fill(
+                        out,
+                        |lane| std::array::from_fn(|i| if i == 0 { src[lane] } else { same }),
+                        eval,
+                    )
+                }
+                (.., Some(same), Some(base)) => {
+                    let src = words(base);
+                    fill(
+                        out,
+                        |lane| std::array::from_fn(|i| if i == 0 { same } else { src[lane] }),
+                        eval,
+                    )
+                }
+                _ => return None,
+            }
+        } else {
+            return None;
+        }
+    };
+    let (written, result) = match done {
+        Ok(()) => (lanes, Ok(())),
+        Err((lane, e)) => (lane, Err(e)),
+    };
+    regs[dst..dst + written].copy_from_slice(&buf[..written]);
+    Some(result)
+}
+
+/// `out[lane] = eval(read(lane))` for every lane in ascending order;
+/// the first fault stops the loop and names its lane.
+#[inline]
+fn fill<const N: usize>(
+    out: &mut [u64],
+    read: impl Fn(usize) -> [u64; N],
+    eval: &impl Fn([u64; N]) -> Result<u64, ExecError>,
+) -> Result<(), (usize, ExecError)> {
+    for (lane, word) in out.iter_mut().enumerate() {
+        *word = eval(read(lane)).map_err(|e| (lane, e))?;
     }
     Ok(())
 }
@@ -901,34 +1223,30 @@ impl<'a> BlockExec<'a> {
                 // is only guaranteed equal across lanes that were
                 // active at its definition, which the active set here
                 // is a subset of (for statically uniform slots any lane
-                // works, so this is also valid at O0). The error a
-                // non-boolean condition raises is the same one every
-                // active lane would raise.
+                // works, so this is also valid at O0). A non-boolean
+                // condition faults before either path, as its first
+                // active lane did.
                 let ctx = self.lane_ctx();
-                if active != 0 && self.kernel.uniform_cond[cur_block] {
-                    let w = &self.warps[wi];
-                    let v = read_operand(&w.regs, &ctx, w.idx, active.trailing_zeros(), &cond);
-                    let b = v.as_bool().ok_or(ExecError::TypeMismatch {
-                        expected: Ty::Bool,
-                        found: v.ty(),
-                    })?;
-                    self.enter_block(wi, if b { if_true } else { if_false });
-                    return Ok(());
+                if active != 0 {
+                    expect_ty(slot_ty(&cond, &ctx), Ty::Bool)?;
+                    if self.kernel.uniform_cond[cur_block] {
+                        let w = &self.warps[wi];
+                        let c = LaneArg::resolve(&cond, &ctx, w.idx);
+                        let b = word_bool(c.read(&w.regs, active.trailing_zeros()));
+                        self.enter_block(wi, if b { if_true } else { if_false });
+                        return Ok(());
+                    }
                 }
                 let mut tmask = 0u64;
                 let mut fmask = 0u64;
                 {
                     let w = &self.warps[wi];
+                    let c = LaneArg::resolve(&cond, &ctx, w.idx);
                     let mut mask = active;
                     while mask != 0 {
                         let lane = mask.trailing_zeros();
                         mask &= mask - 1;
-                        let v = read_operand(&w.regs, &ctx, w.idx, lane, &cond);
-                        let b = v.as_bool().ok_or(ExecError::TypeMismatch {
-                            expected: Ty::Bool,
-                            found: v.ty(),
-                        })?;
-                        if b {
+                        if word_bool(c.read(&w.regs, lane)) {
                             tmask |= 1 << lane;
                         } else {
                             fmask |= 1 << lane;
@@ -1020,6 +1338,7 @@ impl<'a> BlockExec<'a> {
             grid: self.launch.grid,
             block: self.launch.block,
             lanes: self.lanes,
+            reg_tys: &self.kernel.reg_tys,
         }
     }
 
@@ -1067,22 +1386,21 @@ impl<'a> BlockExec<'a> {
                 let ctx = self.lane_ctx();
                 let dst = inst.dst;
                 debug_assert_ne!(dst, NO_DST, "ballot has dst");
+                if active != 0 {
+                    expect_ty(slot_ty(&inst.args[0], &ctx), Ty::Bool)?;
+                }
                 let w = &mut self.warps[wi];
+                let pred = LaneArg::resolve(&inst.args[0], &ctx, w.idx);
                 let mut votes = 0i32;
                 let mut mask = active;
                 while mask != 0 {
                     let lane = mask.trailing_zeros();
                     mask &= mask - 1;
-                    let v = read_operand(&w.regs, &ctx, w.idx, lane, &inst.args[0]);
-                    let b = v.as_bool().ok_or(ExecError::TypeMismatch {
-                        expected: Ty::Bool,
-                        found: v.ty(),
-                    })?;
-                    if b {
+                    if word_bool(pred.read(&w.regs, lane)) {
                         votes |= 1 << lane;
                     }
                 }
-                broadcast(&mut w.regs, dst, active, Value::I32(votes));
+                broadcast(&mut w.regs, dst, active, ctx.word(Value::I32(votes), dst));
                 w.cycles += self.spec.costs.ballot;
                 self.stats.ballots += 1;
                 self.issue += 1;
@@ -1092,8 +1410,9 @@ impl<'a> BlockExec<'a> {
                 let mask_v = Value::I32(active as i32);
                 let dst = inst.dst;
                 debug_assert_ne!(dst, NO_DST, "activemask has dst");
+                let word = self.lane_ctx().word(mask_v, dst);
                 let w = &mut self.warps[wi];
-                broadcast(&mut w.regs, dst, active, mask_v);
+                broadcast(&mut w.regs, dst, active, word);
                 w.cycles += self.spec.costs.activemask;
                 self.issue += 1;
             }
@@ -1152,7 +1471,7 @@ impl<'a> BlockExec<'a> {
                 read_operand(&w.regs, &ctx, w.idx, lane, &inst.args[i])
             })?;
             if dst != NO_DST {
-                broadcast(&mut w.regs, dst, active, result);
+                broadcast(&mut w.regs, dst, active, ctx.word(result, dst));
             }
         }
         w.cycles += inst.cost;
@@ -1171,7 +1490,7 @@ impl<'a> BlockExec<'a> {
         debug_assert_ne!(dst, NO_DST, "folded ops have a dst");
         let w = &mut self.warps[wi];
         let result = read_operand(&w.regs, &ctx, w.idx, 0, &inst.args[0]);
-        broadcast(&mut w.regs, dst, active, result);
+        broadcast(&mut w.regs, dst, active, ctx.word(result, dst));
         w.cycles += inst.cost;
         self.stats.alu_instructions += 1;
         self.issue += 1;
@@ -1192,20 +1511,25 @@ impl<'a> BlockExec<'a> {
         debug_assert_ne!(dst, NO_DST, "load has dst");
         let shared_bytes = self.kernel.shared_bytes;
         let mut addrs: [i64; MAX_WARP as usize] = [0; MAX_WARP as usize];
+        if active != 0 {
+            expect_ty(slot_ty(&inst.args[0], &ctx), Ty::I64)?;
+        }
         {
-            // Warp fetched once; active-lane iteration (see `exec_scalar`).
+            // Warp fetched once, the address operand resolved once;
+            // active-lane iteration (see `exec_scalar`).
             let w = &mut self.warps[wi];
+            let addr = LaneArg::resolve(&inst.args[0], &ctx, w.idx);
             let mut mask = active;
             while mask != 0 {
                 let lane = mask.trailing_zeros();
                 mask &= mask - 1;
-                let a = expect_i64(read_operand(&w.regs, &ctx, w.idx, lane, &inst.args[0]))?;
+                let a = word_i64(addr.read(&w.regs, lane));
                 addrs[lane as usize] = a;
                 let v = match space {
                     AddrSpace::Global => self.mem.load(a, ty)?,
                     AddrSpace::Shared => shared_load(self.shared, shared_bytes, a, ty)?,
                 };
-                w.regs[dst as usize + lane as usize] = v;
+                w.regs[dst as usize + lane as usize] = ctx.word(v, dst);
             }
         }
         self.charge_mem(wi, space, active, &addrs, false);
@@ -1223,22 +1547,24 @@ impl<'a> BlockExec<'a> {
         let ctx = self.lane_ctx();
         let shared_bytes = self.kernel.shared_bytes;
         let mut addrs: [i64; MAX_WARP as usize] = [0; MAX_WARP as usize];
+        let vty = ty.value_ty();
+        if active != 0 {
+            expect_ty(slot_ty(&inst.args[0], &ctx), Ty::I64)?;
+            expect_ty(slot_ty(&inst.args[1], &ctx), vty)?;
+        }
         {
-            // Warp fetched once (reads only; stores write no register);
-            // active-lane iteration (see `exec_scalar`).
+            // Warp fetched once (reads only; stores write no register),
+            // operands resolved once; active-lane iteration (see
+            // `exec_scalar`).
             let w = &self.warps[wi];
+            let addr = LaneArg::resolve(&inst.args[0], &ctx, w.idx);
+            let val = LaneArg::resolve(&inst.args[1], &ctx, w.idx);
             let mut mask = active;
             while mask != 0 {
                 let lane = mask.trailing_zeros();
                 mask &= mask - 1;
-                let a = expect_i64(read_operand(&w.regs, &ctx, w.idx, lane, &inst.args[0]))?;
-                let v = read_operand(&w.regs, &ctx, w.idx, lane, &inst.args[1]);
-                if v.ty() != ty.value_ty() {
-                    return Err(ExecError::TypeMismatch {
-                        expected: ty.value_ty(),
-                        found: v.ty(),
-                    });
-                }
+                let a = word_i64(addr.read(&w.regs, lane));
+                let v = Value::from_bits(vty, val.read(&w.regs, lane));
                 addrs[lane as usize] = a;
                 match space {
                     AddrSpace::Global => self.mem.store(a, v)?,
@@ -1273,16 +1599,17 @@ impl<'a> BlockExec<'a> {
         let dst = inst.dst;
         debug_assert_ne!(dst, NO_DST, "load has dst");
         let shared_bytes = self.kernel.shared_bytes;
+        expect_ty(slot_ty(&inst.args[0], &ctx), Ty::I64)?;
         let addr;
         {
             let w = &mut self.warps[wi];
             let lane = active.trailing_zeros();
-            addr = expect_i64(read_operand(&w.regs, &ctx, w.idx, lane, &inst.args[0]))?;
+            addr = word_i64(LaneArg::resolve(&inst.args[0], &ctx, w.idx).read(&w.regs, lane));
             let v = match space {
                 AddrSpace::Global => self.mem.load(addr, ty)?,
                 AddrSpace::Shared => shared_load(self.shared, shared_bytes, addr, ty)?,
             };
-            broadcast(&mut w.regs, dst, active, v);
+            broadcast(&mut w.regs, dst, active, ctx.word(v, dst));
         }
         self.charge_mem_uniform(wi, space, active, addr, false);
         Ok(())
@@ -1305,18 +1632,16 @@ impl<'a> BlockExec<'a> {
         }
         let ctx = self.lane_ctx();
         let shared_bytes = self.kernel.shared_bytes;
+        let vty = ty.value_ty();
+        expect_ty(slot_ty(&inst.args[0], &ctx), Ty::I64)?;
+        expect_ty(slot_ty(&inst.args[1], &ctx), vty)?;
         let addr;
         {
             let w = &self.warps[wi];
             let lane = active.trailing_zeros();
-            addr = expect_i64(read_operand(&w.regs, &ctx, w.idx, lane, &inst.args[0]))?;
-            let v = read_operand(&w.regs, &ctx, w.idx, lane, &inst.args[1]);
-            if v.ty() != ty.value_ty() {
-                return Err(ExecError::TypeMismatch {
-                    expected: ty.value_ty(),
-                    found: v.ty(),
-                });
-            }
+            addr = word_i64(LaneArg::resolve(&inst.args[0], &ctx, w.idx).read(&w.regs, lane));
+            let word = LaneArg::resolve(&inst.args[1], &ctx, w.idx).read(&w.regs, lane);
+            let v = Value::from_bits(vty, word);
             match space {
                 AddrSpace::Global => self.mem.store(addr, v)?,
                 AddrSpace::Shared => shared_store(self.shared, shared_bytes, addr, v)?,
@@ -1367,11 +1692,11 @@ impl<'a> BlockExec<'a> {
                 let mut words: [i64; MAX_WARP as usize] = [0; MAX_WARP as usize];
                 let mut word_banks: [u64; MAX_WARP as usize] = [0; MAX_WARP as usize];
                 let mut n_words = 0usize;
-                for lane in 0..self.lanes {
-                    if active & (1 << lane) == 0 {
-                        continue;
-                    }
-                    let word = addrs[lane as usize] / 4;
+                let mut mask = active;
+                while mask != 0 {
+                    let lane = mask.trailing_zeros() as usize;
+                    mask &= mask - 1;
+                    let word = addrs[lane] / 4;
                     if !words[..n_words].contains(&word) {
                         words[n_words] = word;
                         word_banks[n_words] = word.unsigned_abs() % banks;
@@ -1408,11 +1733,11 @@ impl<'a> BlockExec<'a> {
                 // deduplicated in a fixed lane-bounded array.
                 let mut segments: [u64; MAX_WARP as usize] = [0; MAX_WARP as usize];
                 let mut n_segs = 0usize;
-                for lane in 0..self.lanes {
-                    if active & (1 << lane) == 0 {
-                        continue;
-                    }
-                    let seg = addrs[lane as usize].unsigned_abs() / seg_size;
+                let mut mask = active;
+                while mask != 0 {
+                    let lane = mask.trailing_zeros() as usize;
+                    mask &= mask - 1;
+                    let seg = addrs[lane].unsigned_abs() / seg_size;
                     if !segments[..n_segs].contains(&seg) {
                         segments[n_segs] = seg;
                         n_segs += 1;
@@ -1535,51 +1860,49 @@ impl<'a> BlockExec<'a> {
         debug_assert_ne!(dst, NO_DST, "atomic has dst");
         let n_active = active.count_ones() as u64;
         let shared_bytes = self.kernel.shared_bytes;
+        if active != 0 {
+            expect_ty(slot_ty(&inst.args[0], &ctx), Ty::I64)?;
+        }
+        // The value operands are checked where the first lane read
+        // them: after its load, so a faulting address wins.
+        let (t1, t2) = (slot_ty(&inst.args[1], &ctx), slot_ty(&inst.args[2], &ctx));
         // Lanes execute the atomic in lane order — the deterministic
         // serialization a real device performs in unspecified order.
         {
             let w = &mut self.warps[wi];
+            let [addr, operand, swap] = inst.args.map(|a| LaneArg::resolve(&a, &ctx, w.idx));
             let mut mask = active;
             while mask != 0 {
                 let lane = mask.trailing_zeros();
                 mask &= mask - 1;
-                let addr = expect_i64(read_operand(&w.regs, &ctx, w.idx, lane, &inst.args[0]))?;
+                let a = word_i64(addr.read(&w.regs, lane));
                 let old = match space {
-                    AddrSpace::Global => expect_i32(self.mem.load(addr, MemTy::I32)?)?,
+                    AddrSpace::Global => expect_i32(self.mem.load(a, MemTy::I32)?)?,
                     AddrSpace::Shared => {
-                        expect_i32(shared_load(self.shared, shared_bytes, addr, MemTy::I32)?)?
+                        expect_i32(shared_load(self.shared, shared_bytes, a, MemTy::I32)?)?
                     }
                 };
+                expect_ty(t1, Ty::I32)?;
+                let v = word_i32(operand.read(&w.regs, lane));
                 let new = match kind {
-                    AtomicKind::Add => {
-                        let v =
-                            expect_i32(read_operand(&w.regs, &ctx, w.idx, lane, &inst.args[1]))?;
-                        old.wrapping_add(v)
-                    }
-                    AtomicKind::Max => {
-                        let v =
-                            expect_i32(read_operand(&w.regs, &ctx, w.idx, lane, &inst.args[1]))?;
-                        old.max(v)
-                    }
+                    AtomicKind::Add => old.wrapping_add(v),
+                    AtomicKind::Max => old.max(v),
                     AtomicKind::Cas => {
-                        let expected =
-                            expect_i32(read_operand(&w.regs, &ctx, w.idx, lane, &inst.args[1]))?;
-                        let newv =
-                            expect_i32(read_operand(&w.regs, &ctx, w.idx, lane, &inst.args[2]))?;
-                        if old == expected {
-                            newv
+                        expect_ty(t2, Ty::I32)?;
+                        if old == v {
+                            word_i32(swap.read(&w.regs, lane))
                         } else {
                             old
                         }
                     }
                 };
                 match space {
-                    AddrSpace::Global => self.mem.store(addr, Value::I32(new))?,
+                    AddrSpace::Global => self.mem.store(a, Value::I32(new))?,
                     AddrSpace::Shared => {
-                        shared_store(self.shared, shared_bytes, addr, Value::I32(new))?;
+                        shared_store(self.shared, shared_bytes, a, Value::I32(new))?;
                     }
                 }
-                w.regs[dst as usize + lane as usize] = Value::I32(old);
+                w.regs[dst as usize + lane as usize] = ctx.word(Value::I32(old), dst);
                 self.stats.atomics += 1;
             }
         }
@@ -1599,19 +1922,24 @@ impl<'a> BlockExec<'a> {
         let dst = inst.dst;
         debug_assert_ne!(dst, NO_DST, "shfl has dst");
         let lanes = self.lanes;
+        if active != 0 {
+            expect_ty(slot_ty(&inst.args[1], &ctx), Ty::I32)?;
+        }
+        ctx.check_write(dst, slot_ty(&inst.args[0], &ctx));
         let w = &mut self.warps[wi];
+        let [val, sel_arg, _] = inst.args.map(|a| LaneArg::resolve(&a, &ctx, w.idx));
         // Snapshot the value operand for every lane *before* any write:
         // shuffles read other lanes' registers, including stale values in
         // inactive lanes (the classic warp-synchronous hazard).
-        let mut snapshot: [Value; MAX_WARP as usize] = [Value::I32(0); MAX_WARP as usize];
+        let mut snapshot = [0u64; MAX_WARP as usize];
         for lane in 0..lanes {
-            snapshot[lane as usize] = read_operand(&w.regs, &ctx, w.idx, lane, &inst.args[0]);
+            snapshot[lane as usize] = val.read(&w.regs, lane);
         }
         let mut mask = active;
         while mask != 0 {
             let lane = mask.trailing_zeros();
             mask &= mask - 1;
-            let sel = expect_i32(read_operand(&w.regs, &ctx, w.idx, lane, &inst.args[1]))?;
+            let sel = word_i32(sel_arg.read(&w.regs, lane));
             let src = match inst.op {
                 Op::ShflSync => {
                     // Out-of-range source: own value (CUDA semantics).
@@ -1655,6 +1983,7 @@ enum AtomicKind {
 
 // ---- typed value helpers -----------------------------------------------
 
+#[inline]
 fn expect_i32(v: Value) -> Result<i32, ExecError> {
     v.as_i32().ok_or(ExecError::TypeMismatch {
         expected: Ty::I32,
@@ -1662,6 +1991,7 @@ fn expect_i32(v: Value) -> Result<i32, ExecError> {
     })
 }
 
+#[inline]
 fn expect_i64(v: Value) -> Result<i64, ExecError> {
     v.as_i64().ok_or(ExecError::TypeMismatch {
         expected: Ty::I64,
@@ -1669,6 +1999,7 @@ fn expect_i64(v: Value) -> Result<i64, ExecError> {
     })
 }
 
+#[inline]
 fn expect_f32(v: Value) -> Result<f32, ExecError> {
     v.as_f32().ok_or(ExecError::TypeMismatch {
         expected: Ty::F32,
@@ -1676,6 +2007,7 @@ fn expect_f32(v: Value) -> Result<f32, ExecError> {
     })
 }
 
+#[inline]
 fn expect_bool(v: Value) -> Result<bool, ExecError> {
     v.as_bool().ok_or(ExecError::TypeMismatch {
         expected: Ty::Bool,
@@ -1690,6 +2022,7 @@ fn expect_bool(v: Value) -> Result<bool, ExecError> {
 // are checked left to right, so the first mismatching operand names
 // the error.
 
+#[inline]
 fn eval_ibin(op: IntBinOp, x: Value, y: Value) -> Result<Value, ExecError> {
     match (x, y) {
         (Value::I32(a), Value::I32(b)) => Ok(Value::I32(ibin_i32(op, a, b))),
@@ -1707,6 +2040,7 @@ fn eval_ibin(op: IntBinOp, x: Value, y: Value) -> Result<Value, ExecError> {
     }
 }
 
+#[inline]
 fn eval_fbin(op: FloatBinOp, x: Value, y: Value) -> Result<Value, ExecError> {
     let x = expect_f32(x)?;
     let y = expect_f32(y)?;
@@ -1720,6 +2054,7 @@ fn eval_fbin(op: FloatBinOp, x: Value, y: Value) -> Result<Value, ExecError> {
     }))
 }
 
+#[inline]
 fn eval_icmp(pred: CmpPred, x: Value, y: Value) -> Result<Value, ExecError> {
     match (x, y) {
         (Value::I32(a), Value::I32(b)) => Ok(Value::Bool(pred.eval(a.cmp(&b)))),
@@ -1731,6 +2066,7 @@ fn eval_icmp(pred: CmpPred, x: Value, y: Value) -> Result<Value, ExecError> {
     }
 }
 
+#[inline]
 fn eval_fcmp(pred: CmpPred, x: Value, y: Value) -> Result<Value, ExecError> {
     let x = expect_f32(x)?;
     let y = expect_f32(y)?;
@@ -1740,15 +2076,27 @@ fn eval_fcmp(pred: CmpPred, x: Value, y: Value) -> Result<Value, ExecError> {
     }))
 }
 
+/// The arms must have one type: a select cannot change a register's
+/// type with its condition.
+#[inline]
 fn eval_select(c: Value, t: Value, f: Value) -> Result<Value, ExecError> {
-    Ok(if expect_bool(c)? { t } else { f })
+    let c = expect_bool(c)?;
+    if t.ty() != f.ty() {
+        return Err(ExecError::TypeMismatch {
+            expected: t.ty(),
+            found: f.ty(),
+        });
+    }
+    Ok(if c { t } else { f })
 }
 
 #[allow(clippy::unnecessary_wraps)] // shares the value-function signature
+#[inline]
 fn eval_mov(x: Value) -> Result<Value, ExecError> {
     Ok(x)
 }
 
+#[inline]
 fn eval_not(x: Value) -> Result<Value, ExecError> {
     match x {
         Value::I32(v) => Ok(Value::I32(!v)),
@@ -1761,6 +2109,7 @@ fn eval_not(x: Value) -> Result<Value, ExecError> {
     }
 }
 
+#[inline]
 fn eval_neg(x: Value) -> Result<Value, ExecError> {
     match x {
         Value::I32(v) => Ok(Value::I32(v.wrapping_neg())),
@@ -1772,40 +2121,48 @@ fn eval_neg(x: Value) -> Result<Value, ExecError> {
     }
 }
 
+#[inline]
 fn eval_fneg(x: Value) -> Result<Value, ExecError> {
     Ok(Value::F32(-expect_f32(x)?))
 }
 
+#[inline]
 fn eval_sext(x: Value) -> Result<Value, ExecError> {
     Ok(Value::I64(i64::from(expect_i32(x)?)))
 }
 
+#[inline]
 fn eval_trunc(x: Value) -> Result<Value, ExecError> {
     #[allow(clippy::cast_possible_truncation)]
     Ok(Value::I32(expect_i64(x)? as i32))
 }
 
+#[inline]
 fn eval_sitofp(x: Value) -> Result<Value, ExecError> {
     #[allow(clippy::cast_precision_loss)]
     Ok(Value::F32(expect_i32(x)? as f32))
 }
 
 /// Rounds toward zero and saturates; NaN converts to 0 (Rust `as`).
+#[inline]
 fn eval_fptosi(x: Value) -> Result<Value, ExecError> {
     #[allow(clippy::cast_possible_truncation)]
     Ok(Value::I32(expect_f32(x)? as i32))
 }
 
+#[inline]
 fn eval_zext_bool(x: Value) -> Result<Value, ExecError> {
     Ok(Value::I32(i32::from(expect_bool(x)?)))
 }
 
+#[inline]
 fn eval_rng_next(s: Value, c: Value) -> Result<Value, ExecError> {
     let s = expect_i64(s)?;
     let c = expect_i64(c)?;
     Ok(Value::I32(rng::mix_to_u31(s, c)))
 }
 
+#[inline]
 fn ibin_i32(op: IntBinOp, a: i32, b: i32) -> i32 {
     match op {
         IntBinOp::Add => a.wrapping_add(b),
@@ -1827,6 +2184,7 @@ fn ibin_i32(op: IntBinOp, a: i32, b: i32) -> i32 {
     }
 }
 
+#[inline]
 fn ibin_i64(op: IntBinOp, a: i64, b: i64) -> i64 {
     match op {
         IntBinOp::Add => a.wrapping_add(b),
@@ -2021,29 +2379,49 @@ mod uniformity_soundness {
 
 #[cfg(test)]
 mod lane_loop_equivalence {
-    //! The per-sub-op lane loops of [`scalar_lanes`] against the
-    //! reference they replaced: [`eval_pure`] over [`read_operand`],
-    //! evaluated lane by lane in ascending order, stopping at the first
-    //! fault. Every scalar op runs over every operand shape (registers,
-    //! each immediate kind, every special, parameters — well- and
-    //! ill-typed), several destinations, four masks and two warps; the
-    //! register files must match bit for bit and the first error must
-    //! be the same.
+    //! The typed lane loops of [`scalar_lanes`] against the reference
+    //! they replaced: [`eval_pure`] over [`read_operand`], evaluated
+    //! lane by lane in ascending order, stopping at the first fault.
+    //! Every (op, sub-op, operand types) combination the value
+    //! functions accept runs over every operand shape of those types
+    //! (registers, immediates, parameters, every special), four masks
+    //! (full, partial prefix, sparse, empty) and two warps, with a
+    //! fresh destination, none, and — where the types allow — operand
+    //! 0's own register; the register files must match bit for bit and
+    //! the results must be equal. Every combination the value functions
+    //! reject must fault the same way, never panic.
 
     use super::*;
-    use gevo_ir::Special;
+    use crate::spec::GpuSpec;
+    use gevo_ir::{AddrSpace, KernelBuilder, Operand, Special};
 
     const LANES: u32 = 8;
-    /// Register-file base of the destination register (reg 10).
-    const DST: u32 = 10 * LANES;
+    const TYS: [Ty; 4] = [Ty::I32, Ty::I64, Ty::F32, Ty::Bool];
+
+    /// Register `2 × t` and `2 × t + 1` are operands of type `TYS[t]`,
+    /// register `8 + t` a destination of that type.
+    fn operand_reg(ty: Ty, k: u32) -> Slot {
+        let t = TYS.iter().position(|&x| x == ty).expect("type") as u32;
+        Slot::Reg((2 * t + k) * LANES, ty)
+    }
+
+    fn dst_reg(ty: Ty) -> u32 {
+        let t = TYS.iter().position(|&x| x == ty).expect("type") as u32;
+        (8 + t) * LANES
+    }
+
+    /// The declared type of every register of [`register_file`].
+    fn reg_tys() -> Vec<Ty> {
+        TYS.iter().flat_map(|&t| [t, t]).chain(TYS).collect()
+    }
 
     /// A register file whose values hit the ops' edge cases lane by
     /// lane: division and remainder by 0, `MIN / -1`, shift counts at
-    /// and beyond the width, NaN, infinities and out-of-range casts.
-    fn register_file() -> Vec<Value> {
+    /// and beyond the width, NaN, infinities, `-0.0` and out-of-range
+    /// casts. Destinations hold their type's sentinel.
+    fn register_file() -> Vec<u64> {
         let nan = f32::NAN;
         let inf = f32::INFINITY;
-        let mut regs = Vec::new();
         let i32s: [[i32; 8]; 2] = [
             [7, i32::MIN, -9, 100, i32::MAX, 0, -1, 5],
             [0, -1, 32, 33, -3, 2, 40, 1],
@@ -2060,59 +2438,48 @@ mod lane_loop_equivalence {
             [true, false, true, false, true, true, false, false],
             [true, true, false, false, true, false, true, false],
         ];
-        regs.extend(i32s.iter().flatten().map(|&v| Value::I32(v))); // r0, r1
-        regs.extend(i64s.iter().flatten().map(|&v| Value::I64(v))); // r2, r3
-        regs.extend(f32s.iter().flatten().map(|&v| Value::F32(v))); // r4, r5
-        regs.extend(bools.iter().flatten().map(|&v| Value::Bool(v))); // r6, r7
-                                                                      // r8: hand-built lane-dependent type mismatch — lanes 0..4 hold
-                                                                      // `i32`, lanes 4..8 `f32`, so a fault strikes mid-loop after the
-                                                                      // lower lanes have written their results.
-        regs.extend((0..8).map(|l| {
-            if l < 4 {
-                Value::I32(l)
-            } else {
-                Value::F32(0.25)
-            }
-        }));
-        // r9: `i64` lanes 0..4, `bool` lanes 4..8.
-        regs.extend((0..8).map(|l| {
-            if l < 4 {
-                Value::I64(i64::from(l) - 2)
-            } else {
-                Value::Bool(l % 2 == 0)
-            }
-        }));
-        // r10: destination, poisoned.
-        regs.extend((0..8).map(|_| Value::sentinel(Ty::I32)));
+        let mut regs: Vec<u64> = Vec::new();
+        regs.extend(i32s.iter().flatten().map(|&v| Value::I32(v).to_bits()));
+        regs.extend(i64s.iter().flatten().map(|&v| Value::I64(v).to_bits()));
+        regs.extend(f32s.iter().flatten().map(|&v| Value::F32(v).to_bits()));
+        regs.extend(bools.iter().flatten().map(|&v| Value::Bool(v).to_bits()));
+        for ty in TYS {
+            regs.extend((0..LANES).map(|_| Value::sentinel(ty).to_bits()));
+        }
         regs
     }
 
-    /// Every operand shape the lowering produces, of every type.
-    fn slot_pool() -> Vec<Slot> {
-        let mut pool: Vec<Slot> = (0..10).map(|r| Slot::Reg(r * LANES)).collect();
-        pool.extend([
-            Slot::ImmI32(0),
-            Slot::ImmI32(-1),
-            Slot::ImmI32(i32::MIN),
-            Slot::ImmI32(40),
-            Slot::ImmI64(-1),
-            Slot::ImmI64(0),
-            Slot::ImmF32(f32::NAN),
-            Slot::ImmF32(-2.5),
-            Slot::ImmBool(true),
-            Slot::ImmBool(false),
-            Slot::Special(Special::ThreadId),
-            Slot::Special(Special::LaneId),
-            Slot::Special(Special::BlockId),
-            Slot::Special(Special::WarpId),
-            Slot::Special(Special::BlockDim),
-            Slot::Special(Special::GridDim),
-            Slot::Special(Special::WarpSize),
-            Slot::Param(0),
-            Slot::Param(1),
-            Slot::Param(2),
-            Slot::Param(3),
-        ]);
+    /// Every operand shape of type `ty` the lowering produces: two
+    /// registers, immediates, the parameter of that type and, for
+    /// `i32`, every special.
+    fn slot_pool(ty: Ty) -> Vec<Slot> {
+        let mut pool = vec![operand_reg(ty, 0), operand_reg(ty, 1)];
+        match ty {
+            Ty::I32 => {
+                pool.extend([
+                    Slot::ImmI32(0),
+                    Slot::ImmI32(-1),
+                    Slot::ImmI32(i32::MIN),
+                    Slot::ImmI32(40),
+                    Slot::Param(0),
+                ]);
+                pool.extend(
+                    [
+                        Special::ThreadId,
+                        Special::LaneId,
+                        Special::BlockId,
+                        Special::WarpId,
+                        Special::BlockDim,
+                        Special::GridDim,
+                        Special::WarpSize,
+                    ]
+                    .map(Slot::Special),
+                );
+            }
+            Ty::I64 => pool.extend([Slot::ImmI64(-1), Slot::ImmI64(0), Slot::Param(1)]),
+            Ty::F32 => pool.extend([Slot::ImmF32(f32::NAN), Slot::ImmF32(-2.5), Slot::Param(2)]),
+            Ty::Bool => pool.extend([Slot::ImmBool(true), Slot::ImmBool(false), Slot::Param(3)]),
+        }
         pool
     }
 
@@ -2167,10 +2534,43 @@ mod lane_loop_equivalence {
         ops
     }
 
+    /// Every tuple of `arity` operand types.
+    fn type_tuples(arity: usize) -> Vec<Vec<Ty>> {
+        (0..TYS.len().pow(u32::try_from(arity).expect("arity")))
+            .map(|mut k| {
+                (0..arity)
+                    .map(|_| {
+                        let t = TYS[k % TYS.len()];
+                        k /= TYS.len();
+                        t
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Every choice of one slot per operand from its pool.
+    fn slot_choices(pools: &[Vec<Slot>]) -> Vec<[Slot; 3]> {
+        let mut out = vec![[Slot::ImmI32(0); 3]];
+        for (i, pool) in pools.iter().enumerate() {
+            out = out
+                .iter()
+                .flat_map(|args| {
+                    pool.iter().map(move |&s| {
+                        let mut a = *args;
+                        a[i] = s;
+                        a
+                    })
+                })
+                .collect();
+        }
+        out
+    }
+
     /// The replaced per-lane path: `eval_pure` once per active lane.
     fn reference(
         inst: &CInst,
-        regs: &mut [Value],
+        regs: &mut [u64],
         ctx: &LaneCtx,
         widx: u32,
         active: u64,
@@ -2183,22 +2583,10 @@ mod lane_loop_equivalence {
                 read_operand(regs, ctx, widx, lane, &inst.args[i])
             })?;
             if inst.dst != NO_DST {
-                regs[inst.dst as usize + lane as usize] = v;
+                regs[inst.dst as usize + lane as usize] = v.to_bits();
             }
         }
         Ok(())
-    }
-
-    /// A value's type and raw bits: `f32` compares by `to_bits`, so a
-    /// NaN equals itself and `-0.0` differs from `0.0`.
-    fn bits(v: Value) -> (Ty, u64) {
-        #[allow(clippy::cast_sign_loss)]
-        match v {
-            Value::I32(x) => (Ty::I32, u64::from(x as u32)),
-            Value::I64(x) => (Ty::I64, x as u64),
-            Value::F32(x) => (Ty::F32, u64::from(x.to_bits())),
-            Value::Bool(x) => (Ty::Bool, u64::from(x)),
-        }
     }
 
     #[test]
@@ -2209,6 +2597,7 @@ mod lane_loop_equivalence {
             Value::F32(0.1),
             Value::Bool(true),
         ];
+        let tys = reg_tys();
         // Every lane-invariant special reads a distinct value, so one
         // resolved from the wrong context field shows.
         let ctx = LaneCtx {
@@ -2217,27 +2606,40 @@ mod lane_loop_equivalence {
             grid: 5,
             block: 24,
             lanes: LANES,
+            reg_tys: &tys,
         };
         let base = register_file();
-        let pool = slot_pool();
-        // Full, partial, single-lane and empty masks.
-        let masks = [0xFF, 0b1011_0110, 1 << 5, 0];
-        let (mut cases, mut faults) = (0usize, 0usize);
-        // Two warps: an operand resolved for the wrong warp (or, under
-        // the masks that skip lane 0, for the wrong lane) differs.
-        for widx in [1, 2] {
-            for op in scalar_ops() {
-                let arity = op.arity();
-                let n = pool.len().pow(u32::try_from(arity).expect("arity"));
-                for pick in 0..n {
-                    let mut args = [Slot::ImmI32(0); 3];
-                    let mut rest = pick;
-                    for arg in args.iter_mut().take(arity) {
-                        *arg = pool[rest % pool.len()];
-                        rest /= pool.len();
+        // Full, partial prefix, sparse and empty masks.
+        let masks = [0xFF, 0b0000_0111, 0b1011_0110, 0];
+        let (mut combos, mut cases, mut ill_typed) = (0usize, 0usize, 0usize);
+        for op in scalar_ops() {
+            for arg_tys in type_tuples(op.arity()) {
+                // The value functions decide what is well-typed: the
+                // sentinels of the operand types evaluate, or fault.
+                let probe = eval_pure(op, |i| Value::sentinel(arg_tys[i]));
+                let (pools, dsts): (Vec<Vec<Slot>>, Vec<u32>) = if let Ok(v) = &probe {
+                    combos += 1;
+                    let pools = arg_tys.iter().map(|&t| slot_pool(t)).collect();
+                    (pools, vec![dst_reg(v.ty()), NO_DST])
+                } else {
+                    // A register and an immediate per operand are
+                    // enough to see the fault.
+                    let pools = arg_tys
+                        .iter()
+                        .map(|&t| slot_pool(t).into_iter().step_by(2).take(2).collect())
+                        .collect();
+                    (pools, vec![dst_reg(Ty::I32), NO_DST])
+                };
+                for args in slot_choices(&pools) {
+                    let mut dsts = dsts.clone();
+                    // Operand 0's own register, when it is a register of
+                    // the result type: reads and writes alias.
+                    if let (Ok(v), Slot::Reg(b, t)) = (&probe, args[0]) {
+                        if t == v.ty() {
+                            dsts.push(b);
+                        }
                     }
-                    // A fresh destination, none, and one aliasing operand 0.
-                    for dst in [DST, NO_DST, 0] {
+                    for dst in dsts {
                         let inst = CInst {
                             op,
                             tag: OpClass::Scalar,
@@ -2245,33 +2647,94 @@ mod lane_loop_equivalence {
                             args,
                             cost: 1,
                         };
-                        for active in masks {
-                            let mut want = base.clone();
-                            let mut got = base.clone();
-                            let want_res = reference(&inst, &mut want, &ctx, widx, active);
-                            let got_res = scalar_lanes(&inst, &mut got, &ctx, widx, active);
-                            assert_eq!(
-                            got_res, want_res,
-                            "{op:?} {args:?} warp {widx} dst {dst} mask {active:#x}: first error"
-                        );
-                            let want_bits: Vec<_> = want.iter().map(|&v| bits(v)).collect();
-                            let got_bits: Vec<_> = got.iter().map(|&v| bits(v)).collect();
-                            assert_eq!(
-                            got_bits, want_bits,
-                            "{op:?} {args:?} warp {widx} dst {dst} mask {active:#x}: register file"
-                        );
-                            cases += 1;
-                            faults += usize::from(want_res.is_err());
+                        // Two warps: an operand resolved for the wrong
+                        // warp (or, under the masks that skip lane 0,
+                        // for the wrong lane) differs.
+                        for widx in [1, 2] {
+                            for active in masks {
+                                let mut want = base.clone();
+                                let mut got = base.clone();
+                                let want_res = reference(&inst, &mut want, &ctx, widx, active);
+                                let got_res = scalar_lanes(&inst, &mut got, &ctx, widx, active);
+                                let what = format!(
+                                    "{op:?} {args:?} warp {widx} dst {dst} mask {active:#x}"
+                                );
+                                assert_eq!(got_res, want_res, "{what}: result");
+                                assert_eq!(got, want, "{what}: register file");
+                                if probe.is_err() && active != 0 {
+                                    assert!(
+                                        matches!(got_res, Err(ExecError::TypeMismatch { .. })),
+                                        "{what}: ill-typed ops fault"
+                                    );
+                                    ill_typed += 1;
+                                }
+                                cases += 1;
+                            }
                         }
                     }
                 }
             }
         }
-        // Both outcomes were exercised in bulk.
+        // One typed instance per combination `scalar_lanes` decodes:
+        // 29 integer binary (13 sub-ops at i32 and i64, 3 logical at
+        // b1), 6 float binary, 12 integer and 6 float compares, select
+        // and mov at 4 types, not at 3, neg at 2, and 7 conversions.
+        assert_eq!(combos, 73, "well-typed (op, sub-op, types) combinations");
         assert!(
-            faults > 1000 && cases - faults > 1000,
-            "{faults} of {cases} faulted"
+            cases > 100_000 && ill_typed > 1000,
+            "{cases} cases, {ill_typed} faults"
         );
+    }
+
+    /// A faulting lane stops [`lane_loop`] with every lower active
+    /// lane written and no higher one, on the counted prefix loop and
+    /// on the mask walk alike. (The typed instances never fault, so the
+    /// test above cannot reach this path.)
+    #[test]
+    fn lane_loop_stops_at_the_first_fault() {
+        let base = register_file();
+        let src = operand_reg(Ty::I32, 1);
+        let Slot::Reg(reg, _) = src else {
+            unreachable!("a register slot")
+        };
+        // Register 1's lanes hold 0, -1, 32, 33, -3, 2, 40, 1: lane 3
+        // faults.
+        let bad = Value::I32(33).to_bits();
+        let eval = |[x, y]: [u64; 2]| {
+            if x == bad {
+                Err(ExecError::StepLimit)
+            } else {
+                Ok(x ^ y)
+            }
+        };
+        let dst = dst_reg(Ty::I32);
+        let uniform = LaneArg::Same(7);
+        for active in [0xFFu64, 0b0000_1111, 0b0000_0111, 0b1011_1010] {
+            for args in [
+                [LaneArg::Reg(reg), LaneArg::Reg(0)],
+                [LaneArg::Reg(reg), uniform],
+            ] {
+                let mut want = base.clone();
+                let mut want_res = Ok(());
+                let mut mask = active;
+                while mask != 0 {
+                    let lane = mask.trailing_zeros();
+                    mask &= mask - 1;
+                    match eval(args.map(|a| a.read(&want, lane))) {
+                        Ok(w) => want[dst as usize + lane as usize] = w,
+                        Err(e) => {
+                            want_res = Err(e);
+                            break;
+                        }
+                    }
+                }
+                let mut got = base.clone();
+                let got_res = lane_loop(&mut got, dst, active, args, eval);
+                assert_eq!(got_res, want_res, "mask {active:#x}");
+                assert_eq!(got, want, "mask {active:#x}");
+                assert_eq!(got_res.is_err(), active & 0b1000 != 0);
+            }
+        }
     }
 
     /// [`broadcast`] against the set-bit walk it shortcuts: full,
@@ -2281,30 +2744,90 @@ mod lane_loop_equivalence {
     fn broadcast_matches_the_set_bit_walk() {
         let base = register_file();
         let masks: [u64; 5] = [0xFF, 0b0000_0111, 0b1011_0110, 1 << (LANES - 1), 0];
-        let values = [
+        let words = [
             Value::I32(-3),
             Value::I64(i64::MIN),
             Value::F32(f32::NAN),
             Value::F32(-0.0),
             Value::Bool(true),
-        ];
-        for dst in [DST, 0, 4 * LANES] {
+        ]
+        .map(Value::to_bits);
+        for dst in [dst_reg(Ty::I32), 0, 4 * LANES] {
             for active in masks {
-                for v in values {
+                for w in words {
                     let mut want = base.clone();
                     let mut mask = active;
                     while mask != 0 {
                         let lane = mask.trailing_zeros();
                         mask &= mask - 1;
-                        want[dst as usize + lane as usize] = v;
+                        want[dst as usize + lane as usize] = w;
                     }
                     let mut got = base.clone();
-                    broadcast(&mut got, dst, active, v);
-                    let want_bits: Vec<_> = want.iter().map(|&v| bits(v)).collect();
-                    let got_bits: Vec<_> = got.iter().map(|&v| bits(v)).collect();
-                    assert_eq!(got_bits, want_bits, "{v:?} to {dst} under {active:#x}");
+                    broadcast(&mut got, dst, active, w);
+                    assert_eq!(got, want, "{w:#x} to {dst} under {active:#x}");
                 }
             }
+        }
+    }
+
+    /// A verified kernel that reads registers it never wrote, one of
+    /// each type, sees its type's sentinel in every lane: the words
+    /// survive the typed lane loops (a `mov` of each, and `select`s
+    /// between the copies) and the stores bit for bit — the `f32`
+    /// sentinel `0xDBDBDBDB` included.
+    #[test]
+    fn never_written_registers_read_their_sentinels() {
+        let mut b = KernelBuilder::new("sentinels");
+        let out = b.param_ptr("out", AddrSpace::Global);
+        let tid = b.special_i32(Special::ThreadId);
+        let [ri, rl, rf, rb] = TYS.map(|t| b.fresh_reg(t));
+        let cond = b.mov(rb.into());
+        let si = b.select(cond.into(), Operand::ImmI32(0), ri.into());
+        let mi = b.mov(si.into());
+        let sl = b.select(cond.into(), Operand::ImmI64(0), rl.into());
+        let ml = b.mov(sl.into());
+        let sf = b.select(cond.into(), Operand::ImmF32(0.0f32.into()), rf.into());
+        let mf = b.mov(sf.into());
+        let zb = b.zext_bool(cond.into());
+        let slot = b.mul(tid.into(), Operand::ImmI32(4));
+        let stores: [(MemTy, Operand, i32); 4] = [
+            (MemTy::I32, mi.into(), 0),
+            (MemTy::I64, ml.into(), 1),
+            (MemTy::F32, mf.into(), 2),
+            (MemTy::I32, zb.into(), 3),
+        ];
+        for (ty, v, k) in stores {
+            let word = b.add(slot.into(), Operand::ImmI32(k));
+            let addr = b.index_addr(Operand::Param(out), word.into(), 8);
+            b.store(AddrSpace::Global, ty, addr.into(), v);
+        }
+        b.ret();
+        let k = b.finish();
+        gevo_ir::verify::verify(&k).expect("kernel verifies");
+
+        // A full warp and a partial one.
+        let spec = GpuSpec::p100().scaled(8);
+        let threads = 12;
+        let mut gpu = Gpu::new(spec);
+        let buf = gpu
+            .mem_mut()
+            .alloc(u64::from(threads) * 32)
+            .expect("arena fits");
+        gpu.launch(&k, LaunchConfig::new(1, threads), &[buf.into()])
+            .expect("kernel runs");
+        for t in 0..i64::from(threads) {
+            let at = |k: i64| buf.base() + (4 * t + k) * 8;
+            let load = |k, ty| gpu.mem().load(at(k), ty).expect("in bounds");
+            assert_eq!(load(0, MemTy::I32), Value::sentinel(Ty::I32), "thread {t}");
+            assert_eq!(load(1, MemTy::I64), Value::sentinel(Ty::I64), "thread {t}");
+            let f = load(2, MemTy::F32);
+            assert_eq!(f.to_bits(), 0xDBDB_DBDB, "thread {t}: f32 sentinel bits");
+            assert_eq!(f.to_bits(), Value::sentinel(Ty::F32).to_bits());
+            assert_eq!(
+                load(3, MemTy::I32),
+                Value::I32(0),
+                "thread {t}: b1 sentinel"
+            );
         }
     }
 }

@@ -275,6 +275,126 @@ impl GpuSpec {
     pub fn cuda_cores(&self) -> u32 {
         self.sm_count * self.cores_per_sm
     }
+
+    /// Every field of the spec and its cost table, as `(name, value)`
+    /// in declaration order; cost fields are named `costs.<field>`.
+    /// Both structs are destructured without `..`, so a new field does
+    /// not compile until it is listed here.
+    #[must_use]
+    pub fn fields(&self) -> Vec<(&'static str, String)> {
+        let GpuSpec {
+            name,
+            family,
+            sm_count,
+            warp_size,
+            cores_per_sm,
+            max_threads_per_block,
+            shared_mem_per_block,
+            clock_mhz,
+            device_mem_bytes,
+            shared_banks,
+            coalesce_bytes,
+            cache_line_bytes,
+            cache_lines,
+            dram_row_bytes,
+            independent_thread_scheduling,
+            costs,
+            step_limit,
+            blocks_per_sm,
+        } = self;
+        let CostModel {
+            alu,
+            imul,
+            idiv,
+            falu,
+            fdiv,
+            shared,
+            shared_store,
+            shared_conflict,
+            shared_scalar,
+            global_store,
+            global_hit,
+            global_row_hit,
+            global_row_miss,
+            global_segment,
+            shfl,
+            ballot,
+            activemask,
+            barrier,
+            barrier_per_warp,
+            atomic_shared,
+            atomic_global,
+            rng,
+            divergence,
+            launch_overhead,
+            issue_width,
+        } = costs;
+        macro_rules! fields {
+            ($($label:literal => $v:expr),+ $(,)?) => {
+                vec![$(($label, $v.to_string())),+]
+            };
+        }
+        fields![
+            "name" => name,
+            "family" => family,
+            "sm_count" => sm_count,
+            "warp_size" => warp_size,
+            "cores_per_sm" => cores_per_sm,
+            "max_threads_per_block" => max_threads_per_block,
+            "shared_mem_per_block" => shared_mem_per_block,
+            "clock_mhz" => clock_mhz,
+            "device_mem_bytes" => device_mem_bytes,
+            "shared_banks" => shared_banks,
+            "coalesce_bytes" => coalesce_bytes,
+            "cache_line_bytes" => cache_line_bytes,
+            "cache_lines" => cache_lines,
+            "dram_row_bytes" => dram_row_bytes,
+            "independent_thread_scheduling" => independent_thread_scheduling,
+            "costs.alu" => alu,
+            "costs.imul" => imul,
+            "costs.idiv" => idiv,
+            "costs.falu" => falu,
+            "costs.fdiv" => fdiv,
+            "costs.shared" => shared,
+            "costs.shared_store" => shared_store,
+            "costs.shared_conflict" => shared_conflict,
+            "costs.shared_scalar" => shared_scalar,
+            "costs.global_store" => global_store,
+            "costs.global_hit" => global_hit,
+            "costs.global_row_hit" => global_row_hit,
+            "costs.global_row_miss" => global_row_miss,
+            "costs.global_segment" => global_segment,
+            "costs.shfl" => shfl,
+            "costs.ballot" => ballot,
+            "costs.activemask" => activemask,
+            "costs.barrier" => barrier,
+            "costs.barrier_per_warp" => barrier_per_warp,
+            "costs.atomic_shared" => atomic_shared,
+            "costs.atomic_global" => atomic_global,
+            "costs.rng" => rng,
+            "costs.divergence" => divergence,
+            "costs.launch_overhead" => launch_overhead,
+            "costs.issue_width" => issue_width,
+            "step_limit" => step_limit,
+            "blocks_per_sm" => blocks_per_sm,
+        ]
+    }
+
+    /// The [`GpuSpec::fields`] whose values are not the same in all of
+    /// `specs`, in declaration order.
+    #[must_use]
+    pub fn differing_fields(specs: &[GpuSpec]) -> Vec<&'static str> {
+        let all: Vec<_> = specs.iter().map(GpuSpec::fields).collect();
+        let Some(first) = all.first() else {
+            return Vec::new();
+        };
+        first
+            .iter()
+            .enumerate()
+            .filter(|&(i, (_, v))| all.iter().any(|f| f[i].1 != *v))
+            .map(|(_, &(name, _))| name)
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -298,6 +418,37 @@ mod tests {
         assert!(GpuSpec::v100().costs.ballot > 4 * GpuSpec::p100().costs.ballot);
         assert!(GpuSpec::v100().independent_thread_scheduling);
         assert!(!GpuSpec::p100().independent_thread_scheduling);
+    }
+
+    #[test]
+    fn p100_and_v100_differ_in_exactly_these_fields() {
+        assert_eq!(
+            GpuSpec::differing_fields(&[GpuSpec::p100(), GpuSpec::v100()]),
+            [
+                "name",
+                "family",
+                "sm_count",
+                "clock_mhz",
+                "cache_lines",
+                "independent_thread_scheduling",
+                "costs.shared",
+                "costs.global_row_hit",
+                "costs.global_row_miss",
+                "costs.ballot",
+            ]
+        );
+        let p100 = GpuSpec::p100();
+        assert_eq!(GpuSpec::differing_fields(&[p100.clone(), p100]), [""; 0]);
+        // Every field is listed once.
+        let names: Vec<_> = GpuSpec::p100()
+            .fields()
+            .into_iter()
+            .map(|(n, _)| n)
+            .collect();
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len());
     }
 
     #[test]

@@ -1,13 +1,20 @@
-//! Runtime values held in simulated registers.
+//! Typed scalars at the simulator's boundaries, and their register words.
 
 use gevo_ir::Ty;
 use std::fmt;
 
-/// A dynamically typed scalar.
+/// A typed scalar: the form a value takes at the simulator's boundaries
+/// — kernel parameters, device and shared memory, compile-time folding
+/// and the pure evaluator the scalar ops share.
 ///
-/// The executor checks types at every use: a mismatch means the verifier
-/// was bypassed or has a hole, so it surfaces as a *typed execution error*
-/// (invalid variant), never a panic.
+/// Registers do not hold `Value`s. A warp's register file is untyped
+/// `u64` words, and every register has one type, declared by the kernel
+/// and enforced by the verifier before a kernel is compiled; the
+/// interpreter converts with [`Value::to_bits`] and [`Value::from_bits`]
+/// at that declared type. An operand whose type does not fit its op
+/// (possible only in a hand-built instruction stream that bypassed the
+/// verifier) still surfaces as a *typed execution error* (invalid
+/// variant), never a panic.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Value {
     /// 32-bit signed integer.
@@ -35,6 +42,32 @@ impl Value {
             Ty::I64 => Value::I64(i64::from_le_bytes([0xDB; 8])),
             Ty::F32 => Value::F32(f32::from_le_bytes([0xDB; 4])),
             Ty::Bool => Value::Bool(false),
+        }
+    }
+
+    /// The register word holding this value: the value's bits,
+    /// zero-extended to 64 (`b1` is 0 or 1).
+    #[must_use]
+    #[inline]
+    pub fn to_bits(self) -> u64 {
+        match self {
+            Value::I32(v) => u64::from(v as u32),
+            Value::I64(v) => v as u64,
+            Value::F32(v) => u64::from(v.to_bits()),
+            Value::Bool(v) => u64::from(v),
+        }
+    }
+
+    /// The value of type `ty` held in register word `word`: the inverse
+    /// of [`Value::to_bits`] (bits above the type's width are ignored).
+    #[must_use]
+    #[inline]
+    pub fn from_bits(ty: Ty, word: u64) -> Value {
+        match ty {
+            Ty::I32 => Value::I32(word as i32),
+            Ty::I64 => Value::I64(word as i64),
+            Ty::F32 => Value::F32(f32::from_bits(word as u32)),
+            Ty::Bool => Value::Bool(word & 1 != 0),
         }
     }
 
@@ -148,6 +181,31 @@ mod tests {
         assert_eq!(v.as_i64(), None);
         assert_eq!(v.as_f32(), None);
         assert_eq!(v.as_bool(), None);
+    }
+
+    #[test]
+    fn register_words_round_trip_bit_for_bit() {
+        let values = [
+            Value::I32(-1),
+            Value::I32(i32::MIN),
+            Value::I64(i64::MIN),
+            Value::I64(-2),
+            Value::F32(f32::NAN),
+            Value::F32(-0.0),
+            Value::Bool(true),
+            Value::Bool(false),
+        ];
+        for v in values
+            .into_iter()
+            .chain([Ty::I32, Ty::I64, Ty::F32, Ty::Bool].map(Value::sentinel))
+        {
+            let back = Value::from_bits(v.ty(), v.to_bits());
+            assert_eq!(back.to_bits(), v.to_bits(), "{v:?}");
+            assert_eq!(back.ty(), v.ty());
+        }
+        // Narrow values zero-extend: a negative i32 is not sign-extended.
+        assert_eq!(Value::I32(-1).to_bits(), 0xFFFF_FFFF);
+        assert_eq!(Value::sentinel(Ty::F32).to_bits(), 0xDBDB_DBDB);
     }
 
     #[test]
