@@ -29,6 +29,7 @@
 //! [`crate::Gpu::launch`] is now a thin verify-compile-run wrapper over
 //! the same interpreter.
 
+use crate::exec::{typed_op_index, UNTYPED};
 use crate::spec::GpuSpec;
 use crate::value::Value;
 use gevo_ir::analysis::uniformity;
@@ -184,8 +185,10 @@ pub(crate) enum OpClass {
     ActiveMask,
     /// Scalar op whose operands are all warp-uniform (O2): every active
     /// lane would compute the same value, so the interpreter evaluates
-    /// it **once per warp** and broadcasts the result to the active
-    /// lanes instead of bit-walking the mask.
+    /// it **once per warp**, with the typed word function the compiler
+    /// picked for it, and broadcasts the result to the active lanes
+    /// instead of bit-walking the mask. An op no typed function accepts
+    /// stays [`OpClass::Scalar`].
     UniformScalar,
     /// Scalar op over immediate-only operands, evaluated at compile
     /// time (O2): `args[0]` holds the precomputed result and execution
@@ -283,6 +286,10 @@ pub struct CompiledKernel {
     pub(crate) costs: crate::spec::CostModel,
     /// Dense block-ordered instruction stream.
     pub(crate) code: Vec<CInst>,
+    /// Per-instruction index into the interpreter's table of typed
+    /// scalar ops, picked from the operand types of the verified
+    /// kernel; [`UNTYPED`] for non-scalar and ill-typed instructions.
+    pub(crate) typed: Vec<u8>,
     /// Per-block half-open bounds into `code`; length `blocks + 1`.
     pub(crate) block_bounds: Vec<u32>,
     /// Per-block lowered terminator.
@@ -348,6 +355,7 @@ impl CompiledKernel {
         };
 
         let mut code = Vec::with_capacity(kernel.inst_count());
+        let mut typed = Vec::with_capacity(kernel.inst_count());
         let mut block_bounds = Vec::with_capacity(kernel.blocks.len() + 1);
         let mut terms = Vec::with_capacity(kernel.blocks.len());
         block_bounds.push(0u32);
@@ -364,10 +372,12 @@ impl CompiledKernel {
                     args,
                     cost: scalar_cost(inst.op, spec),
                 };
+                let t = typed_op(&ci, kernel, lanes);
                 if info.is_some() {
-                    optimize_inst(&mut ci, &slot_uniform);
+                    optimize_inst(&mut ci, t, &slot_uniform);
                 }
                 code.push(ci);
+                typed.push(t);
             }
             block_bounds.push(u32::try_from(code.len()).expect("code stream fits u32"));
             terms.push(match block.term.kind {
@@ -433,6 +443,7 @@ impl CompiledKernel {
             lanes,
             costs: spec.costs.clone(),
             code,
+            typed,
             block_bounds,
             terms,
             reconv,
@@ -495,6 +506,21 @@ impl CompiledKernel {
             .count()
     }
 
+    /// Number of scalar instructions no typed op accepts: ill-typed ones,
+    /// which run through the interpreter's faulting per-lane path. Zero
+    /// for every verified kernel; a uniform op counted here was left
+    /// unscalarized.
+    #[must_use]
+    pub fn untyped_scalar_count(&self) -> usize {
+        self.code
+            .iter()
+            .zip(&self.typed)
+            .filter(|&(c, &t)| {
+                matches!(c.tag, OpClass::Scalar | OpClass::UniformScalar) && t == UNTYPED
+            })
+            .count()
+    }
+
     /// Number of compile-time-folded facts in this image: instructions
     /// evaluated to constants plus conditional branches resolved to
     /// plain jumps. Zero at O0.
@@ -534,11 +560,56 @@ fn lower_operand(kernel: &Kernel, op: &Operand, lanes: u32) -> Slot {
     }
 }
 
+/// The operand type a slot reads in a verified kernel: a register's
+/// declared type, an immediate's type, `i32` for a special and a
+/// parameter's declared type (a pointer is an `i64` address). Launch
+/// validation makes every argument match its parameter's type.
+fn slot_ty(s: &Slot, params: &[Param]) -> Ty {
+    match *s {
+        Slot::Reg(_, ty) => ty,
+        Slot::ImmI32(_) | Slot::Special(_) => Ty::I32,
+        Slot::ImmI64(_) => Ty::I64,
+        Slot::ImmF32(_) => Ty::F32,
+        Slot::ImmBool(_) => Ty::Bool,
+        Slot::Param(p) => params[p as usize].ty.value_ty(),
+    }
+}
+
+/// The interpreter's typed op for a scalar instruction of `kernel`,
+/// picked from its operand types ([`UNTYPED`] for other instructions
+/// and for operand types no typed op accepts). Debug builds check that
+/// the op's result type is the destination's declared type: the lane
+/// loops also check each register write, the uniform path's word
+/// function does not.
+fn typed_op(ci: &CInst, kernel: &Kernel, lanes: u32) -> u8 {
+    if ci.tag != OpClass::Scalar {
+        return UNTYPED;
+    }
+    let n = ci.op.arity();
+    let mut tys = [Ty::I32; 3];
+    for (t, s) in tys.iter_mut().zip(&ci.args[..n]) {
+        *t = slot_ty(s, &kernel.params);
+    }
+    let typed = typed_op_index(ci.op, &tys[..n]);
+    if cfg!(debug_assertions) && typed != UNTYPED && ci.dst != NO_DST {
+        let result = crate::exec::eval_pure(ci.op, |i| Value::sentinel(tys[i]));
+        assert_eq!(
+            result.map(|v| v.ty()),
+            Ok(kernel.reg_ty(Reg(ci.dst / lanes))),
+            "{:?} writes a register of another type",
+            ci.op
+        );
+    }
+    typed
+}
+
 /// O2 per-instruction pass: constant folding first (an all-immediate
 /// op is trivially uniform, and the folded form is strictly cheaper to
 /// execute), then uniformity tagging. `uniform` decides slot-level
-/// operand uniformity against the analysis result.
-fn optimize_inst(ci: &mut CInst, uniform: &impl Fn(&Slot) -> bool) {
+/// operand uniformity against the analysis result. A uniform scalar op
+/// needs a typed op (`typed`, see [`typed_op`]); one no typed op
+/// accepts stays `Scalar` and faults on the per-lane path.
+fn optimize_inst(ci: &mut CInst, typed: u8, uniform: &impl Fn(&Slot) -> bool) {
     if ci.tag == OpClass::Scalar && ci.dst != NO_DST {
         if let Some(folded) = fold_value(ci) {
             ci.tag = OpClass::Folded;
@@ -554,7 +625,7 @@ fn optimize_inst(ci: &mut CInst, uniform: &impl Fn(&Slot) -> bool) {
         // Pure per-lane compute over uniform inputs computes one value
         // per warp. (`RngNext` is pure too: the counter-mix is a
         // function of its operands alone.)
-        OpClass::Scalar => OpClass::UniformScalar,
+        OpClass::Scalar if typed != UNTYPED => OpClass::UniformScalar,
         OpClass::Load => OpClass::UniformLoad,
         OpClass::Store => OpClass::UniformStore,
         // Atomics serialize per lane (each RMW observes the previous
@@ -812,6 +883,65 @@ mod tests {
             .expect("store present");
         assert_eq!(store.tag, OpClass::Store, "tid-addressed store untouched");
         assert!(o2.uniform_inst_count() >= 1);
+    }
+
+    /// An ill-typed uniform op — only a hand-built instruction stream
+    /// can hold one, the verifier rejects such a kernel — gets no typed
+    /// op, so O2 leaves it per-lane, where it faults with the
+    /// `TypeMismatch` the first active lane's `eval_pure` gives, as the
+    /// uniform path did when it evaluated `eval_pure` on that lane.
+    #[test]
+    fn ill_typed_uniform_ops_stay_per_lane_and_fault_as_before() {
+        use crate::{ExecError, Gpu, KernelArg, LaunchConfig};
+        let spec = GpuSpec::p100().scaled(8);
+        let mut b = KernelBuilder::new("demote");
+        let out = b.param_ptr("out", AddrSpace::Global);
+        let n = b.param_i32("n");
+        let next = b.add(Operand::Param(n), Operand::ImmI32(1));
+        let tid = b.special_i32(Special::ThreadId);
+        let addr = b.index_addr(Operand::Param(out), tid.into(), 4);
+        b.store_global_i32(addr.into(), next.into());
+        b.ret();
+        let kernel = b.finish();
+        let mut ck = CompiledKernel::compile(&kernel, &spec).expect("verifies");
+        let at = ck
+            .code
+            .iter()
+            .position(|c| c.tag == OpClass::UniformScalar)
+            .expect("`n + 1` is uniform");
+        assert_ne!(ck.typed[at], UNTYPED);
+        assert_eq!(ck.untyped_scalar_count(), 0);
+
+        // The same add over an `f32` immediate.
+        let mut ci = CInst {
+            tag: OpClass::Scalar,
+            ..ck.code[at].clone()
+        };
+        ci.args[1] = Slot::ImmF32(1.5);
+        let typed = typed_op(&ci, &kernel, spec.warp_size);
+        assert_eq!(typed, UNTYPED);
+        optimize_inst(&mut ci, typed, &|_| true);
+        assert_eq!(ci.tag, OpClass::Scalar, "demoted to the per-lane path");
+        let want = crate::exec::eval_pure(ci.op, |j| [Value::I32(7), Value::F32(1.5)][j])
+            .expect_err("ill-typed");
+        assert_eq!(
+            want,
+            ExecError::TypeMismatch {
+                expected: Ty::I32,
+                found: Ty::F32
+            }
+        );
+        ck.code[at] = ci;
+        ck.typed[at] = typed;
+        assert_eq!(ck.untyped_scalar_count(), 1);
+
+        let mut gpu = Gpu::new(spec);
+        let buf = gpu.mem_mut().alloc(8 * 4).expect("arena fits");
+        let args = [KernelArg::from(buf), KernelArg::I32(7)];
+        for threads in [8, 3] {
+            let got = gpu.launch_compiled(&ck, LaunchConfig::new(1, threads), &args);
+            assert_eq!(got, Err(want.clone()), "{threads} threads");
+        }
     }
 
     #[test]

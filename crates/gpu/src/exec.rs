@@ -42,6 +42,7 @@ use crate::mem::DeviceMemory;
 use crate::spec::GpuSpec;
 use crate::value::Value;
 use gevo_ir::{rng, AddrSpace, CmpPred, FloatBinOp, IntBinOp, Kernel, MemTy, Op, Param, Ty};
+use std::cell::Cell;
 
 /// Maximum supported warp width (masks are stored in `u64`, lane indices
 /// reported through `i32` ballots cap at 32).
@@ -259,6 +260,9 @@ impl Gpu {
                 };
                 (exec.run()?, exec.steps)
             };
+            // Every step is one warp-instruction: an instruction or a
+            // terminator.
+            stats.instructions += block_steps;
             self.peak_block_steps = self.peak_block_steps.max(block_steps);
             let sm = (block_idx % self.spec.sm_count) as usize;
             scratch.sm_cycles[sm] += block_cycles;
@@ -606,11 +610,10 @@ fn word_bool(w: u64) -> bool {
 
 /// The pure scalar evaluator: one op over already-resolved operand
 /// values, for O2 compile-time constant folding
-/// (`compile::fold_value`) and the once-per-warp uniform path
-/// ([`BlockExec::exec_uniform_scalar`]). Each arm defers to the same
-/// per-op value function the per-lane loops of [`scalar_lanes`] call,
-/// so every op's semantics — results and faults — are written once:
-/// folding and the uniform path are result-preserving by construction.
+/// (`compile::fold_value`) and the ill-typed path ([`eval_lanes`]).
+/// Each arm defers to the same per-op value function the entries of
+/// [`TYPED_OPS`] call, so every op's semantics — results and faults —
+/// are written once: folding is result-preserving by construction.
 pub(crate) fn eval_pure(op: Op, a0: impl Fn(usize) -> Value) -> Result<Value, ExecError> {
     match op {
         Op::IBin(op) => eval_ibin(op, a0(0), a0(1)),
@@ -652,184 +655,174 @@ fn broadcast(regs: &mut [u64], dst: u32, active: u64, w: u64) {
     }
 }
 
+/// One scalar op at fixed operand types, on untyped register words:
+/// [`TYPED_OPS`] holds one per well-typed (op, sub-op, operand types).
+/// The compiler picks the entry of every scalar instruction from the
+/// verified kernel's types ([`typed_op_index`]) and stores its index
+/// beside the instruction, so neither path decodes the op at run time.
+struct TypedOp {
+    /// The op, sub-op included.
+    op: Op,
+    /// The operand types, one per operand.
+    tys: &'static [Ty],
+    /// The op on one lane's operand words (the first `tys.len()` are
+    /// read): its value function over [`Value::from_bits`] at the
+    /// constant types, returned as a word. The warp-uniform path calls
+    /// it once per warp instruction. The words are three arguments, not
+    /// one `[u64; 3]`: an array that large is passed through memory,
+    /// and the caller's copy of it stalls on the stores that just wrote
+    /// it.
+    word: fn(u64, u64, u64) -> Result<u64, ExecError>,
+    /// The op over a warp's `active` lanes: [`lane_loop`] with the same
+    /// value function, its operands resolved once per warp instruction
+    /// ([`LaneArg::resolve`]).
+    lanes: LanesFn,
+}
+
+/// A [`TypedOp`]'s lane loop: `(inst, regs, ctx, warp index, active)`.
+type LanesFn = fn(&CInst, &mut [u64], &LaneCtx, u32, u64) -> Result<(), ExecError>;
+
+/// One [`TypedOp`]: `$f` is the op's value function applied to the
+/// operands `$x`, each the [`Value`] its word holds at type `$t`, so
+/// the compiler folds the value function's type match away.
+macro_rules! typed_op {
+    ($op:expr, [$($x:ident: $t:ident),+] => $f:expr) => {
+        TypedOp {
+            op: $op,
+            tys: &[$(Ty::$t),+],
+            word: |a, b, c| {
+                let [$($x,)+ ..] = [a, b, c];
+                $(let $x = Value::from_bits(Ty::$t, $x);)+
+                $f.map(Value::to_bits)
+            },
+            lanes: |inst, regs, ctx, widx, active| {
+                let [$($x,)+ ..] = &inst.args;
+                let args = [$(LaneArg::resolve($x, ctx, widx)),+];
+                lane_loop(regs, inst.dst, active, args, |[$($x),+]| {
+                    $(let $x = Value::from_bits(Ty::$t, $x);)+
+                    $f.map(|v| ctx.word(v, inst.dst))
+                })
+            },
+        }
+    };
+}
+
+/// The [`TYPED_OPS`] table: one entry per sub-op of each binary op at
+/// one operand type, then one entry per listed (op, operand types).
+macro_rules! typed_ops {
+    (
+        sub_ops: $({ $wrap:ident($sty:ident) $eval:ident $t:ident [$($v:ident),+] })+
+        ops: $({ $op:expr, [$($x:ident: $xt:ident),+] => $f:expr })+
+    ) => {
+        [
+            $($(typed_op!(Op::$wrap($sty::$v), [x: $t, y: $t] => $eval($sty::$v, x, y)),)+)+
+            $(typed_op!($op, [$($x: $xt),+] => $f),)+
+        ]
+    };
+}
+
+/// Every well-typed scalar op: 29 integer binary (13 sub-ops at `i32`
+/// and `i64`, 3 logical at `b1`), 6 float binary, 12 integer and 6
+/// float compares, select and mov at 4 types, not at 3, neg at 2, and
+/// 7 conversions. Each op's semantics stays written once, in its
+/// `eval_*` value function, which [`eval_pure`] calls too.
+static TYPED_OPS: [TypedOp; 73] = typed_ops! {
+    sub_ops:
+    { IBin(IntBinOp) eval_ibin I32 [Add, Sub, Mul, Div, Rem, Min, Max, And, Or, Xor, Shl, AShr, LShr] }
+    { IBin(IntBinOp) eval_ibin I64 [Add, Sub, Mul, Div, Rem, Min, Max, And, Or, Xor, Shl, AShr, LShr] }
+    { IBin(IntBinOp) eval_ibin Bool [And, Or, Xor] }
+    { FBin(FloatBinOp) eval_fbin F32 [Add, Sub, Mul, Div, Min, Max] }
+    { Icmp(CmpPred) eval_icmp I32 [Eq, Ne, Lt, Le, Gt, Ge] }
+    { Icmp(CmpPred) eval_icmp I64 [Eq, Ne, Lt, Le, Gt, Ge] }
+    { Fcmp(CmpPred) eval_fcmp F32 [Eq, Ne, Lt, Le, Gt, Ge] }
+    ops:
+    { Op::Select, [c: Bool, t: I32, f: I32] => eval_select(c, t, f) }
+    { Op::Select, [c: Bool, t: I64, f: I64] => eval_select(c, t, f) }
+    { Op::Select, [c: Bool, t: F32, f: F32] => eval_select(c, t, f) }
+    { Op::Select, [c: Bool, t: Bool, f: Bool] => eval_select(c, t, f) }
+    { Op::Mov, [x: I32] => eval_mov(x) }
+    { Op::Mov, [x: I64] => eval_mov(x) }
+    { Op::Mov, [x: F32] => eval_mov(x) }
+    { Op::Mov, [x: Bool] => eval_mov(x) }
+    { Op::Not, [x: I32] => eval_not(x) }
+    { Op::Not, [x: I64] => eval_not(x) }
+    { Op::Not, [x: Bool] => eval_not(x) }
+    { Op::Neg, [x: I32] => eval_neg(x) }
+    { Op::Neg, [x: I64] => eval_neg(x) }
+    { Op::FNeg, [x: F32] => eval_fneg(x) }
+    { Op::Sext, [x: I32] => eval_sext(x) }
+    { Op::Trunc, [x: I64] => eval_trunc(x) }
+    { Op::SiToFp, [x: I32] => eval_sitofp(x) }
+    { Op::FpToSi, [x: F32] => eval_fptosi(x) }
+    { Op::ZextBool, [x: Bool] => eval_zext_bool(x) }
+    { Op::RngNext, [s: I64, c: I64] => eval_rng_next(s, c) }
+};
+
+/// The index of the [`TYPED_OPS`] entry for `op` over operands of types
+/// `tys` (one per operand), or [`UNTYPED`] when no value function
+/// accepts them (an ill-typed instruction, which the verifier keeps out
+/// of compiled kernels).
+pub(crate) fn typed_op_index(op: Op, tys: &[Ty]) -> u8 {
+    TYPED_OPS
+        .iter()
+        .position(|t| t.op == op && t.tys == tys)
+        .map_or(UNTYPED, |i| u8::try_from(i).expect("the table fits u8"))
+}
+
+/// [`typed_op_index`] for an instruction no typed op accepts, and for
+/// every non-scalar instruction.
+pub(crate) const UNTYPED: u8 = u8::MAX;
+
 /// One scalar warp instruction over the `active` lanes of a register
-/// file. The op, its sub-op (`IntBinOp`, `FloatBinOp`, `CmpPred`) and
-/// its operand types are decoded once per warp instruction, and each
-/// arm runs [`lane_loop`] instantiated for that (op, sub-op, type): the
-/// op's value function — the one [`eval_pure`] calls — applied to
-/// operands made by [`Value::from_bits`] at a constant type, so the
-/// compiler folds the function's type match away. Operands are
-/// resolved once too ([`LaneArg::resolve`]). Lanes run in ascending
-/// order and the first faulting lane stops the loop, with every lower
-/// lane's result already written, exactly like evaluating `eval_pure`
-/// lane by lane. Operand types no value function accepts (an ill-typed
-/// instruction, which the verifier keeps out of compiled kernels) take
-/// [`eval_lanes`], which faults with `TypeMismatch`.
+/// file: the lane loop of its [`TYPED_OPS`] entry `typed`, which the
+/// compiler picked. Lanes run in ascending order and the first faulting
+/// lane stops the loop, with every lower lane's result already written,
+/// exactly like evaluating `eval_pure` lane by lane. An ill-typed
+/// instruction ([`UNTYPED`]) takes [`eval_lanes`], which faults with
+/// `TypeMismatch`.
 #[inline]
-#[allow(clippy::too_many_lines)] // one arm per (op, sub-op, operand types)
 fn scalar_lanes(
     inst: &CInst,
+    typed: u8,
     regs: &mut [u64],
     ctx: &LaneCtx,
     widx: u32,
     active: u64,
 ) -> Result<(), ExecError> {
-    let dst = inst.dst;
-    let arg = |i: usize| LaneArg::resolve(&inst.args[i], ctx, widx);
-    let ty = |i: usize| slot_ty(&inst.args[i], ctx);
-    let put = |v: Value| ctx.word(v, dst);
-    // A lane loop over operands of constant types: `$f` sees each
-    // operand as the typed value its word holds.
-    macro_rules! typed {
-        (@loop [$($x:ident: $t:ident),+], $args:expr, $f:expr) => {
-            lane_loop(regs, dst, active, $args, |[$($x),+]| {
-                $(let $x = Value::from_bits(Ty::$t, $x);)+
-                $f.map(put)
-            })
-        };
-        ([$x:ident: $t:ident] => $f:expr) => {
-            typed!(@loop [$x: $t], [arg(0)], $f)
-        };
-        ([$x:ident: $t:ident, $y:ident: $u:ident] => $f:expr) => {
-            typed!(@loop [$x: $t, $y: $u], [arg(0), arg(1)], $f)
-        };
-        ([$x:ident: $t:ident, $y:ident: $u:ident, $z:ident: $v:ident] => $f:expr) => {
-            typed!(@loop [$x: $t, $y: $u, $z: $v], [arg(0), arg(1), arg(2)], $f)
-        };
+    match TYPED_OPS.get(usize::from(typed)) {
+        Some(op) => (op.lanes)(inst, regs, ctx, widx, active),
+        None => eval_lanes(inst, regs, ctx, widx, active),
     }
-    // One instance per sub-op at operand type `$t`; the match stays
-    // exhaustive (or names its fallback), so a new sub-op cannot fall
-    // through.
-    macro_rules! per_sub_op {
-        ($sub:expr, $sty:ident, $eval:ident, $t:ident, [$($v:ident),+] $(, $rest:pat => $other:expr)?) => {
-            match $sub {
-                $($sty::$v => typed!([x: $t, y: $t] => $eval($sty::$v, x, y)),)+
-                $($rest => $other,)?
-            }
-        };
-    }
-    macro_rules! ill_typed {
-        () => {
-            eval_lanes(inst, regs, ctx, widx, active)
-        };
-    }
-    match inst.op {
-        Op::IBin(op) => match (ty(0), ty(1)) {
-            (Ty::I32, Ty::I32) => per_sub_op!(
-                op,
-                IntBinOp,
-                eval_ibin,
-                I32,
-                [Add, Sub, Mul, Div, Rem, Min, Max, And, Or, Xor, Shl, AShr, LShr]
-            ),
-            (Ty::I64, Ty::I64) => per_sub_op!(
-                op,
-                IntBinOp,
-                eval_ibin,
-                I64,
-                [Add, Sub, Mul, Div, Rem, Min, Max, And, Or, Xor, Shl, AShr, LShr]
-            ),
-            (Ty::Bool, Ty::Bool) => {
-                per_sub_op!(op, IntBinOp, eval_ibin, Bool, [And, Or, Xor], _ => ill_typed!())
-            }
-            _ => ill_typed!(),
-        },
-        Op::FBin(op) => match (ty(0), ty(1)) {
-            (Ty::F32, Ty::F32) => {
-                per_sub_op!(
-                    op,
-                    FloatBinOp,
-                    eval_fbin,
-                    F32,
-                    [Add, Sub, Mul, Div, Min, Max]
-                )
-            }
-            _ => ill_typed!(),
-        },
-        Op::Icmp(pred) => match (ty(0), ty(1)) {
-            (Ty::I32, Ty::I32) => {
-                per_sub_op!(pred, CmpPred, eval_icmp, I32, [Eq, Ne, Lt, Le, Gt, Ge])
-            }
-            (Ty::I64, Ty::I64) => {
-                per_sub_op!(pred, CmpPred, eval_icmp, I64, [Eq, Ne, Lt, Le, Gt, Ge])
-            }
-            _ => ill_typed!(),
-        },
-        Op::Fcmp(pred) => match (ty(0), ty(1)) {
-            (Ty::F32, Ty::F32) => {
-                per_sub_op!(pred, CmpPred, eval_fcmp, F32, [Eq, Ne, Lt, Le, Gt, Ge])
-            }
-            _ => ill_typed!(),
-        },
-        Op::Select => match (ty(0), ty(1), ty(2)) {
-            (Ty::Bool, Ty::I32, Ty::I32) => {
-                typed!([c: Bool, t: I32, f: I32] => eval_select(c, t, f))
-            }
-            (Ty::Bool, Ty::I64, Ty::I64) => {
-                typed!([c: Bool, t: I64, f: I64] => eval_select(c, t, f))
-            }
-            (Ty::Bool, Ty::F32, Ty::F32) => {
-                typed!([c: Bool, t: F32, f: F32] => eval_select(c, t, f))
-            }
-            (Ty::Bool, Ty::Bool, Ty::Bool) => {
-                typed!([c: Bool, t: Bool, f: Bool] => eval_select(c, t, f))
-            }
-            _ => ill_typed!(),
-        },
-        Op::Mov => match ty(0) {
-            Ty::I32 => typed!([x: I32] => eval_mov(x)),
-            Ty::I64 => typed!([x: I64] => eval_mov(x)),
-            Ty::F32 => typed!([x: F32] => eval_mov(x)),
-            Ty::Bool => typed!([x: Bool] => eval_mov(x)),
-        },
-        Op::Not => match ty(0) {
-            Ty::I32 => typed!([x: I32] => eval_not(x)),
-            Ty::I64 => typed!([x: I64] => eval_not(x)),
-            Ty::Bool => typed!([x: Bool] => eval_not(x)),
-            Ty::F32 => ill_typed!(),
-        },
-        Op::Neg => match ty(0) {
-            Ty::I32 => typed!([x: I32] => eval_neg(x)),
-            Ty::I64 => typed!([x: I64] => eval_neg(x)),
-            _ => ill_typed!(),
-        },
-        Op::FNeg => match ty(0) {
-            Ty::F32 => typed!([x: F32] => eval_fneg(x)),
-            _ => ill_typed!(),
-        },
-        Op::Sext => match ty(0) {
-            Ty::I32 => typed!([x: I32] => eval_sext(x)),
-            _ => ill_typed!(),
-        },
-        Op::Trunc => match ty(0) {
-            Ty::I64 => typed!([x: I64] => eval_trunc(x)),
-            _ => ill_typed!(),
-        },
-        Op::SiToFp => match ty(0) {
-            Ty::I32 => typed!([x: I32] => eval_sitofp(x)),
-            _ => ill_typed!(),
-        },
-        Op::FpToSi => match ty(0) {
-            Ty::F32 => typed!([x: F32] => eval_fptosi(x)),
-            _ => ill_typed!(),
-        },
-        Op::ZextBool => match ty(0) {
-            Ty::Bool => typed!([x: Bool] => eval_zext_bool(x)),
-            _ => ill_typed!(),
-        },
-        Op::RngNext => match (ty(0), ty(1)) {
-            (Ty::I64, Ty::I64) => typed!([s: I64, c: I64] => eval_rng_next(s, c)),
-            _ => ill_typed!(),
-        },
-        op => unreachable!("non-scalar op routed to the scalar lane loop: {op:?}"),
-    }
+}
+
+/// A warp-uniform scalar op on the first `active` lane: the word
+/// function of its [`TYPED_OPS`] entry over that lane's operand words.
+/// Register operands read `regs[base + lane]`; every other slot reads
+/// through its [`LaneArg`].
+#[inline]
+fn uniform_word(
+    inst: &CInst,
+    typed: u8,
+    regs: &[u64],
+    ctx: &LaneCtx,
+    widx: u32,
+    lane: u32,
+) -> Result<u64, ExecError> {
+    let op = &TYPED_OPS[usize::from(typed)];
+    let word = |i: usize| match inst.args[i] {
+        _ if i >= op.tys.len() => 0,
+        Slot::Reg(base, _) => regs[base as usize + lane as usize],
+        ref slot => LaneArg::resolve(slot, ctx, widx).read(regs, lane),
+    };
+    (op.word)(word(0), word(1), word(2))
 }
 
 /// The untyped path of [`scalar_lanes`]: [`eval_pure`] over
 /// [`read_operand`], lane by lane in ascending order, stopping at the
 /// first fault. It receives only operand types no value function
 /// accepts, so its first active lane faults with `TypeMismatch`; no
-/// verified kernel reaches it.
+/// verified kernel reaches it. A warp-uniform op of such types is
+/// compiled as a plain scalar op, so it faults here too.
 #[cold]
 #[inline(never)]
 fn eval_lanes(
@@ -918,10 +911,10 @@ impl LaneArg {
 /// fault returns. A mask that is a contiguous low prefix (a full warp,
 /// or a block's partial last warp — the test [`broadcast`] uses) runs
 /// as a counted loop when [`prefix_loop`] hoists the operands' shape;
-/// every other case walks the mask's set bits. Out of line, so each
-/// `(N, f)` instance stays a small loop and [`scalar_lanes`] stays a
-/// dispatcher.
-#[inline(never)]
+/// every other case walks the mask's set bits. Each [`TypedOp`]'s
+/// `lanes` function is one instance, out of line behind its function
+/// pointer, so each `(N, f)` instance stays a small loop.
+#[inline]
 fn lane_loop<const N: usize>(
     regs: &mut [u64],
     dst: u32,
@@ -950,11 +943,12 @@ fn lane_loop<const N: usize>(
 /// [`lane_loop`] over lanes `0..lanes` for the operand shapes it
 /// hoists: every operand a register, or two operands of which one is a
 /// register and the other lane-invariant (`None` for any other shape).
-/// Each register operand is read as a slice of exactly `lanes` words, and
-/// results collect in a stack buffer that is copied to `dst` after the
-/// loop — up to the faulting lane, if one faults. No lane reads another
-/// lane's word, so this writes what the in-place walk writes, even when
-/// `dst` is also an operand.
+/// The register file is viewed as cells, so each register operand is
+/// one slice of exactly `lanes` words and each lane's result is written
+/// straight to `dst`, even when `dst` is also an operand: lanes ascend
+/// and no lane reads another lane's word, so lane `l` reads its
+/// operands before it writes, and the faulting lane and every lane
+/// above it stay unwritten, as in the set-bit walk.
 #[inline]
 fn prefix_loop<const N: usize>(
     regs: &mut [u64],
@@ -963,56 +957,49 @@ fn prefix_loop<const N: usize>(
     args: [LaneArg; N],
     eval: &impl Fn([u64; N]) -> Result<u64, ExecError>,
 ) -> Option<Result<(), ExecError>> {
-    let mut buf = [0u64; MAX_WARP as usize];
-    let out = &mut buf[..lanes];
-    let done = {
-        let words = |base: usize| &regs[base..base + lanes];
-        if args.iter().all(|a| a.base().is_some()) {
-            let srcs = args.map(|a| words(a.base().unwrap_or(0)));
-            fill(out, |lane| srcs.map(|src| src[lane]), eval)
-        } else if N == 2 {
-            let (first, last) = (args[0], args[N - 1]);
-            match (first.base(), last.same(), first.same(), last.base()) {
-                (Some(base), Some(same), ..) => {
-                    let src = words(base);
-                    fill(
-                        out,
-                        |lane| std::array::from_fn(|i| if i == 0 { src[lane] } else { same }),
-                        eval,
-                    )
-                }
-                (.., Some(same), Some(base)) => {
-                    let src = words(base);
-                    fill(
-                        out,
-                        |lane| std::array::from_fn(|i| if i == 0 { same } else { src[lane] }),
-                        eval,
-                    )
-                }
-                _ => return None,
+    let regs = Cell::from_mut(regs).as_slice_of_cells();
+    let out = &regs[dst..dst + lanes];
+    let words = |base: usize| &regs[base..base + lanes];
+    Some(if args.iter().all(|a| a.base().is_some()) {
+        let srcs = args.map(|a| words(a.base().unwrap_or(0)));
+        fill(out, |lane| srcs.map(|src| src[lane].get()), eval)
+    } else if N == 2 {
+        let (first, last) = (args[0], args[N - 1]);
+        match (first.base(), last.same(), first.same(), last.base()) {
+            (Some(base), Some(same), ..) => {
+                let src = words(base);
+                fill(
+                    out,
+                    |lane| std::array::from_fn(|i| if i == 0 { src[lane].get() } else { same }),
+                    eval,
+                )
             }
-        } else {
-            return None;
+            (.., Some(same), Some(base)) => {
+                let src = words(base);
+                fill(
+                    out,
+                    |lane| std::array::from_fn(|i| if i == 0 { same } else { src[lane].get() }),
+                    eval,
+                )
+            }
+            _ => return None,
         }
-    };
-    let (written, result) = match done {
-        Ok(()) => (lanes, Ok(())),
-        Err((lane, e)) => (lane, Err(e)),
-    };
-    regs[dst..dst + written].copy_from_slice(&buf[..written]);
-    Some(result)
+    } else {
+        return None;
+    })
 }
 
 /// `out[lane] = eval(read(lane))` for every lane in ascending order;
-/// the first fault stops the loop and names its lane.
+/// the first fault stops the loop with that lane and the ones above it
+/// unwritten.
 #[inline]
 fn fill<const N: usize>(
-    out: &mut [u64],
+    out: &[Cell<u64>],
     read: impl Fn(usize) -> [u64; N],
     eval: &impl Fn([u64; N]) -> Result<u64, ExecError>,
-) -> Result<(), (usize, ExecError)> {
-    for (lane, word) in out.iter_mut().enumerate() {
-        *word = eval(read(lane)).map_err(|e| (lane, e))?;
+) -> Result<(), ExecError> {
+    for (lane, word) in out.iter().enumerate() {
+        word.set(eval(read(lane))?);
     }
     Ok(())
 }
@@ -1151,40 +1138,80 @@ impl<'a> BlockExec<'a> {
     /// checked against the limit before it runs. `ip` is written only
     /// when a barrier suspends the warp mid-block (entering a block
     /// resets it to 0), so it is the resume point and nothing else.
+    ///
+    /// A warp-uniform scalar op runs inline: the word function the
+    /// compiler picked for it ([`uniform_word`]) on the first active
+    /// lane, broadcast to the active lanes. With no active lane it
+    /// evaluates nothing and is still charged. The step count and the
+    /// inline ops' ALU and issue counts live in locals, flushed on
+    /// every exit; the active mask and the lane context do not change
+    /// within a block visit.
     fn run_warp(&mut self, wi: usize) -> Result<(), ExecError> {
         let (kernel, limit) = (self.kernel, self.spec.step_limit);
-        loop {
-            let (block, ip) = {
+        let ctx = self.lane_ctx();
+        let mut steps = self.steps;
+        let (mut alu, mut issue) = (0u64, 0u64);
+        let result = 'warp: loop {
+            let (block, ip, active, widx) = {
                 let w = &self.warps[wi];
-                (w.block as usize, w.ip as usize)
+                (w.block as usize, w.ip as usize, w.active, w.idx)
             };
             let start = kernel.block_bounds[block] as usize + ip;
             let end = kernel.block_bounds[block + 1] as usize;
-            for (k, inst) in kernel.code[start..end].iter().enumerate() {
-                self.steps += 1;
-                if self.steps > limit {
-                    return Err(ExecError::StepLimit);
+            let body = kernel.code[start..end]
+                .iter()
+                .zip(&kernel.typed[start..end]);
+            for (k, (inst, &typed)) in body.enumerate() {
+                steps += 1;
+                if steps > limit {
+                    break 'warp Err(ExecError::StepLimit);
                 }
-                if self.exec_inst(wi, inst)? {
-                    self.warps[wi].ip = (ip + k + 1) as u32;
-                    return Ok(());
+                if inst.tag == OpClass::UniformScalar {
+                    let w = &mut self.warps[wi];
+                    if active != 0 {
+                        let lane = active.trailing_zeros();
+                        match uniform_word(inst, typed, &w.regs, &ctx, widx, lane) {
+                            Ok(word) if inst.dst != NO_DST => {
+                                broadcast(&mut w.regs, inst.dst, active, word);
+                            }
+                            Ok(_) => {}
+                            Err(e) => break 'warp Err(e),
+                        }
+                    }
+                    w.cycles += inst.cost;
+                    alu += 1;
+                    issue += 1;
+                    continue;
+                }
+                match self.exec_inst(wi, inst, typed) {
+                    Ok(false) => {}
+                    Ok(true) => {
+                        self.warps[wi].ip = (ip + k + 1) as u32;
+                        break 'warp Ok(());
+                    }
+                    Err(e) => break 'warp Err(e),
                 }
             }
-            self.steps += 1;
-            if self.steps > limit {
-                return Err(ExecError::StepLimit);
+            steps += 1;
+            if steps > limit {
+                break 'warp Err(ExecError::StepLimit);
             }
-            self.exec_terminator(wi, kernel.terms[block])?;
+            if let Err(e) = self.exec_terminator(wi, kernel.terms[block]) {
+                break 'warp Err(e);
+            }
             if self.warps[wi].state != WarpState::Running {
-                return Ok(());
+                break 'warp Ok(());
             }
-        }
+        };
+        self.steps = steps;
+        self.stats.alu_instructions += alu;
+        self.issue += issue;
+        result
     }
 
     // ---- control flow -------------------------------------------------
 
     fn exec_terminator(&mut self, wi: usize, term: CTerm) -> Result<(), ExecError> {
-        self.stats.instructions += 1;
         self.issue += 1;
         self.warps[wi].cycles += self.spec.costs.alu;
         match term {
@@ -1344,10 +1371,13 @@ impl<'a> BlockExec<'a> {
 
     // ---- instruction execution -------------------------------------------
 
-    /// Executes one instruction for all active lanes. Returns `true` if it
-    /// was a barrier (the warp must yield).
-    fn exec_inst(&mut self, wi: usize, inst: &CInst) -> Result<bool, ExecError> {
-        self.stats.instructions += 1;
+    /// Executes one instruction for all active lanes (`typed` is its
+    /// [`TYPED_OPS`] index). Returns `true` if it was a barrier (the warp
+    /// must yield). Out of line, so the block loop in
+    /// [`Self::run_warp`] that runs the uniform scalar ops inline stays
+    /// small.
+    #[inline(never)]
+    fn exec_inst(&mut self, wi: usize, inst: &CInst, typed: u8) -> Result<bool, ExecError> {
         let active = self.warps[wi].active;
         // Dispatch on the compile-time class tag (a dense one-byte
         // jump); the `Op` payload is decoded only inside the arm that
@@ -1416,8 +1446,8 @@ impl<'a> BlockExec<'a> {
                 w.cycles += self.spec.costs.activemask;
                 self.issue += 1;
             }
-            OpClass::Scalar => self.exec_scalar(wi, inst, active)?,
-            OpClass::UniformScalar => self.exec_uniform_scalar(wi, inst, active)?,
+            OpClass::Scalar => self.exec_scalar(wi, inst, typed, active)?,
+            OpClass::UniformScalar => unreachable!("run_warp runs uniform scalar ops inline"),
             OpClass::Folded => self.exec_folded(wi, inst, active),
             OpClass::UniformLoad => {
                 let Op::Load { space, ty } = inst.op else {
@@ -1435,45 +1465,19 @@ impl<'a> BlockExec<'a> {
         Ok(false)
     }
 
-    /// Plain per-lane compute ops: one op decode per warp instruction,
-    /// then that op's lane loop over the active mask
-    /// ([`scalar_lanes`]).
-    fn exec_scalar(&mut self, wi: usize, inst: &CInst, active: u64) -> Result<(), ExecError> {
-        let ctx = self.lane_ctx();
-        let w = &mut self.warps[wi];
-        scalar_lanes(inst, &mut w.regs, &ctx, w.idx, active)?;
-        // The per-op cost table was resolved at compile time.
-        w.cycles += inst.cost;
-        self.stats.alu_instructions += 1;
-        self.issue += 1;
-        Ok(())
-    }
-
-    /// Scalar op the uniformity analysis proved warp-uniform: evaluate
-    /// once on the first active lane and broadcast the result, instead
-    /// of bit-walking the mask. Charges are identical to
-    /// [`Self::exec_scalar`] — the cycle/issue model never depended on
-    /// the active-lane count for scalar ops.
-    fn exec_uniform_scalar(
+    /// Plain per-lane compute ops: the lane loop of the instruction's
+    /// typed op ([`scalar_lanes`]).
+    fn exec_scalar(
         &mut self,
         wi: usize,
         inst: &CInst,
+        typed: u8,
         active: u64,
     ) -> Result<(), ExecError> {
         let ctx = self.lane_ctx();
-        let dst = inst.dst;
         let w = &mut self.warps[wi];
-        if active != 0 {
-            // The slow path evaluates nothing (and faults nowhere) with
-            // no active lanes, so neither does this one.
-            let lane = active.trailing_zeros();
-            let result = eval_pure(inst.op, |i| {
-                read_operand(&w.regs, &ctx, w.idx, lane, &inst.args[i])
-            })?;
-            if dst != NO_DST {
-                broadcast(&mut w.regs, dst, active, ctx.word(result, dst));
-            }
-        }
+        scalar_lanes(inst, typed, &mut w.regs, &ctx, w.idx, active)?;
+        // The per-op cost table was resolved at compile time.
         w.cycles += inst.cost;
         self.stats.alu_instructions += 1;
         self.issue += 1;
@@ -2617,6 +2621,8 @@ mod lane_loop_equivalence {
                 // The value functions decide what is well-typed: the
                 // sentinels of the operand types evaluate, or fault.
                 let probe = eval_pure(op, |i| Value::sentinel(arg_tys[i]));
+                let typed = typed_op_index(op, &arg_tys);
+                assert_eq!(typed != UNTYPED, probe.is_ok(), "{op:?} {arg_tys:?}");
                 let (pools, dsts): (Vec<Vec<Slot>>, Vec<u32>) = if let Ok(v) = &probe {
                     combos += 1;
                     let pools = arg_tys.iter().map(|&t| slot_pool(t)).collect();
@@ -2655,7 +2661,8 @@ mod lane_loop_equivalence {
                                 let mut want = base.clone();
                                 let mut got = base.clone();
                                 let want_res = reference(&inst, &mut want, &ctx, widx, active);
-                                let got_res = scalar_lanes(&inst, &mut got, &ctx, widx, active);
+                                let got_res =
+                                    scalar_lanes(&inst, typed, &mut got, &ctx, widx, active);
                                 let what = format!(
                                     "{op:?} {args:?} warp {widx} dst {dst} mask {active:#x}"
                                 );
@@ -2675,15 +2682,90 @@ mod lane_loop_equivalence {
                 }
             }
         }
-        // One typed instance per combination `scalar_lanes` decodes:
-        // 29 integer binary (13 sub-ops at i32 and i64, 3 logical at
-        // b1), 6 float binary, 12 integer and 6 float compares, select
-        // and mov at 4 types, not at 3, neg at 2, and 7 conversions.
+        // One typed op per well-typed combination, and no other.
         assert_eq!(combos, 73, "well-typed (op, sub-op, types) combinations");
+        assert_eq!(TYPED_OPS.len(), combos);
         assert!(
             cases > 100_000 && ill_typed > 1000,
             "{cases} cases, {ill_typed} faults"
         );
+    }
+
+    /// The words an operand of type `ty` takes in these tests: both
+    /// operand registers' lanes of [`register_file`], the type's
+    /// sentinel, and the immediates and the parameter of [`slot_pool`].
+    fn word_pool(ty: Ty, ctx: &LaneCtx) -> Vec<u64> {
+        let regs = register_file();
+        let mut words: Vec<u64> = (0..2)
+            .flat_map(|k| {
+                let Slot::Reg(base, _) = operand_reg(ty, k) else {
+                    unreachable!("a register slot")
+                };
+                regs[base as usize..(base + LANES) as usize].to_vec()
+            })
+            .collect();
+        words.push(Value::sentinel(ty).to_bits());
+        for slot in slot_pool(ty) {
+            if !matches!(slot, Slot::Reg(..) | Slot::Special(_)) {
+                words.push(read_operand(&[], ctx, 0, 0, &slot).to_bits());
+            }
+        }
+        words
+    }
+
+    /// Every typed op's word function — what the warp-uniform path
+    /// runs — against `eval_pure` at the op's operand types, over every
+    /// combination of the operand pools' words: division and remainder
+    /// by 0, `MIN / -1`, shift counts at and beyond the width, NaN,
+    /// infinities, `-0.0` and the sentinels, `f32`'s `0xDBDBDBDB`
+    /// included. Results and faults must match bit for bit.
+    #[test]
+    fn word_functions_match_eval_pure() {
+        let params = [
+            Value::I32(-7),
+            Value::I64(1 << 40),
+            Value::F32(0.1),
+            Value::Bool(true),
+        ];
+        let ctx = LaneCtx {
+            params: &params,
+            block_idx: 3,
+            grid: 5,
+            block: 24,
+            lanes: LANES,
+            reg_tys: &[],
+        };
+        let mut cases = 0usize;
+        for op in &TYPED_OPS {
+            assert_eq!(op.tys.len(), op.op.arity(), "{:?}", op.op);
+            let mut combos = vec![[0u64; 3]];
+            for (i, &ty) in op.tys.iter().enumerate() {
+                combos = combos
+                    .iter()
+                    .flat_map(|c| {
+                        word_pool(ty, &ctx).into_iter().map(move |w| {
+                            let mut c = *c;
+                            c[i] = w;
+                            c
+                        })
+                    })
+                    .collect();
+            }
+            for [a, b, c] in combos {
+                let words = [a, b, c];
+                let want =
+                    eval_pure(op.op, |i| Value::from_bits(op.tys[i], words[i])).map(Value::to_bits);
+                assert_eq!(
+                    (op.word)(a, b, c),
+                    want,
+                    "{:?} {:?} {words:x?}",
+                    op.op,
+                    op.tys
+                );
+                cases += 1;
+            }
+        }
+        assert!(cases > 20_000, "{cases} cases");
     }
 
     /// A faulting lane stops [`lane_loop`] with every lower active
@@ -2934,6 +3016,102 @@ mod step_accounting {
             assert_eq!(res, Err(ExecError::StepLimit), "{opt:?}");
             assert_eq!(peak, 138, "{opt:?}");
             assert_eq!(out, [9, 16, 19, 4, 0, 7, 7, 8], "{opt:?}");
+        }
+    }
+
+    /// A loop of `blockIdx + 3` trips whose body block is warp-uniform
+    /// through and through at O2: four scalar ops, run inline by the
+    /// block loop, and two uniform stores of their running values to
+    /// the block's own two words of `out`.
+    fn uniform_loop() -> Kernel {
+        let mut b = KernelBuilder::new("uniform");
+        let out = b.param_ptr("out", AddrSpace::Global);
+        let bid = b.special_i32(Special::BlockId);
+        let trips = b.add(bid.into(), Operand::ImmI32(3));
+        let i = b.mov(Operand::ImmI32(0));
+        let acc = b.mov(Operand::ImmI32(1));
+        let first = b.mul(bid.into(), Operand::ImmI32(2));
+        let second = b.add(first.into(), Operand::ImmI32(1));
+        let w0 = b.index_addr(Operand::Param(out), first.into(), 4);
+        let w1 = b.index_addr(Operand::Param(out), second.into(), 4);
+        let hdr = b.new_block("hdr");
+        let body = b.new_block("body");
+        let exit = b.new_block("exit");
+        b.br(hdr);
+        b.switch_to(hdr);
+        let more = b.icmp_lt(i.into(), trips.into());
+        b.cond_br(more.into(), body, exit);
+        b.switch_to(body);
+        let tripled = b.mul(acc.into(), Operand::ImmI32(3));
+        b.store_global_i32(w0.into(), tripled.into());
+        let mixed = b.ibin(IntBinOp::Xor, tripled.into(), i.into());
+        b.ibin_to(acc, IntBinOp::Add, mixed.into(), Operand::ImmI32(5));
+        b.store_global_i32(w1.into(), acc.into());
+        b.ibin_to(i, IntBinOp::Add, i.into(), Operand::ImmI32(1));
+        b.br(hdr);
+        b.switch_to(exit);
+        b.ret();
+        b.finish()
+    }
+
+    #[test]
+    fn step_limit_fires_mid_block_on_the_inline_uniform_path() {
+        let k = uniform_loop();
+        let mut spec = GpuSpec::p100().scaled(8);
+        let o2 = CompiledKernel::compile(&k, &spec).expect("kernel verifies");
+        let body = &o2.code[o2.block_bounds[2] as usize..o2.block_bounds[3] as usize];
+        let tags: Vec<OpClass> = body.iter().map(|c| c.tag).collect();
+        assert_eq!(
+            tags,
+            [
+                OpClass::UniformScalar,
+                OpClass::UniformStore,
+                OpClass::UniformScalar,
+                OpClass::UniformScalar,
+                OpClass::UniformStore,
+                OpClass::UniformScalar,
+            ]
+        );
+
+        // One block of two warps (8 + 4 lanes): the launch's
+        // instruction count is that block's step count.
+        let (res, peak, out) = launch_at(&k, &spec, OptLevel::O2, LaunchConfig::new(1, 12), 2);
+        assert_eq!(res.map(|s| s.instructions), Ok(86));
+        assert_eq!(peak, 86);
+        assert_eq!(out, [90, 93]);
+        // Two blocks: 86 + 104 steps, block 1 (four trips) the peak.
+        let cfg = LaunchConfig::new(2, 12);
+        let (res, peak, out) = launch_at(&k, &spec, OptLevel::O2, cfg, 4);
+        assert_eq!(res.map(|s| s.instructions), Ok(190));
+        assert_eq!(peak, 104);
+        assert_eq!(out, [90, 93, 279, 281]);
+
+        // Block 1's warp 1 runs its last trip's body at steps 95..=101
+        // (`tripled` at 95, the stores at 96 and 99) and exits at 104.
+        // The kill lands on the inline `tripled ^ i` (step 97), on the
+        // second store (99), on the inline `i + 1` (100) and on the
+        // `ret` (104).
+        for (limit, want) in [
+            (96, [90, 93, 279, 93]),
+            (98, [90, 93, 279, 93]),
+            (99, [90, 93, 279, 281]),
+            (103, [90, 93, 279, 281]),
+        ] {
+            spec.step_limit = limit;
+            let (res, peak, out) = launch_at(&k, &spec, OptLevel::O2, cfg, 4);
+            assert_eq!(res, Err(ExecError::StepLimit), "limit {limit}");
+            assert_eq!(peak, 86, "limit {limit}: only block 0 completed");
+            assert_eq!(out, want, "limit {limit}");
+        }
+        spec.step_limit = 104;
+        let (res, ..) = launch_at(&k, &spec, OptLevel::O2, cfg, 4);
+        assert_eq!(res.map(|s| s.instructions), Ok(190));
+        // Every limit kills at the step O0's per-lane path does.
+        for limit in 60..=110 {
+            spec.step_limit = limit;
+            let o0 = launch_at(&k, &spec, OptLevel::O0, cfg, 4);
+            let o2 = launch_at(&k, &spec, OptLevel::O2, cfg, 4);
+            assert_eq!(o2, o0, "limit {limit}");
         }
     }
 

@@ -10,6 +10,12 @@
 //! may fail with `ExecError::TypeMismatch`, and none may panic (a debug
 //! build also asserts, on every register write, that the value's type
 //! is the destination's declared type).
+//!
+//! The compiler picks a typed word function for every scalar
+//! instruction from the verified kernel's types, and leaves a uniform
+//! op it finds none for on the faulting per-lane path. The same mutants
+//! pin that this never happens: every scalar instruction of every
+//! verified mutant gets a typed function.
 
 use gevo_repro::engine::{FaultClass, MutationSpace, MutationWeights};
 use gevo_repro::ir::verify::verify;
@@ -21,6 +27,7 @@ use rand_chacha::ChaCha8Rng;
 /// and returns how many ran.
 fn check_workload(w: &dyn Workload, seed: u64, n: usize) -> usize {
     let space = MutationSpace::new(w.kernels(), MutationWeights::default());
+    let spec = GpuSpec::p100().scaled(8);
     let ev = Evaluator::new(w);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut ran = 0;
@@ -32,6 +39,16 @@ fn check_workload(w: &dyn Workload, seed: u64, n: usize) -> usize {
         let (kernels, _) = patch.apply(w.kernels());
         if kernels.iter().any(|k| verify(k).is_err()) {
             continue;
+        }
+        for k in &kernels {
+            let compiled = CompiledKernel::compile(k, &spec).expect("verified kernels compile");
+            assert_eq!(
+                compiled.untyped_scalar_count(),
+                0,
+                "{} mutant {i} ({patch:?}): kernel {} has a scalar op with no typed function",
+                w.name(),
+                k.name
+            );
         }
         let out = ev.evaluate(&patch);
         let failure = out.failure.as_deref().unwrap_or("");
