@@ -34,7 +34,7 @@ use crate::spec::GpuSpec;
 use crate::value::Value;
 use gevo_ir::analysis::uniformity;
 use gevo_ir::verify::{verify, VerifyError};
-use gevo_ir::{Cfg, Kernel, Op, Operand, Param, Reg, Ty};
+use gevo_ir::{Cfg, Instr, Kernel, Op, Operand, Param, Reg, Ty};
 
 /// Optimization level of the lowering pipeline (DESIGN.md §3.8).
 ///
@@ -187,8 +187,7 @@ pub(crate) enum OpClass {
     /// lane would compute the same value, so the interpreter evaluates
     /// it **once per warp**, with the typed word function the compiler
     /// picked for it, and broadcasts the result to the active lanes
-    /// instead of bit-walking the mask. An op no typed function accepts
-    /// stays [`OpClass::Scalar`].
+    /// instead of bit-walking the mask.
     UniformScalar,
     /// Scalar op over immediate-only operands, evaluated at compile
     /// time (O2): `args[0]` holds the precomputed result and execution
@@ -288,7 +287,7 @@ pub struct CompiledKernel {
     pub(crate) code: Vec<CInst>,
     /// Per-instruction index into the interpreter's table of typed
     /// scalar ops, picked from the operand types of the verified
-    /// kernel; [`UNTYPED`] for non-scalar and ill-typed instructions.
+    /// kernel; [`UNTYPED`] for non-scalar instructions.
     pub(crate) typed: Vec<u8>,
     /// Per-block half-open bounds into `code`; length `blocks + 1`.
     pub(crate) block_bounds: Vec<u32>,
@@ -372,9 +371,9 @@ impl CompiledKernel {
                     args,
                     cost: scalar_cost(inst.op, spec),
                 };
-                let t = typed_op(&ci, kernel, lanes);
+                let t = typed_op(inst, kernel);
                 if info.is_some() {
-                    optimize_inst(&mut ci, t, &slot_uniform);
+                    optimize_inst(&mut ci, &slot_uniform);
                 }
                 code.push(ci);
                 typed.push(t);
@@ -506,21 +505,6 @@ impl CompiledKernel {
             .count()
     }
 
-    /// Number of scalar instructions no typed op accepts: ill-typed ones,
-    /// which run through the interpreter's faulting per-lane path. Zero
-    /// for every verified kernel; a uniform op counted here was left
-    /// unscalarized.
-    #[must_use]
-    pub fn untyped_scalar_count(&self) -> usize {
-        self.code
-            .iter()
-            .zip(&self.typed)
-            .filter(|&(c, &t)| {
-                matches!(c.tag, OpClass::Scalar | OpClass::UniformScalar) && t == UNTYPED
-            })
-            .count()
-    }
-
     /// Number of compile-time-folded facts in this image: instructions
     /// evaluated to constants plus conditional branches resolved to
     /// plain jumps. Zero at O0.
@@ -560,57 +544,31 @@ fn lower_operand(kernel: &Kernel, op: &Operand, lanes: u32) -> Slot {
     }
 }
 
-/// The operand type a slot reads in a verified kernel: a register's
-/// declared type, an immediate's type, `i32` for a special and a
-/// parameter's declared type (a pointer is an `i64` address). Launch
-/// validation makes every argument match its parameter's type.
-fn slot_ty(s: &Slot, params: &[Param]) -> Ty {
-    match *s {
-        Slot::Reg(_, ty) => ty,
-        Slot::ImmI32(_) | Slot::Special(_) => Ty::I32,
-        Slot::ImmI64(_) => Ty::I64,
-        Slot::ImmF32(_) => Ty::F32,
-        Slot::ImmBool(_) => Ty::Bool,
-        Slot::Param(p) => params[p as usize].ty.value_ty(),
-    }
-}
-
-/// The interpreter's typed op for a scalar instruction of `kernel`,
-/// picked from its operand types ([`UNTYPED`] for other instructions
-/// and for operand types no typed op accepts). Debug builds check that
-/// the op's result type is the destination's declared type: the lane
-/// loops also check each register write, the uniform path's word
-/// function does not.
-fn typed_op(ci: &CInst, kernel: &Kernel, lanes: u32) -> u8 {
-    if ci.tag != OpClass::Scalar {
+/// The interpreter's typed op for a scalar instruction of the verified
+/// `kernel`, picked from its operand types ([`UNTYPED`] for other
+/// instructions).
+///
+/// # Panics
+/// Panics for a scalar op no typed op accepts: the verifier rejects
+/// every such instruction.
+fn typed_op(inst: &Instr, kernel: &Kernel) -> u8 {
+    if op_class(inst.op) != OpClass::Scalar {
         return UNTYPED;
     }
-    let n = ci.op.arity();
     let mut tys = [Ty::I32; 3];
-    for (t, s) in tys.iter_mut().zip(&ci.args[..n]) {
-        *t = slot_ty(s, &kernel.params);
+    for (t, a) in tys.iter_mut().zip(&inst.args) {
+        *t = kernel.operand_ty(a);
     }
-    let typed = typed_op_index(ci.op, &tys[..n]);
-    if cfg!(debug_assertions) && typed != UNTYPED && ci.dst != NO_DST {
-        let result = crate::exec::eval_pure(ci.op, |i| Value::sentinel(tys[i]));
-        assert_eq!(
-            result.map(|v| v.ty()),
-            Ok(kernel.reg_ty(Reg(ci.dst / lanes))),
-            "{:?} writes a register of another type",
-            ci.op
-        );
-    }
-    typed
+    typed_op_index(inst.op, &tys[..inst.args.len()])
+        .unwrap_or_else(|| panic!("verified {:?} over {tys:?} has no typed op", inst.op))
 }
 
 /// O2 per-instruction pass: constant folding first (an all-immediate
 /// op is trivially uniform, and the folded form is strictly cheaper to
 /// execute), then uniformity tagging. `uniform` decides slot-level
-/// operand uniformity against the analysis result. A uniform scalar op
-/// needs a typed op (`typed`, see [`typed_op`]); one no typed op
-/// accepts stays `Scalar` and faults on the per-lane path.
-fn optimize_inst(ci: &mut CInst, typed: u8, uniform: &impl Fn(&Slot) -> bool) {
-    if ci.tag == OpClass::Scalar && ci.dst != NO_DST {
+/// operand uniformity against the analysis result.
+fn optimize_inst(ci: &mut CInst, uniform: &impl Fn(&Slot) -> bool) {
+    if ci.tag == OpClass::Scalar {
         if let Some(folded) = fold_value(ci) {
             ci.tag = OpClass::Folded;
             ci.args = [folded, Slot::ImmI32(0), Slot::ImmI32(0)];
@@ -625,7 +583,7 @@ fn optimize_inst(ci: &mut CInst, typed: u8, uniform: &impl Fn(&Slot) -> bool) {
         // Pure per-lane compute over uniform inputs computes one value
         // per warp. (`RngNext` is pure too: the counter-mix is a
         // function of its operands alone.)
-        OpClass::Scalar if typed != UNTYPED => OpClass::UniformScalar,
+        OpClass::Scalar => OpClass::UniformScalar,
         OpClass::Load => OpClass::UniformLoad,
         OpClass::Store => OpClass::UniformStore,
         // Atomics serialize per lane (each RMW observes the previous
@@ -635,19 +593,17 @@ fn optimize_inst(ci: &mut CInst, typed: u8, uniform: &impl Fn(&Slot) -> bool) {
     };
 }
 
-/// Attempts compile-time evaluation of a scalar op whose operands are
-/// all immediates, through the interpreter's own [`crate::exec`]
-/// evaluator — the single source of truth, so a folded result (and any
-/// fault, by declining to fold) is exactly what per-lane execution
-/// would produce.
+/// Compile-time evaluation of a scalar op whose operands are all
+/// immediates, through the interpreter's own [`crate::exec`] evaluator
+/// — the single source of truth, so a folded result is exactly what
+/// per-lane execution would produce.
 fn fold_value(ci: &CInst) -> Option<Slot> {
     let n = ci.op.arity();
     let mut vals = [Value::I32(0); 3];
     for (v, s) in vals.iter_mut().zip(&ci.args[..n]) {
         *v = slot_imm_value(s)?;
     }
-    let out = crate::exec::eval_pure(ci.op, |i| vals[i]).ok()?;
-    Some(value_slot(out))
+    Some(value_slot(crate::exec::eval_pure(ci.op, |i| vals[i])))
 }
 
 /// The immediate payload of a slot, if it is one. `Param` and `Special`
@@ -883,65 +839,6 @@ mod tests {
             .expect("store present");
         assert_eq!(store.tag, OpClass::Store, "tid-addressed store untouched");
         assert!(o2.uniform_inst_count() >= 1);
-    }
-
-    /// An ill-typed uniform op — only a hand-built instruction stream
-    /// can hold one, the verifier rejects such a kernel — gets no typed
-    /// op, so O2 leaves it per-lane, where it faults with the
-    /// `TypeMismatch` the first active lane's `eval_pure` gives, as the
-    /// uniform path did when it evaluated `eval_pure` on that lane.
-    #[test]
-    fn ill_typed_uniform_ops_stay_per_lane_and_fault_as_before() {
-        use crate::{ExecError, Gpu, KernelArg, LaunchConfig};
-        let spec = GpuSpec::p100().scaled(8);
-        let mut b = KernelBuilder::new("demote");
-        let out = b.param_ptr("out", AddrSpace::Global);
-        let n = b.param_i32("n");
-        let next = b.add(Operand::Param(n), Operand::ImmI32(1));
-        let tid = b.special_i32(Special::ThreadId);
-        let addr = b.index_addr(Operand::Param(out), tid.into(), 4);
-        b.store_global_i32(addr.into(), next.into());
-        b.ret();
-        let kernel = b.finish();
-        let mut ck = CompiledKernel::compile(&kernel, &spec).expect("verifies");
-        let at = ck
-            .code
-            .iter()
-            .position(|c| c.tag == OpClass::UniformScalar)
-            .expect("`n + 1` is uniform");
-        assert_ne!(ck.typed[at], UNTYPED);
-        assert_eq!(ck.untyped_scalar_count(), 0);
-
-        // The same add over an `f32` immediate.
-        let mut ci = CInst {
-            tag: OpClass::Scalar,
-            ..ck.code[at].clone()
-        };
-        ci.args[1] = Slot::ImmF32(1.5);
-        let typed = typed_op(&ci, &kernel, spec.warp_size);
-        assert_eq!(typed, UNTYPED);
-        optimize_inst(&mut ci, typed, &|_| true);
-        assert_eq!(ci.tag, OpClass::Scalar, "demoted to the per-lane path");
-        let want = crate::exec::eval_pure(ci.op, |j| [Value::I32(7), Value::F32(1.5)][j])
-            .expect_err("ill-typed");
-        assert_eq!(
-            want,
-            ExecError::TypeMismatch {
-                expected: Ty::I32,
-                found: Ty::F32
-            }
-        );
-        ck.code[at] = ci;
-        ck.typed[at] = typed;
-        assert_eq!(ck.untyped_scalar_count(), 1);
-
-        let mut gpu = Gpu::new(spec);
-        let buf = gpu.mem_mut().alloc(8 * 4).expect("arena fits");
-        let args = [KernelArg::from(buf), KernelArg::I32(7)];
-        for threads in [8, 3] {
-            let got = gpu.launch_compiled(&ck, LaunchConfig::new(1, threads), &args);
-            assert_eq!(got, Err(want.clone()), "{threads} threads");
-        }
     }
 
     #[test]

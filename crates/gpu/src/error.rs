@@ -41,7 +41,10 @@ pub enum ExecError {
     /// The per-block step budget was exhausted (mutation-induced infinite
     /// loop).
     StepLimit,
-    /// A register or operand held a value of the wrong type at use.
+    /// The host stored a `b1` value to device memory, which holds no
+    /// such type ([`crate::DeviceMemory::store`]). Kernels never meet
+    /// this: the verifier type-checks every operand before a kernel is
+    /// compiled, and the interpreter runs verified kernels only.
     TypeMismatch {
         /// What the instruction required.
         expected: Ty,
@@ -57,7 +60,7 @@ pub enum ExecError {
     /// verify-failure kind instead of parsing a message.
     ///
     /// Layout matters here: `ExecError` is the error half of the
-    /// `Result` every per-lane operand read returns on the
+    /// `Result` every per-lane memory access returns on the
     /// interpreter's hot path. `VerifyError` is all-`Copy` (24 bytes,
     /// no drop glue), so this variant keeps `ExecError` at the same
     /// 32-byte, trivially-droppable-on-the-Ok-path shape it had when

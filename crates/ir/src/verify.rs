@@ -42,6 +42,14 @@ pub enum VerifyError {
         /// The type found.
         found: Ty,
     },
+    /// An instruction has a destination although its op writes none,
+    /// or none although its op writes one.
+    DstPresence {
+        /// Offending instruction ID.
+        inst: u32,
+        /// Whether the op writes a register.
+        expected: bool,
+    },
     /// The destination register's type does not match the op result.
     DstType {
         /// Offending instruction ID.
@@ -94,6 +102,14 @@ impl fmt::Display for VerifyError {
                 f,
                 "inst #{inst}: operand {arg} expected {expected}, found {found}"
             ),
+            VerifyError::DstPresence { inst, expected } => {
+                let (op, has) = if *expected {
+                    ("writes a register", "no")
+                } else {
+                    ("writes no register", "a")
+                };
+                write!(f, "inst #{inst}: op {op} but has {has} destination")
+            }
             VerifyError::DstType {
                 inst,
                 expected,
@@ -184,6 +200,12 @@ fn verify_inst(kernel: &Kernel, inst: &Instr) -> Result<(), VerifyError> {
             inst: id,
             expected: inst.op.arity(),
             found: inst.args.len(),
+        });
+    }
+    if inst.dst.is_some() != inst.op.has_dst() {
+        return Err(VerifyError::DstPresence {
+            inst: id,
+            expected: inst.op.has_dst(),
         });
     }
     for a in &inst.args {
@@ -479,5 +501,49 @@ mod tests {
             .unwrap();
         k.blocks[pos.block].instrs[pos.index].dst = Some(x);
         assert!(matches!(verify(&k), Err(VerifyError::DstType { .. })));
+    }
+
+    /// A hand-edited instruction whose destination presence does not
+    /// match its op: a load with no destination, a store with one.
+    #[test]
+    fn dst_presence_mismatch_detected() {
+        let mut b = KernelBuilder::new("k");
+        let p = b.param_ptr("out", AddrSpace::Global);
+        let v = b.load_global_i32(Operand::Param(p));
+        b.store_global_i32(Operand::Param(p), v.into());
+        b.ret();
+        let k = b.finish();
+        assert_eq!(verify(&k), Ok(()));
+        let at = |op: fn(&Op) -> bool| {
+            k.iter_insts()
+                .find(|(_, i)| op(&i.op))
+                .map(|(p, _)| p)
+                .unwrap()
+        };
+        let (load, store) = (
+            at(|op| matches!(op, Op::Load { .. })),
+            at(|op| matches!(op, Op::Store { .. })),
+        );
+
+        let mut no_dst = k.clone();
+        no_dst.blocks[load.block].instrs[load.index].dst = None;
+        let err = verify(&no_dst).unwrap_err();
+        assert!(matches!(
+            err,
+            VerifyError::DstPresence { expected: true, .. }
+        ));
+        assert!(err
+            .to_string()
+            .contains("writes a register but has no destination"));
+
+        let mut with_dst = k.clone();
+        with_dst.blocks[store.block].instrs[store.index].dst = Some(v);
+        assert!(matches!(
+            verify(&with_dst),
+            Err(VerifyError::DstPresence {
+                expected: false,
+                ..
+            })
+        ));
     }
 }
