@@ -29,13 +29,18 @@ fn pinned_spec() -> SearchSpec {
 
 /// Values the `O0` lowering produced for [`pinned_spec`] on P100.
 ///
-/// The checkpoint CRCs are of checkpoint format 3, which holds the one
-/// population at the top level. The same states at format 2 (a
-/// one-element `"islands"` list, a migration RNG and the island fields
-/// of the spec) had CRCs `0x461B_B44D` and `0x935E_38BD`. Deleting each
-/// failing outcome's `"fault"` field from those and writing
-/// `"format":1` back gives the format-1 bytes `O0` recorded (CRCs
-/// `0xCBB0_0A68` and `0xA972_FB34`).
+/// The CRCs are of format 4. They are the bytes `O0` recorded with
+/// only the keys format 4 dropped removed: the result's `"islands"`,
+/// the checkpoint's top-level `"baseline"` and evaluator `"eval_seed"`,
+/// and every `"island"` and `"migrations"` key (the checkpoint also
+/// says `"format":4`). The format-3 bytes had result CRCs `0x1AF3_8E76`
+/// and `0x4C98_C1ED` and checkpoint CRCs `0xED3F_3953` and
+/// `0xC7B4_0D2F`; format 3 held the one population at the top level.
+/// The same states at format 2 (a one-element `"islands"` list, a migration
+/// RNG and the island fields of the spec) had checkpoint CRCs
+/// `0x461B_B44D` and `0x935E_38BD`. Deleting each failing outcome's
+/// `"fault"` field from those and writing `"format":1` back gives the
+/// format-1 bytes `O0` recorded (CRCs `0xCBB0_0A68` and `0xA972_FB34`).
 struct Pin {
     name: &'static str,
     result_crc: u32,
@@ -48,16 +53,16 @@ struct Pin {
 const PINS: [Pin; 2] = [
     Pin {
         name: "adept-v0",
-        result_crc: 0x1AF3_8E76,
-        ckpt_crc: 0xED3F_3953,
+        result_crc: 0x6A80_8C4C,
+        ckpt_crc: 0x6AFC_E9A9,
         evals: 27,
         cache_hits: 18,
         instructions: 24_340_207,
     },
     Pin {
         name: "simcov",
-        result_crc: 0x4C98_C1ED,
-        ckpt_crc: 0xC7B4_0D2F,
+        result_crc: 0x4F70_EFCC,
+        ckpt_crc: 0x4FDC_2080,
         evals: 30,
         cache_hits: 19,
         instructions: 2_761_194,

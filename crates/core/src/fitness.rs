@@ -228,13 +228,10 @@ pub struct EvaluatorSnapshot {
 }
 
 impl EvaluatorSnapshot {
-    /// Serializes to a JSON object. `"eval_seed":0` is a fixed part of
-    /// the format: every evaluation runs under scheduler seed 0, and
-    /// checkpoints keep the bytes they had when the seed was settable.
+    /// Serializes to a JSON object.
     #[must_use]
     pub fn to_json(&self) -> serde_json::Value {
         let mut obj = serde_json::Map::new();
-        obj.insert("eval_seed", EVAL_SEED);
         obj.insert("evals", self.evals);
         obj.insert("cache_hits", self.cache_hits);
         obj.insert("instructions", self.instructions);
@@ -252,21 +249,13 @@ impl EvaluatorSnapshot {
     /// Deserializes the [`to_json`](Self::to_json) representation.
     ///
     /// # Errors
-    /// Returns a message naming the malformed field, including an
-    /// `eval_seed` other than 0 (no evaluation runs under another seed).
+    /// Returns a message naming the malformed field.
     pub fn from_json(v: &serde_json::Value) -> Result<Self, String> {
         let want_u64 = |name: &str| {
             v.get(name)
                 .and_then(serde_json::Value::as_u64)
                 .ok_or_else(|| format!("EvaluatorSnapshot: missing or invalid {name}"))
         };
-        let eval_seed = want_u64("eval_seed")?;
-        if eval_seed != EVAL_SEED {
-            return Err(format!(
-                "EvaluatorSnapshot: eval_seed {eval_seed} is not supported \
-                 (every evaluation runs under seed {EVAL_SEED})"
-            ));
-        }
         let outcomes = v
             .get("outcomes")
             .and_then(serde_json::Value::as_array)

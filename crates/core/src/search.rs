@@ -675,7 +675,6 @@ impl ParetoArchive {
 struct Engine<'a> {
     evaluator: Evaluator<'a>,
     space: MutationSpace,
-    baseline: f64,
     /// The breeding RNG, seeded with [`GaConfig::seed`].
     rng: ChaCha8Rng,
     population: Vec<Individual>,
@@ -718,7 +717,6 @@ impl<'a> Engine<'a> {
         Engine {
             evaluator,
             space,
-            baseline,
             rng,
             population,
             scores: Vec::new(),
@@ -748,7 +746,6 @@ impl<'a> Engine<'a> {
         Engine {
             evaluator,
             space,
-            baseline: state.baseline,
             rng: state.rng.restore(),
             population: state.population.clone(),
             scores: state.scores.clone(),
@@ -778,7 +775,6 @@ impl<'a> Engine<'a> {
             spec: spec.clone(),
             weights: weights.clone(),
             gen: self.gen,
-            baseline: self.baseline,
             rng: StreamState::capture(&self.rng),
             population: self.population.clone(),
             scores: self.scores.clone(),
@@ -847,14 +843,14 @@ impl<'a> Engine<'a> {
             GenerationRecord {
                 gen,
                 best_fitness: f,
-                best_speedup: self.baseline / f,
+                best_speedup: self.history.baseline / f,
                 best_patch: gb.patch,
                 valid: self.ranked.len(),
             }
         } else {
             GenerationRecord {
                 gen,
-                best_fitness: self.baseline,
+                best_fitness: self.history.baseline,
                 best_speedup: 1.0,
                 best_patch: Patch::empty(),
                 valid: 0,
@@ -877,7 +873,7 @@ impl<'a> Engine<'a> {
         if next.is_empty() {
             next.push(Individual {
                 patch: Patch::empty(),
-                fitness: Some(self.baseline),
+                fitness: Some(self.history.baseline),
             });
         }
         while next.len() < pop {
@@ -1005,7 +1001,8 @@ impl<'a> Engine<'a> {
         // a resumed run cannot reorder it.
         let mut pareto = self.archive.points;
         pareto.sort_by_key(|p| (p.gen, p.slot));
-        let speedup = self.baseline / self.best.fitness.expect("best individual is always valid");
+        let speedup =
+            self.history.baseline / self.best.fitness.expect("best individual is always valid");
         let stats = self.evaluator.stats();
         SearchResult {
             best: self.best,
@@ -1333,11 +1330,10 @@ mod tests {
     }
 
     /// An NSGA-II run keeps one record per generation, and its result
-    /// keeps the one-island layout of the JSON format: `"islands"` is a
-    /// one-element copy of the history, and every record and Pareto
-    /// point names island 0.
+    /// stores the history once: no record or Pareto point names an
+    /// island.
     #[test]
-    fn nsga2_island_run_keeps_history_shape() {
+    fn nsga2_run_keeps_history_shape() {
         let w = Approx::new();
         let mut ga = quick_ga(3);
         ga.generations = 8;
@@ -1347,20 +1343,14 @@ mod tests {
             .run();
         assert_eq!(res.history.records.len(), 8);
         let json = res.to_json();
-        let islands = json.get("islands").and_then(|v| v.as_array()).unwrap();
-        assert_eq!(islands.len(), 1);
-        assert_eq!(islands[0], res.history.to_json());
-        let records = islands[0]
-            .get("records")
-            .and_then(|v| v.as_array())
-            .unwrap();
+        let history = json.get("history").unwrap();
+        assert_eq!(*history, res.history.to_json());
+        let records = history.get("records").and_then(|v| v.as_array()).unwrap();
         assert_eq!(records.len(), 8);
-        assert!(records
-            .iter()
-            .all(|r| r.get("island").and_then(serde_json::Value::as_u64) == Some(0)));
+        assert!(records.iter().all(|r| r.get("island").is_none()));
         assert!(!res.pareto.is_empty());
         for p in json.get("pareto").and_then(|v| v.as_array()).unwrap() {
-            assert_eq!(p.get("island").and_then(serde_json::Value::as_u64), Some(0));
+            assert!(p.get("island").is_none(), "{p}");
         }
         assert!(res.speedup >= 1.0);
     }

@@ -28,9 +28,9 @@
 //!    is finite by construction and round-trips exactly through the
 //!    shim's shortest-representation float encoding.
 //!
-//! The envelope carries `"format": 3`; [`SearchState::from_json`]
-//! rejects anything else so a stale binary fails loudly instead of
-//! misreading a newer checkpoint.
+//! The envelope carries `"format":` [`STATE_FORMAT`];
+//! [`SearchState::from_json`] rejects any other version so a stale
+//! binary fails loudly instead of misreading a newer checkpoint.
 //!
 //! This module validates *structure* (format version, field shapes);
 //! *integrity* of checkpoint files against torn writes and bit rot is
@@ -47,12 +47,18 @@ use crate::search::{Objective, ParetoPoint, SearchResult, SearchSpec, Selection}
 use gevo_ir::{InstId, Operand, StreamState};
 use serde_json::Value;
 
-/// The checkpoint format version this build reads and writes. Format 3
-/// holds one population's state at the top level; format 2 held a list
-/// of islands plus a migration RNG and the island fields of the spec.
-/// Format 2 added each failing outcome's `"fault"` class to the
-/// evaluator cache (format 1 carried only the failure text).
-pub const STATE_FORMAT: u64 = 3;
+/// The checkpoint format version this build reads and writes.
+///
+/// - Format 4 stores each fact once. It drops format 3's top-level
+///   `"baseline"` (a copy of `history.baseline`), the evaluator's fixed
+///   `"eval_seed":0`, each record's and Pareto point's `"island":0` and
+///   the history's `"migrations":[]`.
+/// - Format 3 holds one population's state at the top level; format 2
+///   held a list of islands plus a migration RNG and the island fields
+///   of the spec.
+/// - Format 2 added each failing outcome's `"fault"` class to the
+///   evaluator cache (format 1 carried only the failure text).
+pub const STATE_FORMAT: u64 = 4;
 
 /// The complete state of a search session between two generations —
 /// everything [`crate::Search::resume`] needs to continue the run
@@ -68,8 +74,6 @@ pub struct SearchState {
     pub weights: MutationWeights,
     /// The next generation to execute (0 = nothing run yet).
     pub gen: usize,
-    /// Baseline fitness of the pristine program.
-    pub baseline: f64,
     /// The breeding RNG, captured mid-stream.
     pub rng: StreamState,
     /// The population as bred for the next generation.
@@ -357,8 +361,6 @@ impl GenerationRecord {
     pub fn to_json(&self) -> Value {
         let mut obj = serde_json::Map::new();
         obj.insert("gen", self.gen);
-        // A fixed part of the format since the island model was removed.
-        obj.insert("island", 0);
         obj.insert("best_fitness", self.best_fitness);
         obj.insert("best_speedup", self.best_speedup);
         obj.insert("best_patch", self.best_patch.to_json());
@@ -414,8 +416,6 @@ impl History {
                     .collect(),
             ),
         );
-        // A fixed part of the format since the island model was removed.
-        obj.insert("migrations", Value::Array(Vec::new()));
         Value::Object(obj)
     }
 
@@ -627,8 +627,6 @@ impl ParetoPoint {
             Value::Array(self.scores.iter().map(|&s| Value::from(s)).collect()),
         );
         obj.insert("gen", self.gen);
-        // A fixed part of the format since the island model was removed.
-        obj.insert("island", 0);
         obj.insert("slot", self.slot);
         Value::Object(obj)
     }
@@ -653,18 +651,12 @@ impl SearchResult {
     /// Serializes to a JSON object. Byte-deterministic: two processes
     /// producing equal results emit identical strings (the harness
     /// checkpoint tests compare them directly).
-    ///
-    /// `"islands"` repeats the history as a one-element list: a fixed
-    /// part of the format since the island model was removed, kept so
-    /// results stay byte-identical to those recorded before.
     #[must_use]
     pub fn to_json(&self) -> Value {
         let mut obj = serde_json::Map::new();
-        let history = self.history.to_json();
         obj.insert("best", self.best.to_json());
         obj.insert("speedup", self.speedup);
-        obj.insert("history", history.clone());
-        obj.insert("islands", Value::Array(vec![history]));
+        obj.insert("history", self.history.to_json());
         obj.insert("evals", self.evals);
         obj.insert("cache_hits", self.cache_hits);
         obj.insert("instructions", self.instructions);
@@ -719,7 +711,6 @@ impl SearchState {
         obj.insert("spec", self.spec.to_json());
         obj.insert("weights", self.weights.to_json());
         obj.insert("gen", self.gen);
-        obj.insert("baseline", self.baseline);
         obj.insert("rng", self.rng.to_json());
         obj.insert(
             "population",
@@ -799,7 +790,6 @@ impl SearchState {
             spec: SearchSpec::from_json(want(v, "spec", CTX)?)?,
             weights: MutationWeights::from_json(want(v, "weights", CTX)?)?,
             gen: want_usize(v, "gen", CTX)?,
-            baseline: want_f64(v, "baseline", CTX)?,
             rng: StreamState::from_json(want(v, "rng", CTX)?)?,
             population: want_array(v, "population", CTX)?
                 .iter()
@@ -867,6 +857,16 @@ mod tests {
 
     fn reparse(v: &Value) -> Value {
         serde_json::from_str(&v.to_string()).expect("self-produced JSON parses")
+    }
+
+    /// The object's keys in written order: a duplicated or renamed field
+    /// fails by name.
+    fn top_level_keys(v: &Value) -> Vec<&str> {
+        v.as_object()
+            .expect("an object")
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect()
     }
 
     #[test]
@@ -976,7 +976,6 @@ mod tests {
             spec: SearchSpec::default(),
             weights: MutationWeights::default(),
             gen: 5,
-            baseline: 1234.5,
             rng: StreamState {
                 seed: [7; 32],
                 word_pos: 42,
@@ -1016,13 +1015,31 @@ mod tests {
         };
         let v = reparse(&state.to_json());
         assert_eq!(SearchState::from_json(&v).unwrap(), state);
-        let text = state.to_json().to_string();
-        assert!(text.contains(r#""evaluator":{"eval_seed":0,"#), "{text}");
+        assert_eq!(
+            top_level_keys(&v),
+            [
+                "format",
+                "workload",
+                "spec",
+                "weights",
+                "gen",
+                "rng",
+                "population",
+                "scores",
+                "ranked",
+                "history",
+                "best",
+                "pareto",
+                "pareto_seen",
+                "evaluator",
+            ]
+        );
 
-        // A future format is refused, not misread; so are format 2, whose
-        // state is a list of islands, and format 1, whose failing
-        // outcomes carry no fault class.
-        for format in [STATE_FORMAT + 1, 2, 1] {
+        // A future format is refused, not misread; so are format 3, which
+        // stored copies and fixed values, format 2, whose state is a list
+        // of islands, and format 1, whose failing outcomes carry no fault
+        // class.
+        for format in [STATE_FORMAT + 1, 3, 2, 1] {
             let mut other = state.to_json();
             if let Value::Object(obj) = &mut other {
                 obj.insert("format", format);
@@ -1030,24 +1047,6 @@ mod tests {
             let err = SearchState::from_json(&other).unwrap_err();
             assert!(err.contains("unsupported checkpoint format"), "{err}");
         }
-    }
-
-    #[test]
-    fn checkpoint_with_a_nonzero_eval_seed_is_refused() {
-        let w = crate::toy::Toy::new();
-        let mut search = crate::Search::new(&w).config(crate::GaConfig {
-            population: 4,
-            generations: 2,
-            ..crate::GaConfig::default()
-        });
-        let _ = search.step();
-        let text = search.checkpoint().to_json().to_string();
-        assert!(SearchState::from_json(&serde_json::from_str(&text).unwrap()).is_ok());
-
-        let reseeded = text.replace(r#""eval_seed":0"#, r#""eval_seed":11"#);
-        assert_eq!(reseeded.len(), text.len() + 1, "one eval_seed field");
-        let err = SearchState::from_json(&serde_json::from_str(&reseeded).unwrap()).unwrap_err();
-        assert!(err.contains("eval_seed"), "{err}");
     }
 
     #[test]
@@ -1071,5 +1070,18 @@ mod tests {
         };
         let v = reparse(&result.to_json());
         assert_eq!(SearchResult::from_json(&v).unwrap(), result);
+        assert_eq!(
+            top_level_keys(&v),
+            [
+                "best",
+                "speedup",
+                "history",
+                "evals",
+                "cache_hits",
+                "instructions",
+                "objectives",
+                "pareto",
+            ]
+        );
     }
 }

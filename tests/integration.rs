@@ -160,30 +160,31 @@ fn fig10_boundary_story() {
         .expect("padded grid needs no checks");
 }
 
+/// Runs ADEPT-V0 twice with GA seed 11 and asserts the two results are
+/// identical: best fitness and patch, speedup, full history and
+/// evaluation count, down to the serialized bytes.
+fn assert_reproduces(pop: usize, gens: usize) {
+    let w = AdeptWorkload::new(AdeptConfig::scaled(Version::V0));
+    let run = || Search::new(&w).config(quick_cfg(11, pop, gens)).run();
+    let (a, b) = (run(), run());
+    assert_eq!(a.best.fitness, b.best.fitness);
+    assert_eq!(a.best.patch, b.best.patch);
+    assert_eq!(a.speedup, b.speedup);
+    assert_eq!(a.history, b.history);
+    assert_eq!(a.evals, b.evals);
+    assert_eq!(a.to_json().to_string(), b.to_json().to_string());
+}
+
 /// Cross-workload determinism: the same GA seed reproduces the same
 /// result across the full stack.
 #[test]
 fn full_stack_determinism() {
-    let w = AdeptWorkload::new(AdeptConfig::scaled(Version::V0));
-    let a = Search::new(&w).config(quick_cfg(11, 12, 6)).run();
-    let b = Search::new(&w).config(quick_cfg(11, 12, 6)).run();
-    assert_eq!(a.best.patch, b.best.patch);
-    assert_eq!(a.speedup, b.speedup);
+    assert_reproduces(12, 6);
 }
 
-/// The search engine's one population reproduces itself in full: the
-/// same seed gives the same best fitness, full history and evaluation
-/// count, down to the serialized bytes (whose `"islands"` entry is the
-/// one-element copy of that history).
+/// The search engine's one population reproduces itself in full at a
+/// second population shape.
 #[test]
 fn island_engine_full_stack_determinism() {
-    let w = AdeptWorkload::new(AdeptConfig::scaled(Version::V0));
-    let run = || Search::new(&w).config(quick_cfg(11, 16, 5)).run();
-    let a = run();
-    let b = run();
-    assert_eq!(a.best.fitness, b.best.fitness);
-    assert_eq!(a.best.patch, b.best.patch);
-    assert_eq!(a.history, b.history);
-    assert_eq!(a.evals, b.evals);
-    assert_eq!(a.to_json().to_string(), b.to_json().to_string());
+    assert_reproduces(16, 5);
 }
