@@ -10,8 +10,8 @@
 //! tests draw fixed-seed random patches from the GA's own
 //! `MutationSpace` and run every one the verifier accepts: none may
 //! fail with `ExecError::TypeMismatch`, and none may panic (a debug
-//! build also asserts, on every register write of a scalar op, that
-//! the value's type is the destination's declared type).
+//! build also asserts, once per warp instruction, that a memory, warp
+//! or folded op writes a register of the declared type it produces).
 
 use gevo_bench::kernel_gen::random_kernel;
 use gevo_engine::{Evaluator, FaultClass, MutationSpace, MutationWeights, Patch, Workload};

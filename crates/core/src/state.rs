@@ -674,9 +674,12 @@ impl SearchResult {
     /// Deserializes the [`to_json`](Self::to_json) representation.
     ///
     /// # Errors
-    /// Returns a message naming the missing or malformed field.
+    /// Returns a message naming the missing or malformed field, or a
+    /// field of a removed feature: a format-3 result's `"islands"` is
+    /// refused, not dropped.
     pub fn from_json(v: &Value) -> Result<Self, String> {
         const CTX: &str = "SearchResult";
+        reject_removed(v, CTX)?;
         Ok(SearchResult {
             best: Individual::from_json(want(v, "best", CTX)?)?,
             speedup: want_f64(v, "speedup", CTX)?,
@@ -1049,9 +1052,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn search_result_round_trips() {
-        let result = SearchResult {
+    fn sample_result() -> SearchResult {
+        SearchResult {
             best: Individual {
                 patch: Patch::from_edits(vec![sample_edits()[0]]),
                 fitness: Some(800.0),
@@ -1067,7 +1069,12 @@ mod tests {
             instructions: 123_456,
             objectives: vec![Objective::Cycles],
             pareto: Vec::new(),
-        };
+        }
+    }
+
+    #[test]
+    fn search_result_round_trips() {
+        let result = sample_result();
         let v = reparse(&result.to_json());
         assert_eq!(SearchResult::from_json(&v).unwrap(), result);
         assert_eq!(
@@ -1082,6 +1089,25 @@ mod tests {
                 "objectives",
                 "pareto",
             ]
+        );
+    }
+
+    /// A format-3 result carries the island model's `"islands"` (a
+    /// one-element copy of `"history"`): refused, naming the model, not
+    /// silently decoded as the current format.
+    #[test]
+    fn parent_format_result_is_refused() {
+        let result = sample_result();
+        let mut old = result.to_json();
+        if let Value::Object(obj) = &mut old {
+            obj.insert("islands", Value::Array(vec![result.history.to_json()]));
+        }
+        let err = SearchResult::from_json(&reparse(&old)).unwrap_err();
+        assert!(
+            err.contains("SearchResult")
+                && err.contains("\"islands\"")
+                && err.contains("island model"),
+            "{err}"
         );
     }
 }

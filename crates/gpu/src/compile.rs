@@ -167,7 +167,7 @@ pub(crate) const NO_DST: u32 = u32::MAX;
 /// arm that needs it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum OpClass {
-    /// Plain per-lane compute op (the `exec_scalar` family).
+    /// Plain per-lane compute op: its typed op's lane loop.
     Scalar,
     /// `__syncthreads`.
     Sync,
@@ -628,8 +628,8 @@ fn value_slot(v: Value) -> Slot {
     }
 }
 
-/// The static issue cost of a scalar op — the same table
-/// `BlockExec::exec_scalar` used to consult per execution, resolved once.
+/// The static issue cost of a scalar op, resolved once per instruction
+/// at compile time.
 fn scalar_cost(op: Op, spec: &GpuSpec) -> u64 {
     use gevo_ir::{FloatBinOp, IntBinOp};
     match op {

@@ -41,10 +41,11 @@ pub enum ExecError {
     /// The per-block step budget was exhausted (mutation-induced infinite
     /// loop).
     StepLimit,
-    /// The host stored a `b1` value to device memory, which holds no
-    /// such type ([`crate::DeviceMemory::store`]). Kernels never meet
-    /// this: the verifier type-checks every operand before a kernel is
-    /// compiled, and the interpreter runs verified kernels only.
+    /// An operand of the wrong type. Nothing produces this: the verifier
+    /// type-checks every operand before a kernel is compiled, the
+    /// interpreter runs verified kernels only, and device memory stores
+    /// register words ([`crate::DeviceMemory::store_word`]), not typed
+    /// values, so a host cannot store a `b1` either.
     TypeMismatch {
         /// What the instruction required.
         expected: Ty,

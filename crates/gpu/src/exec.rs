@@ -38,7 +38,7 @@
 use crate::compile::{CInst, CTerm, CompiledKernel, OpClass, Slot, EXIT};
 use crate::error::ExecError;
 use crate::launch::{KernelArg, LaunchConfig, LaunchStats};
-use crate::mem::DeviceMemory;
+use crate::mem::{load_shared_word, store_shared_word, DeviceMemory};
 use crate::spec::GpuSpec;
 use crate::value::Value;
 use gevo_ir::{rng, AddrSpace, CmpPred, FloatBinOp, IntBinOp, Kernel, MemTy, Op, Param, Ty};
@@ -497,26 +497,6 @@ struct LaneCtx<'a> {
     grid: u32,
     block: u32,
     lanes: u32,
-    /// Declared type of each register (debug checks of register writes).
-    reg_tys: &'a [Ty],
-}
-
-impl LaneCtx<'_> {
-    /// The register word holding `v`, which is written to file base
-    /// `dst`. Debug builds check that `v` has the register's declared
-    /// type: the verifier makes this hold for every compiled kernel,
-    /// and untagged register words rest on it.
-    #[inline]
-    fn word(&self, v: Value, dst: u32) -> u64 {
-        debug_assert!(
-            self.reg_tys[(dst / self.lanes) as usize] == v.ty(),
-            "{} written to r{} of declared type {}",
-            v.ty(),
-            dst / self.lanes,
-            self.reg_tys[(dst / self.lanes) as usize]
-        );
-        v.to_bits()
-    }
 }
 
 #[inline]
@@ -664,7 +644,7 @@ macro_rules! typed_op {
                 let args = [$(LaneArg::resolve($x, ctx, widx)),+];
                 lane_loop(regs, inst.dst, active, args, |[$($x),+]| {
                     $(let $x = Value::from_bits(Ty::$t, $x);)+
-                    ctx.word($f, inst.dst)
+                    $f.to_bits()
                 });
             },
         }
@@ -910,53 +890,35 @@ fn fill<const N: usize>(
     }
 }
 
-fn shared_check(shared_bytes: u32, addr: i64, bytes: u64) -> Result<usize, ExecError> {
-    if addr < 0 || addr.unsigned_abs() + bytes > u64::from(shared_bytes) {
-        return Err(ExecError::SharedFault { addr, shared_bytes });
-    }
-    if !addr.unsigned_abs().is_multiple_of(bytes) {
-        return Err(ExecError::Misaligned { addr, align: bytes });
-    }
-    Ok(usize::try_from(addr).expect("checked shared offset"))
-}
-
-fn shared_load(shared: &[u8], shared_bytes: u32, addr: i64, ty: MemTy) -> Result<Value, ExecError> {
-    let a = shared_check(shared_bytes, addr, ty.size())?;
-    Ok(match ty {
-        MemTy::I32 => Value::I32(i32::from_le_bytes(
-            shared[a..a + 4].try_into().expect("4 bytes"),
-        )),
-        MemTy::I64 => Value::I64(i64::from_le_bytes(
-            shared[a..a + 8].try_into().expect("8 bytes"),
-        )),
-        MemTy::F32 => Value::F32(f32::from_le_bytes(
-            shared[a..a + 4].try_into().expect("4 bytes"),
-        )),
-    })
-}
-
-fn shared_store(
-    shared: &mut [u8],
-    shared_bytes: u32,
+/// The register word a `ty` load at `addr` in `space` reads.
+#[inline]
+fn load_word(
+    mem: &DeviceMemory,
+    shared: &[u8],
+    space: AddrSpace,
     addr: i64,
-    v: Value,
-) -> Result<(), ExecError> {
-    match v {
-        Value::I32(x) => {
-            let a = shared_check(shared_bytes, addr, 4)?;
-            shared[a..a + 4].copy_from_slice(&x.to_le_bytes());
-        }
-        Value::I64(x) => {
-            let a = shared_check(shared_bytes, addr, 8)?;
-            shared[a..a + 8].copy_from_slice(&x.to_le_bytes());
-        }
-        Value::F32(x) => {
-            let a = shared_check(shared_bytes, addr, 4)?;
-            shared[a..a + 4].copy_from_slice(&x.to_le_bytes());
-        }
-        Value::Bool(_) => unreachable!("no memory type holds a b1"),
+    ty: MemTy,
+) -> Result<u64, ExecError> {
+    match space {
+        AddrSpace::Global => mem.load_word(addr, ty),
+        AddrSpace::Shared => load_shared_word(shared, addr, ty),
     }
-    Ok(())
+}
+
+/// Stores register word `word` as a `ty` at `addr` in `space`.
+#[inline]
+fn store_word(
+    mem: &mut DeviceMemory,
+    shared: &mut [u8],
+    space: AddrSpace,
+    addr: i64,
+    ty: MemTy,
+    word: u64,
+) -> Result<(), ExecError> {
+    match space {
+        AddrSpace::Global => mem.store_word(addr, ty, word),
+        AddrSpace::Shared => store_shared_word(shared, addr, ty, word),
+    }
 }
 
 /// Execution context for a single thread block. The mutable collections
@@ -1040,11 +1002,14 @@ impl<'a> BlockExec<'a> {
     /// when a barrier suspends the warp mid-block (entering a block
     /// resets it to 0), so it is the resume point and nothing else.
     ///
-    /// A warp-uniform scalar op runs inline: the word function the
-    /// compiler picked for it ([`uniform_word`]) on the first active
-    /// lane, broadcast to the active lanes. With no active lane it
-    /// evaluates nothing and is still charged. The step count and the
-    /// inline ops' ALU and issue counts live in locals, flushed on
+    /// Scalar ops run from here, with the typed op the compiler picked
+    /// for each. A warp-uniform one runs inline: its word function
+    /// ([`uniform_word`]) on the first active lane, broadcast to the
+    /// active lanes; with no active lane it evaluates nothing and is
+    /// still charged. A per-lane one calls its lane loop
+    /// ([`scalar_lanes`]) on the warp's register file. Every other
+    /// instruction goes through [`Self::exec_inst`]. The step count and
+    /// the scalar ops' ALU and issue counts live in locals, flushed on
     /// every exit; the active mask and the lane context do not change
     /// within a block visit.
     fn run_warp(&mut self, wi: usize) -> Result<(), ExecError> {
@@ -1079,7 +1044,15 @@ impl<'a> BlockExec<'a> {
                     issue += 1;
                     continue;
                 }
-                match self.exec_inst(wi, inst, typed) {
+                if inst.tag == OpClass::Scalar {
+                    let w = &mut self.warps[wi];
+                    scalar_lanes(inst, typed, &mut w.regs, &ctx, widx, active);
+                    w.cycles += inst.cost;
+                    alu += 1;
+                    issue += 1;
+                    continue;
+                }
+                match self.exec_inst(wi, inst) {
                     Ok(false) => {}
                     Ok(true) => {
                         self.warps[wi].ip = (ip + k + 1) as u32;
@@ -1248,19 +1221,26 @@ impl<'a> BlockExec<'a> {
             grid: self.launch.grid,
             block: self.launch.block,
             lanes: self.lanes,
-            reg_tys: &self.kernel.reg_tys,
         }
+    }
+
+    /// Debug builds check that the register at file base `dst` is
+    /// declared `ty`, once per warp instruction: the verifier makes this
+    /// hold for every op that writes a word it did not compute with a
+    /// typed op, and untagged register words rest on it.
+    fn debug_check_dst(&self, dst: u32, ty: Ty) {
+        let declared = self.kernel.reg_tys[(dst / self.lanes) as usize];
+        debug_assert_eq!(declared, ty, "{ty} written to r{}", dst / self.lanes);
     }
 
     // ---- instruction execution -------------------------------------------
 
-    /// Executes one instruction for all active lanes (`typed` is its
-    /// [`TYPED_OPS`] index). Returns `true` if it was a barrier (the warp
-    /// must yield). Out of line, so the block loop in
-    /// [`Self::run_warp`] that runs the uniform scalar ops inline stays
-    /// small.
+    /// Executes one instruction that is not a scalar op for all active
+    /// lanes. Returns `true` if it was a barrier (the warp must yield).
+    /// Out of line, so the block loop in [`Self::run_warp`] that runs
+    /// the scalar ops stays small: inlined, it spills.
     #[inline(never)]
-    fn exec_inst(&mut self, wi: usize, inst: &CInst, typed: u8) -> Result<bool, ExecError> {
+    fn exec_inst(&mut self, wi: usize, inst: &CInst) -> Result<bool, ExecError> {
         let active = self.warps[wi].active;
         // Dispatch on the compile-time class tag (a dense one-byte
         // jump); the `Op` payload is decoded only inside the arm that
@@ -1296,6 +1276,7 @@ impl<'a> BlockExec<'a> {
             }
             OpClass::Shfl => self.exec_shfl(wi, inst, active),
             OpClass::Ballot => {
+                self.debug_check_dst(inst.dst, Ty::I32);
                 let ctx = self.lane_ctx();
                 let dst = inst.dst;
                 let w = &mut self.warps[wi];
@@ -1309,23 +1290,23 @@ impl<'a> BlockExec<'a> {
                         votes |= 1 << lane;
                     }
                 }
-                broadcast(&mut w.regs, dst, active, ctx.word(Value::I32(votes), dst));
+                broadcast(&mut w.regs, dst, active, Value::I32(votes).to_bits());
                 w.cycles += self.spec.costs.ballot;
                 self.stats.ballots += 1;
                 self.issue += 1;
             }
             OpClass::ActiveMask => {
+                self.debug_check_dst(inst.dst, Ty::I32);
                 #[allow(clippy::cast_possible_wrap)]
-                let mask_v = Value::I32(active as i32);
-                let dst = inst.dst;
-                let word = self.lane_ctx().word(mask_v, dst);
+                let word = Value::I32(active as i32).to_bits();
                 let w = &mut self.warps[wi];
-                broadcast(&mut w.regs, dst, active, word);
+                broadcast(&mut w.regs, inst.dst, active, word);
                 w.cycles += self.spec.costs.activemask;
                 self.issue += 1;
             }
-            OpClass::Scalar => self.exec_scalar(wi, inst, typed, active),
-            OpClass::UniformScalar => unreachable!("run_warp runs uniform scalar ops inline"),
+            OpClass::Scalar | OpClass::UniformScalar => {
+                unreachable!("run_warp runs the scalar ops")
+            }
             OpClass::Folded => self.exec_folded(wi, inst, active),
             OpClass::UniformLoad => {
                 let Op::Load { space, ty } = inst.op else {
@@ -1343,28 +1324,17 @@ impl<'a> BlockExec<'a> {
         Ok(false)
     }
 
-    /// Plain per-lane compute ops: the lane loop of the instruction's
-    /// typed op ([`scalar_lanes`]).
-    fn exec_scalar(&mut self, wi: usize, inst: &CInst, typed: u8, active: u64) {
-        let ctx = self.lane_ctx();
-        let w = &mut self.warps[wi];
-        scalar_lanes(inst, typed, &mut w.regs, &ctx, w.idx, active);
-        // The per-op cost table was resolved at compile time.
-        w.cycles += inst.cost;
-        self.stats.alu_instructions += 1;
-        self.issue += 1;
-    }
-
     /// Constant-folded op: the result was computed at compile time and
     /// sits in `args[0]` as an immediate — broadcast it to the active
     /// lanes. Charges are those of the original op; folding is result-
     /// and stats-invisible.
     fn exec_folded(&mut self, wi: usize, inst: &CInst, active: u64) {
         let ctx = self.lane_ctx();
-        let dst = inst.dst;
-        let w = &mut self.warps[wi];
+        let w = &self.warps[wi];
         let result = read_operand(&w.regs, &ctx, w.idx, 0, &inst.args[0]);
-        broadcast(&mut w.regs, dst, active, ctx.word(result, dst));
+        self.debug_check_dst(inst.dst, result.ty());
+        let w = &mut self.warps[wi];
+        broadcast(&mut w.regs, inst.dst, active, result.to_bits());
         w.cycles += inst.cost;
         self.stats.alu_instructions += 1;
         self.issue += 1;
@@ -1380,13 +1350,14 @@ impl<'a> BlockExec<'a> {
         ty: MemTy,
         active: u64,
     ) -> Result<(), ExecError> {
+        self.debug_check_dst(inst.dst, ty.value_ty());
         let ctx = self.lane_ctx();
-        let dst = inst.dst;
-        let shared_bytes = self.kernel.shared_bytes;
+        let dst = inst.dst as usize;
         let mut addrs: [i64; MAX_WARP as usize] = [0; MAX_WARP as usize];
         {
             // Warp fetched once, the address operand resolved once;
-            // active-lane iteration (see `exec_scalar`).
+            // active-lane iteration. The loaded word is the register
+            // word of the loaded value.
             let w = &mut self.warps[wi];
             let addr = LaneArg::resolve(&inst.args[0], &ctx, w.idx);
             let mut mask = active;
@@ -1395,11 +1366,7 @@ impl<'a> BlockExec<'a> {
                 mask &= mask - 1;
                 let a = word_i64(addr.read(&w.regs, lane));
                 addrs[lane as usize] = a;
-                let v = match space {
-                    AddrSpace::Global => self.mem.load(a, ty)?,
-                    AddrSpace::Shared => shared_load(self.shared, shared_bytes, a, ty)?,
-                };
-                w.regs[dst as usize + lane as usize] = ctx.word(v, dst);
+                w.regs[dst + lane as usize] = load_word(self.mem, self.shared, space, a, ty)?;
             }
         }
         self.charge_mem(wi, space, active, &addrs, false);
@@ -1415,13 +1382,10 @@ impl<'a> BlockExec<'a> {
         active: u64,
     ) -> Result<(), ExecError> {
         let ctx = self.lane_ctx();
-        let shared_bytes = self.kernel.shared_bytes;
         let mut addrs: [i64; MAX_WARP as usize] = [0; MAX_WARP as usize];
-        let vty = ty.value_ty();
         {
             // Warp fetched once (reads only; stores write no register),
-            // operands resolved once; active-lane iteration (see
-            // `exec_scalar`).
+            // operands resolved once; active-lane iteration.
             let w = &self.warps[wi];
             let addr = LaneArg::resolve(&inst.args[0], &ctx, w.idx);
             let val = LaneArg::resolve(&inst.args[1], &ctx, w.idx);
@@ -1430,12 +1394,9 @@ impl<'a> BlockExec<'a> {
                 let lane = mask.trailing_zeros();
                 mask &= mask - 1;
                 let a = word_i64(addr.read(&w.regs, lane));
-                let v = Value::from_bits(vty, val.read(&w.regs, lane));
                 addrs[lane as usize] = a;
-                match space {
-                    AddrSpace::Global => self.mem.store(a, v)?,
-                    AddrSpace::Shared => shared_store(self.shared, shared_bytes, a, v)?,
-                }
+                let word = val.read(&w.regs, lane);
+                store_word(self.mem, self.shared, space, a, ty, word)?;
             }
         }
         self.charge_mem(wi, space, active, &addrs, true);
@@ -1461,19 +1422,15 @@ impl<'a> BlockExec<'a> {
             self.issue += 1;
             return Ok(());
         }
+        self.debug_check_dst(inst.dst, ty.value_ty());
         let ctx = self.lane_ctx();
-        let dst = inst.dst;
-        let shared_bytes = self.kernel.shared_bytes;
         let addr;
         {
             let w = &mut self.warps[wi];
             let lane = active.trailing_zeros();
             addr = word_i64(LaneArg::resolve(&inst.args[0], &ctx, w.idx).read(&w.regs, lane));
-            let v = match space {
-                AddrSpace::Global => self.mem.load(addr, ty)?,
-                AddrSpace::Shared => shared_load(self.shared, shared_bytes, addr, ty)?,
-            };
-            broadcast(&mut w.regs, dst, active, ctx.word(v, dst));
+            let word = load_word(self.mem, self.shared, space, addr, ty)?;
+            broadcast(&mut w.regs, inst.dst, active, word);
         }
         self.charge_mem_uniform(wi, space, active, addr, false);
         Ok(())
@@ -1495,19 +1452,13 @@ impl<'a> BlockExec<'a> {
             return Ok(());
         }
         let ctx = self.lane_ctx();
-        let shared_bytes = self.kernel.shared_bytes;
-        let vty = ty.value_ty();
         let addr;
         {
             let w = &self.warps[wi];
             let lane = active.trailing_zeros();
             addr = word_i64(LaneArg::resolve(&inst.args[0], &ctx, w.idx).read(&w.regs, lane));
             let word = LaneArg::resolve(&inst.args[1], &ctx, w.idx).read(&w.regs, lane);
-            let v = Value::from_bits(vty, word);
-            match space {
-                AddrSpace::Global => self.mem.store(addr, v)?,
-                AddrSpace::Shared => shared_store(self.shared, shared_bytes, addr, v)?,
-            }
+            store_word(self.mem, self.shared, space, addr, ty, word)?;
         }
         self.charge_mem_uniform(wi, space, active, addr, true);
         Ok(())
@@ -1717,10 +1668,10 @@ impl<'a> BlockExec<'a> {
         active: u64,
         kind: AtomicKind,
     ) -> Result<(), ExecError> {
+        self.debug_check_dst(inst.dst, Ty::I32);
         let ctx = self.lane_ctx();
-        let dst = inst.dst;
+        let dst = inst.dst as usize;
         let n_active = active.count_ones() as u64;
-        let shared_bytes = self.kernel.shared_bytes;
         // Lanes execute the atomic in lane order — the deterministic
         // serialization a real device performs in unspecified order.
         {
@@ -1731,32 +1682,22 @@ impl<'a> BlockExec<'a> {
                 let lane = mask.trailing_zeros();
                 mask &= mask - 1;
                 let a = word_i64(addr.read(&w.regs, lane));
-                let old = word_i32(
-                    match space {
-                        AddrSpace::Global => self.mem.load(a, MemTy::I32)?,
-                        AddrSpace::Shared => shared_load(self.shared, shared_bytes, a, MemTy::I32)?,
-                    }
-                    .to_bits(),
-                );
-                let v = word_i32(operand.read(&w.regs, lane));
+                let old = load_word(self.mem, self.shared, space, a, MemTy::I32)?;
+                let (cur, v) = (word_i32(old), word_i32(operand.read(&w.regs, lane)));
                 let new = match kind {
-                    AtomicKind::Add => old.wrapping_add(v),
-                    AtomicKind::Max => old.max(v),
+                    AtomicKind::Add => cur.wrapping_add(v),
+                    AtomicKind::Max => cur.max(v),
                     AtomicKind::Cas => {
-                        if old == v {
+                        if cur == v {
                             word_i32(swap.read(&w.regs, lane))
                         } else {
-                            old
+                            cur
                         }
                     }
                 };
-                match space {
-                    AddrSpace::Global => self.mem.store(a, Value::I32(new))?,
-                    AddrSpace::Shared => {
-                        shared_store(self.shared, shared_bytes, a, Value::I32(new))?;
-                    }
-                }
-                w.regs[dst as usize + lane as usize] = ctx.word(Value::I32(old), dst);
+                let new = Value::I32(new).to_bits();
+                store_word(self.mem, self.shared, space, a, MemTy::I32, new)?;
+                w.regs[dst + lane as usize] = old;
                 self.stats.atomics += 1;
             }
         }
@@ -2243,11 +2184,6 @@ mod lane_loop_equivalence {
         (8 + t) * LANES
     }
 
-    /// The declared type of every register of [`register_file`].
-    fn reg_tys() -> Vec<Ty> {
-        TYS.iter().flat_map(|&t| [t, t]).chain(TYS).collect()
-    }
-
     /// A register file whose values hit the ops' edge cases lane by
     /// lane: division and remainder by 0, `MIN / -1`, shift counts at
     /// and beyond the width, NaN, infinities, `-0.0` and out-of-range
@@ -2427,7 +2363,6 @@ mod lane_loop_equivalence {
             Value::F32(0.1),
             Value::Bool(true),
         ];
-        let tys = reg_tys();
         // Every lane-invariant special reads a distinct value, so one
         // resolved from the wrong context field shows.
         let ctx = LaneCtx {
@@ -2436,7 +2371,6 @@ mod lane_loop_equivalence {
             grid: 5,
             block: 24,
             lanes: LANES,
-            reg_tys: &tys,
         };
         let base = register_file();
         // Full, partial prefix, sparse and empty masks.
@@ -2613,7 +2547,6 @@ mod lane_loop_equivalence {
             grid: 5,
             block: 24,
             lanes: LANES,
-            reg_tys: &[],
         };
         let mut cases = 0usize;
         for op in &TYPED_OPS {
@@ -2727,17 +2660,17 @@ mod lane_loop_equivalence {
             .expect("kernel runs");
         for t in 0..i64::from(threads) {
             let at = |k: i64| buf.base() + (4 * t + k) * 8;
-            let load = |k, ty| gpu.mem().load(at(k), ty).expect("in bounds");
-            assert_eq!(load(0, MemTy::I32), Value::sentinel(Ty::I32), "thread {t}");
-            assert_eq!(load(1, MemTy::I64), Value::sentinel(Ty::I64), "thread {t}");
-            let f = load(2, MemTy::F32);
-            assert_eq!(f.to_bits(), 0xDBDB_DBDB, "thread {t}: f32 sentinel bits");
-            assert_eq!(f.to_bits(), Value::sentinel(Ty::F32).to_bits());
+            let load = |k, ty| gpu.mem().load_word(at(k), ty).expect("in bounds");
+            let sentinel = |ty| Value::sentinel(ty).to_bits();
+            assert_eq!(load(0, MemTy::I32), sentinel(Ty::I32), "thread {t}");
+            assert_eq!(load(1, MemTy::I64), sentinel(Ty::I64), "thread {t}");
             assert_eq!(
-                load(3, MemTy::I32),
-                Value::I32(0),
-                "thread {t}: b1 sentinel"
+                load(2, MemTy::F32),
+                0xDBDB_DBDB,
+                "thread {t}: f32 sentinel bits"
             );
+            assert_eq!(load(2, MemTy::F32), sentinel(Ty::F32));
+            assert_eq!(load(3, MemTy::I32), 0, "thread {t}: b1 sentinel");
         }
     }
 }
@@ -2844,6 +2777,42 @@ mod step_accounting {
             assert_eq!(res, Err(ExecError::StepLimit), "{opt:?}");
             assert_eq!(peak, 138, "{opt:?}");
             assert_eq!(out, [9, 16, 19, 4, 0, 7, 7, 8], "{opt:?}");
+        }
+    }
+
+    /// Every [`LaunchStats`] field of the completed launch, at O0 (every
+    /// op on the per-lane path, run from the block loop) and at O2 (the
+    /// body's ops warp-uniform). The values were recorded with the
+    /// scalar ops run out of line: the block loop's ALU and issue
+    /// counters must be flushed on every exit.
+    #[test]
+    fn completed_launch_pins_every_stat() {
+        let k = straight_line_loop();
+        let spec = GpuSpec::p100();
+        let cfg = LaunchConfig::new(2, 40);
+        let want = LaunchStats {
+            cycles: 913,
+            instructions: 364,
+            alu_instructions: 208,
+            shared_accesses: 0,
+            shared_conflicts: 0,
+            global_accesses: 96,
+            global_segments: 96,
+            cache_hits: 95,
+            cache_misses: 1,
+            row_hits: 0,
+            row_misses: 1,
+            divergent_branches: 0,
+            barriers: 0,
+            ballots: 0,
+            shfls: 0,
+            atomics: 0,
+            blocks: 2,
+            warps_per_block: 2,
+        };
+        for opt in [OptLevel::O0, OptLevel::O2] {
+            let (res, ..) = launch_at(&k, &spec, opt, cfg, 8);
+            assert_eq!(res, Ok(want), "{opt:?}");
         }
     }
 

@@ -1,4 +1,4 @@
-//! Simulated device (global) memory.
+//! Simulated device (global) memory, and word access to block shared memory.
 //!
 //! The arena models the paper's Fig. 10 behaviour precisely:
 //!
@@ -8,6 +8,11 @@
 //!   boundary-check removal passes the small-grid tests this way);
 //! * accesses beyond the arena (or below the null guard) fault — the
 //!   "segmentation fault on the 2500×2500 held-out grid".
+//!
+//! Kernels move register words: a 4- or 8-byte access is a word's low
+//! bytes, little-endian, zero-extended on load, whatever its [`MemTy`].
+//! Block shared memory is a byte slice of the launch's scratch, read and
+//! written through the same word conversion.
 
 use crate::error::ExecError;
 use gevo_ir::MemTy;
@@ -124,50 +129,27 @@ impl DeviceMemory {
         Ok(usize::try_from(a).expect("checked address fits usize"))
     }
 
-    /// Raw typed load.
+    /// The register word a `ty` load at `addr` reads: the access's
+    /// little-endian bytes, zero-extended. For every memory type this is
+    /// [`crate::Value::to_bits`] of the value those bytes hold.
     ///
     /// # Errors
     /// Faults per the arena rules described at module level.
-    pub fn load(&self, addr: i64, ty: MemTy) -> Result<crate::value::Value, ExecError> {
+    #[inline]
+    pub fn load_word(&self, addr: i64, ty: MemTy) -> Result<u64, ExecError> {
         let a = self.check(addr, ty.size())?;
-        Ok(match ty {
-            MemTy::I32 => crate::value::Value::I32(i32::from_le_bytes(
-                self.data[a..a + 4].try_into().expect("4 bytes"),
-            )),
-            MemTy::I64 => crate::value::Value::I64(i64::from_le_bytes(
-                self.data[a..a + 8].try_into().expect("8 bytes"),
-            )),
-            MemTy::F32 => crate::value::Value::F32(f32::from_le_bytes(
-                self.data[a..a + 4].try_into().expect("4 bytes"),
-            )),
-        })
+        Ok(read_le(&self.data, a, ty.size()))
     }
 
-    /// Raw typed store.
+    /// Stores the low `ty.size()` bytes of register word `word` at
+    /// `addr`, little-endian: the inverse of [`Self::load_word`].
     ///
     /// # Errors
     /// Faults per the arena rules described at module level.
-    pub fn store(&mut self, addr: i64, v: crate::value::Value) -> Result<(), ExecError> {
-        match v {
-            crate::value::Value::I32(x) => {
-                let a = self.check(addr, 4)?;
-                self.data[a..a + 4].copy_from_slice(&x.to_le_bytes());
-            }
-            crate::value::Value::I64(x) => {
-                let a = self.check(addr, 8)?;
-                self.data[a..a + 8].copy_from_slice(&x.to_le_bytes());
-            }
-            crate::value::Value::F32(x) => {
-                let a = self.check(addr, 4)?;
-                self.data[a..a + 4].copy_from_slice(&x.to_le_bytes());
-            }
-            crate::value::Value::Bool(_) => {
-                return Err(ExecError::TypeMismatch {
-                    expected: gevo_ir::Ty::I32,
-                    found: gevo_ir::Ty::Bool,
-                })
-            }
-        }
+    #[inline]
+    pub fn store_word(&mut self, addr: i64, ty: MemTy, word: u64) -> Result<(), ExecError> {
+        let a = self.check(addr, ty.size())?;
+        write_le(&mut self.data, a, ty.size(), word);
         Ok(())
     }
 
@@ -250,10 +232,75 @@ impl DeviceMemory {
     }
 }
 
+/// Block shared memory, `shared.len()` bytes: an offset faults unless
+/// the whole access lies inside it, and it must be aligned to its size.
+fn shared_check(shared: &[u8], addr: i64, bytes: u64) -> Result<usize, ExecError> {
+    if addr < 0 || addr.unsigned_abs() + bytes > shared.len() as u64 {
+        let shared_bytes = u32::try_from(shared.len()).expect("shared sizes fit u32");
+        return Err(ExecError::SharedFault { addr, shared_bytes });
+    }
+    if !addr.unsigned_abs().is_multiple_of(bytes) {
+        return Err(ExecError::Misaligned { addr, align: bytes });
+    }
+    Ok(usize::try_from(addr).expect("checked shared offset"))
+}
+
+/// [`DeviceMemory::load_word`] in block shared memory.
+///
+/// # Errors
+/// [`ExecError::SharedFault`] outside `shared`, [`ExecError::Misaligned`]
+/// off the access size.
+#[inline]
+pub(crate) fn load_shared_word(shared: &[u8], addr: i64, ty: MemTy) -> Result<u64, ExecError> {
+    let a = shared_check(shared, addr, ty.size())?;
+    Ok(read_le(shared, a, ty.size()))
+}
+
+/// [`DeviceMemory::store_word`] in block shared memory.
+///
+/// # Errors
+/// As [`load_shared_word`].
+#[inline]
+pub(crate) fn store_shared_word(
+    shared: &mut [u8],
+    addr: i64,
+    ty: MemTy,
+    word: u64,
+) -> Result<(), ExecError> {
+    let a = shared_check(shared, addr, ty.size())?;
+    write_le(shared, a, ty.size(), word);
+    Ok(())
+}
+
+/// The `size`-byte (4 or 8) little-endian word at `bytes[a..]`,
+/// zero-extended: for every memory type, the register word of the
+/// value those bytes hold ([`crate::Value::to_bits`]).
+#[inline]
+fn read_le(bytes: &[u8], a: usize, size: u64) -> u64 {
+    if size == 8 {
+        u64::from_le_bytes(bytes[a..a + 8].try_into().expect("8 bytes"))
+    } else {
+        u64::from(u32::from_le_bytes(
+            bytes[a..a + 4].try_into().expect("4 bytes"),
+        ))
+    }
+}
+
+/// Writes the low `size` bytes (4 or 8) of `word` to `bytes[a..]`,
+/// little-endian: the inverse of [`read_le`].
+#[inline]
+fn write_le(bytes: &mut [u8], a: usize, size: u64, word: u64) {
+    let n = if size == 8 { 8 } else { 4 };
+    bytes[a..a + n].copy_from_slice(&word.to_le_bytes()[..n]);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::value::Value;
+    use gevo_ir::Ty;
+
+    const TYS: [MemTy; 3] = [MemTy::I32, MemTy::I64, MemTy::F32];
 
     #[test]
     fn alloc_respects_alignment_and_capacity() {
@@ -271,58 +318,174 @@ mod tests {
         let mut m = DeviceMemory::new(4096);
         let a = m.alloc(64).unwrap();
         // Read far past the buffer but inside the arena: zeros, no fault.
-        let v = m.load(a.base() + 1024, MemTy::I32).unwrap();
-        assert_eq!(v, Value::I32(0));
+        for ty in TYS {
+            assert_eq!(m.load_word(a.base() + 1024, ty), Ok(0), "{ty}");
+        }
     }
 
     #[test]
     fn loads_beyond_arena_fault() {
-        let m = DeviceMemory::new(4096);
-        assert!(matches!(
-            m.load(4096, MemTy::I32),
-            Err(ExecError::GlobalFault { .. })
-        ));
-        assert!(matches!(
-            m.load(4094, MemTy::I32), // straddles the end
-            Err(ExecError::GlobalFault { .. })
-        ));
+        let mut m = DeviceMemory::new(4096);
+        for (addr, ty) in [
+            (4096, MemTy::I32),
+            (4094, MemTy::I32), // straddles the end
+            (4088 + 8, MemTy::I64),
+            (-8, MemTy::I64),
+        ] {
+            let fault = Err(ExecError::GlobalFault {
+                addr,
+                bytes: ty.size(),
+            });
+            assert_eq!(m.load_word(addr, ty), fault, "{addr} {ty}");
+            assert_eq!(m.store_word(addr, ty, 0), fault.map(|_| ()), "{addr} {ty}");
+        }
+        // The last word of the arena is inside it.
+        assert_eq!(m.load_word(4088, MemTy::I64), Ok(0));
     }
 
     #[test]
     fn null_guard_faults() {
-        let m = DeviceMemory::new(4096);
-        assert!(matches!(
-            m.load(0, MemTy::I32),
-            Err(ExecError::GlobalFault { .. })
-        ));
-        assert!(matches!(
-            m.load(128, MemTy::I32),
-            Err(ExecError::GlobalFault { .. })
-        ));
+        let mut m = DeviceMemory::new(4096);
+        for addr in [0, 128, NULL_GUARD as i64 - 4] {
+            let fault = Err(ExecError::GlobalFault { addr, bytes: 4 });
+            assert_eq!(m.load_word(addr, MemTy::I32), fault);
+            assert_eq!(m.store_word(addr, MemTy::F32, 0), fault.map(|_| ()));
+        }
+        assert_eq!(m.load_word(NULL_GUARD as i64, MemTy::I32), Ok(0));
     }
 
     #[test]
     fn misaligned_access_faults() {
-        let m = DeviceMemory::new(4096);
-        assert!(matches!(
-            m.load(NULL_GUARD as i64 + 2, MemTy::I32),
-            Err(ExecError::Misaligned { .. })
-        ));
+        let mut m = DeviceMemory::new(4096);
+        for (addr, ty) in [
+            (NULL_GUARD as i64 + 2, MemTy::I32),
+            (NULL_GUARD as i64 + 1, MemTy::F32),
+            (NULL_GUARD as i64 + 4, MemTy::I64),
+        ] {
+            let fault = Err(ExecError::Misaligned {
+                addr,
+                align: ty.size(),
+            });
+            assert_eq!(m.load_word(addr, ty), fault, "{addr} {ty}");
+            assert_eq!(m.store_word(addr, ty, 1), fault.map(|_| ()), "{addr} {ty}");
+        }
+    }
+
+    /// The values whose words test the little-endian round trip: a
+    /// negative `i32` (a sign-extending load would set the high half),
+    /// an `i64` with its high bits set and an `f32` NaN with a payload.
+    fn edge_values() -> [(MemTy, Value); 3] {
+        [
+            (MemTy::I32, Value::I32(-7)),
+            (MemTy::I64, Value::I64(-(1 << 40) - 3)),
+            (MemTy::F32, Value::F32(f32::from_bits(0x7FC0_1234))),
+        ]
+    }
+
+    /// A loaded word is the canonical word of its type: converting it
+    /// to a value and back is the identity. So a load is the value
+    /// conversion it replaced, in global and in shared memory.
+    fn assert_canonical(ty: MemTy, w: u64) {
+        assert_eq!(
+            Value::from_bits(ty.value_ty(), w).to_bits(),
+            w,
+            "{ty} {w:#x}"
+        );
     }
 
     #[test]
     fn store_then_load_roundtrip() {
         let mut m = DeviceMemory::new(4096);
         let a = m.alloc(64).unwrap();
-        m.store(a.base(), Value::I32(-7)).unwrap();
-        m.store(a.base() + 8, Value::F32(1.5)).unwrap();
-        m.store(a.base() + 16, Value::I64(1 << 40)).unwrap();
-        assert_eq!(m.load(a.base(), MemTy::I32).unwrap(), Value::I32(-7));
-        assert_eq!(m.load(a.base() + 8, MemTy::F32).unwrap(), Value::F32(1.5));
+        let mut shared = vec![0xDB; 64];
+        for (k, (ty, v)) in (0..).zip(edge_values()) {
+            let addr = a.base() + 8 * k;
+            m.store_word(addr, ty, v.to_bits()).unwrap();
+            store_shared_word(&mut shared, 8 * k, ty, v.to_bits()).unwrap();
+            for w in [
+                m.load_word(addr, ty).unwrap(),
+                load_shared_word(&shared, 8 * k, ty).unwrap(),
+            ] {
+                assert_eq!(w, v.to_bits(), "{ty}");
+                assert_canonical(ty, w);
+            }
+        }
+        // Words loaded from bytes no store wrote are canonical too: the
+        // shared-memory garbage and every width of an all-ones word.
+        for ty in TYS {
+            assert_canonical(ty, load_shared_word(&shared, 32, ty).unwrap());
+        }
+        m.write_i32s(a, 12, &[-1, -1]);
+        for ty in TYS {
+            assert_canonical(ty, m.load_word(a.base() + 48, ty).unwrap());
+        }
         assert_eq!(
-            m.load(a.base() + 16, MemTy::I64).unwrap(),
-            Value::I64(1 << 40)
+            m.load_word(a.base() + 48, MemTy::I32),
+            Ok(Value::I32(-1).to_bits())
         );
+        assert_eq!(Value::I32(-1).to_bits(), 0xFFFF_FFFF);
+    }
+
+    /// A 4-byte store writes the word's low four bytes and nothing else.
+    #[test]
+    fn narrow_stores_write_only_their_bytes() {
+        let mut m = DeviceMemory::new(4096);
+        let a = m.alloc(16).unwrap();
+        m.write_i32s(a, 0, &[1, 2, 3]);
+        m.store_word(a.base() + 4, MemTy::I32, Value::I32(-2).to_bits())
+            .unwrap();
+        assert_eq!(m.read_i32s(a, 0, 3), [1, -2, 3]);
+        let mut shared = [0xDBu8; 12];
+        store_shared_word(&mut shared, 4, MemTy::F32, Value::F32(1.5).to_bits()).unwrap();
+        assert_eq!(shared[..4], [0xDB; 4]);
+        assert_eq!(shared[4..8], 1.5f32.to_le_bytes());
+        assert_eq!(shared[8..], [0xDB; 4]);
+        assert_eq!(
+            Value::from_bits(Ty::F32, load_shared_word(&shared, 4, MemTy::F32).unwrap()),
+            Value::F32(1.5)
+        );
+    }
+
+    #[test]
+    fn shared_accesses_fault_outside_the_block_and_off_alignment() {
+        let mut shared = vec![0u8; 64];
+        for (addr, ty) in [
+            (64, MemTy::I32),
+            (60, MemTy::I64), // straddles the end
+            (-4, MemTy::I32),
+        ] {
+            let fault = Err(ExecError::SharedFault {
+                addr,
+                shared_bytes: 64,
+            });
+            assert_eq!(load_shared_word(&shared, addr, ty), fault, "{addr} {ty}");
+            assert_eq!(
+                store_shared_word(&mut shared, addr, ty, 0),
+                fault.map(|_| ()),
+                "{addr} {ty}"
+            );
+        }
+        for (addr, ty) in [(2, MemTy::I32), (4, MemTy::I64), (7, MemTy::F32)] {
+            let fault = Err(ExecError::Misaligned {
+                addr,
+                align: ty.size(),
+            });
+            assert_eq!(load_shared_word(&shared, addr, ty), fault, "{addr} {ty}");
+            assert_eq!(
+                store_shared_word(&mut shared, addr, ty, 0),
+                fault.map(|_| ()),
+                "{addr} {ty}"
+            );
+        }
+        // A kernel with no shared memory faults on any shared access.
+        assert!(matches!(
+            load_shared_word(&[], 0, MemTy::I32),
+            Err(ExecError::SharedFault {
+                shared_bytes: 0,
+                ..
+            })
+        ));
+        assert_eq!(load_shared_word(&shared, 56, MemTy::I64), Ok(0));
     }
 
     #[test]
@@ -342,7 +505,7 @@ mod tests {
         assert_eq!(g.addr + g.len, 4096);
         // One element past the buffer faults — there is no slack.
         assert!(matches!(
-            m.load((g.addr + g.len) as i64, MemTy::I32),
+            m.load_word((g.addr + g.len) as i64, MemTy::I32),
             Err(ExecError::GlobalFault { .. })
         ));
     }
